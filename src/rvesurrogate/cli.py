@@ -290,7 +290,7 @@ def stage_gen_data(cfg: dict, root: Path, jobs: int = 1) -> None:
     stage_dir = root / "dataset"
     stage_dir.mkdir(parents=True, exist_ok=True)
     ds.write_dataset(stage_dir, records)
-    packed = _packed_dataset(cfg, records)
+    packed = _pack(cfg, records)
     specs = {
         "inputs": ds.fit_normalization(
             [r.inputs for r in packed.all_records()]
@@ -325,23 +325,15 @@ def stage_gen_data(cfg: dict, root: Path, jobs: int = 1) -> None:
             raise StageError("gen-data postcondition failed: gamma monotonicity")
 
 
-def _packed_dataset(cfg: dict, records=None) -> ds.PackedDataset:
+def _pack(cfg: dict, records) -> ds.PackedDataset:
     d = cfg["dataset"]
-    if records is None:
-        records = ds.read_dataset(output_root_dir(cfg) / "dataset")
     return ds.pack_records(records, lengths=d["lengths"],
                            gamma_crit=d["gamma_crit"])
 
 
-def output_root_dir(cfg: dict) -> Path:  # indirection for tests
-    return output_root()
-
-
 def _load_packed(cfg: dict, root: Path) -> ds.PackedDataset:
     require_artifact(root / "dataset" / "records", "gen-data")
-    records = ds.read_dataset(root / "dataset")
-    return ds.pack_records(records, lengths=cfg["dataset"]["lengths"],
-                           gamma_crit=cfg["dataset"]["gamma_crit"])
+    return _pack(cfg, ds.read_dataset(root / "dataset"))
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +384,14 @@ def _train_setup(cfg: dict, root: Path):
         pca_file = require_artifact(root / "pca" / f"pca_{family}.bin", "pca-fit")
         pca_model = pcalib.load(pca_file)
         p_retained = cfg["pca"].get("p", pca_model.retained_p)
+        q = t.get("q", 1) if kind == sg.KIND_BROKEN_DOWN else 1
+        if t["nnw_out"][-1] * q != p_retained:
+            raise StageError(
+                f"kind {kind} needs train.nnw_out[-1] * train.q = p, but "
+                f"{t['nnw_out'][-1]} * {q} != p = {p_retained} retained by "
+                "pca.p / pca.delta; choose pca.p divisible by train.q and "
+                "set train.nnw_out[-1] = pca.p / train.q"
+            )
     arch = sg.Architecture(nnw_in=t["nnw_in"], n_h=t["n_h"], nnw_out=t["nnw_out"])
     bundle = sg.build_surrogate(
         kind, arch, q=t.get("q", 1),

@@ -4,7 +4,8 @@ A sequence record pairs the per-step macro strain features (E_xx, E_yy, E_xy)
 with the per-step state-variable fields produced by the micro-model.  Records
 are pre-trimmed against a critical state value, padded or trimmed to fixed
 length groups so they can be batched, and stored in a little-endian binary
-format that round-trips bit-exactly.
+format that round-trips bit-exactly.  :func:`draw_minibatches` is the one
+mini-batch sampler: it draws a length group, then positions inside it.
 """
 
 from __future__ import annotations
@@ -235,33 +236,21 @@ def pack_records(records, lengths, gamma_crit: float | None = None) -> PackedDat
     return PackedDataset(groups={k: v for k, v in groups.items() if v})
 
 
-@dataclass
-class MiniBatch:
-    inputs: np.ndarray   # (batch, steps, 3)
-    outputs: np.ndarray  # (batch, steps, output_dim)
-    indices: np.ndarray  # (batch,) positions inside the length group
-    length: int
+def draw_minibatches(group_sizes: dict[int, int], batch_size: int,
+                     n_batches: int, rng: np.random.Generator):
+    """Yield ``n_batches`` mini-batch draws as ``(length, indices)``.
 
-    @property
-    def n_sequences(self) -> int:
-        return self.inputs.shape[0]
-
-
-def sample_minibatch(
-    dataset: PackedDataset,
-    batch_size: int,
-    length_group: int,
-    rng: np.random.Generator,
-    family: str = FAMILY_GAMMA,
-) -> MiniBatch:
-    """Uniform with-replacement draw of sequences from one length group."""
-    if length_group not in dataset.groups or not dataset.groups[length_group]:
-        raise ValueError(f"dataset has no sequences of length {length_group}")
-    group = dataset.groups[length_group]
-    idx = rng.integers(0, len(group), size=batch_size)
-    inputs = np.stack([group[i].inputs for i in idx])
-    outputs = np.stack([group[i].outputs(family) for i in idx])
-    return MiniBatch(inputs=inputs, outputs=outputs, indices=idx, length=length_group)
+    Each draw first picks a length group with probability proportional to
+    its size, then ``batch_size`` uniform with-replacement positions inside
+    that group.
+    """
+    lengths = sorted(group_sizes)
+    sizes = [group_sizes[length] for length in lengths]
+    weights = np.array(sizes, dtype=float)
+    weights /= weights.sum()
+    for _ in range(n_batches):
+        li = int(rng.choice(len(lengths), p=weights))
+        yield lengths[li], rng.integers(0, sizes[li], size=batch_size)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,13 @@ update | reset | candidate):
     h_new = u * h + (1 - u) * c
 
 which carries 3*n_h*(n_h + n_in + 2) learnable parameters: three input-side
-and three hidden-side matrices plus two bias vectors per gate path.
+and three hidden-side matrices plus two bias vectors per gate path.  This
+algebra lives in :func:`gru_step` alone, the loop body of
+:meth:`RnnModel.forward`; the input-side terms ``x' Wx + bx`` are one matrix
+product over all steps before the loop.
+
+:func:`train_step` is the one BPTT update (forward, MSE, backward, gradient
+clipping, Adam step) that every training loop of the package calls.
 
 Everything runs in float64 so finite-difference gradient checks resolve.
 """
@@ -49,12 +55,8 @@ def _leaky_grad(x):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function via tanh: one expression, no overflow for any x."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def _make_rng(seed) -> np.random.Generator:
@@ -160,17 +162,21 @@ class GruCell:
         yield self.grad_bh
 
 
-def gru_step(cell: GruCell, x_prime, h_prev):
-    """One recurrence step; the new hidden state is also the cell output."""
-    x_prime = np.asarray(x_prime, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
+def gru_step(cell: GruCell, gx_t, h_prev):
+    """One recurrence step from the step's input-side pre-activation.
+
+    ``gx_t = x' Wx + bx`` is precomputed for every step at once.  Returns
+    ``(h_new, u, r, c, ghc)``: the new hidden state (also the cell output),
+    the update and reset gates, the candidate and the candidate's
+    hidden-side pre-activation ``h Wh_c + bh_c``, which backward needs.
+    """
     n = cell.n_h
-    gx = x_prime @ cell.wx + cell.bx
     gh = h_prev @ cell.wh + cell.bh
-    u = _sigmoid(gx[..., :n] + gh[..., :n])
-    r = _sigmoid(gx[..., n:2 * n] + gh[..., n:2 * n])
-    c = np.tanh(gx[..., 2 * n:] + r * gh[..., 2 * n:])
-    return u * h_prev + (1.0 - u) * c
+    u = _sigmoid(gx_t[..., :n] + gh[..., :n])
+    r = _sigmoid(gx_t[..., n:2 * n] + gh[..., n:2 * n])
+    ghc = gh[..., 2 * n:]
+    c = np.tanh(gx_t[..., 2 * n:] + r * ghc)
+    return u * h_prev + (1.0 - u) * c, u, r, c, ghc
 
 
 class RnnModel:
@@ -267,16 +273,8 @@ class RnnModel:
         cand = np.empty((n_b, n_t, n))
         gh_cand = np.empty((n_b, n_t, n))
         for t in range(n_t):
-            gh = h_all[:, t] @ self.gru.wh + self.gru.bh
-            u = _sigmoid(gx[:, t, :n] + gh[:, :n])
-            r = _sigmoid(gx[:, t, n:2 * n] + gh[:, n:2 * n])
-            ghc = gh[:, 2 * n:]
-            c = np.tanh(gx[:, t, 2 * n:] + r * ghc)
-            h_all[:, t + 1] = u * h_all[:, t] + (1.0 - u) * c
-            gate_u[:, t] = u
-            gate_r[:, t] = r
-            cand[:, t] = c
-            gh_cand[:, t] = ghc
+            (h_all[:, t + 1], gate_u[:, t], gate_r[:, t], cand[:, t],
+             gh_cand[:, t]) = gru_step(self.gru, gx[:, t], h_all[:, t])
 
         y_flat, out_cache = self.nnw_out.forward(h_all[:, 1:].reshape(n_b * n_t, n))
         outputs = y_flat.reshape(n_b, n_t, self.n_outputs)
@@ -332,22 +330,6 @@ class RnnModel:
         self.nnw_in.backward(in_cache, d_xp)
 
 
-def forward_sequence(model: RnnModel, inputs):
-    """Run a model over sequences; returns (outputs, hidden_trace).
-
-    Accepts (steps, n_x) for a single sequence or (batch, steps, n_x).
-    """
-    x = np.asarray(inputs, dtype=np.float64)
-    single = x.ndim == 2
-    if single:
-        x = x[None]
-    outputs, cache = model.forward(x)
-    hidden = cache[3][:, 1:]
-    if single:
-        return outputs[0], hidden[0]
-    return outputs, hidden
-
-
 def mse_loss(pred, target) -> float:
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -363,15 +345,6 @@ def mse_loss_grad(pred, target):
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
     return (pred - target) * (2.0 / pred.size)
-
-
-def bptt_gradients(model: RnnModel, inputs, targets):
-    """Loss and exact parameter gradients for one batch (fresh, not summed)."""
-    model.zero_grad()
-    outputs, cache = model.forward(inputs)
-    loss = mse_loss(outputs, targets)
-    model.backward(cache, mse_loss_grad(outputs, targets))
-    return loss, [g.copy() for g in model.gradients()]
 
 
 def clip_gradient_norm(grads, max_norm: float) -> float:
@@ -439,6 +412,24 @@ class Adam:
             if self.cfg.weight_decay > 0.0:
                 p -= lr * self.cfg.weight_decay * p
             p -= lr * update
+
+
+def train_step(model: RnnModel, optimizer: Adam, inputs, targets,
+               clip_norm: float) -> float:
+    """One BPTT update on a batch; returns its MSE loss.
+
+    Backward, gradient clipping and the optimizer step run only when the
+    loss is finite, so a diverged batch leaves the parameters untouched.
+    """
+    model.zero_grad()
+    outputs, cache = model.forward(inputs)
+    loss = mse_loss(outputs, targets)
+    if np.isfinite(loss):
+        model.backward(cache, mse_loss_grad(outputs, targets))
+        grads = list(model.gradients())
+        clip_gradient_norm(grads, clip_norm)
+        optimizer.step(grads)
+    return loss
 
 
 def count_parameters(model: RnnModel) -> int:

@@ -9,9 +9,12 @@ Three surrogate kinds map macro strain histories to state-variable fields:
 
 All kinds run through one training engine that treats a surrogate as a list
 of (model, output-slice) pairs, so kind II is numerically identical to kind
-III with a single group.  Evaluation always maps predictions back to the
+III with a single group.  Training and the hidden-size trial draw their
+mini-batches with ``datastore.draw_minibatches`` and update each RNN with
+``neural.train_step``.  Evaluation always maps predictions back to the
 normalized full-dimensional field space, which makes the three kinds (and
-the plain PCA reconstruction floor) directly comparable.
+the PCA reconstruction floor from the same ``p`` coefficients) directly
+comparable.
 """
 
 from __future__ import annotations
@@ -59,12 +62,6 @@ def group_slices(p: int, q: int) -> list[tuple[int, int]]:
         raise ValueError(f"output dimension {p} is not divisible into {q} groups")
     k = p // q
     return [(i * k, (i + 1) * k) for i in range(q)]
-
-
-def split_outputs(x, q: int) -> list[np.ndarray]:
-    """Split the trailing axis into Q equal contiguous blocks."""
-    x = np.asarray(x)
-    return [x[..., lo:hi] for lo, hi in group_slices(x.shape[-1], q)]
 
 
 @dataclass
@@ -213,13 +210,10 @@ class SurrogateBundle:
         for length in dataset.lengths:
             records = dataset.groups[length]
             x = np.stack([self.input_norm.normalize(r.inputs) for r in records])
-            fields = np.stack([r.outputs(self.family) for r in records])
+            target = np.stack([r.outputs(self.family) for r in records])
             if self.reduced:
-                target = pcalib.project(fields, self.pca)[..., : self.p]
-            else:
-                target = fields
-            y = self.output_norm.normalize(target)
-            groups[length] = (x, y, fields)
+                target = pcalib.project(target, self.pca)[..., : self.p]
+            groups[length] = (x, self.output_norm.normalize(target))
         return groups
 
     # -- training ----------------------------------------------------------------
@@ -235,12 +229,12 @@ class SurrogateBundle:
         """
         self.fit_normalization(dataset)
         groups = self._group_arrays(dataset)
-        lengths = sorted(groups)
-        weights = np.array([groups[L][0].shape[0] for L in lengths], dtype=float)
-        weights /= weights.sum()
-
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([config.seed]))
+        )
+        draws = ds.draw_minibatches(
+            {length: x.shape[0] for length, (x, _) in groups.items()},
+            config.batch_size, config.n_batches, rng,
         )
         optimizers = {
             gi: nn.Adam(list(self.models[gi].parameters()), config)
@@ -250,11 +244,8 @@ class SurrogateBundle:
         batch_lengths = np.zeros(config.n_batches, dtype=int)
         aborted = False
         n_run = 0
-        for b in range(config.n_batches):
-            li = int(rng.choice(len(lengths), p=weights))
-            length = lengths[li]
-            x_all, y_all, _ = groups[length]
-            idx = rng.integers(0, x_all.shape[0], size=config.batch_size)
+        for b, (length, idx) in enumerate(draws):
+            x_all, y_all = groups[length]
             xb = x_all[idx]
             yb = y_all[idx]
             backup = [self.models[gi].copy_parameters() for gi in self.trained_groups]
@@ -263,17 +254,11 @@ class SurrogateBundle:
                 model = self.models[gi]
                 lo, hi = self.group_map[gi]
                 target = yb[..., lo:hi]
-                last = 0.0
                 for _ in range(config.n_epoch):
-                    model.zero_grad()
-                    out, cache = model.forward(xb)
-                    last = nn.mse_loss(out, target)
+                    last = nn.train_step(model, optimizers[gi], xb, target,
+                                         config.clip_norm)
                     if not np.isfinite(last):
                         break
-                    model.backward(cache, nn.mse_loss_grad(out, target))
-                    grads = list(model.gradients())
-                    nn.clip_gradient_norm(grads, config.clip_norm)
-                    optimizers[gi].step(grads)
                 batch_losses[slot] = last
             if not np.all(np.isfinite(batch_losses)):
                 for gi, params in zip(self.trained_groups, backup):
@@ -333,8 +318,9 @@ class SurrogateBundle:
 
         Predictions of every kind are mapped to raw fields first and then
         into the normalized field space, so reduced and direct surrogates
-        are compared on the same reference.  The PCA reconstruction floor
-        over the same data is attached for reduced kinds.
+        are compared on the same reference.  Reduced kinds also report the
+        PCA floor: the error of reconstructing the same data from its exact
+        first ``p`` coefficients, the ones the surrogate predicts.
         """
         per_mse = []
         lengths = []
@@ -355,9 +341,9 @@ class SurrogateBundle:
             max_pred.extend(list(pred.max(axis=2)))
             max_true.extend(list(truth.max(axis=2)))
             if self.reduced:
-                recon = pcalib.reconstruct(
-                    pcalib.project(truth, self.pca), self.pca
-                )
+                coeffs = pcalib.project(truth, self.pca)
+                coeffs[..., self.p:] = 0.0
+                recon = pcalib.reconstruct(coeffs, self.pca)
                 r_norm = self.field_norm.normalize(recon)
                 floor_acc += np.sum(np.mean((r_norm - t_norm) ** 2, axis=2))
                 floor_steps += truth.shape[0] * truth.shape[1]
@@ -451,27 +437,6 @@ def build_surrogate(kind, arch: Architecture, q: int = 1,
     )
 
 
-def pca_floor_mse(pca_model: pcalib.PcaModel, dataset: ds.PackedDataset,
-                  field_norm: ds.NormalizationSpec, family: str,
-                  p: int | None = None) -> float:
-    """Normalized-space reconstruction MSE of the plain PCA round trip."""
-    if p is not None and p < pca_model.retained_p:
-        pca_model = pcalib.PcaModel(
-            mean=pca_model.mean,
-            eigenvalues=pca_model.eigenvalues,
-            components=pca_model.components[:, :p],
-        )
-    acc = 0.0
-    steps = 0
-    for length in dataset.lengths:
-        truth = np.stack([r.outputs(family) for r in dataset.groups[length]])
-        recon = pcalib.reconstruct(pcalib.project(truth, pca_model), pca_model)
-        diff = field_norm.normalize(recon) - field_norm.normalize(truth)
-        acc += np.sum(np.mean(diff**2, axis=2))
-        steps += truth.shape[0] * truth.shape[1]
-    return float(acc / steps)
-
-
 @dataclass
 class TrialResult:
     n_h: int
@@ -555,10 +520,7 @@ def hidden_size_trial(
         arrays[length] = (x[train_idx], y[train_idx])
         val_arrays.append((x[val_idx], y[val_idx]))
 
-    lengths = sorted(arrays)
-    weights = np.array([arrays[L][0].shape[0] for L in lengths], dtype=float)
-    weights /= weights.sum()
-
+    train_sizes = {length: x.shape[0] for length, (x, _) in arrays.items()}
     trials = []
     recommended = None
     for trial_index in range(max_trials):
@@ -573,17 +535,11 @@ def hidden_size_trial(
             np.random.PCG64(np.random.SeedSequence([seed, 3, n_h]))
         )
         last = float("nan")
-        for _ in range(epoch_budget):
-            li = int(batch_rng.choice(len(lengths), p=weights))
-            x_all, y_all = arrays[lengths[li]]
-            idx = batch_rng.integers(0, x_all.shape[0], size=batch_size)
-            model.zero_grad()
-            out, cache = model.forward(x_all[idx])
-            last = nn.mse_loss(out, y_all[idx])
-            model.backward(cache, nn.mse_loss_grad(out, y_all[idx]))
-            grads = list(model.gradients())
-            nn.clip_gradient_norm(grads, cfg.clip_norm)
-            opt.step(grads)
+        for length, idx in ds.draw_minibatches(train_sizes, batch_size,
+                                               epoch_budget, batch_rng):
+            x_all, y_all = arrays[length]
+            last = nn.train_step(model, opt, x_all[idx], y_all[idx],
+                                 cfg.clip_norm)
 
         preds = []
         truths = []

@@ -4,6 +4,7 @@ import pytest
 from rvesurrogate import datastore as ds
 
 CHI2_99_DOF7 = 18.4753  # upper 1% quantile, 7 degrees of freedom
+CHI2_99_DOF3 = 11.3449  # upper 1% quantile, 3 degrees of freedom
 
 
 def make_record(rng, n_steps=20, d_gamma=4, d_tau=6, truncated=False):
@@ -160,46 +161,44 @@ class TestPacking:
 
 
 class TestMiniBatch:
-    def make_packed(self, rng, n=12, steps=16):
-        return ds.PackedDataset(
-            groups={steps: [make_record(rng, n_steps=steps) for _ in range(n)]}
-        )
-
     def test_shapes_and_lengths(self):
-        rng = np.random.default_rng(12)
-        packed = self.make_packed(rng)
-        batch = ds.sample_minibatch(packed, 5, 16, np.random.default_rng(0))
-        assert batch.inputs.shape == (5, 16, 3)
-        assert batch.outputs.shape == (5, 16, 4)
-        assert batch.length == 16
+        draws = list(ds.draw_minibatches({16: 12}, 5, 3, np.random.default_rng(0)))
+        assert len(draws) == 3
+        for length, idx in draws:
+            assert length == 16
+            assert idx.shape == (5,)
+            assert np.all((idx >= 0) & (idx < 12))
 
     def test_deterministic_per_seed(self):
-        rng = np.random.default_rng(13)
-        packed = self.make_packed(rng)
-        b1 = ds.sample_minibatch(packed, 6, 16, np.random.default_rng(7))
-        b2 = ds.sample_minibatch(packed, 6, 16, np.random.default_rng(7))
-        assert np.array_equal(b1.indices, b2.indices)
-        assert b1.inputs.tobytes() == b2.inputs.tobytes()
-
-    def test_missing_group_raises(self):
-        rng = np.random.default_rng(14)
-        packed = self.make_packed(rng)
-        with pytest.raises(ValueError, match="length 99"):
-            ds.sample_minibatch(packed, 4, 99, np.random.default_rng(0))
+        sizes = {16: 12, 24: 5}
+        d1 = list(ds.draw_minibatches(sizes, 6, 10, np.random.default_rng(7)))
+        d2 = list(ds.draw_minibatches(sizes, 6, 10, np.random.default_rng(7)))
+        assert [length for length, _ in d1] == [length for length, _ in d2]
+        for (_, i1), (_, i2) in zip(d1, d2):
+            assert np.array_equal(i1, i2)
 
     def test_sampling_uniform(self):
         # Monte-Carlo histogram oracle over sequence indices
-        rng = np.random.default_rng(15)
-        packed = self.make_packed(rng, n=8, steps=4)
-        draw_rng = np.random.default_rng(99)
         counts = np.zeros(8)
-        n_draws = 100_000 // 4
-        for _ in range(n_draws):
-            batch = ds.sample_minibatch(packed, 4, 4, draw_rng)
-            np.add.at(counts, batch.indices, 1.0)
+        draws = ds.draw_minibatches({4: 8}, 4, 100_000 // 4,
+                                    np.random.default_rng(99))
+        for _, idx in draws:
+            np.add.at(counts, idx, 1.0)
         expected = counts.sum() / 8
         chi2 = np.sum((counts - expected) ** 2 / expected)
         assert chi2 < CHI2_99_DOF7
+
+    def test_length_groups_drawn_in_proportion_to_size(self):
+        # Monte-Carlo histogram oracle over length groups, P(L) = size / total
+        sizes = {8: 5, 16: 10, 24: 15, 32: 20}
+        counts = dict.fromkeys(sizes, 0.0)
+        for length, _ in ds.draw_minibatches(sizes, 1, 20_000,
+                                             np.random.default_rng(5)):
+            counts[length] += 1.0
+        total = sum(sizes.values())
+        chi2 = sum((counts[k] - 20_000 * n / total) ** 2 / (20_000 * n / total)
+                   for k, n in sizes.items())
+        assert chi2 < CHI2_99_DOF3
 
 
 class TestFileFormats:

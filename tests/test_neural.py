@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rvesurrogate import datastore as ds
 from rvesurrogate import neural as nn
 
 
@@ -40,13 +41,24 @@ class TestLeakyRelu:
         assert np.allclose(nn.leaky_relu(x), [-0.03, 0.5])
 
 
+def input_preactivation(cell, x):
+    return x @ cell.wx + cell.bx
+
+
+def hidden_trace(model, x):
+    """Hidden states after every step; the forward cache keeps h0 first."""
+    _, cache = model.forward(x)
+    return cache[3][:, 1:]
+
+
 class TestGruStep:
     def test_zero_weights_closed_form(self):
         rng = np.random.default_rng(0)
         cell = nn.GruCell(2, 3, rng)
         for arr in (cell.wx, cell.wh, cell.bx, cell.bh):
             arr[...] = 0.0
-        h = nn.gru_step(cell, np.zeros(2), np.full(3, -1.0))
+        h, *_ = nn.gru_step(cell, input_preactivation(cell, np.zeros(2)),
+                            np.full(3, -1.0))
         # u = r = 0.5, candidate = tanh(0) = 0 so h = 0.5 * (-1)
         assert np.allclose(h, -0.5)
 
@@ -56,7 +68,7 @@ class TestGruStep:
         for _ in range(50):
             h_prev = rng.uniform(-1.0, 1.0, 5)
             x = rng.standard_normal(3) * 3.0
-            h = nn.gru_step(cell, x, h_prev)
+            h, *_ = nn.gru_step(cell, input_preactivation(cell, x), h_prev)
             bound = max(np.max(np.abs(h_prev)), 1.0)
             assert np.all(np.abs(h) <= bound + 1e-12)
 
@@ -75,34 +87,37 @@ class TestGruStep:
         bh_u, bh_r, bh_c = cell.bh[0:3], cell.bh[3:6], cell.bh[6:9]
         u = sig(x @ wx_u + bx_u + h_prev @ wh_u + bh_u)
         r = sig(x @ wx_r + bx_r + h_prev @ wh_r + bh_r)
-        c = np.tanh(x @ wx_c + bx_c + r * (h_prev @ wh_c + bh_c))
+        ghc = h_prev @ wh_c + bh_c
+        c = np.tanh(x @ wx_c + bx_c + r * ghc)
         expected = u * h_prev + (1.0 - u) * c
 
-        got = nn.gru_step(cell, x, h_prev)
-        assert np.max(np.abs(got - expected)) <= 1e-12
+        got = nn.gru_step(cell, input_preactivation(cell, x), h_prev)
+        for g, e in zip(got, (expected, u, r, c, ghc)):
+            assert np.max(np.abs(g - e)) <= 1e-12
 
     def test_gate_outputs_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(3)
         cell = nn.GruCell(2, 4, rng)
         x = rng.standard_normal((100, 2)) * 5
-        gx = x @ cell.wx + cell.bx
-        u = 1.0 / (1.0 + np.exp(-(gx[:, :4] + cell.bh[:4])))
+        _, u, r, _, _ = nn.gru_step(cell, input_preactivation(cell, x),
+                                    np.zeros((100, 4)))
         assert np.all(u > 0.0) and np.all(u < 1.0)
+        assert np.all(r > 0.0) and np.all(r < 1.0)
 
 
 class TestForwardSequence:
     def test_step_count_preserved(self):
         model = small_model()
-        x = np.zeros((5, 2))
-        y, hidden = nn.forward_sequence(model, x)
-        assert y.shape == (5, 3)
-        assert hidden.shape == (5, 4)
+        x = np.zeros((1, 5, 2))
+        y, _ = model.forward(x)
+        assert y.shape == (1, 5, 3)
+        assert hidden_trace(model, x).shape == (1, 5, 4)
 
     def test_constant_zero_input_deterministic(self):
         model = small_model(seed=4)
-        x = np.zeros((30, 2))
-        y1, _ = nn.forward_sequence(model, x)
-        y2, _ = nn.forward_sequence(model, x)
+        x = np.zeros((1, 30, 2))
+        y1 = model.forward(x)[0][0]
+        y2 = model.forward(x)[0][0]
         assert np.array_equal(y1, y2)
         # hidden recurrence approaches a fixed point on constant input
         assert np.max(np.abs(y1[-1] - y1[-2])) < np.max(np.abs(y1[1] - y1[0]))
@@ -111,17 +126,16 @@ class TestForwardSequence:
         model = small_model(seed=5)
         rng = np.random.default_rng(6)
         x = rng.standard_normal((1, 200, 2))
-        _, hidden = nn.forward_sequence(model, x)
-        assert np.all(np.abs(hidden) <= 1.0)
+        assert np.all(np.abs(hidden_trace(model, x)) <= 1.0)
 
     def test_batch_matches_single(self):
         model = small_model(seed=7)
         rng = np.random.default_rng(8)
         x = rng.standard_normal((6, 11, 2))
-        batched, _ = nn.forward_sequence(model, x)
+        batched, _ = model.forward(x)
         for i in range(6):
-            single, _ = nn.forward_sequence(model, x[i])
-            assert np.allclose(single, batched[i], atol=1e-14, rtol=0.0)
+            single, _ = model.forward(x[i:i + 1])
+            assert np.allclose(single[0], batched[i], atol=1e-14, rtol=0.0)
 
 
 class TestMseLoss:
@@ -148,13 +162,21 @@ class TestMseLoss:
             nn.mse_loss(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
+def bptt(model, inputs, targets):
+    """Loss and fresh exact parameter gradients for one batch."""
+    model.zero_grad()
+    outputs, cache = model.forward(inputs)
+    model.backward(cache, nn.mse_loss_grad(outputs, targets))
+    return nn.mse_loss(outputs, targets), [g.copy() for g in model.gradients()]
+
+
 class TestBptt:
     def test_zero_error_gives_zero_gradients(self):
         model = small_model(seed=10)
         rng = np.random.default_rng(11)
         x = rng.standard_normal((2, 3, 2))
         y, _ = model.forward(x)
-        loss, grads = nn.bptt_gradients(model, x, y)
+        loss, grads = bptt(model, x, y)
         assert loss == 0.0
         for g in grads:
             assert np.all(g == 0.0)
@@ -164,7 +186,7 @@ class TestBptt:
         rng = np.random.default_rng(13)
         x = rng.standard_normal((2, 3, 2))
         t = rng.standard_normal((2, 3, 3))
-        _, grads = nn.bptt_gradients(model, x, t)
+        _, grads = bptt(model, x, t)
         fd = finite_difference_grads(model, x, t)
         for g, f in zip(grads, fd):
             err = np.abs(g - f)
@@ -176,11 +198,36 @@ class TestBptt:
         rng = np.random.default_rng(15)
         x = rng.standard_normal((2, 4, 2))
         t = rng.standard_normal((2, 4, 3))
-        _, g_batch = nn.bptt_gradients(model, x, t)
-        _, g0 = nn.bptt_gradients(model, x[:1], t[:1])
-        _, g1 = nn.bptt_gradients(model, x[1:], t[1:])
+        _, g_batch = bptt(model, x, t)
+        _, g0 = bptt(model, x[:1], t[:1])
+        _, g1 = bptt(model, x[1:], t[1:])
         for gb, a, b in zip(g_batch, g0, g1):
             assert np.allclose(gb, 0.5 * (a + b), atol=1e-12)
+
+
+class TestTrainStep:
+    def test_returns_pre_update_loss_and_moves_parameters(self):
+        model = small_model(seed=23)
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((2, 4, 2))
+        t = rng.standard_normal((2, 4, 3))
+        before = model.state_bytes()
+        expected = nn.mse_loss(model.forward(x)[0], t)
+        opt = nn.Adam(list(model.parameters()), nn.TrainConfig())
+        assert nn.train_step(model, opt, x, t, 1.0) == expected
+        assert model.state_bytes() != before
+        assert opt.t == 1
+
+    def test_non_finite_loss_skips_the_update(self):
+        model = small_model(seed=25)
+        rng = np.random.default_rng(26)
+        x = rng.standard_normal((2, 4, 2))
+        t = np.full((2, 4, 3), np.nan)
+        before = model.state_bytes()
+        opt = nn.Adam(list(model.parameters()), nn.TrainConfig())
+        assert np.isnan(nn.train_step(model, opt, x, t, 1.0))
+        assert model.state_bytes() == before
+        assert opt.t == 0
 
 
 class TestOptimizer:
@@ -267,20 +314,20 @@ class TestSerialization:
 
 class TestDeterminism:
     def test_training_is_bit_reproducible(self):
+        data = np.random.default_rng(22)
+        groups = {length: (data.standard_normal((3, length, 2)),
+                           data.standard_normal((3, length, 2)))
+                  for length in (4, 6)}
+        sizes = {length: x.shape[0] for length, (x, _) in groups.items()}
+
         def run():
             model = nn.RnnModel.build((2, 4), 4, (4, 2), seed=21)
             cfg = nn.TrainConfig(learning_rate=1e-3)
             opt = nn.Adam(list(model.parameters()), cfg)
-            rng = np.random.default_rng(22)
-            x = rng.standard_normal((3, 6, 2))
-            t = rng.standard_normal((3, 6, 2))
-            for _ in range(20):
-                model.zero_grad()
-                out, cache = model.forward(x)
-                model.backward(cache, nn.mse_loss_grad(out, t))
-                grads = list(model.gradients())
-                nn.clip_gradient_norm(grads, cfg.clip_norm)
-                opt.step(grads)
+            draws = ds.draw_minibatches(sizes, 2, 20, np.random.default_rng(7))
+            for length, idx in draws:
+                x, t = groups[length]
+                nn.train_step(model, opt, x[idx], t[idx], cfg.clip_norm)
             return model.state_bytes()
 
         assert run() == run()

@@ -34,15 +34,12 @@ class TestSplitOutputs:
         assert slices[1] == (20, 40)
 
     def test_single_group_identity(self):
-        x = np.arange(12.0)
-        parts = sg.split_outputs(x, 1)
-        assert len(parts) == 1
-        assert np.array_equal(parts[0], x)
+        assert sg.group_slices(12, 1) == [(0, 12)]
 
     def test_concatenation_restores_order(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((5, 12))
-        parts = sg.split_outputs(x, 4)
+        parts = [x[..., lo:hi] for lo, hi in sg.group_slices(12, 4)]
         assert np.array_equal(np.concatenate(parts, axis=-1), x)
 
     def test_indivisible_raises(self):
@@ -236,14 +233,25 @@ class TestEvaluate:
         assert report.pca_floor is not None
         assert report.mse_full_dim >= report.pca_floor - 1e-9
 
-    def test_pca_floor_helper_matches_report(self, synthetic_packed, gamma_pca):
-        arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.build_surrogate("III", arch, q=4, pca=gamma_pca, p=8, seed=12)
+    def test_pca_floor_uses_the_bundles_p(self, synthetic_packed, gamma_pca):
+        # the bundle predicts 4 of the 8 retained coefficients, so its floor
+        # is the 4-component reconstruction error, above the 8-component one
+        arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 1))
+        bundle = sg.build_surrogate("III", arch, q=4, pca=gamma_pca, p=4, seed=12)
         bundle.fit_normalization(synthetic_packed)
         report = bundle.evaluate(synthetic_packed)
-        floor = sg.pca_floor_mse(gamma_pca, synthetic_packed, bundle.field_norm,
-                                 ds.FAMILY_GAMMA, p=8)
-        assert floor == pytest.approx(report.pca_floor, rel=1e-12)
+
+        def floor(n_components):
+            head = pcalib.PcaModel(gamma_pca.mean, gamma_pca.eigenvalues,
+                                   gamma_pca.components[:, :n_components])
+            truth = np.concatenate(
+                [r.outputs_gamma for r in synthetic_packed.all_records()])
+            recon = pcalib.reconstruct(pcalib.project(truth, head), head)
+            norm = bundle.field_norm.normalize
+            return float(np.mean((norm(recon) - norm(truth)) ** 2))
+
+        assert report.pca_floor == pytest.approx(floor(4), rel=1e-12)
+        assert report.pca_floor > 2.0 * floor(8)
 
     def test_max_traces_shapes(self, synthetic_packed, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
