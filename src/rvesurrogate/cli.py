@@ -61,6 +61,15 @@ _ALLOWED_KEYS = {
 
 _REQUIRED_SECTIONS = ("paths", "ensemble", "dataset", "pca", "train")
 
+# keys without a default, per section
+_REQUIRED_KEYS = {
+    "paths": ("n_random", "delta_r", "delta_r_min", "r_max", "max_steps",
+              "seed"),
+    "ensemble": ("d_gamma", "n_fiber", "perturbation", "seed"),
+    "dataset": ("lengths", "gamma_crit", "batch_size"),
+    "train": ("kind", "nnw_in", "n_h", "nnw_out", "n_batches"),
+}
+
 
 class StageError(RuntimeError):
     """Configuration or dependency problem; carries an actionable message."""
@@ -91,6 +100,10 @@ def validate_config(cfg: dict) -> None:
     missing = [s for s in _REQUIRED_SECTIONS if s not in cfg]
     if missing:
         raise StageError(f"missing config sections: {missing}")
+    missing = [f"{section}.{key}" for section, keys in _REQUIRED_KEYS.items()
+               for key in keys if key not in cfg[section]]
+    if missing:
+        raise StageError(f"missing config keys: {', '.join(missing)}")
     p = cfg["paths"]
     pg.RandomWalkConfig(
         delta_r=p["delta_r"], delta_r_min=p["delta_r_min"], r_max=p["r_max"],
@@ -331,9 +344,20 @@ def _pack(cfg: dict, records) -> ds.PackedDataset:
                            gamma_crit=d["gamma_crit"])
 
 
+def _read_records(directory) -> list[ds.SequenceRecord]:
+    try:
+        return ds.read_dataset(directory)
+    except FileNotFoundError:
+        raise StageError(
+            f"no records under {Path(directory) / 'records'}; point at a "
+            "dataset directory written by `gen-data` (<root>/dataset) or by "
+            "`dataset trim`/`dataset pack`"
+        ) from None
+
+
 def _load_packed(cfg: dict, root: Path) -> ds.PackedDataset:
     require_artifact(root / "dataset" / "records", "gen-data")
-    return _pack(cfg, ds.read_dataset(root / "dataset"))
+    return _pack(cfg, _read_records(root / "dataset"))
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +378,14 @@ def stage_pca_fit(cfg: dict, root: Path) -> None:
         delta=p.get("delta"),
         seed=p.get("seed", 0),
     )
+    if model.retained_p == 0:
+        raise StageError(
+            f"pca.p / pca.delta retained no principal component of the "
+            f"{family!r} family: its fields do not vary over the dataset "
+            "(for gamma: no matrix point slipped plastically); load further "
+            "with larger or longer paths (paths.delta_r, paths.r_max, "
+            "paths.max_steps)"
+        )
     stage_dir = root / "pca"
     stage_dir.mkdir(parents=True, exist_ok=True)
     pcalib.save(stage_dir / f"pca_{family}.bin", model)
@@ -536,7 +568,7 @@ def stage_eval(cfg: dict, root: Path) -> None:
 
 
 def dataset_stats(directory) -> str:
-    records = ds.read_dataset(directory)
+    records = _read_records(directory)
     lengths = np.array([r.length for r in records])
     gmax = max(float(r.outputs_gamma.max()) for r in records)
     tmax = max(float(r.outputs_tau.max()) for r in records)
@@ -553,7 +585,7 @@ def dataset_stats(directory) -> str:
 
 
 def dataset_trim(src, dst, gamma_crit: float) -> int:
-    records = ds.read_dataset(src)
+    records = _read_records(src)
     kept = []
     for rec in records:
         trimmed = ds.pre_trim(rec, gamma_crit)
@@ -567,7 +599,7 @@ def dataset_trim(src, dst, gamma_crit: float) -> int:
 
 
 def dataset_pack(src, dst, lengths, gamma_crit: float | None) -> dict:
-    records = ds.read_dataset(src)
+    records = _read_records(src)
     packed = ds.pack_records(records, lengths=lengths, gamma_crit=gamma_crit)
     flat = list(packed.all_records())
     ds.write_dataset(dst, flat, manifest={

@@ -8,9 +8,21 @@ hyperelastic law; matrix points follow finite-strain J2 elasto-plasticity
 with saturating isotropic hardening, integrated with an exponential plastic
 flow update that keeps det(F^p) = 1 exactly up to roundoff.
 
+Plane-strain contract: every deformation and plastic deformation gradient
+is block-diagonal (see ``tensorlab``).  The paths stretch in plane only, the
+concentration maps act on the in-plane components only, and the flow update
+stays in the trial eigenframe, so ``F^p`` keeps the structure.  The return
+mapping works in principal logarithmic stretches (Simo, CMAME 99 (1992)
+61-112) with 2x2 algebra on the in-plane blocks and scalar algebra on the
+out-of-plane entries, on the closed-form ``tensorlab.sym_eig``.  The
+gamma and tau fields are bit-identical to the same update in general 3x3
+algebra; the stresses, built from the principal values in fewer
+operations, agree with it to roundoff.
+
 Per loading step the ensemble emits the equivalent-plastic-strain field over
-the matrix points, the von Mises equivalent Kirchhoff stress field over all
-points, and the volume-average first Piola-Kirchhoff stress.
+the matrix points and the von Mises equivalent Kirchhoff stress field over
+all points.  ``fiber_stress`` and ``matrix_update`` also return the first
+Piola-Kirchhoff stress of each point; the field histories do not use it.
 
 Stresses are carried in MPa internally; moduli are declared in GPa and
 converted on access.
@@ -109,60 +121,76 @@ class PlasticState:
         fp = np.broadcast_to(np.eye(3), tuple(batch_shape) + (3, 3)).copy()
         return cls(fp=fp, gamma=np.zeros(batch_shape))
 
-    def copy(self) -> "PlasticState":
-        return PlasticState(fp=self.fp.copy(), gamma=self.gamma.copy())
+
+def _log_strain_deviator(f_in, f_out):
+    """Eigenpairs of ``C = F^T F`` and the deviator of their logarithms.
+
+    ``f_in``/``f_out`` are the in-plane blocks and out-of-plane entries of a
+    plane-strain deformation.  Raises ``InvalidDeformationError`` when an
+    eigenvalue of ``C`` is not positive.
+    """
+    c = tl.from_blocks(np.swapaxes(f_in, -1, -2) @ f_in, f_out * f_out)
+    vals, vecs = tl.sym_eig(c)
+    if (vals <= 0.0).any():
+        raise InvalidDeformationError("degenerate elastic stretch")
+    log_vals = np.log(vals)
+    return vals, vecs, log_vals - log_vals.sum(axis=-1, keepdims=True) / 3.0
+
+
+def _spectral_blocks(values, vecs):
+    """In-plane block and out-of-plane entry of ``sum_i values_i n_i (x) n_i``."""
+    # the out-of-plane eigenvector is e_3: row 2 of ``vecs`` is 1 in its
+    # column and 0 in the others, so the sum picks its value exactly
+    return (tl.reassemble(values, vecs[..., :2, :]),
+            (values * vecs[..., 2, :]).sum(axis=-1))
+
+
+def _norm_sq(v) -> np.ndarray:
+    return (v * v).sum(axis=-1)
+
+
+def _checked_det(f, label: str) -> np.ndarray:
+    det_f = tl.det(f)
+    if (det_f <= 0.0).any():
+        raise InvalidDeformationError(f"det F <= 0 in {label}")
+    return det_f
+
+
+def _energy(det_f, dev_log, k, mu) -> np.ndarray:
+    return 0.5 * k * np.log(det_f) ** 2 + 0.25 * mu * _norm_sq(dev_log)
 
 
 def fiber_energy(f, params: FiberParams = FIBER_DEFAULTS) -> np.ndarray:
     """Elastic potential of the fiber law, MPa."""
     f = np.asarray(f, dtype=np.float64)
-    det_f = tl.det(f)
-    if np.any(det_f <= 0.0):
-        raise InvalidDeformationError("det F <= 0 in fiber_energy")
-    c = tl.symmetrize(np.swapaxes(f, -1, -2) @ f)
-    log_vals = np.log(tl.sym_eig(c).values)
-    dev_log = log_vals - np.mean(log_vals, axis=-1, keepdims=True)
-    ln_j = np.log(det_f)
-    return 0.5 * params.k_mpa * ln_j**2 + 0.25 * params.mu_mpa * np.sum(
-        dev_log**2, axis=-1
-    )
+    det_f = _checked_det(f, "fiber_energy")
+    _, _, dev_log = _log_strain_deviator(f[..., :2, :2], f[..., 2, 2])
+    return _energy(det_f, dev_log, params.k_mpa, params.mu_mpa)
 
 
 def fiber_stress(f, params: FiberParams = FIBER_DEFAULTS):
     """First Piola-Kirchhoff stress and von Mises Kirchhoff stress (MPa)."""
     f = np.asarray(f, dtype=np.float64)
-    det_f = tl.det(f)
-    if np.any(det_f <= 0.0):
-        raise InvalidDeformationError("det F <= 0 in fiber_stress")
-    c = tl.symmetrize(np.swapaxes(f, -1, -2) @ f)
-    vals, vecs = tl.sym_eig(c)
-    log_vals = np.log(vals)
-    dev_log = log_vals - np.mean(log_vals, axis=-1, keepdims=True)
-    ln_j = np.log(det_f)
-
-    f_inv_t = np.swapaxes(tl.inv(f), -1, -2)
-    ln_c_dev = tl.reassemble(dev_log, vecs)
-    p = params.k_mpa * ln_j[..., None, None] * f_inv_t + f_inv_t @ (
-        params.mu_mpa * ln_c_dev
-    )
-    tau_eq = _SQRT_3_2 * params.mu_mpa * np.sqrt(np.sum(dev_log**2, axis=-1))
+    det_f = _checked_det(f, "fiber_stress")
+    f_in, f_out = f[..., :2, :2], f[..., 2, 2]
+    vals, vecs, dev_log = _log_strain_deviator(f_in, f_out)
+    # P = F S with S = C^{-1} (K ln J 1 + mu dev ln C), coaxial with C
+    s_in, s_out = _spectral_blocks(
+        (params.k_mpa * np.log(det_f)[..., None] + params.mu_mpa * dev_log) / vals,
+        vecs)
+    p = tl.from_blocks(f_in @ s_in, f_out * s_out)
+    tau_eq = _SQRT_3_2 * params.mu_mpa * np.sqrt(_norm_sq(dev_log))
     return p, tau_eq
 
 
 def matrix_energy(f, fp, params: MatrixParams = MATRIX_DEFAULTS) -> np.ndarray:
     """Elastic potential of the matrix law at frozen plastic state, MPa."""
     f = np.asarray(f, dtype=np.float64)
-    det_f = tl.det(f)
-    if np.any(det_f <= 0.0):
-        raise InvalidDeformationError("det F <= 0 in matrix_energy")
-    fe = f @ tl.inv(np.asarray(fp, dtype=np.float64))
-    ce = tl.symmetrize(np.swapaxes(fe, -1, -2) @ fe)
-    log_vals = np.log(tl.sym_eig(ce).values)
-    dev_log = log_vals - np.mean(log_vals, axis=-1, keepdims=True)
-    ln_j = np.log(det_f)
-    return 0.5 * params.k_mpa * ln_j**2 + 0.25 * params.mu_mpa * np.sum(
-        dev_log**2, axis=-1
-    )
+    det_f = _checked_det(f, "matrix_energy")
+    fp_inv = tl.inv(fp)
+    _, _, dev_log = _log_strain_deviator(f[..., :2, :2] @ fp_inv[..., :2, :2],
+                                         f[..., 2, 2] * fp_inv[..., 2, 2])
+    return _energy(det_f, dev_log, params.k_mpa, params.mu_mpa)
 
 
 def _solve_return_scalar(tau_tr, gamma0, params: MatrixParams):
@@ -221,27 +249,24 @@ def matrix_update(f, state: PlasticState, params: MatrixParams = MATRIX_DEFAULTS
     trial eigenvectors and keeps the update exactly isochoric.
     """
     f = np.asarray(f, dtype=np.float64)
-    det_f = tl.det(f)
-    if np.any(det_f <= 0.0):
-        raise InvalidDeformationError("det F <= 0 in matrix_update")
+    det_f = _checked_det(f, "matrix_update")
 
     mu = params.mu_mpa
+    # tl.det and tl.inv have checked that f and F^p are plane-strain
+    fp_in, fp_out = state.fp[..., :2, :2], state.fp[..., 2, 2]
     fp_inv = tl.inv(state.fp)
-    fe_tr = f @ fp_inv
-    ce_tr = tl.symmetrize(np.swapaxes(fe_tr, -1, -2) @ fe_tr)
-    vals, vecs = tl.sym_eig(ce_tr)
-    if np.any(vals <= 0.0):
-        raise InvalidDeformationError("degenerate trial elastic stretch")
-    log_vals = np.log(vals)
-    dev_log = log_vals - np.mean(log_vals, axis=-1, keepdims=True)
-    ln_j = np.log(det_f)
+    fp_inv_in, fp_inv_out = fp_inv[..., :2, :2], fp_inv[..., 2, 2]
+    fe_in = f[..., :2, :2] @ fp_inv_in
+    fe_out = f[..., 2, 2] * fp_inv_out
+    vals, vecs, dev_log = _log_strain_deviator(fe_in, fe_out)
 
-    tau_tr = _SQRT_3_2 * mu * np.sqrt(np.sum(dev_log**2, axis=-1))
+    tau_tr = _SQRT_3_2 * mu * np.sqrt(_norm_sq(dev_log))
     f_trial = tau_tr - params.tau_y0 - params.hardening(state.gamma)
     plastic = f_trial > 0.0
 
     dgamma = np.zeros_like(tau_tr)
-    if np.any(plastic):
+    any_plastic = plastic.any()
+    if any_plastic:
         dgamma[plastic] = _solve_return_scalar(
             tau_tr[plastic], state.gamma[plastic], params
         )
@@ -251,16 +276,18 @@ def matrix_update(f, state: PlasticState, params: MatrixParams = MATRIX_DEFAULTS
     safe_tau = np.where(tau_tr > 0.0, tau_tr, 1.0)
     shrink = np.where(plastic, 3.0 * mu * dgamma / safe_tau, 0.0)
 
-    if np.any(plastic):
-        exp_flow = tl.reassemble(np.exp(0.5 * shrink[..., None] * dev_log), vecs)
+    if any_plastic:
+        flow_in, flow_out = _spectral_blocks(
+            np.exp(0.5 * shrink[..., None] * dev_log), vecs)
+        exp_flow_fp = tl.from_blocks(flow_in @ fp_in, flow_out * fp_out)
         # elastic entries keep their plastic state bit-identical
-        fp_new = np.where(plastic[..., None, None], exp_flow @ state.fp, state.fp)
+        fp_new = np.where(plastic[..., None, None], exp_flow_fp, state.fp)
     else:
         fp_new = state.fp.copy()
     det_fp = tl.det(fp_new)
     drift = np.abs(det_fp - 1.0)
-    if np.any(drift > _DET_FP_DRIFT_TOL):
-        bad = drift > _DET_FP_DRIFT_TOL
+    bad = drift > _DET_FP_DRIFT_TOL
+    if bad.any():
         logger.warning(
             "renormalizing %d plastic deformation gradients (max det drift %.3e)",
             int(np.count_nonzero(bad)),
@@ -269,16 +296,16 @@ def matrix_update(f, state: PlasticState, params: MatrixParams = MATRIX_DEFAULTS
         rescaled = fp_new * det_fp[..., None, None] ** (-1.0 / 3.0)
         fp_new = np.where(bad[..., None, None], rescaled, fp_new)
 
-    log_new = log_vals - shrink[..., None] * dev_log
-    dev_log_new = log_new - np.mean(log_new, axis=-1, keepdims=True)
-    # mu * C_e^{-1} (ln C_e)^dev in the updated elastic frame
-    m_mid = tl.reassemble(mu * np.exp(-log_new) * dev_log_new, vecs)
-
-    fe_new = f @ tl.inv(fp_new)
-    f_inv_t = np.swapaxes(tl.inv(f), -1, -2)
-    p = params.k_mpa * ln_j[..., None, None] * f_inv_t + fe_new @ m_mid @ np.swapaxes(
-        tl.inv(fp_new), -1, -2
-    )
+    # The updated elastic stretch F_e^tr exp(-flow) is coaxial with C_e^tr,
+    # so P = F_e^tr S F^p^{-T} with S = sum_i tau_i / lambda_i^tr n_i (x) n_i,
+    # tau_i = K ln J + mu (1 - shrink) dev ln lambda_i^tr the principal
+    # Kirchhoff stresses on the updated yield surface.
+    s_in, s_out = _spectral_blocks(
+        (params.k_mpa * np.log(det_f)[..., None]
+         + mu * (1.0 - shrink)[..., None] * dev_log) / vals,
+        vecs)
+    p = tl.from_blocks(fe_in @ s_in @ np.swapaxes(fp_inv_in, -1, -2),
+                       fe_out * s_out * fp_inv_out)
     tau_eq = tau_tr - 3.0 * mu * dgamma
     return p, tau_eq, PlasticState(fp=fp_new, gamma=state.gamma + dgamma)
 
@@ -323,13 +350,9 @@ class RveEnsemble:
                 f_macro[1, 1] - 1.0,
             ]
         )
+        # the components are the row-major in-plane blocks
         local = self.concentrations @ v
-        out = np.broadcast_to(np.eye(3), (self.n_points, 3, 3)).copy()
-        out[:, 0, 0] += local[:, 0]
-        out[:, 0, 1] += local[:, 1]
-        out[:, 1, 0] += local[:, 2]
-        out[:, 1, 1] += local[:, 3]
-        return out
+        return tl.from_blocks(local.reshape(-1, 2, 2) + np.eye(2), 1.0)
 
 
 def build_ensemble(
@@ -373,11 +396,10 @@ def build_ensemble(
 
 @dataclass
 class FieldSnapshot:
-    """State-variable fields and homogenized stress at one loading step."""
+    """State-variable fields at one loading step."""
 
     gamma_field: np.ndarray  # (d_gamma,), dimensionless
     tau_field: np.ndarray    # (d_tau,), MPa
-    p_hom: np.ndarray        # (3, 3), MPa
 
 
 @dataclass
@@ -386,29 +408,24 @@ class SequenceFields:
 
     gamma: np.ndarray        # (n_steps, d_gamma)
     tau: np.ndarray          # (n_steps, d_tau)
-    p_hom: np.ndarray        # (n_steps, 3, 3)
     truncated: bool = False
 
     def __len__(self) -> int:
         return self.gamma.shape[0]
 
     def __getitem__(self, t: int) -> FieldSnapshot:
-        return FieldSnapshot(self.gamma[t], self.tau[t], self.p_hom[t])
+        return FieldSnapshot(self.gamma[t], self.tau[t])
 
 
 def _step_fields(ensemble: RveEnsemble, f_macro, state: PlasticState):
-    """Advance matrix points one increment and evaluate all fields."""
+    """Advance matrix points one increment and evaluate both fields."""
     local = ensemble.local_deformations(f_macro)
     n_m = ensemble.n_matrix
-    p_mat, tau_mat, new_state = matrix_update(local[:n_m], state, ensemble.matrix)
+    _, tau, new_state = matrix_update(local[:n_m], state, ensemble.matrix)
     if ensemble.n_fiber > 0:
-        p_fib, tau_fib = fiber_stress(local[n_m:], ensemble.fiber)
-        tau_all = np.concatenate([tau_mat, tau_fib])
-        p_all = np.concatenate([p_mat, p_fib], axis=0)
-    else:
-        tau_all = tau_mat
-        p_all = p_mat
-    return new_state, new_state.gamma.copy(), tau_all, p_all.mean(axis=0)
+        _, tau_fib = fiber_stress(local[n_m:], ensemble.fiber)
+        tau = np.concatenate([tau, tau_fib])
+    return new_state, tau
 
 
 def run_sequence(
@@ -424,7 +441,6 @@ def run_sequence(
     n_steps = len(path)
     gamma_out = np.zeros((n_steps, ensemble.d_gamma))
     tau_out = np.zeros((n_steps, ensemble.d_tau))
-    p_out = np.zeros((n_steps, 3, 3))
 
     state = PlasticState.initial((ensemble.n_matrix,))
     f_prev = np.eye(3)
@@ -435,19 +451,16 @@ def run_sequence(
         done = False
         for halving in range(max_halvings + 1):
             n_sub = 2**halving
-            trial_state = state.copy()
+            trial_state = state
             try:
                 for j in range(1, n_sub + 1):
                     f_j = f_prev + (j / n_sub) * (f_target - f_prev)
-                    trial_state, gamma_f, tau_f, p_hom = _step_fields(
-                        ensemble, f_j, trial_state
-                    )
+                    trial_state, tau_f = _step_fields(ensemble, f_j, trial_state)
             except (InvalidDeformationError, RuntimeError):
                 continue
             state = trial_state
-            gamma_out[t] = gamma_f
+            gamma_out[t] = state.gamma
             tau_out[t] = tau_f
-            p_out[t] = p_hom
             f_prev = f_target
             kept = t + 1
             done = True
@@ -459,6 +472,5 @@ def run_sequence(
     return SequenceFields(
         gamma=gamma_out[:kept],
         tau=tau_out[:kept],
-        p_hom=p_out[:kept],
         truncated=truncated,
     )

@@ -22,6 +22,13 @@ def tiny_config(pca, q, nnw_out):
     }
 
 
+def run_main(stage, root, cfg, tmp_path, monkeypatch):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(cfg))
+    monkeypatch.setenv(cli.ROOT_ENV_VAR, str(root))
+    return cli.main([stage, "--config", str(config_file)])
+
+
 @pytest.fixture(scope="module")
 def dataset_root(tmp_path_factory):
     root = tmp_path_factory.mktemp("pipeline")
@@ -37,10 +44,7 @@ class TestTrainHeadCoversPca:
         cfg = tiny_config({"p": 4}, 2, (4, 3))
         cli.validate_config(cfg)
         cli.run_stage("pca-fit", cfg, dataset_root)
-        config_file = tmp_path / "config.json"
-        config_file.write_text(json.dumps(cfg))
-        monkeypatch.setenv(cli.ROOT_ENV_VAR, str(dataset_root))
-        assert cli.main(["train", "--config", str(config_file)]) == 1
+        assert run_main("train", dataset_root, cfg, tmp_path, monkeypatch) == 1
         err = capsys.readouterr().err
         for name in ("pca.p", "pca.delta", "train.q", "train.nnw_out"):
             assert name in err
@@ -60,3 +64,55 @@ class TestTrainHeadCoversPca:
         for stage in ("pca-fit", "train"):
             cli.run_stage(stage, cfg, dataset_root)
         assert (dataset_root / "bundle" / "bundle.json").exists()
+
+
+class TestActionableErrors:
+    def test_pca_fit_rejects_empty_basis(self, tmp_path, monkeypatch, capsys):
+        # the package's default increments: three 40-step walks stay elastic
+        cfg = tiny_config({"delta": 1e-2}, 1, (4, 1))
+        cfg["paths"].update(delta_r=5e-3, delta_r_min=5e-4, r_max=0.1,
+                            max_steps=40)
+        root = tmp_path / "root"
+        for stage in ("gen-paths", "gen-data"):
+            cli.run_stage(stage, cfg, root)
+        assert run_main("pca-fit", root, cfg, tmp_path, monkeypatch) == 1
+        err = capsys.readouterr().err
+        for text in ("pca.p", "pca.delta", "'gamma'", "do not vary"):
+            assert text in err
+        assert not (root / "pca" / "pca_gamma.bin").exists()
+
+    def test_missing_config_key(self, tmp_path, monkeypatch, capsys):
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        del cfg["paths"]["r_max"]
+        with pytest.raises(cli.StageError, match=r"paths\.r_max"):
+            cli.validate_config(cfg)
+        root = tmp_path / "root"
+        assert run_main("gen-paths", root, cfg, tmp_path, monkeypatch) == 1
+        assert "paths.r_max" in capsys.readouterr().err
+        assert not root.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["stats"], ["trim", "--gamma-crit", "1.0"], ["pack", "--lengths", "8"],
+    ])
+    def test_dataset_command_without_records(self, tmp_path, capsys, argv):
+        src = tmp_path / "empty"
+        (src / "records").mkdir(parents=True)
+        paths = [str(src)] if argv[0] == "stats" else [str(src), str(tmp_path / "out")]
+        assert cli.main(["dataset", argv[0], *paths, *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert "no records under" in err and "gen-data" in err
+
+
+class TestGenDataDeterminism:
+    def test_records_identical_across_jobs_and_reruns(self, tmp_path):
+        # 8 paths, so that two workers each take a chunk of four
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        cfg["paths"].update(n_random=6, n_cyclic=2)
+        digests = []
+        for name, jobs in (("a", 1), ("b", 2), ("a", 1)):
+            root = tmp_path / name
+            cli.run_stage("gen-paths", cfg, root)
+            cli.run_stage("gen-data", cfg, root, jobs=jobs)
+            digests.append(cli.hash_tree(root / "dataset" / "records"))
+        assert len(list((tmp_path / "a" / "dataset" / "records").iterdir())) == 8
+        assert digests[0] == digests[1] == digests[2]

@@ -4,14 +4,35 @@ import pytest
 from rvesurrogate import tensorlab as tl
 
 
+def plane_strain(in_plane, out_of_plane):
+    t = np.zeros((3, 3))
+    t[:2, :2] = in_plane
+    t[2, 2] = out_of_plane
+    return t
+
+
 def random_symmetric(rng, scale=1.0):
-    g = rng.standard_normal((3, 3)) * scale
-    return 0.5 * (g + g.T)
+    g = rng.standard_normal((2, 2)) * scale
+    return plane_strain(0.5 * (g + g.T), rng.standard_normal() * scale)
 
 
 def random_spd(rng, spread=1.0):
-    g = rng.standard_normal((3, 3)) * spread
-    return g @ g.T + 0.1 * np.eye(3)
+    g = rng.standard_normal((2, 2)) * spread
+    return plane_strain(g @ g.T + 0.1 * np.eye(2),
+                        (rng.standard_normal() * spread) ** 2 + 0.1)
+
+
+def random_plane_strain(rng, shape):
+    t = np.zeros(shape + (3, 3))
+    t[..., :2, :2] = rng.standard_normal(shape + (2, 2))
+    t[..., 2, 2] = rng.standard_normal(shape)
+    return t
+
+
+def spectral_map(s, func):
+    """``func`` applied to the eigenvalues of ``s`` through sym_eig."""
+    vals, vecs = tl.sym_eig(s)
+    return tl.reassemble(func(vals), vecs)
 
 
 class TestSymEig:
@@ -32,8 +53,9 @@ class TestSymEig:
         for _ in range(200):
             s = random_symmetric(rng, scale=rng.uniform(0.1, 10.0))
             vals, vecs = tl.sym_eig(s)
-            ref = np.sort(np.linalg.eigvalsh(s))[::-1]
-            assert np.allclose(vals, ref, atol=1e-9 * max(1.0, np.abs(ref).max()))
+            ref = np.sort(np.linalg.eigvalsh(s))
+            assert np.allclose(np.sort(vals), ref,
+                               atol=1e-9 * max(1.0, np.abs(ref).max()))
             assert np.linalg.norm(vecs.T @ vecs - np.eye(3)) <= 1e-10
             rebuilt = tl.reassemble(vals, vecs)
             err = np.linalg.norm(rebuilt - s) / max(np.linalg.norm(s), 1e-30)
@@ -48,6 +70,9 @@ class TestSymEig:
     def test_batch_matches_single_bitwise(self):
         rng = np.random.default_rng(7)
         batch = np.stack([random_symmetric(rng) for _ in range(17)])
+        # isotropic and diagonal blocks need no rotation
+        batch[3, :2, :2] = 2.5 * np.eye(2)
+        batch[4, :2, :2] = np.diag([-1.0, 4.0])
         bvals, bvecs = tl.sym_eig(batch)
         for i in range(batch.shape[0]):
             svals, svecs = tl.sym_eig(batch[i])
@@ -66,6 +91,13 @@ class TestSymEig:
         with pytest.raises(ValueError, match="not symmetric"):
             tl.sym_eig(t)
 
+    @pytest.mark.parametrize("i, j", [(0, 2), (1, 2)])
+    def test_rejects_out_of_plane_coupling(self, i, j):
+        s = np.eye(3)
+        s[i, j] = s[j, i] = 1e-3
+        with pytest.raises(ValueError, match="out-of-plane"):
+            tl.sym_eig(s)
+
     def test_degenerate_spectrum(self):
         s = np.diag([2.0, 2.0, 2.0])
         vals, vecs = tl.sym_eig(s)
@@ -74,26 +106,30 @@ class TestSymEig:
 
 
 class TestLogExp:
+    """Tensor logarithm, exponential and square root built from sym_eig."""
+
     def test_log_identity_is_zero(self):
-        assert np.allclose(tl.log_spd(np.eye(3)), 0.0)
+        assert np.allclose(spectral_map(np.eye(3), np.log), 0.0)
 
     def test_log_diagonal(self):
         s = np.diag([np.e**2, 1.0, 1.0])
-        assert np.allclose(tl.log_spd(s), np.diag([2.0, 0.0, 0.0]), atol=1e-12)
+        assert np.allclose(spectral_map(s, np.log), np.diag([2.0, 0.0, 0.0]),
+                           atol=1e-12)
 
     def test_exp_zero_is_identity(self):
-        assert np.allclose(tl.exp_sym(np.zeros((3, 3))), np.eye(3))
+        assert np.allclose(spectral_map(np.zeros((3, 3)), np.exp), np.eye(3))
 
     def test_exp_diagonal(self):
         assert np.allclose(
-            tl.exp_sym(np.diag([1.0, 0.0, 0.0])), np.diag([np.e, 1.0, 1.0])
+            spectral_map(np.diag([1.0, 0.0, 0.0]), np.exp),
+            np.diag([np.e, 1.0, 1.0]),
         )
 
     def test_round_trip_100_random_spd(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             s = random_spd(rng, spread=rng.uniform(0.2, 2.0))
-            back = tl.exp_sym(tl.log_spd(s))
+            back = spectral_map(spectral_map(s, np.log), np.exp)
             rel = np.linalg.norm(back - s) / np.linalg.norm(s)
             assert rel <= 1e-9
 
@@ -103,58 +139,49 @@ class TestLogExp:
             s = random_spd(rng)
             w, q = np.linalg.eigh(s)
             ref = (q * np.log(w)) @ q.T
-            assert np.allclose(tl.log_spd(s), ref, atol=1e-9)
-
-    def test_log_domain_error_reports_eigenvalue(self):
-        s = np.diag([2.0, 1.0, -0.5])
-        with pytest.raises(ValueError, match="-0.5"):
-            tl.log_spd(s)
+            assert np.allclose(spectral_map(s, np.log), ref, atol=1e-9)
 
     def test_exp_result_spd(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
-            e = tl.exp_sym(random_symmetric(rng))
+            e = spectral_map(random_symmetric(rng), np.exp)
             assert np.all(np.linalg.eigvalsh(e) > 0.0)
 
     def test_sqrt_spd(self):
         rng = np.random.default_rng(14)
         for _ in range(20):
             s = random_spd(rng)
-            r = tl.sqrt_spd(s)
+            r = spectral_map(s, np.sqrt)
             assert np.allclose(r @ r, s, atol=1e-10 * np.linalg.norm(s))
 
 
 class TestBasicOps:
-    def test_dev_identity_zero(self):
-        assert np.allclose(tl.dev(np.eye(3)), 0.0)
-
     def test_det_identity(self):
         assert tl.det(np.eye(3)) == 1.0
 
-    def test_dev_diag_example(self):
-        got = tl.dev(np.diag([3.0, 0.0, 0.0]))
-        assert np.allclose(got, np.diag([2.0, -1.0, -1.0]))
-
-    def test_dev_traceless_property(self):
-        rng = np.random.default_rng(21)
-        for _ in range(100):
-            s = random_symmetric(rng, scale=rng.uniform(0.1, 100.0))
-            assert abs(tl.trace(tl.dev(s))) <= 1e-12 * max(tl.frobenius(s), 1e-30)
-
     def test_det_against_numpy(self):
         rng = np.random.default_rng(22)
-        t = rng.standard_normal((40, 3, 3))
+        t = random_plane_strain(rng, (40,))
         assert np.allclose(tl.det(t), np.linalg.det(t), atol=1e-12)
 
     def test_inv(self):
         rng = np.random.default_rng(23)
-        t = rng.standard_normal((20, 3, 3)) + 2.0 * np.eye(3)
+        t = random_plane_strain(rng, (20,)) + 2.0 * np.eye(3)
         assert np.allclose(tl.inv(t) @ t, np.broadcast_to(np.eye(3), t.shape), atol=1e-10)
 
     def test_inv_singular_raises(self):
         with pytest.raises(ValueError, match="singular"):
             tl.inv(np.zeros((3, 3)))
 
-    def test_double_dot(self):
-        a = np.arange(9.0).reshape(3, 3)
-        assert tl.double_dot(a, a) == np.sum(a * a)
+    @pytest.mark.parametrize("op", [tl.det, tl.inv, tl.blocks])
+    def test_rejects_out_of_plane_coupling(self, op):
+        t = np.eye(3)
+        t[2, 0] = 0.1
+        with pytest.raises(ValueError, match="out-of-plane"):
+            op(t)
+
+    def test_blocks_round_trip(self):
+        rng = np.random.default_rng(24)
+        t = random_plane_strain(rng, (5,))
+        in_plane, out_of_plane = tl.blocks(t)
+        assert np.array_equal(tl.from_blocks(in_plane, out_of_plane), t)
