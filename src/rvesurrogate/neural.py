@@ -18,7 +18,9 @@ which carries 3*n_h*(n_h + n_in + 2) learnable parameters: three input-side
 and three hidden-side matrices plus two bias vectors per gate path.  This
 algebra lives in :func:`gru_step` alone, the loop body of
 :meth:`RnnModel.forward`; the input-side terms ``x' Wx + bx`` are one matrix
-product over all steps before the loop.
+product over all steps before the loop.  ``forward`` starts from the constant
+``h0`` or from a given hidden state, so a sequence can be continued from the
+final state of an earlier pass over its beginning.
 
 :func:`train_step` is the one BPTT update (forward, MSE, backward, gradient
 clipping, Adam step) that every training loop of the package calls.
@@ -31,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -179,6 +182,25 @@ def gru_step(cell: GruCell, gx_t, h_prev):
     return u * h_prev + (1.0 - u) * c, u, r, c, ghc
 
 
+class ForwardCache(NamedTuple):
+    """What :meth:`RnnModel.forward` keeps for :meth:`RnnModel.backward`.
+
+    ``h_all`` (batch, steps + 1, n_h) holds the initial hidden state and the
+    state after every step, so ``h_all[:, -1]`` is the ``h_init`` that
+    resumes the recurrence after the last step.
+    """
+
+    shape: tuple
+    in_cache: list
+    xp: np.ndarray
+    h_all: np.ndarray
+    gate_u: np.ndarray
+    gate_r: np.ndarray
+    cand: np.ndarray
+    gh_cand: np.ndarray
+    out_cache: list
+
+
 class RnnModel:
     """Input feed-forward net -> GRU -> output feed-forward net."""
 
@@ -250,24 +272,34 @@ class RnnModel:
 
     # -- forward / backward -------------------------------------------------
 
-    def forward(self, inputs):
+    def forward(self, inputs, h_init=None):
         """Full-sequence forward pass.
 
-        ``inputs`` has shape (batch, steps, n_x).  Returns the output block
-        (batch, steps, n_y) and the cache consumed by :meth:`backward`.
+        ``inputs`` has shape (batch, steps, n_x).  The recurrence starts from
+        ``h_init`` (batch, n_h) when given, else from the constant ``h0``, so
+        a sequence run in two parts, the second from the first's final state
+        ``cache.h_all[:, -1]``, gives the outputs of one run over the whole to
+        roundoff.
+        Returns the output block (batch, steps, n_y) and the
+        :class:`ForwardCache` consumed by :meth:`backward`.
         """
         x = np.asarray(inputs, dtype=np.float64)
         if x.ndim != 3:
             raise ValueError("inputs must have shape (batch, steps, features)")
         n_b, n_t, _ = x.shape
         n = self.gru.n_h
+        if h_init is not None and np.shape(h_init) != (n_b, n):
+            raise ValueError(
+                f"h_init must have shape (batch, n_h) = {(n_b, n)}, "
+                f"got {np.shape(h_init)}"
+            )
 
         xp_flat, in_cache = self.nnw_in.forward(x.reshape(n_b * n_t, -1))
         xp = xp_flat.reshape(n_b, n_t, self.gru.n_in)
         gx = xp @ self.gru.wx + self.gru.bx
 
         h_all = np.empty((n_b, n_t + 1, n))
-        h_all[:, 0] = self.h0
+        h_all[:, 0] = self.h0 if h_init is None else h_init
         gate_u = np.empty((n_b, n_t, n))
         gate_r = np.empty((n_b, n_t, n))
         cand = np.empty((n_b, n_t, n))
@@ -278,11 +310,11 @@ class RnnModel:
 
         y_flat, out_cache = self.nnw_out.forward(h_all[:, 1:].reshape(n_b * n_t, n))
         outputs = y_flat.reshape(n_b, n_t, self.n_outputs)
-        cache = (x.shape, in_cache, xp, h_all, gate_u, gate_r, cand, gh_cand,
-                 out_cache)
+        cache = ForwardCache(x.shape, in_cache, xp, h_all, gate_u, gate_r, cand,
+                             gh_cand, out_cache)
         return outputs, cache
 
-    def backward(self, cache, d_outputs) -> None:
+    def backward(self, cache: ForwardCache, d_outputs) -> None:
         """Exact gradients of the cached forward pass, accumulated in place."""
         (shape, in_cache, xp, h_all, gate_u, gate_r, cand, gh_cand,
          out_cache) = cache

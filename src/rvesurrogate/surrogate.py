@@ -15,10 +15,22 @@ mini-batches with ``datastore.draw_minibatches`` and update each RNN with
 normalized full-dimensional field space, which makes the three kinds (and
 the PCA reconstruction floor from the same ``p`` coefficients) directly
 comparable.
+
+History reuse: in FE2 use every Gauss point queries ``predict_fields`` at
+each macro increment with its strain history so far, one row longer than
+its previous query.  A bundle therefore keeps, for its last
+``HISTORY_CACHE_ENTRIES`` queried histories (least recently used out
+first), each trained group's hidden state after the last row and the fields
+predicted so far.  A query whose history without its last row is
+byte-for-byte one of them resumes from it and runs one recurrence step per
+group; any other query replays its whole history from ``h0``.  ``train`` and
+``fit_normalization`` empty the map, and ``load`` builds a bundle with an
+empty one.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +47,10 @@ KINDS = (KIND_DIRECT, KIND_REDUCED, KIND_BROKEN_DOWN)
 
 BUNDLE_FILE = "bundle.json"
 PCA_FILE = "pca.bin"
+
+# queried histories whose final hidden states a bundle keeps; at least the
+# Gauss points one bundle serves in turn, so that each resumes its own
+HISTORY_CACHE_ENTRIES = 64
 
 
 @dataclass(frozen=True)
@@ -54,6 +70,11 @@ class Architecture:
     @property
     def output_dim(self) -> int:
         return self.nnw_out[-1]
+
+
+def _history_key(x: np.ndarray) -> tuple:
+    """Map key of a raw float64 history: its shape and its bytes."""
+    return x.shape, x.tobytes()
 
 
 def group_slices(p: int, q: int) -> list[tuple[int, int]]:
@@ -152,6 +173,9 @@ class SurrogateBundle:
         self.output_norm: ds.NormalizationSpec | None = None
         self.field_norm: ds.NormalizationSpec | None = None
         self.coeff_means: np.ndarray | None = None
+        # (shape, raw input bytes) -> (final hidden state per trained group,
+        # fields so far); see predict_fields
+        self._history: OrderedDict = OrderedDict()
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -193,6 +217,7 @@ class SurrogateBundle:
         records = list(dataset.all_records())
         if not records:
             raise ValueError("empty dataset")
+        self._history.clear()
         self.input_norm = ds.fit_normalization([r.inputs for r in records])
         fields = [r.outputs(self.family) for r in records]
         self.field_norm = ds.fit_normalization(fields)
@@ -276,17 +301,30 @@ class SurrogateBundle:
 
     # -- prediction / evaluation ---------------------------------------------------
 
-    def _predict_normalized(self, x_norm: np.ndarray) -> np.ndarray:
-        """Stacked per-group RNN outputs, (batch, steps, output_dim)."""
+    def _run_groups(self, x_norm: np.ndarray, states=None):
+        """Stacked per-group RNN outputs, (batch, steps, output_dim).
+
+        Also returns each trained group's hidden state after the last step.
+        ``states`` (one per trained group) resumes the groups from those
+        states instead of ``h0``.
+        """
         if not self.fitted:
             raise ValueError("surrogate has not been trained or loaded")
         n_b, n_t, _ = x_norm.shape
         out = np.zeros((n_b, n_t, self.output_dim))
-        for gi in self.trained_groups:
+        finals = []
+        for slot, gi in enumerate(self.trained_groups):
             lo, hi = self.group_map[gi]
-            y, _ = self.models[gi].forward(x_norm)
+            y, cache = self.models[gi].forward(
+                x_norm, h_init=None if states is None else states[slot])
             out[..., lo:hi] = y
-        return out
+            # a copy: a kept state must not hold the whole trace h_all alive
+            finals.append(cache.h_all[:, -1].copy())
+        return out, finals
+
+    def _predict_normalized(self, x_norm: np.ndarray) -> np.ndarray:
+        """Stacked per-group RNN outputs, (batch, steps, output_dim)."""
+        return self._run_groups(x_norm)[0]
 
     def _to_fields(self, out_norm: np.ndarray) -> np.ndarray:
         """Map normalized RNN outputs back to raw state-variable fields."""
@@ -304,14 +342,51 @@ class SurrogateBundle:
         return pcalib.reconstruct(padded, self.pca)
 
     def predict_fields(self, strain_features) -> FieldPrediction:
-        """Fields for one raw strain-feature sequence of shape (steps, 3)."""
+        """Fields for one raw strain-feature sequence of shape (steps, n_inputs).
+
+        The sequence must have at least one step, the RNN's input width and
+        finite entries; anything else raises a ``ValueError``.  When the
+        sequence without its last row equals, byte for byte and in shape,
+        one of the last ``HISTORY_CACHE_ENTRIES`` histories this bundle was
+        queried with, only the last row runs, from the hidden states that
+        history ended in; otherwise the whole sequence runs from ``h0``.
+        Either way the answer equals a full replay to roundoff, and this
+        query's history is kept for the next one.  ``train`` and
+        ``fit_normalization`` forget every kept history.  The returned
+        fields are the caller's own array: changing it, or the input
+        buffer, changes no later answer.
+        """
         if not self.fitted:
             raise ValueError("surrogate has not been trained or loaded")
         x = np.asarray(strain_features, dtype=np.float64)
-        if x.ndim != 2:
-            raise ValueError("expected a (steps, 3) strain-feature sequence")
-        out = self._predict_normalized(self.input_norm.normalize(x)[None])
-        return FieldPrediction(fields=self._to_fields(out)[0])
+        n_in = self.models[0].n_inputs
+        if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != n_in:
+            raise ValueError(
+                f"expected a (steps, {n_in}) strain-feature sequence with at "
+                f"least one step, got shape {x.shape}"
+            )
+        finite = np.isfinite(x).all(axis=1)
+        if not finite.all():
+            raise ValueError(
+                f"non-finite strain features at step {np.argmin(finite)} of "
+                f"the (steps, {n_in}) sequence"
+            )
+        prefix_key = _history_key(x[:-1])
+        if prefix_key in self._history:
+            self._history.move_to_end(prefix_key)
+            prev_states, prev_fields = self._history[prefix_key]
+            out, states = self._run_groups(
+                self.input_norm.normalize(x[-1:])[None], prev_states)
+            fields = np.concatenate([prev_fields, self._to_fields(out)[0]])
+        else:
+            out, states = self._run_groups(self.input_norm.normalize(x)[None])
+            fields = self._to_fields(out)[0]
+        key = _history_key(x)
+        self._history[key] = (states, fields)
+        self._history.move_to_end(key)
+        if len(self._history) > HISTORY_CACHE_ENTRIES:
+            self._history.popitem(last=False)
+        return FieldPrediction(fields=fields.copy())
 
     def evaluate(self, dataset: ds.PackedDataset) -> EvaluationReport:
         """Normalized full-dimensional MSE against the dataset's fields.

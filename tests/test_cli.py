@@ -116,3 +116,26 @@ class TestGenDataDeterminism:
             digests.append(cli.hash_tree(root / "dataset" / "records"))
         assert len(list((tmp_path / "a" / "dataset" / "records").iterdir())) == 8
         assert digests[0] == digests[1] == digests[2]
+
+
+class TestEndToEnd:
+    def test_all_stages_succeed_and_rerun_byte_identically(self, tmp_path,
+                                                          monkeypatch):
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        cfg["paths"]["n_cyclic"] = 1
+        cfg["train"]["n_batches"] = 3
+        cfg["eval"] = {"snapshot_steps": [0, 7], "snapshot_sequences": [0, 2]}
+        root = tmp_path / "root"
+        stage_dirs = ("paths", "dataset", "pca", "bundle", "eval")
+
+        def outputs():
+            return {name: (cli.hash_tree(root / name),
+                           (root / name / "manifest.json").read_bytes())
+                    for name in stage_dirs}
+
+        assert run_main("all", root, cfg, tmp_path, monkeypatch) == 0
+        first = outputs()
+        snapshots = sorted(p.name for p in (root / "eval").glob("snapshot_*"))
+        assert len(snapshots) == 8  # 2 sequences x 2 steps x pred/true
+        assert run_main("all", root, cfg, tmp_path, monkeypatch) == 0
+        assert outputs() == first

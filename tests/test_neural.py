@@ -48,7 +48,7 @@ def input_preactivation(cell, x):
 def hidden_trace(model, x):
     """Hidden states after every step; the forward cache keeps h0 first."""
     _, cache = model.forward(x)
-    return cache[3][:, 1:]
+    return cache.h_all[:, 1:]
 
 
 class TestGruStep:
@@ -136,6 +136,26 @@ class TestForwardSequence:
         for i in range(6):
             single, _ = model.forward(x[i:i + 1])
             assert np.allclose(single[0], batched[i], atol=1e-14, rtol=0.0)
+
+    @pytest.mark.parametrize("split", ["first", "last"])
+    def test_resume_from_final_state_matches_one_pass(self, split):
+        model = small_model(seed=9)
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((2, 12, 2))
+        k = 1 if split == "first" else x.shape[1] - 1
+        whole, whole_cache = model.forward(x)
+        head, head_cache = model.forward(x[:, :k])
+        tail, tail_cache = model.forward(x[:, k:], h_init=head_cache.h_all[:, -1])
+        resumed = np.concatenate([head, tail], axis=1)
+        assert np.allclose(resumed, whole, atol=1e-12, rtol=0.0)
+        assert np.allclose(tail_cache.h_all[:, -1], whole_cache.h_all[:, -1],
+                           atol=1e-12, rtol=0.0)
+
+    @pytest.mark.parametrize("shape", [(1, 4), (2, 5), (4,), (2, 4, 1)])
+    def test_misshaped_initial_state_rejected(self, shape):
+        model = small_model()
+        with pytest.raises(ValueError, match=r"h_init must have shape.*\(2, 4\)"):
+            model.forward(np.zeros((2, 3, 2)), h_init=np.zeros(shape))
 
 
 class TestMseLoss:

@@ -316,3 +316,167 @@ class TestSerialization:
         x = synthetic_packed.groups[24][0].inputs
         assert np.array_equal(bundle.predict_fields(x).fields,
                               loaded.predict_fields(x).fields)
+
+
+# kind -> (architecture, build keywords); kind III leaves one of Q=4 groups
+# untrained, so resumed states must line up with the trained groups only
+HISTORY_KINDS = {
+    "I": (sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(8, 16)), {}),
+    "II": (sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 8)), {"p": 8}),
+    "III": (sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2)),
+            {"q": 4, "trained_group_count": 3, "p": 8}),
+}
+
+
+def build_history_bundle(kind, gamma_pca, seed=16):
+    arch, kw = HISTORY_KINDS[kind]
+    pca = gamma_pca if kind != "I" else None
+    return sg.build_surrogate(kind, arch, pca=pca, seed=seed, **kw)
+
+
+@pytest.fixture(scope="module", params=sorted(HISTORY_KINDS))
+def saved_bundle(request, tmp_path_factory, synthetic_packed, gamma_pca):
+    bundle = build_history_bundle(request.param, gamma_pca)
+    bundle.train(synthetic_packed, quick_config(n_batches=20))
+    directory = tmp_path_factory.mktemp(f"bundle_{request.param}")
+    bundle.save(directory)
+    return directory
+
+
+@pytest.fixture
+def forward_steps(monkeypatch):
+    """Step count of every RnnModel.forward call, in call order."""
+    steps = []
+    original = nn.RnnModel.forward
+
+    def recording(model, inputs, h_init=None):
+        steps.append(np.shape(inputs)[1])
+        return original(model, inputs, h_init=h_init)
+
+    monkeypatch.setattr(nn.RnnModel, "forward", recording)
+    return steps
+
+
+def query_histories(synthetic_packed):
+    """Two random-walk histories and a cyclic one, 20 steps each."""
+    walks = [synthetic_packed.groups[24][i].inputs[:20] for i in (0, 3)]
+    t = np.arange(20)
+    triangle = 0.04 * (1.0 - np.abs((t % 8) / 4.0 - 1.0))
+    cyclic = triangle[:, None] * np.array([1.0, -0.5, 0.3])
+    return walks + [cyclic]
+
+
+def assert_matches_cold(warm_fields, cold_fields):
+    scale = max(float(np.max(np.abs(cold_fields))), 1e-300)
+    assert warm_fields.shape == cold_fields.shape
+    assert np.max(np.abs(warm_fields - cold_fields)) <= 1e-12 * scale
+
+
+class TestHistoryReuse:
+    """Resumed (warm) queries against full replays on a fresh bundle (cold)."""
+
+    def test_interleaved_stepwise_queries_match_full_sequence(
+            self, saved_bundle, synthetic_packed, forward_steps):
+        histories = query_histories(synthetic_packed)
+        warm = sg.SurrogateBundle.load(saved_bundle)
+        n_groups = len(warm.trained_groups)
+        kept = [np.empty((len(h), warm.field_dim)) for h in histories]
+        for k in range(1, 21):
+            for h, rows in zip(histories, kept):
+                rows[k - 1] = warm.predict_fields(h[:k]).fields[-1]
+        # every history's first query replays; every later one runs one step
+        assert forward_steps == [1] * (60 * n_groups)
+        cold = sg.SurrogateBundle.load(saved_bundle)
+        for h, rows in zip(histories, kept):
+            assert_matches_cold(rows, cold.predict_fields(h).fields)
+
+    def test_newton_iterates_resume_from_the_converged_history(
+            self, saved_bundle, synthetic_packed, forward_steps):
+        prefix = query_histories(synthetic_packed)[2][:12]
+        warm = sg.SurrogateBundle.load(saved_bundle)
+        for k in range(1, 13):
+            warm.predict_fields(prefix[:k])
+        cold = sg.SurrogateBundle.load(saved_bundle)
+        for trial in ([0.01, 0.0, 0.0], [-0.02, 0.01, 0.0], [0.0, 0.0, 0.03]):
+            x = np.vstack([prefix, prefix[-1] + np.array(trial)])
+            del forward_steps[:]
+            fields = warm.predict_fields(x).fields
+            assert forward_steps == [1] * len(warm.trained_groups)
+            assert_matches_cold(fields, cold.predict_fields(x).fields)
+
+    def test_answers_unaffected_by_caller_mutation(self, saved_bundle,
+                                                   synthetic_packed):
+        h, other = query_histories(synthetic_packed)[:2]
+        warm = sg.SurrogateBundle.load(saved_bundle)
+        cold = sg.SurrogateBundle.load(saved_bundle)
+        buffer = h[:5].copy()
+        first = warm.predict_fields(buffer)
+        first.fields[...] = 1e9
+        second = warm.predict_fields(h[:6])
+        assert_matches_cold(second.fields, cold.predict_fields(h[:6]).fields)
+        second.fields[...] = -1e9
+        assert_matches_cold(warm.predict_fields(h[:7]).fields,
+                            cold.predict_fields(h[:7]).fields)
+        # the stored history keeps the rows it was queried with, not the buffer's
+        buffer[...] = other[:5]
+        x = np.vstack([buffer, other[5]])
+        assert_matches_cold(warm.predict_fields(x).fields,
+                            cold.predict_fields(x).fields)
+
+    def test_map_is_bounded_and_evicted_histories_replay(
+            self, saved_bundle, synthetic_packed, forward_steps):
+        h = query_histories(synthetic_packed)[0]
+        warm = sg.SurrogateBundle.load(saved_bundle)
+        warm.predict_fields(h[:10])
+        rng = np.random.default_rng(17)
+        for _ in range(sg.HISTORY_CACHE_ENTRIES + 5):
+            warm.predict_fields(rng.uniform(-0.05, 0.05, size=(2, 3)))
+        assert len(warm._history) <= sg.HISTORY_CACHE_ENTRIES
+        del forward_steps[:]
+        cold = sg.SurrogateBundle.load(saved_bundle)
+        assert_matches_cold(warm.predict_fields(h[:11]).fields,
+                            cold.predict_fields(h[:11]).fields)
+        # evicted: the warm bundle replayed all 11 steps, as the cold one did
+        assert set(forward_steps) == {11}
+
+    @pytest.mark.parametrize("refit", ["train", "fit_normalization"])
+    def test_refit_bundle_answers_like_its_reloaded_copy(
+            self, refit, tmp_path, synthetic_packed, gamma_pca):
+        h = query_histories(synthetic_packed)[1]
+        bundle = build_history_bundle("III", gamma_pca)
+        bundle.train(synthetic_packed, quick_config(n_batches=5))
+        for k in range(1, 11):
+            bundle.predict_fields(h[:k])
+        longer = ds.pack_records(list(synthetic_packed.groups[36]), lengths=(36,))
+        if refit == "train":
+            bundle.train(longer, quick_config(n_batches=5, seed=8))
+        else:
+            bundle.fit_normalization(longer)
+        bundle.save(tmp_path / "bundle")
+        reloaded = sg.SurrogateBundle.load(tmp_path / "bundle")
+        # the first query extends a history queried before the refit
+        for k in range(11, 15):
+            a = bundle.predict_fields(h[:k]).fields
+            b = reloaded.predict_fields(h[:k]).fields
+            assert a.tobytes() == b.tobytes()
+
+
+class TestMalformedQueries:
+    @pytest.fixture(scope="class")
+    def bundle(self, synthetic_packed, gamma_pca):
+        bundle = build_history_bundle("III", gamma_pca)
+        bundle.fit_normalization(synthetic_packed)
+        return bundle
+
+    @pytest.mark.parametrize("shape", [(0, 3), (5, 4), (5,), (1, 5, 3)])
+    def test_wrong_shape_names_the_expected_one(self, bundle, shape):
+        with pytest.raises(ValueError, match=r"expected a \(steps, 3\)"):
+            bundle.predict_fields(np.zeros(shape))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_strain_rejected(self, bundle, value):
+        x = np.zeros((6, 3))
+        x[4, 1] = value
+        with pytest.raises(ValueError,
+                           match=r"non-finite .* step 4 of the \(steps, 3\)"):
+            bundle.predict_fields(x)
