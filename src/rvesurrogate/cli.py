@@ -15,8 +15,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import sys
-from dataclasses import replace
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -70,6 +70,16 @@ _REQUIRED_KEYS = {
     "train": ("kind", "nnw_in", "n_h", "nnw_out", "n_batches"),
 }
 
+# constructor field -> config section of the key of the same name
+_WALK_FIELDS = dict.fromkeys(("delta_r", "delta_r_min", "r_max", "max_steps"),
+                             "paths")
+_ARCH_FIELDS = dict.fromkeys(("nnw_in", "n_h", "nnw_out"), "train")
+_TRAIN_FIELDS = {
+    **dict.fromkeys(("learning_rate", "weight_decay", "clip_norm", "n_epoch",
+                     "n_batches", "seed"), "train"),
+    "batch_size": "dataset",
+}
+
 
 class StageError(RuntimeError):
     """Configuration or dependency problem; carries an actionable message."""
@@ -104,11 +114,8 @@ def validate_config(cfg: dict) -> None:
                for key in keys if key not in cfg[section]]
     if missing:
         raise StageError(f"missing config keys: {', '.join(missing)}")
+    _from_config(pg.RandomWalkConfig, cfg, _WALK_FIELDS)
     p = cfg["paths"]
-    pg.RandomWalkConfig(
-        delta_r=p["delta_r"], delta_r_min=p["delta_r_min"], r_max=p["r_max"],
-        max_steps=p["max_steps"], seed=0,
-    )
     if p["n_random"] < 1:
         raise StageError("paths.n_random must be >= 1")
     e = cfg["ensemble"]
@@ -121,21 +128,50 @@ def validate_config(cfg: dict) -> None:
         raise StageError("dataset.lengths must be an ascending non-empty list")
     if d["gamma_crit"] <= 0.0:
         raise StageError("dataset.gamma_crit must be positive")
+    families = (ds.FAMILY_GAMMA, ds.FAMILY_TAU)
+    if cfg["pca"].get("family", ds.FAMILY_GAMMA) not in families:
+        raise StageError(f"pca.family must be one of {families}")
     t = cfg["train"]
     if t["kind"] not in sg.KINDS:
         raise StageError(f"train.kind must be one of {sg.KINDS}")
+    q = t.get("q", 1)
+    if q < 1:
+        raise StageError("train.q must be >= 1")
     if t["kind"] == sg.KIND_BROKEN_DOWN and cfg["pca"].get("p") is not None:
-        if cfg["pca"]["p"] % t.get("q", 1) != 0:
+        if cfg["pca"]["p"] % q != 0:
             raise StageError("pca.p must be divisible by train.q for kind III")
-    nn.TrainConfig(
-        learning_rate=t.get("learning_rate", 1e-3),
-        weight_decay=t.get("weight_decay", 0.0),
-        clip_norm=t.get("clip_norm", 1.0),
-        n_epoch=t.get("n_epoch", 2),
-        n_batches=t["n_batches"],
-        batch_size=d["batch_size"],
-        seed=t.get("seed", 0),
-    )
+    # kinds I and II have one group whatever train.q says
+    n_groups = q if t["kind"] == sg.KIND_BROKEN_DOWN else 1
+    trained = t.get("trained_group_count")
+    if trained is not None and not 0 <= trained <= n_groups:
+        raise StageError(
+            f"train.trained_group_count must lie in [0, {n_groups}], the "
+            f"number of groups of kind {t['kind']}"
+        )
+    _from_config(sg.Architecture, cfg, _ARCH_FIELDS)
+    _train_config(cfg)
+
+
+def _from_config(cls, cfg: dict, fields: dict):
+    """``cls`` built from the config keys named like its ``fields``.
+
+    ``fields`` maps each field to the section of its key; a missing key
+    leaves ``cls``'s default.  A ``ValueError`` of ``cls`` becomes a
+    ``StageError`` naming the ``section.key`` entries its message names.
+    """
+    try:
+        return cls(**{name: cfg[section][name]
+                      for name, section in fields.items()
+                      if name in cfg[section]})
+    except ValueError as err:
+        keys = [f"{section}.{name}" for name, section in fields.items()
+                if re.search(rf"\b{name}\b", str(err))]
+        keys = keys or [f"{section}.{name}" for name, section in fields.items()]
+        raise StageError(f"invalid {', '.join(keys)}: {err}") from None
+
+
+def _train_config(cfg: dict) -> nn.TrainConfig:
+    return _from_config(nn.TrainConfig, cfg, _TRAIN_FIELDS)
 
 
 def apply_seed_override(cfg: dict, override: int) -> dict:
@@ -303,19 +339,6 @@ def stage_gen_data(cfg: dict, root: Path, jobs: int = 1) -> None:
     stage_dir = root / "dataset"
     stage_dir.mkdir(parents=True, exist_ok=True)
     ds.write_dataset(stage_dir, records)
-    packed = _pack(cfg, records)
-    specs = {
-        "inputs": ds.fit_normalization(
-            [r.inputs for r in packed.all_records()]
-        ),
-        "gamma": ds.fit_normalization(
-            [r.outputs_gamma for r in packed.all_records()]
-        ),
-        "tau": ds.fit_normalization(
-            [r.outputs_tau for r in packed.all_records()]
-        ),
-    }
-    ds.write_normspecs(stage_dir / "normspec.json", specs)
     write_manifest(
         stage_dir, "gen-data", cfg,
         inputs={"paths/paths.bin": sha256_file(paths_file)},
@@ -424,22 +447,13 @@ def _train_setup(cfg: dict, root: Path):
                 "pca.p / pca.delta; choose pca.p divisible by train.q and "
                 "set train.nnw_out[-1] = pca.p / train.q"
             )
-    arch = sg.Architecture(nnw_in=t["nnw_in"], n_h=t["n_h"], nnw_out=t["nnw_out"])
+    arch = _from_config(sg.Architecture, cfg, _ARCH_FIELDS)
     bundle = sg.build_surrogate(
         kind, arch, q=t.get("q", 1),
         trained_group_count=t.get("trained_group_count"),
         pca=pca_model, p=p_retained, family=family, seed=t.get("seed", 0),
     )
-    train_cfg = nn.TrainConfig(
-        learning_rate=t.get("learning_rate", 1e-3),
-        weight_decay=t.get("weight_decay", 0.0),
-        clip_norm=t.get("clip_norm", 1.0),
-        n_epoch=t.get("n_epoch", 2),
-        n_batches=t["n_batches"],
-        batch_size=cfg["dataset"]["batch_size"],
-        seed=t.get("seed", 0),
-    )
-    return packed, bundle, train_cfg
+    return packed, bundle, _train_config(cfg)
 
 
 def stage_train(cfg: dict, root: Path) -> None:
@@ -601,18 +615,11 @@ def dataset_trim(src, dst, gamma_crit: float) -> int:
 def dataset_pack(src, dst, lengths, gamma_crit: float | None) -> dict:
     records = _read_records(src)
     packed = ds.pack_records(records, lengths=lengths, gamma_crit=gamma_crit)
-    flat = list(packed.all_records())
-    ds.write_dataset(dst, flat, manifest={
+    ds.write_dataset(dst, packed.all_records(), manifest={
         "stage": "dataset-pack", "lengths": list(packed.lengths),
         "group_sizes": {str(k): len(v) for k, v in packed.groups.items()},
         "gamma_crit": gamma_crit,
     })
-    specs = {
-        "inputs": ds.fit_normalization([r.inputs for r in flat]),
-        "gamma": ds.fit_normalization([r.outputs_gamma for r in flat]),
-        "tau": ds.fit_normalization([r.outputs_tau for r in flat]),
-    }
-    ds.write_normspecs(Path(dst) / "normspec.json", specs)
     return {k: len(v) for k, v in packed.groups.items()}
 
 

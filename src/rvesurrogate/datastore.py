@@ -78,10 +78,6 @@ class NormalizationSpec:
             raise ValueError("maximum < minimum")
 
     @property
-    def n_features(self) -> int:
-        return self.minimum.shape[0]
-
-    @property
     def center(self) -> np.ndarray:
         return 0.5 * (self.minimum + self.maximum)
 
@@ -198,10 +194,6 @@ class PackedDataset:
     @property
     def lengths(self) -> list[int]:
         return sorted(self.groups)
-
-    @property
-    def n_sequences(self) -> int:
-        return sum(len(v) for v in self.groups.values())
 
     def all_records(self):
         for length in self.lengths:
@@ -372,14 +364,3 @@ def write_json(path, payload: dict) -> None:
 def read_json(path) -> dict:
     with open(path) as fh:
         return json.load(fh)
-
-
-def write_normspecs(path, specs: dict[str, NormalizationSpec]) -> None:
-    write_json(path, {name: spec.to_dict() for name, spec in specs.items()})
-
-
-def read_normspecs(path) -> dict[str, NormalizationSpec]:
-    return {
-        name: NormalizationSpec.from_dict(d)
-        for name, d in read_json(path).items()
-    }

@@ -16,13 +16,11 @@ mapping works in principal logarithmic stretches (Simo, CMAME 99 (1992)
 61-112) with 2x2 algebra on the in-plane blocks and scalar algebra on the
 out-of-plane entries, on the closed-form ``tensorlab.sym_eig``.  The
 gamma and tau fields are bit-identical to the same update in general 3x3
-algebra; the stresses, built from the principal values in fewer
-operations, agree with it to roundoff.
+algebra.
 
 Per loading step the ensemble emits the equivalent-plastic-strain field over
 the matrix points and the von Mises equivalent Kirchhoff stress field over
-all points.  ``fiber_stress`` and ``matrix_update`` also return the first
-Piola-Kirchhoff stress of each point; the field histories do not use it.
+all points.
 
 Stresses are carried in MPa internally; moduli are declared in GPa and
 converted on access.
@@ -123,7 +121,7 @@ class PlasticState:
 
 
 def _log_strain_deviator(f_in, f_out):
-    """Eigenpairs of ``C = F^T F`` and the deviator of their logarithms.
+    """Eigenvectors of ``C = F^T F`` and the deviator of its log eigenvalues.
 
     ``f_in``/``f_out`` are the in-plane blocks and out-of-plane entries of a
     plane-strain deformation.  Raises ``InvalidDeformationError`` when an
@@ -134,7 +132,7 @@ def _log_strain_deviator(f_in, f_out):
     if (vals <= 0.0).any():
         raise InvalidDeformationError("degenerate elastic stretch")
     log_vals = np.log(vals)
-    return vals, vecs, log_vals - log_vals.sum(axis=-1, keepdims=True) / 3.0
+    return vecs, log_vals - log_vals.sum(axis=-1, keepdims=True) / 3.0
 
 
 def _spectral_blocks(values, vecs):
@@ -164,23 +162,20 @@ def fiber_energy(f, params: FiberParams = FIBER_DEFAULTS) -> np.ndarray:
     """Elastic potential of the fiber law, MPa."""
     f = np.asarray(f, dtype=np.float64)
     det_f = _checked_det(f, "fiber_energy")
-    _, _, dev_log = _log_strain_deviator(f[..., :2, :2], f[..., 2, 2])
+    _, dev_log = _log_strain_deviator(f[..., :2, :2], f[..., 2, 2])
     return _energy(det_f, dev_log, params.k_mpa, params.mu_mpa)
 
 
 def fiber_stress(f, params: FiberParams = FIBER_DEFAULTS):
-    """First Piola-Kirchhoff stress and von Mises Kirchhoff stress (MPa)."""
+    """Von Mises equivalent Kirchhoff stress of the fiber law, MPa.
+
+    The Kirchhoff stress of ``fiber_energy`` is ``K ln J 1 + mu dev ln b``,
+    so ``tau_eq = sqrt(3/2) mu |dev ln C|``.
+    """
     f = np.asarray(f, dtype=np.float64)
-    det_f = _checked_det(f, "fiber_stress")
-    f_in, f_out = f[..., :2, :2], f[..., 2, 2]
-    vals, vecs, dev_log = _log_strain_deviator(f_in, f_out)
-    # P = F S with S = C^{-1} (K ln J 1 + mu dev ln C), coaxial with C
-    s_in, s_out = _spectral_blocks(
-        (params.k_mpa * np.log(det_f)[..., None] + params.mu_mpa * dev_log) / vals,
-        vecs)
-    p = tl.from_blocks(f_in @ s_in, f_out * s_out)
-    tau_eq = _SQRT_3_2 * params.mu_mpa * np.sqrt(_norm_sq(dev_log))
-    return p, tau_eq
+    _checked_det(f, "fiber_stress")
+    _, dev_log = _log_strain_deviator(f[..., :2, :2], f[..., 2, 2])
+    return _SQRT_3_2 * params.mu_mpa * np.sqrt(_norm_sq(dev_log))
 
 
 def matrix_energy(f, fp, params: MatrixParams = MATRIX_DEFAULTS) -> np.ndarray:
@@ -188,8 +183,8 @@ def matrix_energy(f, fp, params: MatrixParams = MATRIX_DEFAULTS) -> np.ndarray:
     f = np.asarray(f, dtype=np.float64)
     det_f = _checked_det(f, "matrix_energy")
     fp_inv = tl.inv(fp)
-    _, _, dev_log = _log_strain_deviator(f[..., :2, :2] @ fp_inv[..., :2, :2],
-                                         f[..., 2, 2] * fp_inv[..., 2, 2])
+    _, dev_log = _log_strain_deviator(f[..., :2, :2] @ fp_inv[..., :2, :2],
+                                      f[..., 2, 2] * fp_inv[..., 2, 2])
     return _energy(det_f, dev_log, params.k_mpa, params.mu_mpa)
 
 
@@ -241,24 +236,24 @@ def _solve_return_scalar(tau_tr, gamma0, params: MatrixParams):
 def matrix_update(f, state: PlasticState, params: MatrixParams = MATRIX_DEFAULTS):
     """Elastic-predictor / plastic-corrector update of the matrix points.
 
-    Returns ``(p, tau_eq, new_state)``.  The trial elastic state is built
-    from the frozen plastic deformation; when the trial von Mises stress
-    exceeds the current yield stress the plastic multiplier solves the
-    scalar consistency equation and the plastic flow is integrated with the
-    tensor exponential of the trial-frame flow normal, which shares the
-    trial eigenvectors and keeps the update exactly isochoric.
+    Returns ``(tau_eq, new_state)``: the von Mises equivalent Kirchhoff
+    stress (MPa) on the updated yield surface and the updated plastic state.
+    The trial elastic state is built from the frozen plastic deformation;
+    when the trial von Mises stress exceeds the current yield stress the
+    plastic multiplier solves the scalar consistency equation and the
+    plastic flow is integrated with the tensor exponential of the
+    trial-frame flow normal, which shares the trial eigenvectors and keeps
+    the update exactly isochoric.
     """
     f = np.asarray(f, dtype=np.float64)
-    det_f = _checked_det(f, "matrix_update")
+    _checked_det(f, "matrix_update")
 
     mu = params.mu_mpa
     # tl.det and tl.inv have checked that f and F^p are plane-strain
     fp_in, fp_out = state.fp[..., :2, :2], state.fp[..., 2, 2]
     fp_inv = tl.inv(state.fp)
-    fp_inv_in, fp_inv_out = fp_inv[..., :2, :2], fp_inv[..., 2, 2]
-    fe_in = f[..., :2, :2] @ fp_inv_in
-    fe_out = f[..., 2, 2] * fp_inv_out
-    vals, vecs, dev_log = _log_strain_deviator(fe_in, fe_out)
+    vecs, dev_log = _log_strain_deviator(f[..., :2, :2] @ fp_inv[..., :2, :2],
+                                         f[..., 2, 2] * fp_inv[..., 2, 2])
 
     tau_tr = _SQRT_3_2 * mu * np.sqrt(_norm_sq(dev_log))
     f_trial = tau_tr - params.tau_y0 - params.hardening(state.gamma)
@@ -296,18 +291,8 @@ def matrix_update(f, state: PlasticState, params: MatrixParams = MATRIX_DEFAULTS
         rescaled = fp_new * det_fp[..., None, None] ** (-1.0 / 3.0)
         fp_new = np.where(bad[..., None, None], rescaled, fp_new)
 
-    # The updated elastic stretch F_e^tr exp(-flow) is coaxial with C_e^tr,
-    # so P = F_e^tr S F^p^{-T} with S = sum_i tau_i / lambda_i^tr n_i (x) n_i,
-    # tau_i = K ln J + mu (1 - shrink) dev ln lambda_i^tr the principal
-    # Kirchhoff stresses on the updated yield surface.
-    s_in, s_out = _spectral_blocks(
-        (params.k_mpa * np.log(det_f)[..., None]
-         + mu * (1.0 - shrink)[..., None] * dev_log) / vals,
-        vecs)
-    p = tl.from_blocks(fe_in @ s_in @ np.swapaxes(fp_inv_in, -1, -2),
-                       fe_out * s_out * fp_inv_out)
     tau_eq = tau_tr - 3.0 * mu * dgamma
-    return p, tau_eq, PlasticState(fp=fp_new, gamma=state.gamma + dgamma)
+    return tau_eq, PlasticState(fp=fp_new, gamma=state.gamma + dgamma)
 
 
 @dataclass
@@ -395,14 +380,6 @@ def build_ensemble(
 
 
 @dataclass
-class FieldSnapshot:
-    """State-variable fields at one loading step."""
-
-    gamma_field: np.ndarray  # (d_gamma,), dimensionless
-    tau_field: np.ndarray    # (d_tau,), MPa
-
-
-@dataclass
 class SequenceFields:
     """Full per-step field history of one loading path."""
 
@@ -413,17 +390,14 @@ class SequenceFields:
     def __len__(self) -> int:
         return self.gamma.shape[0]
 
-    def __getitem__(self, t: int) -> FieldSnapshot:
-        return FieldSnapshot(self.gamma[t], self.tau[t])
-
 
 def _step_fields(ensemble: RveEnsemble, f_macro, state: PlasticState):
     """Advance matrix points one increment and evaluate both fields."""
     local = ensemble.local_deformations(f_macro)
     n_m = ensemble.n_matrix
-    _, tau, new_state = matrix_update(local[:n_m], state, ensemble.matrix)
+    tau, new_state = matrix_update(local[:n_m], state, ensemble.matrix)
     if ensemble.n_fiber > 0:
-        _, tau_fib = fiber_stress(local[n_m:], ensemble.fiber)
+        tau_fib = fiber_stress(local[n_m:], ensemble.fiber)
         tau = np.concatenate([tau, tau_fib])
     return new_state, tau
 

@@ -260,9 +260,6 @@ class RnnModel:
         """Allocation audit: total elements across parameter arrays."""
         return sum(p.size for p in self.parameters())
 
-    def state_bytes(self) -> bytes:
-        return b"".join(np.ascontiguousarray(p).tobytes() for p in self.parameters())
-
     def copy_parameters(self):
         return [p.copy() for p in self.parameters()]
 

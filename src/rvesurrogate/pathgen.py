@@ -181,11 +181,6 @@ def generate_cyclic_path(
     return LoadingPath(stretches, KIND_CYCLIC)
 
 
-def max_stretch_deviation(path: LoadingPath) -> np.ndarray:
-    """Per-step max |lambda_i(U) - 1| over the in-plane eigenvalues."""
-    return np.max(np.abs(_inplane_eigenvalues(path.stretches) - 1.0), axis=-1)
-
-
 def increment_eigen_norms(path: LoadingPath) -> np.ndarray:
     """Eigenvalue-vector norms of the stretch increments, shape (n_steps-1,)."""
     du = np.diff(path.stretches, axis=0)

@@ -145,13 +145,6 @@ def reconstruct(xi, model: PcaModel) -> np.ndarray:
     return xi @ model.components.T + model.mean
 
 
-def reconstruction_mse(model: PcaModel, snapshots) -> float:
-    """Mean squared reconstruction error over a snapshot set (raw units)."""
-    x = np.asarray(snapshots, dtype=np.float64)
-    err = x - reconstruct(project(x, model), model)
-    return float(np.mean(err**2))
-
-
 def save(path, model: PcaModel) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -526,9 +526,6 @@ class TrialReport:
     trials: list
     recommended: int | None
 
-    def best(self) -> TrialResult:
-        return max(self.trials, key=lambda t: t.score)
-
     def to_dict(self) -> dict:
         return {
             "target_p": self.target_p,

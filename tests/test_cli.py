@@ -91,6 +91,26 @@ class TestActionableErrors:
         assert "paths.r_max" in capsys.readouterr().err
         assert not root.exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "q", 0),
+        ("train", "n_epoch", 0),
+        ("train", "n_batches", 0),
+        ("dataset", "batch_size", 0),
+        ("paths", "delta_r", 0.3),  # = r_max
+        ("paths", "max_steps", 0),
+        ("train", "n_h", 0),
+        ("train", "trained_group_count", 3),  # > q = 2
+        ("pca", "family", "foo"),
+    ])
+    def test_invalid_config_value_rejected_at_load(
+            self, tmp_path, monkeypatch, capsys, section, key, value):
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        cfg[section][key] = value
+        root = tmp_path / "root"
+        assert run_main("all", root, cfg, tmp_path, monkeypatch) == 1
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not root.exists()
+
     @pytest.mark.parametrize("argv", [
         ["stats"], ["trim", "--gamma-crit", "1.0"], ["pack", "--lengths", "8"],
     ])

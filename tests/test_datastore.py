@@ -57,8 +57,9 @@ class TestNormalization:
 
     def test_json_round_trip(self, tmp_path):
         spec = ds.NormalizationSpec(np.array([0.0, -1.0]), np.array([2.0, -1.0]))
-        ds.write_normspecs(tmp_path / "normspec.json", {"inputs": spec})
-        loaded = ds.read_normspecs(tmp_path / "normspec.json")["inputs"]
+        ds.write_json(tmp_path / "norm.json", {"inputs": spec.to_dict()})
+        loaded = ds.NormalizationSpec.from_dict(
+            ds.read_json(tmp_path / "norm.json")["inputs"])
         assert np.array_equal(loaded.minimum, spec.minimum)
         assert np.array_equal(loaded.maximum, spec.maximum)
 

@@ -7,7 +7,6 @@ from rvesurrogate import tensorlab as tl
 
 # the entries a plane-strain tensor may carry: the in-plane block and [2, 2]
 IN_BLOCK = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2))
-OFF_BLOCK = ((0, 2), (1, 2), (2, 0), (2, 1))
 
 
 def fd_gradient(func, f, h=1e-6):
@@ -22,8 +21,12 @@ def fd_gradient(func, f, h=1e-6):
     return g
 
 
-def assert_off_block_zero(p):
-    assert all(np.all(p[..., i, j] == 0.0) for i, j in OFF_BLOCK)
+def tau_eq_of_pk1(p, f):
+    """Von Mises norm of the Kirchhoff stress ``P F^T`` (MPa)."""
+    tau = p @ np.swapaxes(f, -1, -2)
+    tr = np.trace(tau, axis1=-2, axis2=-1)[..., None, None]
+    dev = tau - tr / 3.0 * np.eye(3)
+    return np.sqrt(1.5) * np.sqrt(np.sum(dev * dev, axis=(-2, -1)))
 
 
 def random_plane(rng, shape=()):
@@ -184,31 +187,29 @@ def test_out_of_plane_shear_rejected():
 
 class TestFiber:
     def test_reference_state_stress_free(self):
-        p, tau = mm.fiber_stress(np.eye(3))
-        assert np.all(p == 0.0)
-        assert tau == 0.0
+        assert mm.fiber_stress(np.eye(3)) == 0.0
 
     def test_small_strain_linear_elasticity(self):
-        # linearization oracle: P ~ K tr(eps) I + 2 mu dev(sym eps)
+        # linearization oracle: dev tau ~ 2 mu dev(sym eps); the relative
+        # linearization error is O(|eps|) = 1e-6 (5.6e-7 on these samples)
         rng = np.random.default_rng(1)
         params = mm.FIBER_DEFAULTS
         for _ in range(10):
             eps = random_plane(rng)
             eps *= 1e-6 / np.linalg.norm(eps)
-            p, _ = mm.fiber_stress(np.eye(3) + eps, params)
+            tau = mm.fiber_stress(np.eye(3) + eps, params)
             sym = 0.5 * (eps + eps.T)
             dev = sym - np.trace(sym) / 3.0 * np.eye(3)
-            ref = params.k_mpa * np.trace(eps) * np.eye(3) + 2.0 * params.mu_mpa * dev
-            assert np.linalg.norm(p - ref) <= 1e-4 * np.linalg.norm(ref)
+            ref = np.sqrt(1.5) * 2.0 * params.mu_mpa * np.linalg.norm(dev)
+            assert abs(tau - ref) <= 2e-6 * ref
 
     def test_stress_is_energy_gradient(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             f = random_deformation(rng)
-            p, _ = mm.fiber_stress(f)
-            g = fd_gradient(lambda x: mm.fiber_energy(x), f)
-            assert np.linalg.norm(p - g) <= 1e-6 * max(np.linalg.norm(g), 1.0)
-            assert_off_block_zero(p)
+            tau = mm.fiber_stress(f)
+            ref = tau_eq_of_pk1(fd_gradient(lambda x: mm.fiber_energy(x), f), f)
+            assert abs(tau - ref) <= 1e-6 * max(ref, 1.0)
 
     def test_invalid_deformation(self):
         with pytest.raises(mm.InvalidDeformationError):
@@ -217,7 +218,7 @@ class TestFiber:
     def test_tau_eq_nonnegative(self):
         rng = np.random.default_rng(3)
         f = np.eye(3) + 0.05 * random_plane(rng, (64,))
-        _, tau = mm.fiber_stress(f)
+        tau = mm.fiber_stress(f)
         assert np.all(tau >= 0.0)
 
 
@@ -229,7 +230,7 @@ class TestMatrixUpdate:
         shear = 90.0 / (np.sqrt(3.0) * params.mu_mpa)
         f = np.eye(3)
         f[0, 1] = shear
-        p, tau, new_state = mm.matrix_update(f, state, params)
+        tau, new_state = mm.matrix_update(f, state, params)
         assert tau == pytest.approx(90.0, rel=1e-3)
         assert new_state.gamma == 0.0
         assert np.array_equal(new_state.fp, np.eye(3))
@@ -242,19 +243,20 @@ class TestMatrixUpdate:
             # small enough elastic stretch on top of fp to stay elastic
             f = (np.eye(3) + 0.002 * random_plane(rng)) @ fp
             state = mm.PlasticState(fp=fp.copy(), gamma=np.array(0.3))
-            p, _, new_state = mm.matrix_update(f, state, params)
+            tau, new_state = mm.matrix_update(f, state, params)
             assert new_state.gamma == state.gamma
-            g = fd_gradient(lambda x: mm.matrix_energy(x, fp, params), f)
-            assert np.linalg.norm(p - g) <= 1e-6 * max(np.linalg.norm(g), 1.0)
-            assert_off_block_zero(p)
+            p_fd = fd_gradient(lambda x: mm.matrix_energy(x, fp, params), f)
+            ref = tau_eq_of_pk1(p_fd, f)
+            assert abs(tau - ref) <= 1e-6 * max(ref, 1.0)
 
     def test_plastic_stress_is_elastic_stress_of_updated_state(self):
         # oracle: P = K ln J F^-T + F_e M F^p^-T at the updated plastic
-        # state, M = mu C_e^-1 dev ln C_e, with LAPACK eigenpairs and inverses
+        # state, M = mu C_e^-1 dev ln C_e, with LAPACK eigenpairs and
+        # inverses; tau_eq is the von Mises norm of its P F^T
         rng = np.random.default_rng(10)
         params = mm.MATRIX_DEFAULTS
         f = np.eye(3) + 0.1 * random_plane(rng, (64,))
-        p, _, state = mm.matrix_update(f, mm.PlasticState.initial((64,)), params)
+        tau, state = mm.matrix_update(f, mm.PlasticState.initial((64,)), params)
         assert np.count_nonzero(state.gamma) > 32
         fe = f @ np.linalg.inv(state.fp)
         w, q = np.linalg.eigh(np.swapaxes(fe, -1, -2) @ fe)
@@ -264,7 +266,8 @@ class TestMatrixUpdate:
         f_inv_t = np.swapaxes(np.linalg.inv(f), -1, -2)
         ref = (params.k_mpa * np.log(np.linalg.det(f))[..., None, None] * f_inv_t
                + fe @ m @ np.swapaxes(np.linalg.inv(state.fp), -1, -2))
-        assert np.max(np.abs(p - ref)) <= 1e-10 * np.max(np.abs(ref))
+        tau_ref = tau_eq_of_pk1(ref, f)
+        assert np.max(np.abs(tau - tau_ref)) <= 1e-10 * np.max(np.abs(tau_ref))
 
     def test_return_matches_bisection_oracle(self):
         # independent oracle: trial stress from LAPACK eigensolver and a
@@ -288,7 +291,7 @@ class TestMatrixUpdate:
             dg_oracle = float(bisect_return(tau_tr, gamma0, params))
 
             state = mm.PlasticState(fp=fp.copy(), gamma=np.array(gamma0))
-            _, tau_eq, new_state = mm.matrix_update(f, state, params)
+            tau_eq, new_state = mm.matrix_update(f, state, params)
             dg = float(new_state.gamma - gamma0)
             assert abs(dg - dg_oracle) <= 1e-10
             # consistency: stress sits on the updated yield surface
@@ -305,7 +308,7 @@ class TestMatrixUpdate:
         for s in np.linspace(0.0, 0.6, 240)[1:]:
             f = np.eye(3)
             f[0, 1] = s
-            _, tau, state = mm.matrix_update(f, state, params)
+            tau, state = mm.matrix_update(f, state, params)
         assert abs(tau - 120.0) <= 0.5
 
     def test_det_fp_unimodular(self):
@@ -316,7 +319,7 @@ class TestMatrixUpdate:
             f = f + 0.02 * random_plane(rng)
             if tl.det(f) < 0.3:
                 f = np.eye(3)
-            _, _, state = mm.matrix_update(f, state)
+            _, state = mm.matrix_update(f, state)
             assert abs(tl.det(state.fp) - 1.0) <= 1e-8
 
     def test_gamma_never_decreases(self):
@@ -326,7 +329,7 @@ class TestMatrixUpdate:
         last = state.gamma.copy()
         for _ in range(40):
             f = f + 0.01 * random_plane(rng, (16,))
-            _, _, state = mm.matrix_update(f, state)
+            _, state = mm.matrix_update(f, state)
             assert np.all(state.gamma >= last - 1e-15)
             last = state.gamma.copy()
 
@@ -339,7 +342,7 @@ class TestMatrixUpdate:
             g = np.zeros((3, 3))
             g[:2, :2] = 0.04 * rng.standard_normal((2, 2))
             f = np.eye(3) + g
-            _, _, state = mm.matrix_update(f, state)
+            _, state = mm.matrix_update(f, state)
         fp = state.fp
         off = [fp[0, 2], fp[1, 2], fp[2, 0], fp[2, 1]]
         assert np.allclose(off, 0.0, atol=1e-14)
@@ -399,8 +402,8 @@ class TestRunSequence:
         state = mm.PlasticState.initial()
         for t, u in enumerate(path.stretches):
             f = pg.u_to_f(u)
-            p, tau, state = mm.matrix_update(f, state, ens.matrix)
-            _, tau_fiber = mm.fiber_stress(f, ens.fiber)
+            tau, state = mm.matrix_update(f, state, ens.matrix)
+            tau_fiber = mm.fiber_stress(f, ens.fiber)
             assert np.allclose(fields.gamma[t], state.gamma, atol=1e-12)
             assert np.allclose(fields.tau[t, :6], tau, atol=1e-9)
             assert np.allclose(fields.tau[t, 6:], tau_fiber, atol=1e-9)
@@ -434,11 +437,8 @@ class TestRunSequence:
         fields = mm.run_sequence(path, ens)
         assert fields.gamma.shape == (len(path), 7)
         assert fields.tau.shape == (len(path), 10)
-        snap = fields[2]
-        assert snap.gamma_field.shape == (7,)
-        assert snap.tau_field.shape == (10,)
-        assert np.all(snap.gamma_field >= 0.0)
-        assert np.all(snap.tau_field >= 0.0)
+        assert np.all(fields.gamma[2] >= 0.0)
+        assert np.all(fields.tau[2] >= 0.0)
 
     @pytest.mark.parametrize("kind", [pg.KIND_RANDOM_WALK, pg.KIND_CYCLIC])
     def test_matches_jacobi_oracle(self, kind):

@@ -65,7 +65,9 @@ class TestRandomPath:
 
     def test_termination_criterion(self, cfg):
         path = pg.generate_random_path(cfg)
-        dev = pg.max_stretch_deviation(path)
+        # per-step max |lambda_i(U) - 1| over the in-plane eigenvalues
+        lams = np.linalg.eigvalsh(path.stretches[:, :2, :2])
+        dev = np.max(np.abs(lams - 1.0), axis=-1)
         assert len(path) < cfg.max_steps + 1
         assert dev[-1] > cfg.r_max
         assert np.all(dev[:-1] <= cfg.r_max)

@@ -33,6 +33,11 @@ def jacobi_eigensystem(m, sweeps=60):
     return np.diag(a)[order], v[:, order]
 
 
+def reconstruction_mse(model, x):
+    """Mean squared error of the rank-p reconstruction of ``x``."""
+    return float(np.mean((x - pca.reconstruct(pca.project(x, model), model)) ** 2))
+
+
 def random_snapshots(rng, n=50, d=30, rank=None):
     if rank is None:
         return rng.standard_normal((n, d))
@@ -155,7 +160,7 @@ class TestProjectReconstruct:
         n, d = x.shape
         for p in (1, 4, 9, 15):
             model = pca.fit(x, p=p)
-            mse = pca.reconstruction_mse(model, x)
+            mse = reconstruction_mse(model, x)
             expected = model.eigenvalues[p:].sum() / (n * d)
             assert mse == pytest.approx(expected, rel=1e-8, abs=1e-14)
 
@@ -198,7 +203,7 @@ class TestResidualFraction:
         mses = []
         for p in range(1, 11):
             model = pca.fit(x, p=p)
-            mses.append(pca.reconstruction_mse(model, x))
+            mses.append(reconstruction_mse(model, x))
         assert np.all(np.diff(mses) <= 1e-12)
 
 

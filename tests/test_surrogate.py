@@ -7,6 +7,11 @@ from rvesurrogate import pca as pcalib
 from rvesurrogate import surrogate as sg
 
 
+def state_bytes(model):
+    """Every parameter array of ``model``, as one byte string."""
+    return b"".join(np.ascontiguousarray(p).tobytes() for p in model.parameters())
+
+
 @pytest.fixture(scope="module")
 def gamma_pca(synthetic_packed):
     snaps = np.concatenate(
@@ -125,12 +130,12 @@ class TestTraining:
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
         bundle = sg.build_surrogate("III", arch, q=4, trained_group_count=2,
                                     pca=gamma_pca, p=8, seed=3)
-        before = [bundle.models[gi].state_bytes() for gi in (2, 3)]
-        trained_before = bundle.models[0].state_bytes()
+        before = [state_bytes(bundle.models[gi]) for gi in (2, 3)]
+        trained_before = state_bytes(bundle.models[0])
         bundle.train(synthetic_packed, quick_config(n_batches=25))
-        assert bundle.models[2].state_bytes() == before[0]
-        assert bundle.models[3].state_bytes() == before[1]
-        assert bundle.models[0].state_bytes() != trained_before
+        assert state_bytes(bundle.models[2]) == before[0]
+        assert state_bytes(bundle.models[3]) == before[1]
+        assert state_bytes(bundle.models[0]) != trained_before
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_divergence_aborts_with_checkpoint(self, synthetic_packed, gamma_pca):
@@ -155,7 +160,7 @@ class TestKindEquivalence:
         h2 = b2.train(synthetic_packed, cfg)
         h3 = b3.train(synthetic_packed, cfg)
         assert np.array_equal(h2.losses, h3.losses)
-        assert b2.models[0].state_bytes() == b3.models[0].state_bytes()
+        assert state_bytes(b2.models[0]) == state_bytes(b3.models[0])
         x = synthetic_packed.groups[24][0].inputs
         assert np.array_equal(b2.predict_fields(x).fields,
                               b3.predict_fields(x).fields)
@@ -258,7 +263,7 @@ class TestEvaluate:
         bundle = sg.build_surrogate("III", arch, q=4, pca=gamma_pca, p=8, seed=13)
         bundle.train(synthetic_packed, quick_config(n_batches=10))
         report = bundle.evaluate(synthetic_packed)
-        assert len(report.max_pred) == synthetic_packed.n_sequences
+        assert len(report.max_pred) == len(list(synthetic_packed.all_records()))
         for trace, length in zip(report.max_pred, report.lengths):
             assert trace.shape == (length,)
 
@@ -283,7 +288,7 @@ class TestHiddenSizeTrial:
             start_n_h=16, increment=16, epoch_budget=400, max_trials=2,
             nnw_in=(3, 8), nnw_out=(8,), seed=4, threshold=0.9,
         )
-        assert report.best().score > 0.9
+        assert max(t.score for t in report.trials) > 0.9
         assert report.recommended is not None
 
     def test_target_out_of_range(self, synthetic_packed, gamma_pca):
