@@ -38,26 +38,36 @@ STAGE_ORDER = ("gen-paths", "gen-data", "pca-fit", "train", "eval")
 # seed-override offsets per stage stream
 _SEED_SLOTS = {"paths": 0, "ensemble": 1, "pca": 2, "train": 3, "trial": 4}
 
-_ALLOWED_KEYS = {
+# every allowed key, per section, with the JSON types its value may take
+_SCHEMA = {
     "paths": {
-        "n_random", "n_cyclic", "delta_r", "delta_r_min", "r_max", "max_steps",
-        "seed", "cyclic_reversals_min", "cyclic_reversals_max",
-        "cyclic_amplitude_max", "cyclic_step_size",
+        "n_random": "int", "n_cyclic": "int", "delta_r": "real",
+        "delta_r_min": "real", "r_max": "real", "max_steps": "int",
+        "seed": "int", "cyclic_reversals_min": "int",
+        "cyclic_reversals_max": "int", "cyclic_amplitude_max": "real",
+        "cyclic_step_size": "real",
     },
-    "ensemble": {"d_gamma", "n_fiber", "perturbation", "seed"},
-    "dataset": {"lengths", "gamma_crit", "batch_size"},
-    "pca": {"family", "p", "delta", "subsample_fraction", "seed"},
+    "ensemble": {"d_gamma": "int", "n_fiber": "int", "perturbation": "real",
+                 "seed": "int"},
+    "dataset": {"lengths": "list", "gamma_crit": "real", "batch_size": "int"},
+    "pca": {"family": "str", "p": "int|null", "delta": "real|null",
+            "subsample_fraction": "real", "seed": "int"},
     "train": {
-        "kind", "nnw_in", "n_h", "nnw_out", "q", "trained_group_count",
-        "n_batches", "n_epoch", "learning_rate", "weight_decay", "clip_norm",
-        "seed",
+        "kind": "str", "nnw_in": "list", "n_h": "int", "nnw_out": "list",
+        "q": "int", "trained_group_count": "int|null", "n_batches": "int",
+        "n_epoch": "int", "learning_rate": "real", "weight_decay": "real",
+        "clip_norm": "real", "seed": "int",
     },
     "trial": {
-        "target_p", "start_n_h", "increment", "epoch_budget", "max_trials",
-        "threshold", "nnw_in", "nnw_out", "learning_rate", "seed",
+        "target_p": "int", "start_n_h": "int", "increment": "int",
+        "epoch_budget": "int", "max_trials": "int", "threshold": "real",
+        "nnw_in": "list", "nnw_out": "list", "learning_rate": "real",
+        "seed": "int",
     },
-    "eval": {"snapshot_steps", "snapshot_sequences"},
+    "eval": {"snapshot_steps": "list", "snapshot_sequences": "list"},
 }
+_JSON_TYPES = {"int": (int,), "real": (int, float), "list": (list, tuple),
+               "str": (str,), "null": (type(None),)}
 
 _REQUIRED_SECTIONS = ("paths", "ensemble", "dataset", "pca", "train")
 
@@ -100,13 +110,19 @@ def load_config(path) -> dict:
 
 def validate_config(cfg: dict) -> None:
     """Reject unknown keys and violated invariants before any compute."""
-    unknown_sections = set(cfg) - set(_ALLOWED_KEYS)
+    unknown_sections = set(cfg) - set(_SCHEMA)
     if unknown_sections:
         raise StageError(f"unknown config sections: {sorted(unknown_sections)}")
-    for section, keys in _ALLOWED_KEYS.items():
-        extra = set(cfg.get(section, {})) - keys
+    for section, keys in _SCHEMA.items():
+        extra = set(cfg.get(section, {})) - set(keys)
         if extra:
             raise StageError(f"unknown keys in [{section}]: {sorted(extra)}")
+        for key, value in cfg.get(section, {}).items():
+            kind = keys[key]
+            types = sum((_JSON_TYPES[k] for k in kind.split("|")), ())
+            if not _is_a(value, types):
+                raise StageError(f"{section}.{key} must be "
+                                 f"{kind.replace('|', ' or ')}, got {value!r}")
     missing = [s for s in _REQUIRED_SECTIONS if s not in cfg]
     if missing:
         raise StageError(f"missing config sections: {missing}")
@@ -118,19 +134,28 @@ def validate_config(cfg: dict) -> None:
     p = cfg["paths"]
     if p["n_random"] < 1:
         raise StageError("paths.n_random must be >= 1")
+    if p.get("n_cyclic", 0) < 0:
+        raise StageError("paths.n_cyclic must be >= 0")
     e = cfg["ensemble"]
     if not 0.0 <= e["perturbation"] < 1.0:
         raise StageError("ensemble.perturbation must lie in [0, 1)")
-    if e["d_gamma"] < 1 or e["n_fiber"] < 0:
-        raise StageError("ensemble sizes invalid")
+    if e["d_gamma"] < 1:
+        raise StageError("ensemble.d_gamma must be >= 1")
+    if e["n_fiber"] < 0:
+        raise StageError("ensemble.n_fiber must be >= 0")
     d = cfg["dataset"]
-    if not d["lengths"] or sorted(d["lengths"]) != list(d["lengths"]):
-        raise StageError("dataset.lengths must be an ascending non-empty list")
+    lengths = d["lengths"]
+    if not (lengths and all(_is_a(n, (int,)) and n >= 1 for n in lengths)
+            and sorted(lengths) == list(lengths)):
+        raise StageError("dataset.lengths must be an ascending non-empty "
+                         "list of positive integers")
     if d["gamma_crit"] <= 0.0:
         raise StageError("dataset.gamma_crit must be positive")
     families = (ds.FAMILY_GAMMA, ds.FAMILY_TAU)
     if cfg["pca"].get("family", ds.FAMILY_GAMMA) not in families:
         raise StageError(f"pca.family must be one of {families}")
+    if not 0.0 < cfg["pca"].get("subsample_fraction", 1.0) <= 1.0:
+        raise StageError("pca.subsample_fraction must lie in (0, 1]")
     t = cfg["train"]
     if t["kind"] not in sg.KINDS:
         raise StageError(f"train.kind must be one of {sg.KINDS}")
@@ -150,6 +175,11 @@ def validate_config(cfg: dict) -> None:
         )
     _from_config(sg.Architecture, cfg, _ARCH_FIELDS)
     _train_config(cfg)
+
+
+def _is_a(value, types) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def _from_config(cls, cfg: dict, fields: dict):
@@ -300,6 +330,11 @@ def stage_gen_paths(cfg: dict, root: Path) -> None:
 
 _WORKER = {}
 
+# paths per lockstep batch of gen-data: a constant, so the batches do not
+# depend on --jobs, and it bounds a batch's working set; the kernel cost
+# per point-step barely falls past 16 paths
+_LOCKSTEP_WIDTH = 16
+
 
 def _init_worker(ensemble, blocks, kinds):
     _WORKER["ensemble"] = ensemble
@@ -307,16 +342,22 @@ def _init_worker(ensemble, blocks, kinds):
     _WORKER["kinds"] = kinds
 
 
-def _run_one_path(index: int) -> ds.SequenceRecord:
-    path = pg.LoadingPath(_WORKER["blocks"][index], _WORKER["kinds"][index])
-    fields = mm.run_sequence(path, _WORKER["ensemble"])
-    kept = len(fields)
-    return ds.SequenceRecord(
-        inputs=path.strain_features()[:kept],
-        outputs_gamma=fields.gamma,
-        outputs_tau=fields.tau,
-        truncated=fields.truncated,
-    )
+def _run_paths(indices) -> tuple[list[ds.SequenceRecord], int]:
+    """Records of the paths at ``indices``, stepped in lockstep, and the
+    number of their macro steps that needed sub-stepping."""
+    paths = [pg.LoadingPath(_WORKER["blocks"][i], _WORKER["kinds"][i])
+             for i in indices]
+    fields = mm.run_sequences(paths, _WORKER["ensemble"])
+    records = [
+        ds.SequenceRecord(
+            inputs=path.strain_features()[:len(f)],
+            outputs_gamma=f.gamma,
+            outputs_tau=f.tau,
+            truncated=f.truncated,
+        )
+        for path, f in zip(paths, fields)
+    ]
+    return records, sum(f.substepped_steps for f in fields)
 
 
 def stage_gen_data(cfg: dict, root: Path, jobs: int = 1) -> None:
@@ -327,14 +368,20 @@ def stage_gen_data(cfg: dict, root: Path, jobs: int = 1) -> None:
         d_gamma=e["d_gamma"], n_fiber=e["n_fiber"],
         perturbation_amplitude=e["perturbation"], seed=e["seed"],
     )
+    n = len(blocks)
+    batches = [range(i, min(i + _LOCKSTEP_WIDTH, n))
+               for i in range(0, n, _LOCKSTEP_WIDTH)]
+    workers = min(jobs, len(batches))
     _init_worker(ensemble, blocks, kinds)
-    if jobs > 1:
+    if workers > 1:
         with get_context("fork").Pool(
-            jobs, initializer=_init_worker, initargs=(ensemble, blocks, kinds)
+            workers, initializer=_init_worker,
+            initargs=(ensemble, blocks, kinds)
         ) as pool:
-            records = pool.map(_run_one_path, range(len(blocks)), chunksize=4)
+            results = pool.map(_run_paths, batches, chunksize=1)
     else:
-        records = [_run_one_path(i) for i in range(len(blocks))]
+        results = [_run_paths(batch) for batch in batches]
+    records = [rec for batch_records, _ in results for rec in batch_records]
 
     stage_dir = root / "dataset"
     stage_dir.mkdir(parents=True, exist_ok=True)
@@ -353,10 +400,11 @@ def stage_gen_data(cfg: dict, root: Path, jobs: int = 1) -> None:
             "field_convention": "one constitutive point per field entry "
                                 "(stand-in for element-averaged values)",
             "truncated_sequences": int(sum(r.truncated for r in records)),
+            "substepped_steps": int(sum(count for _, count in results)),
         },
     )
     # postcondition: per-point monotonicity of the accumulated plastic strain
-    for rec in records[:: max(1, len(records) // 16)]:
+    for rec in records:
         if np.any(np.diff(rec.outputs_gamma, axis=0) < -1e-12):
             raise StageError("gen-data postcondition failed: gamma monotonicity")
 
@@ -661,6 +709,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_stage(stage: str, cfg: dict, root: Path, jobs: int = 1) -> None:
+    if jobs < 1:
+        raise StageError(f"--jobs must be >= 1, got {jobs}")
     if stage == "gen-paths":
         stage_gen_paths(cfg, root)
     elif stage == "gen-data":

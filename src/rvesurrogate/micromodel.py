@@ -22,6 +22,21 @@ Per loading step the ensemble emits the equivalent-plastic-strain field over
 the matrix points and the von Mises equivalent Kirchhoff stress field over
 all points.
 
+Batch independence: ``matrix_update`` and ``fiber_stress`` do the same
+floating-point operations on a point whatever batch it sits in.  The return
+mapping's Newton iteration freezes converged points and the closed-form
+Jacobi rotation turns the entries that need no second rotation by exactly
+zero.  So ``run_sequences`` may step many paths through one call per
+increment and still equal ``run_sequence`` path by path, bit for bit,
+given two rules:
+
+* the trial F of a macro step is ``f_prev + 1 * (f_target - f_prev)``, the
+  expression ``run_sequence`` sub-steps with; it is not ``f_target`` in
+  floating point and moves tau by about 1e-12;
+* the local deformations come from one ``concentrations @ v`` product per
+  path; one product over all paths' ``v`` at once sums in another order
+  and differs by about 1e-15.
+
 Stresses are carried in MPa internally; moduli are declared in GPa and
 converted on access.
 """
@@ -381,25 +396,42 @@ def build_ensemble(
 
 @dataclass
 class SequenceFields:
-    """Full per-step field history of one loading path."""
+    """Full per-step field history of one loading path.
+
+    ``substepped_steps`` counts the kept macro steps that converged only
+    when split into sub-steps.
+    """
 
     gamma: np.ndarray        # (n_steps, d_gamma)
     tau: np.ndarray          # (n_steps, d_tau)
     truncated: bool = False
+    substepped_steps: int = 0
 
     def __len__(self) -> int:
         return self.gamma.shape[0]
 
 
-def _step_fields(ensemble: RveEnsemble, f_macro, state: PlasticState):
-    """Advance matrix points one increment and evaluate both fields."""
-    local = ensemble.local_deformations(f_macro)
+def _step_fields(ensemble: RveEnsemble, local, state: PlasticState):
+    """Advance the matrix points one increment and evaluate both fields.
+
+    ``local`` holds per-point deformations, shape ``(..., n_points, 3, 3)``
+    with the matrix points first; the leading axes are loading paths.
+    """
     n_m = ensemble.n_matrix
-    tau, new_state = matrix_update(local[:n_m], state, ensemble.matrix)
+    tau, new_state = matrix_update(local[..., :n_m, :, :], state, ensemble.matrix)
     if ensemble.n_fiber > 0:
-        tau_fib = fiber_stress(local[n_m:], ensemble.fiber)
-        tau = np.concatenate([tau, tau_fib])
+        tau_fib = fiber_stress(local[..., n_m:, :, :], ensemble.fiber)
+        tau = np.concatenate([tau, tau_fib], axis=-1)
     return new_state, tau
+
+
+def _interpolate(f_prev, f_target, fraction):
+    """Macro F a ``fraction`` of the way from ``f_prev`` to ``f_target``.
+
+    At ``fraction == 1`` this is not ``f_target`` in floating point; both
+    steppers build every trial F with it, so they agree bit for bit.
+    """
+    return f_prev + fraction * (f_target - f_prev)
 
 
 def run_sequence(
@@ -419,6 +451,7 @@ def run_sequence(
     state = PlasticState.initial((ensemble.n_matrix,))
     f_prev = np.eye(3)
     truncated = False
+    substepped = 0
     kept = 0
     for t in range(n_steps):
         f_target = u_to_f(path.stretches[t])
@@ -428,8 +461,9 @@ def run_sequence(
             trial_state = state
             try:
                 for j in range(1, n_sub + 1):
-                    f_j = f_prev + (j / n_sub) * (f_target - f_prev)
-                    trial_state, tau_f = _step_fields(ensemble, f_j, trial_state)
+                    local = ensemble.local_deformations(
+                        _interpolate(f_prev, f_target, j / n_sub))
+                    trial_state, tau_f = _step_fields(ensemble, local, trial_state)
             except (InvalidDeformationError, RuntimeError):
                 continue
             state = trial_state
@@ -437,6 +471,7 @@ def run_sequence(
             tau_out[t] = tau_f
             f_prev = f_target
             kept = t + 1
+            substepped += halving > 0
             done = True
             break
         if not done:
@@ -447,4 +482,77 @@ def run_sequence(
         gamma=gamma_out[:kept],
         tau=tau_out[:kept],
         truncated=truncated,
+        substepped_steps=substepped,
     )
+
+
+def run_sequences(
+    paths, ensemble: RveEnsemble, max_halvings: int = 8
+) -> list[SequenceFields]:
+    """``run_sequence`` on each of ``paths``, stepped in lockstep.
+
+    Every increment advances all paths that have not ended with one
+    ``_step_fields`` call.  If that call fails, each path takes the
+    increment alone; a path whose step fails alone too leaves the batch
+    and is replayed with ``run_sequence``, which sub-steps and truncates it
+    on its own, while the others step on together.  The result equals
+    per-path ``run_sequence`` bit for bit (see the module docstring).
+    """
+    paths = list(paths)
+    lengths = [len(path) for path in paths]
+    gamma_out = [np.zeros((n, ensemble.d_gamma)) for n in lengths]
+    tau_out = [np.zeros((n, ensemble.d_tau)) for n in lengths]
+    replayed = {}
+
+    active = [i for i, n in enumerate(lengths) if n > 0]
+    state = PlasticState.initial((len(active), ensemble.n_matrix))
+    f_prev = np.broadcast_to(np.eye(3), (len(active), 3, 3))
+    t = 0
+    while active:
+        f_target = u_to_f(np.stack([paths[i].stretches[t] for i in active]))
+        f_macro = _interpolate(f_prev, f_target, 1.0)
+        # one concentrations @ v product per path
+        local = np.stack([ensemble.local_deformations(f) for f in f_macro])
+        try:
+            state, tau = _step_fields(ensemble, local, state)
+            failed = set()
+        except (InvalidDeformationError, RuntimeError):
+            state, tau, failed = _step_each(ensemble, local, state)
+            for row in failed:
+                i = active[row]
+                replayed[i] = run_sequence(paths[i], ensemble, max_halvings)
+        for row, i in enumerate(active):
+            gamma_out[i][t] = state.gamma[row]
+            tau_out[i][t] = tau[row]
+        f_prev = f_target
+        t += 1
+        going = [row for row, i in enumerate(active)
+                 if row not in failed and lengths[i] > t]
+        if len(going) < len(active):
+            active = [active[row] for row in going]
+            state = PlasticState(fp=state.fp[going], gamma=state.gamma[going])
+            f_prev = f_prev[going]
+
+    return [replayed[i] if i in replayed
+            else SequenceFields(gamma=gamma_out[i], tau=tau_out[i])
+            for i in range(len(paths))]
+
+
+def _step_each(ensemble: RveEnsemble, local, state: PlasticState):
+    """``_step_fields`` on each path of a batch alone.
+
+    Returns the new state, tau and the set of rows whose step failed; those
+    rows keep their old state and a zero tau.
+    """
+    fp, gamma = state.fp.copy(), state.gamma.copy()
+    tau = np.zeros(local.shape[:2])
+    failed = set()
+    for row in range(len(local)):
+        try:
+            new_state, tau[row] = _step_fields(
+                ensemble, local[row], PlasticState(fp=fp[row], gamma=gamma[row]))
+        except (InvalidDeformationError, RuntimeError):
+            failed.add(row)
+            continue
+        fp[row], gamma[row] = new_state.fp, new_state.gamma
+    return PlasticState(fp=fp, gamma=gamma), tau, failed

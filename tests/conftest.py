@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rvesurrogate import datastore as ds
+from rvesurrogate import micromodel as mm
 
 
 def synthetic_records(seed, n_records=30, d_gamma=16, d_tau=20,
@@ -33,3 +34,26 @@ def synthetic_records(seed, n_records=30, d_gamma=16, d_tau=20,
 def synthetic_packed():
     records = synthetic_records(seed=1234, n_records=36)
     return ds.pack_records(records, lengths=(24, 36))
+
+
+@pytest.fixture
+def plastic_increment_cap(monkeypatch):
+    """Install a matrix update that fails on large plastic increments.
+
+    ``install(cap)`` makes ``micromodel.matrix_update`` raise a
+    ``RuntimeError``, as a return mapping that does not converge, whenever a
+    point's plastic strain grows by more than ``cap`` in one call.  The
+    failure depends only on each point's own step, and splitting a macro
+    step into sub-steps cures it, so the steppers' sub-stepping runs.
+    """
+    def install(cap):
+        update = mm.matrix_update
+
+        def capped(f, state, params=mm.MATRIX_DEFAULTS):
+            tau, new_state = update(f, state, params)
+            if np.any(new_state.gamma - state.gamma > cap):
+                raise RuntimeError("plastic increment above the cap")
+            return tau, new_state
+
+        monkeypatch.setattr(mm, "matrix_update", capped)
+    return install

@@ -101,6 +101,12 @@ class TestActionableErrors:
         ("train", "n_h", 0),
         ("train", "trained_group_count", 3),  # > q = 2
         ("pca", "family", "foo"),
+        ("dataset", "lengths", [0]),
+        ("pca", "subsample_fraction", 0.0),
+        ("ensemble", "d_gamma", 8.5),
+        ("train", "n_epoch", "2"),
+        ("paths", "n_cyclic", -1),
+        ("train", "nnw_in", 70),
     ])
     def test_invalid_config_value_rejected_at_load(
             self, tmp_path, monkeypatch, capsys, section, key, value):
@@ -109,6 +115,19 @@ class TestActionableErrors:
         root = tmp_path / "root"
         assert run_main("all", root, cfg, tmp_path, monkeypatch) == 1
         assert f"{section}.{key}" in capsys.readouterr().err
+        assert not root.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, tmp_path, monkeypatch, capsys,
+                                     jobs):
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(cfg))
+        root = tmp_path / "root"
+        monkeypatch.setenv(cli.ROOT_ENV_VAR, str(root))
+        assert cli.main(["all", "--config", str(config_file),
+                         "--jobs", jobs]) == 1
+        assert "--jobs" in capsys.readouterr().err
         assert not root.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -124,18 +143,41 @@ class TestActionableErrors:
 
 
 class TestGenDataDeterminism:
-    def test_records_identical_across_jobs_and_reruns(self, tmp_path):
-        # 8 paths, so that two workers each take a chunk of four
+    def test_records_identical_across_jobs_and_reruns(self, tmp_path,
+                                                      monkeypatch):
+        # 8 paths: one lockstep batch, or batches of 3/3/2 spread over two
+        # and three workers
         cfg = tiny_config({"p": 4}, 2, (4, 2))
         cfg["paths"].update(n_random=6, n_cyclic=2)
         digests = []
-        for name, jobs in (("a", 1), ("b", 2), ("a", 1)):
+        for name, jobs, width in (("a", 1, 16), ("b", 2, 3), ("c", 3, 3),
+                                  ("a", 1, 16)):
+            monkeypatch.setattr(cli, "_LOCKSTEP_WIDTH", width)
             root = tmp_path / name
             cli.run_stage("gen-paths", cfg, root)
             cli.run_stage("gen-data", cfg, root, jobs=jobs)
             digests.append(cli.hash_tree(root / "dataset" / "records"))
         assert len(list((tmp_path / "a" / "dataset" / "records").iterdir())) == 8
-        assert digests[0] == digests[1] == digests[2]
+        assert digests[0] == digests[1] == digests[2] == digests[3]
+
+    def test_substepped_steps_identical_across_jobs_and_reruns(
+            self, tmp_path, plastic_increment_cap, monkeypatch):
+        # the first three walks are those of test_micromodel.capped_walks
+        plastic_increment_cap(0.005)
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        cfg["paths"]["n_random"] = 4
+        notes = []
+        for name, jobs, width in (("a", 1, 16), ("b", 2, 2), ("a", 1, 16)):
+            monkeypatch.setattr(cli, "_LOCKSTEP_WIDTH", width)
+            root = tmp_path / name
+            cli.run_stage("gen-paths", cfg, root)
+            cli.run_stage("gen-data", cfg, root, jobs=jobs)
+            notes.append(json.loads(
+                (root / "dataset" / "manifest.json").read_text())["notes"])
+        counts = [n["substepped_steps"] for n in notes]
+        assert counts[0] >= 2
+        assert counts[0] == counts[1] == counts[2]
+        assert all(n["truncated_sequences"] == 0 for n in notes)
 
 
 class TestEndToEnd:

@@ -381,6 +381,29 @@ class TestEnsemble:
             mm.build_ensemble(5, 5, 1.0, seed=0)
 
 
+def pathological_ensemble():
+    # a hand-built map drives matrix point 0 to det F <= 0 once the
+    # macro stretch exceeds 1/30
+    ens = mm.build_ensemble(4, 2, 0.0, seed=8)
+    ens.concentrations[0] = -30.0 * np.eye(4)
+    return ens
+
+
+def stretch_path(amplitude, n_steps=9):
+    amps = np.linspace(0.0, amplitude, n_steps)
+    u = np.stack([np.diag([1.0 + a, 1.0, 1.0]) for a in amps])
+    return pg.LoadingPath(u, pg.KIND_CYCLIC)
+
+
+def capped_walks():
+    # three 21-step walks; under a plastic increment cap of 0.005 the
+    # second and third need sub-steps, the first does not
+    return [pg.generate_random_path(pg.RandomWalkConfig(
+                delta_r=0.02, delta_r_min=5e-3, r_max=0.3, max_steps=20,
+                seed=(0, i)))
+            for i in range(3)]
+
+
 class TestRunSequence:
     def test_identity_path_all_zero(self):
         u = np.broadcast_to(np.eye(3), (10, 3, 3))
@@ -420,15 +443,22 @@ class TestRunSequence:
         assert np.all(diffs >= -1e-12)
 
     def test_truncation_on_invalid_local_state(self):
-        # a hand-built pathological map drives one point to det F <= 0
-        ens = mm.build_ensemble(4, 2, 0.0, seed=8)
-        ens.concentrations[0] = -30.0 * np.eye(4)
-        amps = np.linspace(0.0, 0.08, 9)
-        u = np.stack([np.diag([1.0 + a, 1.0, 1.0]) for a in amps])
-        path = pg.LoadingPath(u, pg.KIND_CYCLIC)
+        ens = pathological_ensemble()
+        path = stretch_path(0.08)
         fields = mm.run_sequence(path, ens)
         assert fields.truncated
         assert len(fields) < len(path)
+        assert fields.substepped_steps == 0
+
+    def test_substepping_counted(self, plastic_increment_cap):
+        path = capped_walks()[1]
+        ens = mm.build_ensemble(8, 2, 0.3, seed=0)
+        plain = mm.run_sequence(path, ens)
+        plastic_increment_cap(0.005)
+        fields = mm.run_sequence(path, ens)
+        assert plain.substepped_steps == 0
+        assert fields.substepped_steps >= 2
+        assert not fields.truncated and len(fields) == len(path)
 
     def test_field_dimensions(self):
         path = pg.generate_cyclic_path(seed=14, n_reversals=1,
@@ -466,3 +496,70 @@ class TestRunSequence:
         assert gamma.max() > 0.0
         assert np.array_equal(fields.gamma, gamma)
         assert np.array_equal(fields.tau, tau)
+
+
+class TestRunSequences:
+    """Lockstep stepping equals per-path ``run_sequence`` bit for bit."""
+
+    @staticmethod
+    def assert_per_path(paths, ens):
+        got = mm.run_sequences(paths, ens)
+        assert len(got) == len(paths)
+        for path, fields in zip(paths, got):
+            want = mm.run_sequence(path, ens)
+            assert np.array_equal(fields.gamma, want.gamma)
+            assert np.array_equal(fields.tau, want.tau)
+            assert fields.truncated == want.truncated
+            assert fields.substepped_steps == want.substepped_steps
+        return got
+
+    def test_paths_of_different_lengths(self):
+        # the active set shrinks as the shorter paths end; on these cyclic
+        # paths a trial F built as f_target, not f_prev + 1 * (f_target -
+        # f_prev), moves tau by about 1e-12
+        paths = [pg.generate_cyclic_path(seed=(0, i, 2), n_reversals=3,
+                                         amplitude_max=0.08, step_size=0.005)
+                 for i in range(3)]
+        paths.append(pg.LoadingPath(np.eye(3)[None], pg.KIND_RANDOM_WALK))
+        assert len({len(p) for p in paths}) == len(paths)
+        got = self.assert_per_path(paths, mm.build_ensemble(20, 8, 0.3, seed=1))
+        assert min(f.gamma.max() for f in got[:3]) > 0.0
+
+    @staticmethod
+    def replayed(monkeypatch, paths, ens):
+        """Indices of the paths that ``run_sequences`` replays alone."""
+        calls = []
+        replay = mm.run_sequence
+
+        def counted(path, *args):
+            calls.append(next(i for i, p in enumerate(paths) if p is path))
+            return replay(path, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(mm, "run_sequence", counted)
+            mm.run_sequences(paths, ens)
+        return calls
+
+    def test_truncating_path_in_a_mixed_batch(self, monkeypatch):
+        # the large stretch fails the batch at step 4, after the third
+        # path has ended; it alone is replayed, the first steps on
+        paths = [stretch_path(0.02), stretch_path(0.08), stretch_path(0.03, 3)]
+        ens = pathological_ensemble()
+        got = self.assert_per_path(paths, ens)
+        assert [f.truncated for f in got] == [False, True, False]
+        assert [len(f) for f in got] == [9, 4, 3]
+        assert self.replayed(monkeypatch, paths, ens) == [1]
+
+    def test_substepping_in_a_batch(self, plastic_increment_cap, monkeypatch):
+        plastic_increment_cap(0.005)
+        paths = capped_walks()
+        ens = mm.build_ensemble(8, 2, 0.3, seed=0)
+        got = self.assert_per_path(paths, ens)
+        assert sum(f.substepped_steps for f in got) >= 2
+        # only the paths that need sub-steps leave the batch
+        needs = [i for i, f in enumerate(got) if f.substepped_steps]
+        assert 0 < len(needs) < len(paths)
+        assert sorted(self.replayed(monkeypatch, paths, ens)) == needs
+
+    def test_empty_list(self):
+        assert mm.run_sequences([], mm.build_ensemble(4, 2, 0.3, seed=0)) == []
