@@ -156,6 +156,7 @@ def validate_config(cfg: dict) -> None:
         raise StageError(f"pca.family must be one of {families}")
     if not 0.0 < cfg["pca"].get("subsample_fraction", 1.0) <= 1.0:
         raise StageError("pca.subsample_fraction must lie in (0, 1]")
+    _check_pca(cfg)
     t = cfg["train"]
     if t["kind"] not in sg.KINDS:
         raise StageError(f"train.kind must be one of {sg.KINDS}")
@@ -175,6 +176,35 @@ def validate_config(cfg: dict) -> None:
         )
     _from_config(sg.Architecture, cfg, _ARCH_FIELDS)
     _train_config(cfg)
+    _check_trial(cfg.get("trial", {}))
+
+
+def _check_pca(cfg: dict) -> None:
+    """``pca.p`` and ``pca.delta``: at most one, each in range.
+
+    Setting neither is left to ``pca-fit``; stages of kind I need no PCA.
+    """
+    p, delta = cfg["pca"].get("p"), cfg["pca"].get("delta")
+    if p is not None and delta is not None:
+        raise StageError("give exactly one of pca.p and pca.delta, not both")
+    e = cfg["ensemble"]
+    family = cfg["pca"].get("family", ds.FAMILY_GAMMA)
+    d = e["d_gamma"] + (e["n_fiber"] if family == ds.FAMILY_TAU else 0)
+    if p is not None and not 1 <= p <= d:
+        raise StageError(f"pca.p must lie in [1, {d}], the field dimension of "
+                         f"the {family!r} family")
+    if delta is not None and not 0.0 <= delta < 1.0:
+        raise StageError("pca.delta must lie in [0, 1)")
+
+
+def _check_trial(t: dict) -> None:
+    for key in ("target_p", "start_n_h", "increment", "epoch_budget",
+                "max_trials"):
+        if t.get(key, 1) < 1:
+            raise StageError(f"trial.{key} must be >= 1")
+    if "nnw_in" in t and len(t["nnw_in"]) < 2:
+        raise StageError("trial.nnw_in must list the input width and at "
+                         "least one layer width")
 
 
 def _is_a(value, types) -> bool:
@@ -328,18 +358,13 @@ def stage_gen_paths(cfg: dict, root: Path) -> None:
 # ---------------------------------------------------------------------------
 # stage: gen-data
 
+# what every gen-data worker reads; filled before the pool forks
 _WORKER = {}
 
 # paths per lockstep batch of gen-data: a constant, so the batches do not
 # depend on --jobs, and it bounds a batch's working set; the kernel cost
 # per point-step barely falls past 16 paths
 _LOCKSTEP_WIDTH = 16
-
-
-def _init_worker(ensemble, blocks, kinds):
-    _WORKER["ensemble"] = ensemble
-    _WORKER["blocks"] = blocks
-    _WORKER["kinds"] = kinds
 
 
 def _run_paths(indices) -> tuple[list[ds.SequenceRecord], int]:
@@ -372,12 +397,9 @@ def stage_gen_data(cfg: dict, root: Path, jobs: int = 1) -> None:
     batches = [range(i, min(i + _LOCKSTEP_WIDTH, n))
                for i in range(0, n, _LOCKSTEP_WIDTH)]
     workers = min(jobs, len(batches))
-    _init_worker(ensemble, blocks, kinds)
+    _WORKER.update(ensemble=ensemble, blocks=blocks, kinds=kinds)
     if workers > 1:
-        with get_context("fork").Pool(
-            workers, initializer=_init_worker,
-            initargs=(ensemble, blocks, kinds)
-        ) as pool:
+        with get_context("fork").Pool(workers) as pool:
             results = pool.map(_run_paths, batches, chunksize=1)
     else:
         results = [_run_paths(batch) for batch in batches]
@@ -436,8 +458,11 @@ def _load_packed(cfg: dict, root: Path) -> ds.PackedDataset:
 
 
 def stage_pca_fit(cfg: dict, root: Path) -> None:
-    packed = _load_packed(cfg, root)
     p = cfg["pca"]
+    if p.get("p") is None and p.get("delta") is None:
+        raise StageError("pca-fit needs pca.p (the retained dimension) or "
+                         "pca.delta (the residual eigenvalue fraction)")
+    packed = _load_packed(cfg, root)
     family = p.get("family", ds.FAMILY_GAMMA)
     snaps = np.concatenate(
         [r.outputs(family) for r in packed.all_records()], axis=0
@@ -486,7 +511,8 @@ def _train_setup(cfg: dict, root: Path):
     if kind != sg.KIND_DIRECT:
         pca_file = require_artifact(root / "pca" / f"pca_{family}.bin", "pca-fit")
         pca_model = pcalib.load(pca_file)
-        p_retained = cfg["pca"].get("p", pca_model.retained_p)
+        # pca.p may be given as null next to pca.delta
+        p_retained = cfg["pca"].get("p") or pca_model.retained_p
         q = t.get("q", 1) if kind == sg.KIND_BROKEN_DOWN else 1
         if t["nnw_out"][-1] * q != p_retained:
             raise StageError(
@@ -496,7 +522,7 @@ def _train_setup(cfg: dict, root: Path):
                 "set train.nnw_out[-1] = pca.p / train.q"
             )
     arch = _from_config(sg.Architecture, cfg, _ARCH_FIELDS)
-    bundle = sg.build_surrogate(
+    bundle = sg.SurrogateBundle(
         kind, arch, q=t.get("q", 1),
         trained_group_count=t.get("trained_group_count"),
         pca=pca_model, p=p_retained, family=family, seed=t.get("seed", 0),
@@ -543,20 +569,13 @@ def stage_trial(cfg: dict, root: Path) -> None:
     pca_file = require_artifact(root / "pca" / f"pca_{family}.bin", "pca-fit")
     pca_model = pcalib.load(pca_file)
     t = cfg.get("trial", {})
-    report = sg.hidden_size_trial(
-        packed, pca_model,
-        target_p=t.get("target_p", min(pca_model.retained_p, 10)),
-        start_n_h=t.get("start_n_h", 16),
-        increment=t.get("increment", 16),
-        epoch_budget=t.get("epoch_budget", 200),
-        max_trials=t.get("max_trials", 3),
-        threshold=t.get("threshold", 0.9),
-        family=family,
-        nnw_in=tuple(t.get("nnw_in", (3, 70))),
-        nnw_out=tuple(t.get("nnw_out", (30,))),
-        learning_rate=t.get("learning_rate", 1e-3),
-        seed=t.get("seed", 0),
-    )
+    if t.get("target_p", 1) > pca_model.retained_p:
+        raise StageError(
+            f"trial.target_p = {t['target_p']} exceeds the "
+            f"{pca_model.retained_p} components that pca-fit retained"
+        )
+    # the config keys are hidden_size_trial's parameters, defaults and all
+    report = sg.hidden_size_trial(packed, pca_model, family=family, **t)
     stage_dir = root / "trial"
     stage_dir.mkdir(parents=True, exist_ok=True)
     ds.write_json(stage_dir / "trial_report.json", report.to_dict())
@@ -646,7 +665,13 @@ def dataset_stats(directory) -> str:
     return "\n".join(lines)
 
 
+def _check_gamma_crit(gamma_crit) -> None:
+    if gamma_crit is not None and gamma_crit <= 0.0:
+        raise StageError(f"--gamma-crit must be positive, got {gamma_crit}")
+
+
 def dataset_trim(src, dst, gamma_crit: float) -> int:
+    _check_gamma_crit(gamma_crit)
     records = _read_records(src)
     kept = []
     for rec in records:
@@ -661,6 +686,9 @@ def dataset_trim(src, dst, gamma_crit: float) -> int:
 
 
 def dataset_pack(src, dst, lengths, gamma_crit: float | None) -> dict:
+    if min(lengths) < 1:
+        raise StageError(f"--lengths must be >= 1, got {lengths}")
+    _check_gamma_crit(gamma_crit)
     records = _read_records(src)
     packed = ds.pack_records(records, lengths=lengths, gamma_crit=gamma_crit)
     ds.write_dataset(dst, packed.all_records(), manifest={

@@ -22,16 +22,19 @@ Per loading step the ensemble emits the equivalent-plastic-strain field over
 the matrix points and the von Mises equivalent Kirchhoff stress field over
 all points.
 
-Batch independence: ``matrix_update`` and ``fiber_stress`` do the same
-floating-point operations on a point whatever batch it sits in.  The return
-mapping's Newton iteration freezes converged points and the closed-form
-Jacobi rotation turns the entries that need no second rotation by exactly
-zero.  So ``run_sequences`` may step many paths through one call per
-increment and still equal ``run_sequence`` path by path, bit for bit,
-given two rules:
+Stepping: ``run_sequences`` is the one stepper.  It advances a batch of
+paths through one ``_step_fields`` call per increment; when that call
+fails, each path takes the increment alone, split into sub-steps as it
+needs, and steps on in the batch from its new state.  ``matrix_update`` and
+``fiber_stress`` do the same floating-point operations on a point whatever
+batch it sits in: the return mapping's Newton iteration freezes converged
+points and the closed-form Jacobi rotation turns the entries that need no
+second rotation by exactly zero.  So a path's fields do not depend, bit for
+bit, on which paths share its batch or on whether it stepped alone, given
+two rules:
 
 * the trial F of a macro step is ``f_prev + 1 * (f_target - f_prev)``, the
-  expression ``run_sequence`` sub-steps with; it is not ``f_target`` in
+  expression the sub-steps are built with; it is not ``f_target`` in
   floating point and moves tau by about 1e-12;
 * the local deformations come from one ``concentrations @ v`` product per
   path; one product over all paths' ``v`` at once sums in another order
@@ -58,6 +61,7 @@ _NEWTON_TOL_FACTOR = 1e-12   # on |residual| relative to the initial yield stres
 _NEWTON_MAX_ITER = 50
 _BISECT_MAX_ITER = 200
 _DET_FP_DRIFT_TOL = 1e-6
+_MAX_HALVINGS = 8           # a failed macro step takes up to 2**8 sub-steps
 
 
 class InvalidDeformationError(ValueError):
@@ -428,81 +432,53 @@ def _step_fields(ensemble: RveEnsemble, local, state: PlasticState):
 def _interpolate(f_prev, f_target, fraction):
     """Macro F a ``fraction`` of the way from ``f_prev`` to ``f_target``.
 
-    At ``fraction == 1`` this is not ``f_target`` in floating point; both
-    steppers build every trial F with it, so they agree bit for bit.
+    At ``fraction == 1`` this is not ``f_target`` in floating point; the
+    batched step and the lone sub-steps build every trial F with it, so a
+    path's fields do not depend on which of them advanced it.
     """
     return f_prev + fraction * (f_target - f_prev)
 
 
-def run_sequence(
-    path: LoadingPath, ensemble: RveEnsemble, max_halvings: int = 8
-) -> SequenceFields:
-    """Evolve the ensemble along a loading path and collect field histories.
+def _step_alone(ensemble: RveEnsemble, f_prev, f_target, state: PlasticState):
+    """One path's macro step, split into 1, 2, ..., 2**_MAX_HALVINGS sub-steps.
 
-    Each macro step is attempted in one increment; on constitutive failure
-    the increment is retried with 2, 4, ..., 2**max_halvings linear
-    sub-steps.  If the target state itself is invalid the sequence is
-    truncated at the last converged step and flagged.
+    Returns ``(state, tau, halvings)`` of the first split that converges,
+    or ``None`` when none does.
     """
-    n_steps = len(path)
-    gamma_out = np.zeros((n_steps, ensemble.d_gamma))
-    tau_out = np.zeros((n_steps, ensemble.d_tau))
-
-    state = PlasticState.initial((ensemble.n_matrix,))
-    f_prev = np.eye(3)
-    truncated = False
-    substepped = 0
-    kept = 0
-    for t in range(n_steps):
-        f_target = u_to_f(path.stretches[t])
-        done = False
-        for halving in range(max_halvings + 1):
-            n_sub = 2**halving
-            trial_state = state
-            try:
-                for j in range(1, n_sub + 1):
-                    local = ensemble.local_deformations(
-                        _interpolate(f_prev, f_target, j / n_sub))
-                    trial_state, tau_f = _step_fields(ensemble, local, trial_state)
-            except (InvalidDeformationError, RuntimeError):
-                continue
-            state = trial_state
-            gamma_out[t] = state.gamma
-            tau_out[t] = tau_f
-            f_prev = f_target
-            kept = t + 1
-            substepped += halving > 0
-            done = True
-            break
-        if not done:
-            truncated = True
-            break
-
-    return SequenceFields(
-        gamma=gamma_out[:kept],
-        tau=tau_out[:kept],
-        truncated=truncated,
-        substepped_steps=substepped,
-    )
+    for halving in range(_MAX_HALVINGS + 1):
+        n_sub = 2**halving
+        trial = state
+        try:
+            for j in range(1, n_sub + 1):
+                local = ensemble.local_deformations(
+                    _interpolate(f_prev, f_target, j / n_sub))
+                trial, tau = _step_fields(ensemble, local, trial)
+        except (InvalidDeformationError, RuntimeError):
+            continue
+        return trial, tau, halving
+    return None
 
 
-def run_sequences(
-    paths, ensemble: RveEnsemble, max_halvings: int = 8
-) -> list[SequenceFields]:
-    """``run_sequence`` on each of ``paths``, stepped in lockstep.
+def run_sequence(path: LoadingPath, ensemble: RveEnsemble) -> SequenceFields:
+    """``run_sequences`` on one path."""
+    return run_sequences([path], ensemble)[0]
+
+
+def run_sequences(paths, ensemble: RveEnsemble) -> list[SequenceFields]:
+    """Evolve the ensemble along each of ``paths`` and collect field histories.
 
     Every increment advances all paths that have not ended with one
-    ``_step_fields`` call.  If that call fails, each path takes the
-    increment alone; a path whose step fails alone too leaves the batch
-    and is replayed with ``run_sequence``, which sub-steps and truncates it
-    on its own, while the others step on together.  The result equals
-    per-path ``run_sequence`` bit for bit (see the module docstring).
+    ``_step_fields`` call.  If that call fails, each of them takes the
+    increment alone with ``_step_alone`` and steps on in the batch from its
+    new state; a path whose step no split cures is truncated at its last
+    converged step, flagged, and leaves the batch.
     """
     paths = list(paths)
     lengths = [len(path) for path in paths]
     gamma_out = [np.zeros((n, ensemble.d_gamma)) for n in lengths]
     tau_out = [np.zeros((n, ensemble.d_tau)) for n in lengths]
-    replayed = {}
+    kept = list(lengths)
+    substepped = [0] * len(paths)
 
     active = [i for i, n in enumerate(lengths) if n > 0]
     state = PlasticState.initial((len(active), ensemble.n_matrix))
@@ -513,14 +489,23 @@ def run_sequences(
         f_macro = _interpolate(f_prev, f_target, 1.0)
         # one concentrations @ v product per path
         local = np.stack([ensemble.local_deformations(f) for f in f_macro])
+        failed = set()
         try:
             state, tau = _step_fields(ensemble, local, state)
-            failed = set()
         except (InvalidDeformationError, RuntimeError):
-            state, tau, failed = _step_each(ensemble, local, state)
-            for row in failed:
-                i = active[row]
-                replayed[i] = run_sequence(paths[i], ensemble, max_halvings)
+            fp, gamma = state.fp.copy(), state.gamma.copy()
+            tau = np.zeros((len(active), ensemble.d_tau))
+            for row, i in enumerate(active):
+                alone = _step_alone(ensemble, f_prev[row], f_target[row],
+                                    PlasticState(fp=fp[row], gamma=gamma[row]))
+                if alone is None:
+                    failed.add(row)
+                    kept[i] = t
+                    continue
+                new_state, tau[row], halvings = alone
+                fp[row], gamma[row] = new_state.fp, new_state.gamma
+                substepped[i] += halvings > 0
+            state = PlasticState(fp=fp, gamma=gamma)
         for row, i in enumerate(active):
             gamma_out[i][t] = state.gamma[row]
             tau_out[i][t] = tau[row]
@@ -533,26 +518,7 @@ def run_sequences(
             state = PlasticState(fp=state.fp[going], gamma=state.gamma[going])
             f_prev = f_prev[going]
 
-    return [replayed[i] if i in replayed
-            else SequenceFields(gamma=gamma_out[i], tau=tau_out[i])
-            for i in range(len(paths))]
-
-
-def _step_each(ensemble: RveEnsemble, local, state: PlasticState):
-    """``_step_fields`` on each path of a batch alone.
-
-    Returns the new state, tau and the set of rows whose step failed; those
-    rows keep their old state and a zero tau.
-    """
-    fp, gamma = state.fp.copy(), state.gamma.copy()
-    tau = np.zeros(local.shape[:2])
-    failed = set()
-    for row in range(len(local)):
-        try:
-            new_state, tau[row] = _step_fields(
-                ensemble, local[row], PlasticState(fp=fp[row], gamma=gamma[row]))
-        except (InvalidDeformationError, RuntimeError):
-            failed.add(row)
-            continue
-        fp[row], gamma[row] = new_state.fp, new_state.gamma
-    return PlasticState(fp=fp, gamma=gamma), tau, failed
+    return [SequenceFields(gamma=gamma_out[i][:n], tau=tau_out[i][:n],
+                           truncated=n < lengths[i],
+                           substepped_steps=substepped[i])
+            for i, n in enumerate(kept)]

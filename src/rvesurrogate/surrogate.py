@@ -124,10 +124,11 @@ class EvaluationReport:
 class SurrogateBundle:
     """Normalization specs, optional PCA and the RNN(s) of one surrogate."""
 
-    def __init__(self, kind, family, arch: Architecture, q: int,
+    def __init__(self, kind, arch: Architecture, q: int = 1,
                  trained_group_count: int | None = None,
                  pca: pcalib.PcaModel | None = None, p: int | None = None,
-                 seed: int = 0, h0: float = nn.DEFAULT_H0):
+                 family: str = ds.FAMILY_GAMMA, seed: int = 0,
+                 h0: float = nn.DEFAULT_H0):
         if kind not in KINDS:
             raise ValueError(f"unknown surrogate kind {kind!r}")
         if kind == KIND_DIRECT:
@@ -501,17 +502,6 @@ class SurrogateBundle:
         return bundle
 
 
-def build_surrogate(kind, arch: Architecture, q: int = 1,
-                    trained_group_count: int | None = None,
-                    pca: pcalib.PcaModel | None = None, p: int | None = None,
-                    family: str = ds.FAMILY_GAMMA, seed: int = 0) -> SurrogateBundle:
-    """Construct an initialized surrogate bundle (not yet trained)."""
-    return SurrogateBundle(
-        kind=kind, family=family, arch=arch, q=q,
-        trained_group_count=trained_group_count, pca=pca, p=p, seed=seed,
-    )
-
-
 @dataclass
 class TrialResult:
     n_h: int
@@ -541,11 +531,11 @@ class TrialReport:
 def hidden_size_trial(
     dataset: ds.PackedDataset,
     pca_model: pcalib.PcaModel,
-    target_p: int,
-    start_n_h: int = 100,
-    increment: int = 100,
+    target_p: int | None = None,
+    start_n_h: int = 16,
+    increment: int = 16,
     epoch_budget: int = 200,
-    max_trials: int = 4,
+    max_trials: int = 3,
     threshold: float = 0.9,
     family: str = ds.FAMILY_GAMMA,
     nnw_in=(3, 70),
@@ -558,11 +548,13 @@ def hidden_size_trial(
     """Hidden-size search on a single-coefficient RNN.
 
     Trains one RNN whose unique output is the normalized coefficient of
-    principal component ``target_p`` (1-indexed, spectral order) for
-    ``epoch_budget`` mini-batches, scores how well the predicted coefficient
+    principal component ``target_p`` (1-indexed, spectral order; by default
+    the 10th, or the last retained if fewer) for ``epoch_budget`` mini-batches, scores how well the predicted coefficient
     traces track the reference on held-out sequences (Pearson correlation),
     and grows the hidden size until the score passes the threshold.
     """
+    if target_p is None:
+        target_p = min(pca_model.retained_p, 10)
     if target_p < 1 or target_p > pca_model.retained_p:
         raise ValueError(
             f"target_p={target_p} outside the retained range 1..{pca_model.retained_p}"

@@ -2,8 +2,10 @@
 
 A public module-level function or class, or a public method or property,
 must be referenced by name (an ``ast.Name`` or ``ast.Attribute``) in
-``src/`` or ``perfbench/`` outside its own definition.  The scan cannot see
-dunder methods, which Python calls implicitly.
+``src/`` or ``perfbench/`` outside its own definition.  A string constant
+under ``perfbench/`` counts too: the benchmark names the attributes it wraps
+as strings.  The scan cannot see dunder methods, which Python calls
+implicitly.
 """
 
 import ast
@@ -33,14 +35,18 @@ def public_definitions():
 
 
 def references():
-    """``(file, name, line)`` of every name and attribute in src/ and perfbench/."""
-    for path in sorted((ROOT / "src").rglob("*.py")) + sorted(
-            (ROOT / "perfbench").rglob("*.py")):
+    """``(file, name, line)`` of every name and attribute in src/ and
+    perfbench/, and of every string constant in perfbench/."""
+    bench = sorted((ROOT / "perfbench").rglob("*.py"))
+    for path in sorted((ROOT / "src").rglob("*.py")) + bench:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 yield path, node.id, node.lineno
             elif isinstance(node, ast.Attribute):
                 yield path, node.attr, node.lineno
+            elif isinstance(node, ast.Constant) and path in bench \
+                    and isinstance(node.value, str):
+                yield path, node.value, node.lineno
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():

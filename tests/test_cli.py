@@ -59,6 +59,15 @@ class TestTrainHeadCoversPca:
         with pytest.raises(cli.StageError, match="train.q"):
             cli.run_stage("train", cfg, dataset_root)
 
+    def test_null_p_next_to_delta_trains(self, dataset_root):
+        cfg = tiny_config({"p": None, "delta": 1e-2}, 1, (4, 1))
+        cli.run_stage("pca-fit", cfg, dataset_root)
+        p = pcalib.load(dataset_root / "pca" / "pca_gamma.bin").retained_p
+        cfg["train"]["nnw_out"] = [4, p]
+        cli.validate_config(cfg)
+        cli.run_stage("train", cfg, dataset_root)
+        assert (dataset_root / "bundle" / "bundle.json").exists()
+
     def test_matching_head_trains(self, dataset_root):
         cfg = tiny_config({"p": 4}, 2, (4, 2))
         for stage in ("pca-fit", "train"):
@@ -107,15 +116,57 @@ class TestActionableErrors:
         ("train", "n_epoch", "2"),
         ("paths", "n_cyclic", -1),
         ("train", "nnw_in", 70),
+        ("pca", "p", 1000),
+        ("pca", "p", -2),
+        ("pca", "p", 10),  # > d_gamma = 8
+        ("pca", "delta", 0.1),  # next to pca.p
+        ("trial", "target_p", 0),
+        ("trial", "start_n_h", 0),
+        ("trial", "increment", 0),
+        ("trial", "epoch_budget", 0),
+        ("trial", "max_trials", 0),
+        ("trial", "nnw_in", [3]),
     ])
     def test_invalid_config_value_rejected_at_load(
             self, tmp_path, monkeypatch, capsys, section, key, value):
         cfg = tiny_config({"p": 4}, 2, (4, 2))
-        cfg[section][key] = value
+        cfg.setdefault(section, {})[key] = value
         root = tmp_path / "root"
         assert run_main("all", root, cfg, tmp_path, monkeypatch) == 1
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not root.exists()
+
+    @pytest.mark.parametrize("pca, key", [
+        ({"delta": 1.5}, "pca.delta"),
+        ({"delta": -1.0}, "pca.delta"),
+        ({"p": 11, "family": "tau"}, "pca.p"),  # > d_gamma + n_fiber = 10
+    ])
+    def test_invalid_pca_value_rejected_at_load(
+            self, tmp_path, monkeypatch, capsys, pca, key):
+        cfg = tiny_config({}, 1, (4, 1))
+        cfg["pca"].update(pca)
+        root = tmp_path / "root"
+        assert run_main("all", root, cfg, tmp_path, monkeypatch) == 1
+        assert key in capsys.readouterr().err
+        assert not root.exists()
+
+    def test_pca_fit_needs_p_or_delta(self, dataset_root, tmp_path,
+                                      monkeypatch, capsys):
+        # kind I stages run without either key, so only pca-fit rejects it
+        cfg = tiny_config({}, 1, (4, 1))
+        cli.validate_config(cfg)
+        assert run_main("pca-fit", dataset_root, cfg, tmp_path,
+                        monkeypatch) == 1
+        err = capsys.readouterr().err
+        assert "pca.p" in err and "pca.delta" in err
+
+    def test_trial_target_beyond_retained_p(self, dataset_root, tmp_path,
+                                            monkeypatch, capsys):
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        cli.run_stage("pca-fit", cfg, dataset_root)
+        cfg["trial"] = {"target_p": 5}
+        assert run_main("trial", dataset_root, cfg, tmp_path, monkeypatch) == 1
+        assert "trial.target_p" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_rejected(self, tmp_path, monkeypatch, capsys,
@@ -140,6 +191,32 @@ class TestActionableErrors:
         assert cli.main(["dataset", argv[0], *paths, *argv[1:]]) == 1
         err = capsys.readouterr().err
         assert "no records under" in err and "gen-data" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["trim", "--gamma-crit", "0"], "--gamma-crit"),
+        (["pack", "--lengths", "0"], "--lengths"),
+        (["pack", "--lengths", "8", "--gamma-crit", "-1"], "--gamma-crit"),
+    ])
+    def test_dataset_command_bad_flag(self, dataset_root, tmp_path, capsys,
+                                      argv, flag):
+        dest = tmp_path / "out"
+        assert cli.main(["dataset", argv[0], str(dataset_root / "dataset"),
+                         str(dest), *argv[1:]]) == 1
+        assert flag in capsys.readouterr().err
+        assert not dest.exists()
+
+
+class TestTrialStage:
+    def test_defaults_are_those_of_hidden_size_trial(self, dataset_root):
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        cfg["trial"] = {"epoch_budget": 2, "max_trials": 1}
+        cli.validate_config(cfg)
+        cli.run_stage("pca-fit", cfg, dataset_root)
+        cli.run_stage("trial", cfg, dataset_root)
+        report = json.loads(
+            (dataset_root / "trial" / "trial_report.json").read_text())
+        assert report["target_p"] == 4  # min(retained p, 10)
+        assert [t["n_h"] for t in report["trials"]] == [16]
 
 
 class TestGenDataDeterminism:

@@ -57,36 +57,36 @@ class TestBuild:
         # 18 RNNs over p=180 in blocks of 10 (uses a wide fake PCA)
         fake = pcalib.PcaModel(np.zeros(1607), np.ones(1607), np.eye(1607)[:, :180])
         arch = sg.Architecture(nnw_in=(3, 70), n_h=400, nnw_out=(100, 10))
-        bundle = sg.build_surrogate("III", arch, q=18, pca=fake, p=180)
+        bundle = sg.SurrogateBundle("III", arch, q=18, pca=fake, p=180)
         assert len(bundle.models) == 18
         assert bundle.group_map[0] == (0, 10)
         assert bundle.group_map[-1] == (170, 180)
 
     def test_direct_kind_output_matches_field_dim(self):
         arch = sg.Architecture(nnw_in=(3, 70), n_h=100, nnw_out=(800, 1607))
-        bundle = sg.build_surrogate("I", arch)
+        bundle = sg.SurrogateBundle("I", arch)
         assert bundle.models[0].n_outputs == 1607
         assert bundle.field_dim == 1607
 
     def test_partial_training_groups(self, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.build_surrogate("III", arch, q=4, trained_group_count=2,
+        bundle = sg.SurrogateBundle("III", arch, q=4, trained_group_count=2,
                                     pca=gamma_pca, p=8)
         assert bundle.trained_groups == [0, 1]
 
     def test_arch_mismatch_rejected(self, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 3))
         with pytest.raises(ValueError, match="p/Q"):
-            sg.build_surrogate("III", arch, q=4, pca=gamma_pca, p=8)
+            sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8)
 
     def test_kind_i_rejects_pca(self, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 16))
         with pytest.raises(ValueError, match="no PCA"):
-            sg.build_surrogate("I", arch, pca=gamma_pca)
+            sg.SurrogateBundle("I", arch, pca=gamma_pca)
 
     def test_parameter_report(self, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.build_surrogate("III", arch, q=4, pca=gamma_pca, p=8)
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8)
         desc = bundle.describe()
         per = nn.count_parameters(bundle.models[0])
         assert desc["parameters_total"] == 4 * per
@@ -105,14 +105,14 @@ class TestTraining:
             records.append(ds.SequenceRecord(x, fields, np.abs(fields)))
         packed = ds.pack_records(records, lengths=(16,))
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(8, 4))
-        bundle = sg.build_surrogate("I", arch, seed=1)
+        bundle = sg.SurrogateBundle("I", arch, seed=1)
         hist = bundle.train(packed, quick_config(
             n_batches=200, learning_rate=1e-2, n_epoch=10, batch_size=8))
         assert hist.losses[-20:].mean() < 1e-4
 
     def test_loss_history_shape(self, synthetic_packed, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.build_surrogate("III", arch, q=4, pca=gamma_pca, p=8, seed=2)
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8, seed=2)
         hist = bundle.train(synthetic_packed, quick_config(n_batches=10))
         assert hist.losses.shape == (10, 4)
         assert not hist.aborted
@@ -120,15 +120,15 @@ class TestTraining:
 
     def test_reproducible_loss_history(self, synthetic_packed, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        a = sg.build_surrogate("III", arch, q=4, pca=gamma_pca, p=8, seed=2)
-        b = sg.build_surrogate("III", arch, q=4, pca=gamma_pca, p=8, seed=2)
+        a = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8, seed=2)
+        b = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8, seed=2)
         ha = a.train(synthetic_packed, quick_config(n_batches=15))
         hb = b.train(synthetic_packed, quick_config(n_batches=15))
         assert np.array_equal(ha.losses, hb.losses)
 
     def test_untrained_groups_parameters_frozen(self, synthetic_packed, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.build_surrogate("III", arch, q=4, trained_group_count=2,
+        bundle = sg.SurrogateBundle("III", arch, q=4, trained_group_count=2,
                                     pca=gamma_pca, p=8, seed=3)
         before = [state_bytes(bundle.models[gi]) for gi in (2, 3)]
         trained_before = state_bytes(bundle.models[0])
@@ -140,7 +140,7 @@ class TestTraining:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_divergence_aborts_with_checkpoint(self, synthetic_packed, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.build_surrogate("III", arch, q=4, pca=gamma_pca, p=8, seed=4)
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8, seed=4)
         # absurd learning rate overflows the loss inside the first batch's
         # second epoch, so the abort restores the pre-batch parameters
         cfg = quick_config(n_batches=50, learning_rate=1e200, n_epoch=2)
@@ -155,8 +155,8 @@ class TestKindEquivalence:
     def test_ii_equals_iii_with_single_group(self, synthetic_packed, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 8))
         cfg = quick_config(n_batches=30, seed=11)
-        b2 = sg.build_surrogate("II", arch, pca=gamma_pca, p=8, seed=6)
-        b3 = sg.build_surrogate("III", arch, q=1, pca=gamma_pca, p=8, seed=6)
+        b2 = sg.SurrogateBundle("II", arch, pca=gamma_pca, p=8, seed=6)
+        b3 = sg.SurrogateBundle("III", arch, q=1, pca=gamma_pca, p=8, seed=6)
         h2 = b2.train(synthetic_packed, cfg)
         h3 = b3.train(synthetic_packed, cfg)
         assert np.array_equal(h2.losses, h3.losses)
@@ -169,7 +169,7 @@ class TestKindEquivalence:
 class TestPrediction:
     def test_zero_strain_near_zero_fields(self, synthetic_packed, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.build_surrogate("III", arch, q=4, pca=gamma_pca, p=8, seed=8)
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8, seed=8)
         bundle.train(synthetic_packed, quick_config(n_batches=150))
         pred = bundle.predict_fields(np.zeros((20, 3)))
         scale = max(abs(float(bundle.field_norm.maximum.max())), 1e-12)
@@ -181,7 +181,7 @@ class TestPrediction:
         # no trained groups: predictions collapse to the training-mean field,
         # so the error reproduces the variance-of-targets baseline
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.build_surrogate("III", arch, q=4, trained_group_count=0,
+        bundle = sg.SurrogateBundle("III", arch, q=4, trained_group_count=0,
                                     pca=gamma_pca, p=8, seed=9)
         bundle.fit_normalization(synthetic_packed)
         report = bundle.evaluate(synthetic_packed)
@@ -194,7 +194,7 @@ class TestPrediction:
 
     def test_requires_training(self, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.build_surrogate("III", arch, q=4, pca=gamma_pca, p=8)
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8)
         with pytest.raises(ValueError, match="trained"):
             bundle.predict_fields(np.zeros((4, 3)))
 
@@ -204,7 +204,7 @@ class TestEvaluate:
         class Oracle(sg.SurrogateBundle):
             def __init__(self, packed):
                 arch = sg.Architecture(nnw_in=(3, 4), n_h=4, nnw_out=(4, 16))
-                super().__init__("I", ds.FAMILY_GAMMA, arch, q=1)
+                super().__init__("I", arch)
                 self.fit_normalization(packed)
                 self._lookup = {
                     self.input_norm.normalize(r.inputs).tobytes(): r.outputs_gamma
@@ -221,7 +221,7 @@ class TestEvaluate:
 
     def test_weighted_mean_identity(self, synthetic_packed, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.build_surrogate("III", arch, q=4, pca=gamma_pca, p=8, seed=10)
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8, seed=10)
         bundle.train(synthetic_packed, quick_config(n_batches=20))
         report = bundle.evaluate(synthetic_packed)
         manual = float(
@@ -232,7 +232,7 @@ class TestEvaluate:
     def test_reduced_kind_bounded_below_by_pca_floor(self, synthetic_packed,
                                                      gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.build_surrogate("III", arch, q=4, pca=gamma_pca, p=8, seed=11)
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8, seed=11)
         bundle.train(synthetic_packed, quick_config(n_batches=120))
         report = bundle.evaluate(synthetic_packed)
         assert report.pca_floor is not None
@@ -242,7 +242,7 @@ class TestEvaluate:
         # the bundle predicts 4 of the 8 retained coefficients, so its floor
         # is the 4-component reconstruction error, above the 8-component one
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 1))
-        bundle = sg.build_surrogate("III", arch, q=4, pca=gamma_pca, p=4, seed=12)
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=4, seed=12)
         bundle.fit_normalization(synthetic_packed)
         report = bundle.evaluate(synthetic_packed)
 
@@ -260,7 +260,7 @@ class TestEvaluate:
 
     def test_max_traces_shapes(self, synthetic_packed, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.build_surrogate("III", arch, q=4, pca=gamma_pca, p=8, seed=13)
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8, seed=13)
         bundle.train(synthetic_packed, quick_config(n_batches=10))
         report = bundle.evaluate(synthetic_packed)
         assert len(report.max_pred) == len(list(synthetic_packed.all_records()))
@@ -300,7 +300,7 @@ class TestSerialization:
     def test_round_trip_preserves_predictions(self, tmp_path, synthetic_packed,
                                               gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.build_surrogate("III", arch, q=4, trained_group_count=3,
+        bundle = sg.SurrogateBundle("III", arch, q=4, trained_group_count=3,
                                     pca=gamma_pca, p=8, seed=14)
         bundle.train(synthetic_packed, quick_config(n_batches=25))
         bundle.save(tmp_path / "bundle")
@@ -314,7 +314,7 @@ class TestSerialization:
 
     def test_kind_i_round_trip(self, tmp_path, synthetic_packed):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(8, 16))
-        bundle = sg.build_surrogate("I", arch, seed=15)
+        bundle = sg.SurrogateBundle("I", arch, seed=15)
         bundle.train(synthetic_packed, quick_config(n_batches=15))
         bundle.save(tmp_path / "b1")
         loaded = sg.SurrogateBundle.load(tmp_path / "b1")
@@ -336,7 +336,7 @@ HISTORY_KINDS = {
 def build_history_bundle(kind, gamma_pca, seed=16):
     arch, kw = HISTORY_KINDS[kind]
     pca = gamma_pca if kind != "I" else None
-    return sg.build_surrogate(kind, arch, pca=pca, seed=seed, **kw)
+    return sg.SurrogateBundle(kind, arch, pca=pca, seed=seed, **kw)
 
 
 @pytest.fixture(scope="module", params=sorted(HISTORY_KINDS))
