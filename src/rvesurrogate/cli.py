@@ -431,10 +431,16 @@ def stage_gen_data(cfg: dict, root: Path, jobs: int = 1) -> None:
             raise StageError("gen-data postcondition failed: gamma monotonicity")
 
 
-def _pack(cfg: dict, records) -> ds.PackedDataset:
+def _pack(cfg: dict, records, what: str = "the dataset") -> ds.PackedDataset:
     d = cfg["dataset"]
-    return ds.pack_records(records, lengths=d["lengths"],
-                           gamma_crit=d["gamma_crit"])
+    try:
+        return ds.pack_records(records, lengths=d["lengths"],
+                               gamma_crit=d["gamma_crit"])
+    except ValueError as err:
+        raise StageError(
+            f"{what} packs empty ({err}); generate more paths "
+            "(paths.n_random) or raise dataset.gamma_crit"
+        ) from None
 
 
 def _read_records(directory) -> list[ds.SequenceRecord]:
@@ -513,6 +519,12 @@ def _train_setup(cfg: dict, root: Path):
         pca_model = pcalib.load(pca_file)
         # pca.p may be given as null next to pca.delta
         p_retained = cfg["pca"].get("p") or pca_model.retained_p
+        if p_retained > pca_model.retained_p:
+            raise StageError(
+                f"pca.p = {p_retained} exceeds the {pca_model.retained_p} "
+                f"components stored in {pca_file}; re-run `pca-fit` after "
+                "changing pca.p"
+            )
         q = t.get("q", 1) if kind == sg.KIND_BROKEN_DOWN else 1
         if t["nnw_out"][-1] * q != p_retained:
             raise StageError(
@@ -562,9 +574,32 @@ def stage_train(cfg: dict, root: Path) -> None:
 # ---------------------------------------------------------------------------
 # stage: trial
 
+# share of the paths the hidden-size trial holds out for its score
+_TRIAL_HOLDOUT = 0.2
+
+
+def _split_paths(n: int, seed: int) -> tuple[list[int], list[int]]:
+    """Train and held-out record indices, each ascending.
+
+    A seeded ``_TRIAL_HOLDOUT`` share of the paths, at least one and at most
+    all but one, is held out whole, before packing copies a path into
+    several length groups.
+    """
+    if n < 2:
+        raise StageError(
+            f"the trial holds out whole paths and needs at least 2 records, "
+            f"got {n}; generate more paths (paths.n_random)"
+        )
+    n_val = min(n - 1, max(1, round(_TRIAL_HOLDOUT * n)))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))
+    held_out = np.zeros(n, dtype=bool)
+    held_out[rng.permutation(n)[:n_val]] = True
+    return np.flatnonzero(~held_out).tolist(), np.flatnonzero(held_out).tolist()
+
 
 def stage_trial(cfg: dict, root: Path) -> None:
-    packed = _load_packed(cfg, root)
+    require_artifact(root / "dataset" / "records", "gen-data")
+    records = _read_records(root / "dataset")
     family = cfg["pca"].get("family", ds.FAMILY_GAMMA)
     pca_file = require_artifact(root / "pca" / f"pca_{family}.bin", "pca-fit")
     pca_model = pcalib.load(pca_file)
@@ -574,11 +609,17 @@ def stage_trial(cfg: dict, root: Path) -> None:
             f"trial.target_p = {t['target_p']} exceeds the "
             f"{pca_model.retained_p} components that pca-fit retained"
         )
+    train_idx, val_idx = _split_paths(len(records), t.get("seed", 0))
+    train_set = _pack(cfg, [records[i] for i in train_idx],
+                      "the trial's training side")
+    val_set = _pack(cfg, [records[i] for i in val_idx],
+                    "the trial's validation side")
     # the config keys are hidden_size_trial's parameters, defaults and all
-    report = sg.hidden_size_trial(packed, pca_model, family=family, **t)
+    report = sg.hidden_size_trial(train_set, val_set, pca_model,
+                                  family=family, **t)
     stage_dir = root / "trial"
     stage_dir.mkdir(parents=True, exist_ok=True)
-    ds.write_json(stage_dir / "trial_report.json", report.to_dict())
+    ds.write_json(stage_dir / "trial_report.json", report)
     write_manifest(
         stage_dir, "trial", cfg,
         inputs={f"pca/pca_{family}.bin": sha256_file(pca_file),

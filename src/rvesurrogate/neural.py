@@ -23,7 +23,8 @@ product over all steps before the loop.  ``forward`` starts from the constant
 final state of an earlier pass over its beginning.
 
 :func:`train_step` is the one BPTT update (forward, MSE, backward, gradient
-clipping, Adam step) that every training loop of the package calls.
+clipping, Adam step); its one caller is ``SurrogateBundle.train``, the
+package's one training loop.
 
 Everything runs in float64 so finite-difference gradient checks resolve.
 """
@@ -254,11 +255,6 @@ class RnnModel:
     def zero_grad(self):
         for g in self.gradients():
             g[...] = 0.0
-
-    @property
-    def n_parameters(self) -> int:
-        """Allocation audit: total elements across parameter arrays."""
-        return sum(p.size for p in self.parameters())
 
     def copy_parameters(self):
         return [p.copy() for p in self.parameters()]

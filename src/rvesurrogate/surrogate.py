@@ -7,14 +7,15 @@ Three surrogate kinds map macro strain histories to state-variable fields:
 * kind III: the coefficient vector is broken into Q contiguous groups in
   descending-eigenvalue order and each group gets its own independent RNN.
 
-All kinds run through one training engine that treats a surrogate as a list
-of (model, output-slice) pairs, so kind II is numerically identical to kind
-III with a single group.  Training and the hidden-size trial draw their
-mini-batches with ``datastore.draw_minibatches`` and update each RNN with
-``neural.train_step``.  Evaluation always maps predictions back to the
-normalized full-dimensional field space, which makes the three kinds (and
-the PCA reconstruction floor from the same ``p`` coefficients) directly
-comparable.
+All kinds run through one training loop, ``SurrogateBundle.train``, that
+treats a surrogate as a list of (model, output-slice) pairs, so kind II is
+numerically identical to kind III with a single group.  It draws the
+mini-batches with ``datastore.draw_minibatches`` and updates each RNN with
+``neural.train_step``.  The hidden-size trial is a kind II bundle of one
+coefficient trained by the same loop.  Evaluation always maps predictions
+back to the normalized full-dimensional field space, which makes the three
+kinds (and the PCA reconstruction floor from the same ``p`` coefficients)
+directly comparable.
 
 History reuse: in FE2 use every Gauss point queries ``predict_fields`` at
 each macro increment with its strain history so far, one row longer than
@@ -51,6 +52,9 @@ PCA_FILE = "pca.bin"
 # queried histories whose final hidden states a bundle keeps; at least the
 # Gauss points one bundle serves in turn, so that each resumes its own
 HISTORY_CACHE_ENTRIES = 64
+
+# mini-batch size of the hidden-size trial
+_TRIAL_BATCH_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -105,8 +109,10 @@ class TrainingHistory:
     def n_batches_run(self) -> int:
         return self.losses.shape[0]
 
-    def final_loss(self) -> float:
-        return float(self.losses[-1].mean()) if self.n_batches_run else float("nan")
+    def final_loss(self) -> float | None:
+        """Mean loss over the trained groups on the last batch run; ``None``
+        when no batch ran or no group is trained."""
+        return float(self.losses[-1].mean()) if self.losses.size else None
 
 
 @dataclass
@@ -266,7 +272,7 @@ class SurrogateBundle:
             gi: nn.Adam(list(self.models[gi].parameters()), config)
             for gi in self.trained_groups
         }
-        losses = np.zeros((config.n_batches, max(len(self.trained_groups), 1)))
+        losses = np.zeros((config.n_batches, len(self.trained_groups)))
         batch_lengths = np.zeros(config.n_batches, dtype=int)
         aborted = False
         n_run = 0
@@ -275,7 +281,7 @@ class SurrogateBundle:
             xb = x_all[idx]
             yb = y_all[idx]
             backup = [self.models[gi].copy_parameters() for gi in self.trained_groups]
-            batch_losses = np.zeros(max(len(self.trained_groups), 1))
+            batch_losses = np.zeros(len(self.trained_groups))
             for slot, gi in enumerate(self.trained_groups):
                 model = self.models[gi]
                 lo, hi = self.group_map[gi]
@@ -502,34 +508,9 @@ class SurrogateBundle:
         return bundle
 
 
-@dataclass
-class TrialResult:
-    n_h: int
-    score: float
-    final_loss: float
-
-
-@dataclass
-class TrialReport:
-    target_p: int
-    threshold: float
-    trials: list
-    recommended: int | None
-
-    def to_dict(self) -> dict:
-        return {
-            "target_p": self.target_p,
-            "threshold": self.threshold,
-            "recommended": self.recommended,
-            "trials": [
-                {"n_h": t.n_h, "score": t.score, "final_loss": t.final_loss}
-                for t in self.trials
-            ],
-        }
-
-
 def hidden_size_trial(
-    dataset: ds.PackedDataset,
+    train_set: ds.PackedDataset,
+    val_set: ds.PackedDataset,
     pca_model: pcalib.PcaModel,
     target_p: int | None = None,
     start_n_h: int = 16,
@@ -540,18 +521,19 @@ def hidden_size_trial(
     family: str = ds.FAMILY_GAMMA,
     nnw_in=(3, 70),
     nnw_out=(30,),
-    batch_size: int = 8,
     learning_rate: float = 1e-3,
-    validation_fraction: float = 0.2,
     seed: int = 0,
-) -> TrialReport:
+) -> dict:
     """Hidden-size search on a single-coefficient RNN.
 
-    Trains one RNN whose unique output is the normalized coefficient of
+    Each trial is a kind II bundle whose one output is the coefficient of
     principal component ``target_p`` (1-indexed, spectral order; by default
-    the 10th, or the last retained if fewer) for ``epoch_budget`` mini-batches, scores how well the predicted coefficient
-    traces track the reference on held-out sequences (Pearson correlation),
-    and grows the hidden size until the score passes the threshold.
+    the 10th, or the last retained if fewer), trained by
+    :meth:`SurrogateBundle.train` on ``train_set`` for ``epoch_budget``
+    mini-batches.  It is scored by the Pearson correlation of its normalized
+    predicted coefficient traces with the reference ones on ``val_set``,
+    which holds other paths, and the hidden size grows until the score
+    passes the threshold.  Returns the report ``trial`` writes.
     """
     if target_p is None:
         target_p = min(pca_model.retained_p, 10)
@@ -559,71 +541,33 @@ def hidden_size_trial(
         raise ValueError(
             f"target_p={target_p} outside the retained range 1..{pca_model.retained_p}"
         )
-    records = list(dataset.all_records())
-    input_norm = ds.fit_normalization([r.inputs for r in records])
-    coeff_col = target_p - 1
-
-    def coefficient_trace(record):
-        return pcalib.project(record.outputs(family), pca_model)[:, coeff_col:coeff_col + 1]
-
-    coeff_norm = ds.fit_normalization([coefficient_trace(r) for r in records])
-
-    # held-out validation split, seeded, at least two sequences
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))
-    arrays = {}
-    val_arrays = []
-    for length in dataset.lengths:
-        recs = dataset.groups[length]
-        x = np.stack([input_norm.normalize(r.inputs) for r in recs])
-        y = np.stack([coeff_norm.normalize(coefficient_trace(r)) for r in recs])
-        n_val = max(1, int(round(validation_fraction * len(recs))))
-        perm = rng.permutation(len(recs))
-        val_idx, train_idx = perm[:n_val], perm[n_val:]
-        if train_idx.size == 0:
-            raise ValueError(f"length group {length} too small to split")
-        arrays[length] = (x[train_idx], y[train_idx])
-        val_arrays.append((x[val_idx], y[val_idx]))
-
-    train_sizes = {length: x.shape[0] for length, (x, _) in arrays.items()}
+    col = target_p - 1
+    coefficient = pcalib.PcaModel(pca_model.mean, pca_model.eigenvalues,
+                                  pca_model.components[:, col:col + 1])
+    config = nn.TrainConfig(learning_rate=learning_rate, n_epoch=1,
+                            n_batches=epoch_budget,
+                            batch_size=_TRIAL_BATCH_SIZE, seed=seed)
     trials = []
     recommended = None
     for trial_index in range(max_trials):
         n_h = start_n_h + trial_index * increment
-        model = nn.RnnModel.build(nnw_in, n_h, tuple(nnw_out) + (1,),
-                                  seed=[seed, 2, n_h])
-        cfg = nn.TrainConfig(learning_rate=learning_rate, n_epoch=1,
-                             n_batches=epoch_budget, batch_size=batch_size,
-                             seed=seed)
-        opt = nn.Adam(list(model.parameters()), cfg)
-        batch_rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([seed, 3, n_h]))
+        bundle = SurrogateBundle(
+            KIND_REDUCED, Architecture(nnw_in, n_h, tuple(nnw_out) + (1,)),
+            pca=coefficient, family=family, seed=seed,
         )
-        last = float("nan")
-        for length, idx in ds.draw_minibatches(train_sizes, batch_size,
-                                               epoch_budget, batch_rng):
-            x_all, y_all = arrays[length]
-            last = nn.train_step(model, opt, x_all[idx], y_all[idx],
-                                 cfg.clip_norm)
-
-        preds = []
-        truths = []
-        for x_val, y_val in val_arrays:
-            if x_val.shape[0] == 0:
-                continue
-            out, _ = model.forward(x_val)
-            preds.append(out.ravel())
-            truths.append(y_val.ravel())
-        pred = np.concatenate(preds)
-        true = np.concatenate(truths)
+        history = bundle.train(train_set, config)
+        groups = bundle._group_arrays(val_set).values()
+        pred = np.concatenate([bundle._predict_normalized(x).ravel()
+                               for x, _ in groups])
+        true = np.concatenate([y.ravel() for _, y in groups])
         if pred.std() < 1e-12 or true.std() < 1e-12:
             score = 0.0
         else:
             score = float(np.corrcoef(pred, true)[0, 1])
-        trials.append(TrialResult(n_h=n_h, score=score, final_loss=float(last)))
+        trials.append({"n_h": n_h, "score": score,
+                       "final_loss": history.final_loss()})
         if score >= threshold:
             recommended = n_h
             break
-    return TrialReport(
-        target_p=target_p, threshold=threshold, trials=trials,
-        recommended=recommended,
-    )
+    return {"target_p": target_p, "threshold": threshold,
+            "recommended": recommended, "trials": trials}

@@ -1,9 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
+from conftest import synthetic_records
 from rvesurrogate import cli
+from rvesurrogate import datastore as ds
 from rvesurrogate import pca as pcalib
+from rvesurrogate import surrogate as sg
 
 
 def tiny_config(pca, q, nnw_out):
@@ -73,6 +77,31 @@ class TestTrainHeadCoversPca:
         for stage in ("pca-fit", "train"):
             cli.run_stage(stage, cfg, dataset_root)
         assert (dataset_root / "bundle" / "bundle.json").exists()
+
+    def test_pca_p_raised_after_pca_fit(self, dataset_root, tmp_path,
+                                        monkeypatch, capsys):
+        cli.run_stage("pca-fit", tiny_config({"p": 2}, 1, (4, 2)),
+                      dataset_root)
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        assert run_main("train", dataset_root, cfg, tmp_path, monkeypatch) == 1
+        err = capsys.readouterr().err
+        assert "pca.p = 4" in err and "re-run `pca-fit`" in err
+
+
+class TestTrainOutputs:
+    @pytest.mark.parametrize("trained", [0, 1, 2])
+    def test_loss_history_rows_match_its_header(self, dataset_root, trained):
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        cfg["train"].update(trained_group_count=trained, n_batches=3)
+        for stage in ("pca-fit", "train"):
+            cli.run_stage(stage, cfg, dataset_root)
+        bundle_dir = dataset_root / "bundle"
+        header, *rows = (bundle_dir / "loss_history.csv").read_text().splitlines()
+        assert len(header.split(",")) == 2 + trained
+        assert len(rows) == 3
+        assert all(len(row.split(",")) == 2 + trained for row in rows)
+        notes = json.loads((bundle_dir / "manifest.json").read_text())["notes"]
+        assert (notes["final_loss"] is None) == (trained == 0)
 
 
 class TestActionableErrors:
@@ -217,6 +246,72 @@ class TestTrialStage:
             (dataset_root / "trial" / "trial_report.json").read_text())
         assert report["target_p"] == 4  # min(retained p, 10)
         assert [t["n_h"] for t in report["trials"]] == [16]
+
+    def test_paths_are_split_before_packing(self, dataset_root, monkeypatch):
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        # every path longer than 4 steps is packed into both groups
+        cfg["dataset"]["lengths"] = [4, 8]
+        cli.run_stage("pca-fit", cfg, dataset_root)
+        sides = []
+
+        def keep_sides(train_set, val_set, *args, **kw):
+            sides.extend([train_set, val_set])
+            return {}
+
+        monkeypatch.setattr(sg, "hidden_size_trial", keep_sides)
+        cli.run_stage("trial", cfg, dataset_root)
+        records = ds.read_dataset(dataset_root / "dataset")
+
+        def sources(packed):
+            """Index of the record each packed copy was made from."""
+            found = []
+            for rec in packed.all_records():
+                [i] = [i for i, raw in enumerate(records) if np.array_equal(
+                    ds.pad_or_trim(raw, rec.length).inputs, rec.inputs)]
+                found.append(i)
+            return found
+
+        train, val = (sources(side) for side in sides)
+        assert len(train) > len(set(train))  # copies of one path exist
+        assert set(train).isdisjoint(val)
+        assert set(train) | set(val) == set(range(len(records)))
+        assert len(set(val)) == 1  # 20% of 3 paths, at least one
+
+    def test_rerun_is_byte_identical(self, dataset_root):
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        cfg["trial"] = {"epoch_budget": 3, "max_trials": 2, "nnw_in": [3, 4],
+                        "nnw_out": [4]}
+        cli.run_stage("pca-fit", cfg, dataset_root)
+        outputs = []
+        for _ in range(2):
+            cli.run_stage("trial", cfg, dataset_root)
+            outputs.append({f.name: f.read_bytes()
+                            for f in (dataset_root / "trial").iterdir()})
+        assert outputs[0] == outputs[1]
+        assert set(outputs[0]) == {"trial_report.json", "manifest.json"}
+
+    def test_one_path_cannot_be_split(self, tmp_path, monkeypatch, capsys):
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        cfg["paths"]["n_random"] = 1
+        root = tmp_path / "root"
+        for stage in ("gen-paths", "gen-data", "pca-fit"):
+            cli.run_stage(stage, cfg, root)
+        assert run_main("trial", root, cfg, tmp_path, monkeypatch) == 1
+        assert "paths.n_random" in capsys.readouterr().err
+
+    def test_side_that_packs_empty(self, tmp_path, monkeypatch, capsys):
+        # pre-trimming at gamma_crit = 10 empties the second path, which
+        # exceeds it at its first step, so one side of the split is empty
+        records = synthetic_records(seed=0, n_records=2, d_gamma=8, d_tau=10)
+        records[1].outputs_gamma[0] = 20.0
+        root = tmp_path / "root"
+        ds.write_dataset(root / "dataset", records)
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        cli.run_stage("pca-fit", cfg, root)
+        assert run_main("trial", root, cfg, tmp_path, monkeypatch) == 1
+        err = capsys.readouterr().err
+        assert "packs empty" in err
+        assert "paths.n_random" in err and "dataset.gamma_crit" in err
 
 
 class TestGenDataDeterminism:

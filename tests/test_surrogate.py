@@ -6,6 +6,8 @@ from rvesurrogate import neural as nn
 from rvesurrogate import pca as pcalib
 from rvesurrogate import surrogate as sg
 
+from conftest import synthetic_records
+
 
 def state_bytes(model):
     """Every parameter array of ``model``, as one byte string."""
@@ -268,32 +270,64 @@ class TestEvaluate:
             assert trace.shape == (length,)
 
 
+@pytest.fixture(scope="module")
+def trial_sides():
+    """The records of ``synthetic_packed`` split by path: the last 7 of 36
+    are held out, and each side is packed on its own."""
+    records = synthetic_records(seed=1234, n_records=36)
+    return tuple(ds.pack_records(side, lengths=(24, 36))
+                 for side in (records[:29], records[29:]))
+
+
 class TestHiddenSizeTrial:
-    def test_smoke_report(self, synthetic_packed, gamma_pca):
+    def test_smoke_report(self, trial_sides, gamma_pca):
         report = sg.hidden_size_trial(
-            synthetic_packed, gamma_pca, target_p=1,
+            *trial_sides, gamma_pca, target_p=1,
             start_n_h=8, increment=8, epoch_budget=120, max_trials=2,
             nnw_in=(3, 8), nnw_out=(8,), seed=3,
         )
-        assert 1 <= len(report.trials) <= 2
-        assert report.trials[0].n_h == 8
-        for t in report.trials:
-            assert np.isfinite(t.score)
-        d = report.to_dict()
-        assert d["target_p"] == 1
+        assert 1 <= len(report["trials"]) <= 2
+        assert report["trials"][0]["n_h"] == 8
+        for t in report["trials"]:
+            assert np.isfinite(t["score"])
+        assert report["target_p"] == 1
 
-    def test_dominant_coefficient_is_capturable(self, synthetic_packed, gamma_pca):
+    def test_dominant_coefficient_is_capturable(self, trial_sides, gamma_pca):
         report = sg.hidden_size_trial(
-            synthetic_packed, gamma_pca, target_p=1,
+            *trial_sides, gamma_pca, target_p=1,
             start_n_h=16, increment=16, epoch_budget=400, max_trials=2,
             nnw_in=(3, 8), nnw_out=(8,), seed=4, threshold=0.9,
         )
-        assert max(t.score for t in report.trials) > 0.9
-        assert report.recommended is not None
+        assert max(t["score"] for t in report["trials"]) > 0.9
+        assert report["recommended"] is not None
 
-    def test_target_out_of_range(self, synthetic_packed, gamma_pca):
+    def test_target_out_of_range(self, trial_sides, gamma_pca):
         with pytest.raises(ValueError, match="target_p"):
-            sg.hidden_size_trial(synthetic_packed, gamma_pca, target_p=99)
+            sg.hidden_size_trial(*trial_sides, gamma_pca, target_p=99)
+
+    def test_trial_is_a_one_component_kind_two_bundle(self, trial_sides,
+                                                     gamma_pca):
+        # the same bundle, built, trained and scored by hand
+        train_set, val_set = trial_sides
+        report = sg.hidden_size_trial(
+            train_set, val_set, gamma_pca, target_p=2, start_n_h=8,
+            epoch_budget=30, max_trials=1, nnw_in=(3, 8), nnw_out=(8,),
+            learning_rate=2e-3, seed=5,
+        )
+        second = pcalib.PcaModel(gamma_pca.mean, gamma_pca.eigenvalues,
+                                 gamma_pca.components[:, 1:2])
+        bundle = sg.SurrogateBundle("II", sg.Architecture((3, 8), 8, (8, 1)),
+                                    pca=second, seed=5)
+        history = bundle.train(train_set, nn.TrainConfig(
+            learning_rate=2e-3, n_epoch=1, n_batches=30, batch_size=8,
+            seed=5))
+        groups = bundle._group_arrays(val_set).values()
+        pred = np.concatenate([bundle._predict_normalized(x).ravel()
+                               for x, _ in groups])
+        true = np.concatenate([y.ravel() for _, y in groups])
+        [trial] = report["trials"]
+        assert trial["final_loss"] == history.final_loss()
+        assert trial["score"] == np.corrcoef(pred, true)[0, 1]
 
 
 class TestSerialization:
