@@ -7,7 +7,10 @@ default ``./pipeline_out``).  Every stage writes a manifest carrying the
 config echo, the seeds in effect and SHA-256 hashes of its inputs and
 outputs, so a finished pipeline is replayable and diffable; re-running a
 stage with identical config and inputs reproduces its artifacts
-byte-for-byte.  A stage exits 0 only after its postcondition checks pass.
+byte-for-byte.  A stage replaces its previous outputs: after reading its
+inputs it empties its directory, and ``dataset trim``/``pack`` empty their
+destination's ``records``.  A stage exits 0 only after its postcondition
+checks pass.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import argparse
 import hashlib
 import os
 import re
+import shutil
 import sys
 from multiprocessing import get_context
 from pathlib import Path
@@ -49,11 +53,13 @@ _SCHEMA = {
     },
     "ensemble": {"d_gamma": "int", "n_fiber": "int", "perturbation": "real",
                  "seed": "int"},
-    "dataset": {"lengths": "list", "gamma_crit": "real", "batch_size": "int"},
+    "dataset": {"lengths": "list of int", "gamma_crit": "real",
+                "batch_size": "int"},
     "pca": {"family": "str", "p": "int|null", "delta": "real|null",
             "subsample_fraction": "real", "seed": "int"},
     "train": {
-        "kind": "str", "nnw_in": "list", "n_h": "int", "nnw_out": "list",
+        "kind": "str", "nnw_in": "list of int", "n_h": "int",
+        "nnw_out": "list of int",
         "q": "int", "trained_group_count": "int|null", "n_batches": "int",
         "n_epoch": "int", "learning_rate": "real", "weight_decay": "real",
         "clip_norm": "real", "seed": "int",
@@ -61,10 +67,12 @@ _SCHEMA = {
     "trial": {
         "target_p": "int", "start_n_h": "int", "increment": "int",
         "epoch_budget": "int", "max_trials": "int", "threshold": "real",
-        "nnw_in": "list", "nnw_out": "list", "learning_rate": "real",
+        "nnw_in": "list of int", "nnw_out": "list of int",
+        "learning_rate": "real",
         "seed": "int",
     },
-    "eval": {"snapshot_steps": "list", "snapshot_sequences": "list"},
+    "eval": {"snapshot_steps": "list of int",
+             "snapshot_sequences": "list of int"},
 }
 _JSON_TYPES = {"int": (int,), "real": (int, float), "list": (list, tuple),
                "str": (str,), "null": (type(None),)}
@@ -119,8 +127,11 @@ def validate_config(cfg: dict) -> None:
             raise StageError(f"unknown keys in [{section}]: {sorted(extra)}")
         for key, value in cfg.get(section, {}).items():
             kind = keys[key]
-            types = sum((_JSON_TYPES[k] for k in kind.split("|")), ())
-            if not _is_a(value, types):
+            # "list of <type>" types each element too
+            outer, _, element = kind.partition(" of ")
+            types = sum((_JSON_TYPES[k] for k in outer.split("|")), ())
+            if not _is_a(value, types) or (element and not all(
+                    _is_a(v, _JSON_TYPES[element]) for v in value)):
                 raise StageError(f"{section}.{key} must be "
                                  f"{kind.replace('|', ' or ')}, got {value!r}")
     missing = [s for s in _REQUIRED_SECTIONS if s not in cfg]
@@ -145,8 +156,7 @@ def validate_config(cfg: dict) -> None:
         raise StageError("ensemble.n_fiber must be >= 0")
     d = cfg["dataset"]
     lengths = d["lengths"]
-    if not (lengths and all(_is_a(n, (int,)) and n >= 1 for n in lengths)
-            and sorted(lengths) == list(lengths)):
+    if not (lengths and min(lengths) >= 1 and sorted(lengths) == list(lengths)):
         raise StageError("dataset.lengths must be an ascending non-empty "
                          "list of positive integers")
     if d["gamma_crit"] <= 0.0:
@@ -176,7 +186,7 @@ def validate_config(cfg: dict) -> None:
         )
     _from_config(sg.Architecture, cfg, _ARCH_FIELDS)
     _train_config(cfg)
-    _check_trial(cfg.get("trial", {}))
+    _check_trial(cfg)
 
 
 def _check_pca(cfg: dict) -> None:
@@ -197,7 +207,8 @@ def _check_pca(cfg: dict) -> None:
         raise StageError("pca.delta must lie in [0, 1)")
 
 
-def _check_trial(t: dict) -> None:
+def _check_trial(cfg: dict) -> None:
+    t = cfg.get("trial", {})
     for key in ("target_p", "start_n_h", "increment", "epoch_budget",
                 "max_trials"):
         if t.get(key, 1) < 1:
@@ -205,6 +216,10 @@ def _check_trial(t: dict) -> None:
     if "nnw_in" in t and len(t["nnw_in"]) < 2:
         raise StageError("trial.nnw_in must list the input width and at "
                          "least one layer width")
+    for key in ("nnw_in", "nnw_out"):
+        if min(t.get(key, [1]), default=1) < 1:
+            raise StageError(f"trial.{key} layer widths must be >= 1")
+    _from_config(nn.TrainConfig, cfg, {"learning_rate": "trial"})
 
 
 def _is_a(value, types) -> bool:
@@ -222,7 +237,7 @@ def _from_config(cls, cfg: dict, fields: dict):
     try:
         return cls(**{name: cfg[section][name]
                       for name, section in fields.items()
-                      if name in cfg[section]})
+                      if name in cfg.get(section, {})})
     except ValueError as err:
         keys = [f"{section}.{name}" for name, section in fields.items()
                 if re.search(rf"\b{name}\b", str(err))]
@@ -276,9 +291,9 @@ def hash_tree(directory, pattern="**/*") -> str:
 def write_manifest(stage_dir: Path, stage: str, cfg: dict, inputs: dict,
                    notes: dict | None = None) -> None:
     outputs = {
-        f.name: sha256_file(f)
+        f.name: hash_tree(f) if f.is_dir() else sha256_file(f)
         for f in sorted(stage_dir.glob("*"))
-        if f.is_file() and f.name != "manifest.json"
+        if f.name != "manifest.json"
     }
     manifest = {
         "stage": stage,
@@ -291,6 +306,15 @@ def write_manifest(stage_dir: Path, stage: str, cfg: dict, inputs: dict,
     if notes:
         manifest["notes"] = notes
     ds.write_json(stage_dir / "manifest.json", manifest)
+
+
+def _fresh_stage_dir(root: Path, name: str) -> Path:
+    """``root / name`` emptied of an earlier run's outputs; a stage calls
+    this once it has read its inputs."""
+    stage_dir = root / name
+    shutil.rmtree(stage_dir, ignore_errors=True)
+    stage_dir.mkdir(parents=True)
+    return stage_dir
 
 
 def require_artifact(path: Path, producing_stage: str) -> Path:
@@ -333,8 +357,7 @@ def stage_gen_paths(cfg: dict, root: Path) -> None:
         blocks.append(path.stretches)
         kinds.append(path.kind)
 
-    stage_dir = root / "paths"
-    stage_dir.mkdir(parents=True, exist_ok=True)
+    stage_dir = _fresh_stage_dir(root, "paths")
     ds.write_pathset(stage_dir / "paths.bin", blocks, kinds)
     write_manifest(
         stage_dir, "gen-paths", cfg, inputs={},
@@ -405,8 +428,7 @@ def stage_gen_data(cfg: dict, root: Path, jobs: int = 1) -> None:
         results = [_run_paths(batch) for batch in batches]
     records = [rec for batch_records, _ in results for rec in batch_records]
 
-    stage_dir = root / "dataset"
-    stage_dir.mkdir(parents=True, exist_ok=True)
+    stage_dir = _fresh_stage_dir(root, "dataset")
     ds.write_dataset(stage_dir, records)
     write_manifest(
         stage_dir, "gen-data", cfg,
@@ -488,8 +510,7 @@ def stage_pca_fit(cfg: dict, root: Path) -> None:
             "with larger or longer paths (paths.delta_r, paths.r_max, "
             "paths.max_steps)"
         )
-    stage_dir = root / "pca"
-    stage_dir.mkdir(parents=True, exist_ok=True)
+    stage_dir = _fresh_stage_dir(root, "pca")
     pcalib.save(stage_dir / f"pca_{family}.bin", model)
     pcalib.residual_curve_csv(stage_dir / f"residual_{family}.csv", model)
     write_manifest(
@@ -545,7 +566,7 @@ def _train_setup(cfg: dict, root: Path):
 def stage_train(cfg: dict, root: Path) -> None:
     packed, bundle, train_cfg = _train_setup(cfg, root)
     history = bundle.train(packed, train_cfg)
-    stage_dir = root / "bundle"
+    stage_dir = _fresh_stage_dir(root, "bundle")
     bundle.save(stage_dir)
     with open(stage_dir / "loss_history.csv", "w") as fh:
         headers = ",".join(f"loss_group_{gi:02d}" for gi in bundle.trained_groups)
@@ -617,8 +638,7 @@ def stage_trial(cfg: dict, root: Path) -> None:
     # the config keys are hidden_size_trial's parameters, defaults and all
     report = sg.hidden_size_trial(train_set, val_set, pca_model,
                                   family=family, **t)
-    stage_dir = root / "trial"
-    stage_dir.mkdir(parents=True, exist_ok=True)
+    stage_dir = _fresh_stage_dir(root, "trial")
     ds.write_json(stage_dir / "trial_report.json", report)
     write_manifest(
         stage_dir, "trial", cfg,
@@ -634,11 +654,14 @@ def stage_trial(cfg: dict, root: Path) -> None:
 def stage_eval(cfg: dict, root: Path) -> None:
     packed = _load_packed(cfg, root)
     bundle_dir = require_artifact(root / "bundle" / sg.BUNDLE_FILE, "train").parent
-    bundle = sg.SurrogateBundle.load(bundle_dir)
+    try:
+        bundle = sg.SurrogateBundle.load(bundle_dir)
+    except ValueError as err:
+        raise StageError(f"cannot load the bundle in {bundle_dir} ({err}); "
+                         "re-run `train`") from None
     report = bundle.evaluate(packed)
 
-    stage_dir = root / "eval"
-    stage_dir.mkdir(parents=True, exist_ok=True)
+    stage_dir = _fresh_stage_dir(root, "eval")
     with open(stage_dir / "report.csv", "w") as fh:
         fh.write("sequence,length,mse\n")
         for i, (length, mse) in enumerate(zip(report.lengths,

@@ -11,6 +11,7 @@ mini-batch sampler: it draws a length group, then positions inside it.
 from __future__ import annotations
 
 import json
+import shutil
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -295,8 +296,11 @@ def read_record(path) -> SequenceRecord:
 
 
 def write_dataset(directory, records, manifest: dict | None = None) -> None:
+    """Write ``records`` under ``directory/records``, replacing the records
+    of any earlier write there."""
     directory = Path(directory)
-    (directory / "records").mkdir(parents=True, exist_ok=True)
+    shutil.rmtree(directory / "records", ignore_errors=True)
+    (directory / "records").mkdir(parents=True)
     for i, rec in enumerate(records):
         write_record(directory / "records" / f"record_{i:06d}.rveseq", rec)
     if manifest is not None:

@@ -26,12 +26,19 @@ final state of an earlier pass over its beginning.
 clipping, Adam step); its one caller is ``SurrogateBundle.train``, the
 package's one training loop.
 
-Everything runs in float64 so finite-difference gradient checks resolve.
+Storage: :meth:`RnnModel.build` allocates one parameter vector ``params``
+and one gradient vector ``grads``; every weight, bias and gradient array is
+a reshaped view of a consecutive slice, in the seeded draw order: input net
+``w, b`` per layer, GRU ``wx, bx, wh, bh``, output net ``w, b`` per layer.
+Adam, clipping, the training loop's backup and the model file see only the
+two vectors.  Their dtype, float64 so finite-difference gradient checks
+resolve, is the model's one storage decision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 from pathlib import Path
 import struct
 from typing import NamedTuple
@@ -68,9 +75,13 @@ def _make_rng(seed) -> np.random.Generator:
 
 
 class FeedForwardNet:
-    """Dense layers with per-layer activation ('leaky_relu' or 'linear')."""
+    """Dense layers with per-layer activation ('leaky_relu' or 'linear').
 
-    def __init__(self, sizes, activations, rng):
+    ``draw(bound, shape)`` returns a U(-bound, bound) parameter array and its
+    gradient array; each layer draws its weight, then its bias.
+    """
+
+    def __init__(self, sizes, activations, draw):
         sizes = tuple(int(s) for s in sizes)
         if len(sizes) < 2:
             raise ValueError("need at least an input and an output size")
@@ -78,26 +89,28 @@ class FeedForwardNet:
             raise ValueError("one activation per layer pair required")
         self.sizes = sizes
         self.activations = tuple(activations)
-        self.weights = []
-        self.biases = []
+        self.weights, self.grad_weights = [], []
+        self.biases, self.grad_biases = [], []
         for n_in, n_out in zip(sizes[:-1], sizes[1:]):
             bound = 1.0 / np.sqrt(n_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(n_in, n_out)))
-            self.biases.append(rng.uniform(-bound, bound, size=n_out))
-        self.grad_weights = [np.zeros_like(w) for w in self.weights]
-        self.grad_biases = [np.zeros_like(b) for b in self.biases]
+            w, grad_w = draw(bound, (n_in, n_out))
+            b, grad_b = draw(bound, (n_out,))
+            self.weights.append(w)
+            self.grad_weights.append(grad_w)
+            self.biases.append(b)
+            self.grad_biases.append(grad_b)
 
     @classmethod
-    def input_path(cls, sizes, rng) -> "FeedForwardNet":
+    def input_path(cls, sizes, draw) -> "FeedForwardNet":
         """Input-side net: no activation on its first layer."""
         acts = [ACT_LINEAR] + [ACT_LEAKY] * (len(sizes) - 2)
-        return cls(sizes, acts, rng)
+        return cls(sizes, acts, draw)
 
     @classmethod
-    def output_path(cls, sizes, rng) -> "FeedForwardNet":
+    def output_path(cls, sizes, draw) -> "FeedForwardNet":
         """Output-side net: no activation on its last layer."""
         acts = [ACT_LEAKY] * (len(sizes) - 2) + [ACT_LINEAR]
-        return cls(sizes, acts, rng)
+        return cls(sizes, acts, draw)
 
     def forward(self, x):
         """Returns (output, cache) for a (n_rows, n_in) block."""
@@ -120,50 +133,24 @@ class FeedForwardNet:
             grad = dz @ self.weights[i].T
         return grad
 
-    def parameters(self):
-        for w, b in zip(self.weights, self.biases):
-            yield w
-            yield b
-
-    def gradients(self):
-        for gw, gb in zip(self.grad_weights, self.grad_biases):
-            yield gw
-            yield gb
-
 
 class GruCell:
     """Single GRU layer with fused gate matrices.
 
     ``wx`` (n_in, 3 n_h) and ``wh`` (n_h, 3 n_h) stack the update, reset and
     candidate paths; ``bx``/``bh`` are the matching input-side and
-    hidden-side bias stacks.
+    hidden-side bias stacks.  ``draw`` is as for :class:`FeedForwardNet`.
     """
 
-    def __init__(self, n_in, n_h, rng):
+    def __init__(self, n_in, n_h, draw):
         self.n_in = int(n_in)
         self.n_h = int(n_h)
         bx_bound = 1.0 / np.sqrt(self.n_in)
         bh_bound = 1.0 / np.sqrt(self.n_h)
-        self.wx = rng.uniform(-bx_bound, bx_bound, size=(self.n_in, 3 * self.n_h))
-        self.bx = rng.uniform(-bx_bound, bx_bound, size=3 * self.n_h)
-        self.wh = rng.uniform(-bh_bound, bh_bound, size=(self.n_h, 3 * self.n_h))
-        self.bh = rng.uniform(-bh_bound, bh_bound, size=3 * self.n_h)
-        self.grad_wx = np.zeros_like(self.wx)
-        self.grad_bx = np.zeros_like(self.bx)
-        self.grad_wh = np.zeros_like(self.wh)
-        self.grad_bh = np.zeros_like(self.bh)
-
-    def parameters(self):
-        yield self.wx
-        yield self.bx
-        yield self.wh
-        yield self.bh
-
-    def gradients(self):
-        yield self.grad_wx
-        yield self.grad_bx
-        yield self.grad_wh
-        yield self.grad_bh
+        self.wx, self.grad_wx = draw(bx_bound, (self.n_in, 3 * self.n_h))
+        self.bx, self.grad_bx = draw(bx_bound, (3 * self.n_h,))
+        self.wh, self.grad_wh = draw(bh_bound, (self.n_h, 3 * self.n_h))
+        self.bh, self.grad_bh = draw(bh_bound, (3 * self.n_h,))
 
 
 def gru_step(cell: GruCell, gx_t, h_prev):
@@ -206,14 +193,13 @@ class RnnModel:
     """Input feed-forward net -> GRU -> output feed-forward net."""
 
     def __init__(self, nnw_in: FeedForwardNet, gru: GruCell,
-                 nnw_out: FeedForwardNet, h0: float = DEFAULT_H0):
-        if nnw_in.sizes[-1] != gru.n_in:
-            raise ValueError("input net output size must match the GRU input")
-        if nnw_out.sizes[0] != gru.n_h:
-            raise ValueError("output net input size must match the hidden size")
+                 nnw_out: FeedForwardNet, params: np.ndarray,
+                 grads: np.ndarray, h0: float = DEFAULT_H0):
         self.nnw_in = nnw_in
         self.gru = gru
         self.nnw_out = nnw_out
+        self.params = params
+        self.grads = grads
         self.h0 = float(h0)
 
     # -- construction ------------------------------------------------------
@@ -226,11 +212,28 @@ class RnnModel:
         ``nnw_out_sizes`` lists the widths after the GRU (e.g. ``(800, d)``),
         the hidden size being the implied input of the output net.
         """
+        in_sizes = tuple(int(s) for s in nnw_in_sizes)
+        n_h = int(n_h)
+        out_sizes = (n_h,) + tuple(int(s) for s in nnw_out_sizes)
+        size = sum((a + 1) * b for sizes in (in_sizes, out_sizes)
+                   for a, b in zip(sizes[:-1], sizes[1:]))
+        size += 3 * n_h * (n_h + in_sizes[-1] + 2)
+        params = np.empty(size)
+        grads = np.zeros(size)
         rng = _make_rng(seed)
-        nnw_in = FeedForwardNet.input_path(tuple(nnw_in_sizes), rng)
-        gru = GruCell(nnw_in.sizes[-1], n_h, rng)
-        nnw_out = FeedForwardNet.output_path((int(n_h),) + tuple(nnw_out_sizes), rng)
-        return cls(nnw_in, gru, nnw_out, h0=h0)
+        end = 0
+
+        def draw(bound, shape):
+            nonlocal end
+            start, end = end, end + math.prod(shape)
+            p = params[start:end].reshape(shape)
+            p[...] = rng.uniform(-bound, bound, size=shape)
+            return p, grads[start:end].reshape(shape)
+
+        nnw_in = FeedForwardNet.input_path(in_sizes, draw)
+        gru = GruCell(in_sizes[-1], n_h, draw)
+        nnw_out = FeedForwardNet.output_path(out_sizes, draw)
+        return cls(nnw_in, gru, nnw_out, params, grads, h0=h0)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -241,27 +244,6 @@ class RnnModel:
     @property
     def n_outputs(self) -> int:
         return self.nnw_out.sizes[-1]
-
-    def parameters(self):
-        yield from self.nnw_in.parameters()
-        yield from self.gru.parameters()
-        yield from self.nnw_out.parameters()
-
-    def gradients(self):
-        yield from self.nnw_in.gradients()
-        yield from self.gru.gradients()
-        yield from self.nnw_out.gradients()
-
-    def zero_grad(self):
-        for g in self.gradients():
-            g[...] = 0.0
-
-    def copy_parameters(self):
-        return [p.copy() for p in self.parameters()]
-
-    def load_parameters(self, values) -> None:
-        for p, v in zip(self.parameters(), values, strict=True):
-            p[...] = v
 
     # -- forward / backward -------------------------------------------------
 
@@ -372,13 +354,11 @@ def mse_loss_grad(pred, target):
     return (pred - target) * (2.0 / pred.size)
 
 
-def clip_gradient_norm(grads, max_norm: float) -> float:
-    """Scale gradients in place to a global norm cap; returns the norm."""
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+def clip_gradient_norm(grads: np.ndarray, max_norm: float) -> float:
+    """Scale a gradient vector in place to a norm cap; returns the norm."""
+    total = np.sqrt(float(np.sum(grads * grads)))
     if max_norm > 0.0 and total > max_norm:
-        scale = max_norm / total
-        for g in grads:
-            g *= scale
+        grads *= max_norm / total
     return total
 
 
@@ -398,6 +378,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.learning_rate <= 0.0:
+            raise ValueError("learning_rate must be positive")
+        if self.weight_decay < 0.0:
+            raise ValueError("weight_decay must be >= 0")
         if not 1 <= self.n_epoch <= 10:
             raise ValueError("n_epoch must lie in [1, 10]")
         if self.n_batches < 1 or self.batch_size < 1:
@@ -407,36 +391,33 @@ class TrainConfig:
 class Adam:
     """Adaptive-moment estimation with bias correction.
 
-    Optional weight decay is decoupled from the moment update.  Parameter
-    arrays are updated in place and the instance owns the moment state, so
-    one optimizer must stay attached to one model.
+    Optional weight decay is decoupled from the moment update.  The
+    parameter vector is updated in place and the instance owns the moment
+    vectors, so one optimizer must stay attached to one model.
     """
 
-    def __init__(self, params, config: TrainConfig):
-        self.params = list(params)
+    def __init__(self, params: np.ndarray, config: TrainConfig):
+        self.params = params
         self.cfg = config
-        self.m = [np.zeros_like(p) for p in self.params]
-        self.v = [np.zeros_like(p) for p in self.params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
 
-    def step(self, grads) -> None:
-        grads = list(grads)
-        if len(grads) != len(self.params):
-            raise ValueError("gradient list does not match parameters")
+    def step(self, grads: np.ndarray) -> None:
         self.t += 1
         b1, b2 = self.cfg.beta1, self.cfg.beta2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         lr = self.cfg.learning_rate
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.cfg.epsilon)
-            if self.cfg.weight_decay > 0.0:
-                p -= lr * self.cfg.weight_decay * p
-            p -= lr * update
+        p, m, v = self.params, self.m, self.v
+        m *= b1
+        m += (1.0 - b1) * grads
+        v *= b2
+        v += (1.0 - b2) * grads * grads
+        update = (m / bias1) / (np.sqrt(v / bias2) + self.cfg.epsilon)
+        if self.cfg.weight_decay > 0.0:
+            p -= lr * self.cfg.weight_decay * p
+        p -= lr * update
 
 
 def train_step(model: RnnModel, optimizer: Adam, inputs, targets,
@@ -446,64 +427,50 @@ def train_step(model: RnnModel, optimizer: Adam, inputs, targets,
     Backward, gradient clipping and the optimizer step run only when the
     loss is finite, so a diverged batch leaves the parameters untouched.
     """
-    model.zero_grad()
+    model.grads.fill(0.0)
     outputs, cache = model.forward(inputs)
     loss = mse_loss(outputs, targets)
     if np.isfinite(loss):
         model.backward(cache, mse_loss_grad(outputs, targets))
-        grads = list(model.gradients())
-        clip_gradient_norm(grads, clip_norm)
-        optimizer.step(grads)
+        clip_gradient_norm(model.grads, clip_norm)
+        optimizer.step(model.grads)
     return loss
-
-
-def count_parameters(model: RnnModel) -> int:
-    """Closed-form learnable-parameter count of the full architecture."""
-    total = 0
-    for net in (model.nnw_in, model.nnw_out):
-        for n_i, n_o in zip(net.sizes[:-1], net.sizes[1:]):
-            total += (n_i + 1) * n_o
-    total += 3 * model.gru.n_h * (model.gru.n_h + model.gru.n_in + 2)
-    return total
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
+def _header(model: RnnModel) -> bytes:
+    """Magic, version, ``h0`` and the three layer-size lists of ``model``."""
+    parts = [MODEL_MAGIC, struct.pack("<Id", MODEL_VERSION, model.h0)]
+    for sizes in (model.nnw_in.sizes, (model.gru.n_h,), model.nnw_out.sizes):
+        parts.append(struct.pack(f"<I{len(sizes)}I", len(sizes), *sizes))
+    return b"".join(parts)
+
+
 def save_model(path, model: RnnModel) -> None:
+    """Write the header of ``model`` and then its parameter vector."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", MODEL_VERSION))
-        fh.write(struct.pack("<d", model.h0))
-        for sizes in (model.nnw_in.sizes, (model.gru.n_h,), model.nnw_out.sizes):
-            fh.write(struct.pack("<I", len(sizes)))
-            fh.write(struct.pack(f"<{len(sizes)}I", *sizes))
-        for p in model.parameters():
-            fh.write(np.ascontiguousarray(p).astype("<f8").tobytes())
+        fh.write(_header(model))
+        model.params.astype("<f8", copy=False).tofile(fh)
 
 
-def load_model(path) -> RnnModel:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MODEL_MAGIC))
-        if magic != MODEL_MAGIC:
-            raise ValueError(f"bad model magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != MODEL_VERSION:
-            raise ValueError(f"unsupported model format version {version}")
-        (h0,) = struct.unpack("<d", fh.read(8))
+def load_model(path, model: RnnModel) -> None:
+    """Read a model file's parameter vector into ``model``.
 
-        def read_sizes():
-            (k,) = struct.unpack("<I", fh.read(4))
-            return struct.unpack(f"<{k}I", fh.read(4 * k))
-
-        in_sizes = read_sizes()
-        (n_h,) = read_sizes()
-        out_sizes = read_sizes()
-        model = RnnModel.build(in_sizes, n_h, out_sizes[1:], h0=h0, seed=0)
-        for p in model.parameters():
-            raw = fh.read(8 * p.size)
-            p[...] = np.frombuffer(raw, dtype="<f8").reshape(p.shape)
-    return model
+    The file must start with the header ``save_model`` writes for ``model``
+    (same format version, ``h0`` and layer sizes) and hold exactly its
+    parameter count; otherwise a ``ValueError`` is raised.
+    """
+    raw = Path(path).read_bytes()
+    header = _header(model)
+    if not raw.startswith(header) or len(raw) != len(header) + model.params.nbytes:
+        raise ValueError(
+            f"{path} is not a version-{MODEL_VERSION} model file with h0 = "
+            f"{model.h0} and layer sizes {model.nnw_in.sizes}, "
+            f"{model.gru.n_h}, {model.nnw_out.sizes}"
+        )
+    model.params[...] = np.frombuffer(raw, dtype="<f8", offset=len(header))

@@ -52,23 +52,24 @@ def fit(
     p: int | None = None,
     delta: float | None = None,
     seed: int = 0,
-    dimension_cap: int = DEFAULT_DIMENSION_CAP,
 ) -> PcaModel:
     """Fit principal components on a (possibly subsampled) snapshot set.
 
     ``snapshots`` is an (n, d) array or a list of length-d vectors.  Exactly
     one of ``p`` (fixed retained dimension) or ``delta`` (residual
     fractional-eigenvalue tolerance) selects the reduction.  Subsampling is
-    uniform without replacement and seeded.
+    uniform without replacement and seeded.  A field dimension above
+    ``DEFAULT_DIMENSION_CAP`` is rejected before the d x d matrix is built.
     """
     x = np.asarray(snapshots, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("snapshots must form an (n, d) matrix")
     n, d = x.shape
-    if d > dimension_cap:
+    if d > DEFAULT_DIMENSION_CAP:
         raise ValueError(
-            f"field dimension {d} exceeds the cap {dimension_cap}; decompose "
-            "in snapshot space (n x n) instead of assembling the d x d matrix"
+            f"field dimension {d} exceeds the cap {DEFAULT_DIMENSION_CAP}; "
+            "decompose in snapshot space (n x n) instead of assembling the "
+            "d x d matrix"
         )
     if not 0.0 < subsample_fraction <= 1.0:
         raise ValueError("subsample_fraction must be in (0, 1]")

@@ -68,8 +68,11 @@ class Architecture:
     def __post_init__(self):
         object.__setattr__(self, "nnw_in", tuple(int(x) for x in self.nnw_in))
         object.__setattr__(self, "nnw_out", tuple(int(x) for x in self.nnw_out))
-        if len(self.nnw_in) < 2 or len(self.nnw_out) < 1 or self.n_h < 1:
-            raise ValueError("invalid architecture signature")
+        if len(self.nnw_in) < 2 or len(self.nnw_out) < 1 \
+                or min(self.nnw_in + (self.n_h,) + self.nnw_out) < 1:
+            raise ValueError("invalid architecture signature: nnw_in needs 2 "
+                             "widths or more, nnw_out 1 or more, and every "
+                             "width, n_h included, must be >= 1")
 
     @property
     def output_dim(self) -> int:
@@ -202,9 +205,6 @@ class SurrogateBundle:
     def fitted(self) -> bool:
         return self.input_norm is not None
 
-    def n_parameters(self) -> int:
-        return sum(nn.count_parameters(m) for m in self.models)
-
     def describe(self) -> dict:
         return {
             "kind": self.kind,
@@ -213,8 +213,8 @@ class SurrogateBundle:
             "groups": self.q,
             "trained_groups": len(self.trained_groups),
             "p": self.p,
-            "parameters_per_rnn": nn.count_parameters(self.models[0]),
-            "parameters_total": self.n_parameters(),
+            "parameters_per_rnn": self.models[0].params.size,
+            "parameters_total": sum(m.params.size for m in self.models),
         }
 
     # -- data preparation ------------------------------------------------------
@@ -269,7 +269,7 @@ class SurrogateBundle:
             config.batch_size, config.n_batches, rng,
         )
         optimizers = {
-            gi: nn.Adam(list(self.models[gi].parameters()), config)
+            gi: nn.Adam(self.models[gi].params, config)
             for gi in self.trained_groups
         }
         losses = np.zeros((config.n_batches, len(self.trained_groups)))
@@ -280,7 +280,7 @@ class SurrogateBundle:
             x_all, y_all = groups[length]
             xb = x_all[idx]
             yb = y_all[idx]
-            backup = [self.models[gi].copy_parameters() for gi in self.trained_groups]
+            backup = [self.models[gi].params.copy() for gi in self.trained_groups]
             batch_losses = np.zeros(len(self.trained_groups))
             for slot, gi in enumerate(self.trained_groups):
                 model = self.models[gi]
@@ -294,7 +294,7 @@ class SurrogateBundle:
                 batch_losses[slot] = last
             if not np.all(np.isfinite(batch_losses)):
                 for gi, params in zip(self.trained_groups, backup):
-                    self.models[gi].load_parameters(params)
+                    self.models[gi].params[...] = params
                 aborted = True
                 break
             losses[b] = batch_losses
@@ -497,8 +497,8 @@ class SurrogateBundle:
             seed=meta["seed"],
             h0=meta["h0"],
         )
-        for gi in range(bundle.q):
-            bundle.models[gi] = nn.load_model(directory / f"rnn_{gi:02d}.bin")
+        for gi, model in enumerate(bundle.models):
+            nn.load_model(directory / f"rnn_{gi:02d}.bin", model)
         if meta["input_norm"] is not None:
             bundle.input_norm = ds.NormalizationSpec.from_dict(meta["input_norm"])
             bundle.output_norm = ds.NormalizationSpec.from_dict(meta["output_norm"])

@@ -11,6 +11,7 @@ cannot see dunder methods, which Python calls implicitly.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -83,3 +84,15 @@ def test_every_public_name_has_a_caller_outside_the_tests():
             unused.append(f"{path.name}:{owner + '.' if owner else ''}{name}")
     assert unused == []
     assert ALLOWED <= {name for _, _, name, _, _ in definitions}
+
+
+def test_every_benchmark_target_is_an_attribute_of_its_owner():
+    # the benchmark wraps each target by name; a renamed one breaks its traces
+    spec = importlib.util.spec_from_file_location(
+        "tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for _, owner, attr, _ in tracing.TARGETS
+               if attr not in owner.__dict__]
+    assert missing == []

@@ -6,6 +6,7 @@ import pytest
 from conftest import synthetic_records
 from rvesurrogate import cli
 from rvesurrogate import datastore as ds
+from rvesurrogate import neural as nn
 from rvesurrogate import pca as pcalib
 from rvesurrogate import surrogate as sg
 
@@ -155,6 +156,14 @@ class TestActionableErrors:
         ("trial", "epoch_budget", 0),
         ("trial", "max_trials", 0),
         ("trial", "nnw_in", [3]),
+        ("eval", "snapshot_steps", ["a"]),
+        ("eval", "snapshot_sequences", [0.5]),
+        ("trial", "nnw_in", [3, "x"]),
+        ("train", "nnw_out", [0, 2]),
+        ("train", "learning_rate", 0),
+        ("trial", "learning_rate", -1),
+        ("train", "weight_decay", -1),
+        ("trial", "nnw_out", [0]),
     ])
     def test_invalid_config_value_rejected_at_load(
             self, tmp_path, monkeypatch, capsys, section, key, value):
@@ -233,6 +242,87 @@ class TestActionableErrors:
                          str(dest), *argv[1:]]) == 1
         assert flag in capsys.readouterr().err
         assert not dest.exists()
+
+
+def stage_outputs(stage_dir):
+    """Names of a stage directory's files and the outputs its manifest lists."""
+    names = {f.name for f in stage_dir.iterdir()} - {"manifest.json"}
+    listed = json.loads((stage_dir / "manifest.json").read_text())["outputs"]
+    return names, set(listed)
+
+
+class TestStagesReplaceTheirOutputs:
+    def test_gen_data_rerun_with_fewer_paths(self, tmp_path):
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        root = tmp_path / "root"
+        for n_random in (5, 3):
+            cfg["paths"]["n_random"] = n_random
+            for stage in ("gen-paths", "gen-data"):
+                cli.run_stage(stage, cfg, root)
+        assert len(ds.read_dataset(root / "dataset")) == 3
+        manifest = json.loads((root / "dataset" / "manifest.json").read_text())
+        assert manifest["outputs"] == {
+            "records": cli.hash_tree(root / "dataset" / "records")}
+
+    @pytest.mark.parametrize("argv", [["trim", "--gamma-crit", "10"],
+                                      ["pack", "--lengths", "8"]])
+    def test_dataset_command_replaces_the_destination_records(self, tmp_path,
+                                                              argv):
+        src, dest = tmp_path / "src", tmp_path / "dest"
+        for n_records in (5, 3):
+            ds.write_dataset(src, synthetic_records(seed=n_records,
+                                                    n_records=n_records))
+            assert cli.main(["dataset", argv[0], str(src), str(dest),
+                             *argv[1:]]) == 0
+        assert len(ds.read_dataset(dest)) == 3
+
+    def test_train_with_fewer_groups_drops_the_stale_model(self, dataset_root):
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        for stage in ("pca-fit", "train"):
+            cli.run_stage(stage, cfg, dataset_root)
+        assert (dataset_root / "bundle" / "rnn_01.bin").exists()
+        cli.run_stage("train", tiny_config({"p": 4}, 1, (4, 4)), dataset_root)
+        names, listed = stage_outputs(dataset_root / "bundle")
+        assert "rnn_01.bin" not in names
+        assert listed == names
+
+    def test_kind_i_after_kind_iii_evaluates(self, dataset_root):
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        for stage in ("pca-fit", "train"):
+            cli.run_stage(stage, cfg, dataset_root)
+        assert (dataset_root / "bundle" / sg.PCA_FILE).exists()
+        cfg = tiny_config({"p": 4}, 1, (4, 8))  # d_gamma = 8
+        cfg["train"]["kind"] = "I"
+        for stage in ("train", "eval"):
+            cli.run_stage(stage, cfg, dataset_root)
+        assert not (dataset_root / "bundle" / sg.PCA_FILE).exists()
+        summary = json.loads(
+            (dataset_root / "eval" / "summary.json").read_text())
+        assert summary["surrogate"]["kind"] == "I"
+
+    def test_eval_drops_stale_snapshots(self, dataset_root):
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        cfg["eval"] = {"snapshot_steps": [0, 1], "snapshot_sequences": [0]}
+        for stage in ("pca-fit", "train", "eval"):
+            cli.run_stage(stage, cfg, dataset_root)
+        cfg["eval"]["snapshot_steps"] = [1]
+        cli.run_stage("eval", cfg, dataset_root)
+        names, listed = stage_outputs(dataset_root / "eval")
+        assert {n for n in names if n.startswith("snapshot_")} == {
+            "snapshot_seq000_step0001_pred.csv",
+            "snapshot_seq000_step0001_true.csv"}
+        assert listed == names
+
+    def test_eval_of_a_mismatched_model_file(self, dataset_root, tmp_path,
+                                             monkeypatch, capsys):
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        for stage in ("pca-fit", "train"):
+            cli.run_stage(stage, cfg, dataset_root)
+        nn.save_model(dataset_root / "bundle" / "rnn_01.bin",
+                      nn.RnnModel.build((3, 4), 5, (4, 2)))
+        assert run_main("eval", dataset_root, cfg, tmp_path, monkeypatch) == 1
+        err = capsys.readouterr().err
+        assert "rnn_01.bin" in err and "re-run `train`" in err
 
 
 class TestTrialStage:

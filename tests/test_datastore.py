@@ -224,6 +224,16 @@ class TestFileFormats:
             assert a.inputs.tobytes() == b.inputs.tobytes()
         assert ds.read_json(tmp_path / "data" / "manifest.json") == {"n": 3}
 
+    def test_dataset_write_replaces_earlier_records(self, tmp_path):
+        rng = np.random.default_rng(19)
+        ds.write_dataset(tmp_path / "data",
+                         [make_record(rng, n_steps=n) for n in (5, 9, 7, 4)])
+        records = [make_record(rng, n_steps=n) for n in (6, 3)]
+        ds.write_dataset(tmp_path / "data", records)
+        back = ds.read_dataset(tmp_path / "data")
+        assert [r.inputs.tobytes() for r in back] \
+            == [r.inputs.tobytes() for r in records]
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.rveseq"
         p.write_bytes(b"NOTMAGIC" + b"\x00" * 64)

@@ -102,9 +102,9 @@ class TestFit:
         assert a.components.tobytes() != c.components.tobytes()
 
     def test_dimension_cap(self):
-        x = np.zeros((3, 11))
+        x = np.zeros((2, pca.DEFAULT_DIMENSION_CAP + 1))
         with pytest.raises(ValueError, match="snapshot space"):
-            pca.fit(x, p=2, dimension_cap=10)
+            pca.fit(x, p=2)
 
     def test_requires_exactly_one_selector(self):
         x = np.zeros((4, 3))

@@ -9,11 +9,6 @@ from rvesurrogate import surrogate as sg
 from conftest import synthetic_records
 
 
-def state_bytes(model):
-    """Every parameter array of ``model``, as one byte string."""
-    return b"".join(np.ascontiguousarray(p).tobytes() for p in model.parameters())
-
-
 @pytest.fixture(scope="module")
 def gamma_pca(synthetic_packed):
     snaps = np.concatenate(
@@ -90,7 +85,8 @@ class TestBuild:
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
         bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8)
         desc = bundle.describe()
-        per = nn.count_parameters(bundle.models[0])
+        per = bundle.models[0].params.size
+        assert desc["parameters_per_rnn"] == per
         assert desc["parameters_total"] == 4 * per
 
 
@@ -132,12 +128,12 @@ class TestTraining:
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
         bundle = sg.SurrogateBundle("III", arch, q=4, trained_group_count=2,
                                     pca=gamma_pca, p=8, seed=3)
-        before = [state_bytes(bundle.models[gi]) for gi in (2, 3)]
-        trained_before = state_bytes(bundle.models[0])
+        before = [bundle.models[gi].params.tobytes() for gi in (2, 3)]
+        trained_before = bundle.models[0].params.tobytes()
         bundle.train(synthetic_packed, quick_config(n_batches=25))
-        assert state_bytes(bundle.models[2]) == before[0]
-        assert state_bytes(bundle.models[3]) == before[1]
-        assert state_bytes(bundle.models[0]) != trained_before
+        assert bundle.models[2].params.tobytes() == before[0]
+        assert bundle.models[3].params.tobytes() == before[1]
+        assert bundle.models[0].params.tobytes() != trained_before
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_divergence_aborts_with_checkpoint(self, synthetic_packed, gamma_pca):
@@ -152,6 +148,37 @@ class TestTraining:
         out = bundle.predict_fields(np.zeros((5, 3))).fields
         assert np.all(np.isfinite(out))
 
+    def test_nan_abort_restores_the_parameter_bytes(self, synthetic_packed,
+                                                    gamma_pca, monkeypatch):
+        arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
+
+        def build():
+            return sg.SurrogateBundle("III", arch, q=4, trained_group_count=3,
+                                      pca=gamma_pca, p=8, seed=4)
+
+        cfg = quick_config(n_batches=10, n_epoch=2)
+        clean = build()
+        clean.train(synthetic_packed, quick_config(n_batches=6, n_epoch=2))
+        real_step = nn.train_step
+        calls = []
+
+        def diverging_step(*args):
+            # the update runs; batch 7 (index 6) reports NaN from the second
+            # epoch of its second group, after 6 batches x 3 groups x 2 epochs
+            loss = real_step(*args)
+            calls.append(loss)
+            return np.nan if len(calls) == 6 * 3 * 2 + 2 + 2 else loss
+
+        monkeypatch.setattr(nn, "train_step", diverging_step)
+        bundle = build()
+        hist = bundle.train(synthetic_packed, cfg)
+        assert hist.aborted
+        assert hist.n_batches_run == 6
+        # the third group still trained in the aborted batch, and is restored
+        assert len(calls) == 7 * 3 * 2
+        for a, b in zip(bundle.models, clean.models):
+            assert a.params.tobytes() == b.params.tobytes()
+
 
 class TestKindEquivalence:
     def test_ii_equals_iii_with_single_group(self, synthetic_packed, gamma_pca):
@@ -162,7 +189,7 @@ class TestKindEquivalence:
         h2 = b2.train(synthetic_packed, cfg)
         h3 = b3.train(synthetic_packed, cfg)
         assert np.array_equal(h2.losses, h3.losses)
-        assert state_bytes(b2.models[0]) == state_bytes(b3.models[0])
+        assert b2.models[0].params.tobytes() == b3.models[0].params.tobytes()
         x = synthetic_packed.groups[24][0].inputs
         assert np.array_equal(b2.predict_fields(x).fields,
                               b3.predict_fields(x).fields)
@@ -355,6 +382,15 @@ class TestSerialization:
         x = synthetic_packed.groups[24][0].inputs
         assert np.array_equal(bundle.predict_fields(x).fields,
                               loaded.predict_fields(x).fields)
+
+    def test_load_rejects_a_model_file_that_disagrees_with_the_bundle(
+            self, tmp_path, gamma_pca):
+        arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
+        sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8).save(tmp_path)
+        nn.save_model(tmp_path / "rnn_01.bin",
+                      nn.RnnModel.build((3, 8), 9, (4, 2)))
+        with pytest.raises(ValueError, match=r"rnn_01\.bin is not a"):
+            sg.SurrogateBundle.load(tmp_path)
 
 
 # kind -> (architecture, build keywords); kind III leaves one of Q=4 groups
