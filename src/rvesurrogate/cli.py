@@ -653,6 +653,23 @@ def stage_trial(cfg: dict, root: Path) -> None:
 
 def stage_eval(cfg: dict, root: Path) -> None:
     packed = _load_packed(cfg, root)
+    e = cfg.get("eval", {})
+    records = list(packed.all_records())
+    for seq_idx in e.get("snapshot_sequences", [0]):
+        if not 0 <= seq_idx < len(records):
+            raise StageError(
+                f"eval.snapshot_sequences holds {seq_idx}, outside the valid "
+                f"range 0..{len(records) - 1} of the {len(records)} packed "
+                "sequences"
+            )
+        length = records[seq_idx].length
+        for step in e.get("snapshot_steps", []):
+            if not 0 <= step < length:
+                raise StageError(
+                    f"eval.snapshot_steps holds {step}, outside the valid "
+                    f"range 0..{length - 1} of packed sequence {seq_idx}, "
+                    f"which has {length} steps"
+                )
     bundle_dir = require_artifact(root / "bundle" / sg.BUNDLE_FILE, "train").parent
     try:
         bundle = sg.SurrogateBundle.load(bundle_dir)
@@ -673,17 +690,11 @@ def stage_eval(cfg: dict, root: Path) -> None:
             for t, (a, b) in enumerate(zip(mp, mt)):
                 fh.write(f"{i},{t},{a:.10e},{b:.10e}\n")
 
-    e = cfg.get("eval", {})
-    records = list(packed.all_records())
     for seq_idx in e.get("snapshot_sequences", [0]):
-        if not 0 <= seq_idx < len(records):
-            continue
         rec = records[seq_idx]
         pred = bundle.predict_fields(rec.inputs)
         truth = rec.outputs(bundle.family)
         for step in e.get("snapshot_steps", []):
-            if not 0 <= step < rec.length:
-                continue
             stem = stage_dir / f"snapshot_seq{seq_idx:03d}_step{step:04d}"
             for tag, fld in (("pred", pred.clamped()[step]),
                              ("true", truth[step])):

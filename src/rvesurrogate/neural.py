@@ -32,7 +32,12 @@ a reshaped view of a consecutive slice, in the seeded draw order: input net
 ``w, b`` per layer, GRU ``wx, bx, wh, bh``, output net ``w, b`` per layer.
 Adam, clipping, the training loop's backup and the model file see only the
 two vectors.  Their dtype, float64 so finite-difference gradient checks
-resolve, is the model's one storage decision.
+resolve, is the model's one storage decision.  ``backward`` writes every
+gradient over ``grads``, so nothing carries over from an earlier batch and
+nothing needs zeroing; ``Adam.step`` updates ``params`` and its moment
+vectors in place, slice by cache-sized slice.  A training step therefore
+allocates no parameter-sized temporary but the squared gradient that
+``clip_gradient_norm`` sums.
 """
 
 from __future__ import annotations
@@ -50,6 +55,11 @@ MODEL_VERSION = 1
 
 LEAKY_SLOPE = 0.01
 DEFAULT_H0 = -1.0
+
+# elements per slice of an Adam step: its six 128 KB float64 slices
+# (parameters, two moments, gradient, two scratch) stay in a core's L2 cache
+# across the step's dozen elementwise passes
+_ADAM_CHUNK = 16384
 
 ACT_LEAKY = "leaky_relu"
 ACT_LINEAR = "linear"
@@ -123,13 +133,13 @@ class FeedForwardNet:
         return out, cache
 
     def backward(self, cache, d_out):
-        """Accumulates parameter gradients; returns the input gradient."""
+        """Writes the parameter gradients; returns the input gradient."""
         grad = d_out
         for i in reversed(range(len(self.weights))):
             x_in, z = cache[i]
             dz = grad * _leaky_grad(z) if self.activations[i] == ACT_LEAKY else grad
-            self.grad_weights[i] += x_in.T @ dz
-            self.grad_biases[i] += dz.sum(axis=0)
+            np.matmul(x_in.T, dz, out=self.grad_weights[i])
+            np.sum(dz, axis=0, out=self.grad_biases[i])
             grad = dz @ self.weights[i].T
         return grad
 
@@ -211,6 +221,8 @@ class RnnModel:
         ``nnw_in_sizes`` includes the raw input width (e.g. ``(3, 70)``);
         ``nnw_out_sizes`` lists the widths after the GRU (e.g. ``(800, d)``),
         the hidden size being the implied input of the output net.
+        ``seed=None`` draws nothing and leaves the parameters zero, for a
+        model whose parameters are read from a file next.
         """
         in_sizes = tuple(int(s) for s in nnw_in_sizes)
         n_h = int(n_h)
@@ -218,16 +230,17 @@ class RnnModel:
         size = sum((a + 1) * b for sizes in (in_sizes, out_sizes)
                    for a, b in zip(sizes[:-1], sizes[1:]))
         size += 3 * n_h * (n_h + in_sizes[-1] + 2)
-        params = np.empty(size)
+        params = np.zeros(size)
         grads = np.zeros(size)
-        rng = _make_rng(seed)
+        rng = None if seed is None else _make_rng(seed)
         end = 0
 
         def draw(bound, shape):
             nonlocal end
             start, end = end, end + math.prod(shape)
             p = params[start:end].reshape(shape)
-            p[...] = rng.uniform(-bound, bound, size=shape)
+            if rng is not None:
+                p[...] = rng.uniform(-bound, bound, size=shape)
             return p, grads[start:end].reshape(shape)
 
         nnw_in = FeedForwardNet.input_path(in_sizes, draw)
@@ -290,7 +303,7 @@ class RnnModel:
         return outputs, cache
 
     def backward(self, cache: ForwardCache, d_outputs) -> None:
-        """Exact gradients of the cached forward pass, accumulated in place."""
+        """Exact gradients of the cached forward pass, written over ``grads``."""
         (shape, in_cache, xp, h_all, gate_u, gate_r, cand, gh_cand,
          out_cache) = cache
         n_b, n_t, _ = shape
@@ -300,8 +313,11 @@ class RnnModel:
             out_cache, np.asarray(d_outputs).reshape(n_b * n_t, -1)
         ).reshape(n_b, n_t, n)
 
-        d_gx = np.empty((n_b, n_t, 3 * n))
-        d_gh = np.empty((n_b, n_t, 3 * n))
+        # d_g holds the input-side pre-activation gradient d_gx; the
+        # hidden-side one d_gh differs only in its candidate third, which is
+        # d_gx's times r, so that third is scaled in place once d_gx is used
+        d_g = np.empty((n_b, n_t, 3 * n))
+        d_gh_t = np.empty((n_b, 3 * n))
         wh_t = self.gru.wh.T
         dh_next = np.zeros((n_b, n))
         for t in range(n_t - 1, -1, -1):
@@ -316,24 +332,21 @@ class RnnModel:
             dr = dac * gh_cand[:, t]
             dau = du * u * (1.0 - u)
             dar = dr * r * (1.0 - r)
-            d_gx[:, t, :n] = dau
-            d_gx[:, t, n:2 * n] = dar
-            d_gx[:, t, 2 * n:] = dac
-            d_gh[:, t, :n] = dau
-            d_gh[:, t, n:2 * n] = dar
-            d_gh[:, t, 2 * n:] = dac * r
-            dh_next = dh * u + d_gh[:, t] @ wh_t
+            d_g[:, t, :n] = d_gh_t[:, :n] = dau
+            d_g[:, t, n:2 * n] = d_gh_t[:, n:2 * n] = dar
+            d_g[:, t, 2 * n:] = dac
+            np.multiply(dac, r, out=d_gh_t[:, 2 * n:])
+            dh_next = dh * u + d_gh_t @ wh_t
 
-        d_gx_flat = d_gx.reshape(n_b * n_t, 3 * n)
-        d_gh_flat = d_gh.reshape(n_b * n_t, 3 * n)
+        d_g_flat = d_g.reshape(n_b * n_t, 3 * n)
         xp_flat = xp.reshape(n_b * n_t, self.gru.n_in)
+        np.matmul(xp_flat.T, d_g_flat, out=self.gru.grad_wx)
+        np.sum(d_g_flat, axis=0, out=self.gru.grad_bx)
+        d_xp = d_g_flat @ self.gru.wx.T
+        d_g[..., 2 * n:] *= gate_r
         h_prev_flat = h_all[:, :-1].reshape(n_b * n_t, n)
-        self.gru.grad_wx += xp_flat.T @ d_gx_flat
-        self.gru.grad_bx += d_gx_flat.sum(axis=0)
-        self.gru.grad_wh += h_prev_flat.T @ d_gh_flat
-        self.gru.grad_bh += d_gh_flat.sum(axis=0)
-
-        d_xp = d_gx_flat @ self.gru.wx.T
+        np.matmul(h_prev_flat.T, d_g_flat, out=self.gru.grad_wh)
+        np.sum(d_g_flat, axis=0, out=self.gru.grad_bh)
         self.nnw_in.backward(in_cache, d_xp)
 
 
@@ -393,7 +406,11 @@ class Adam:
 
     Optional weight decay is decoupled from the moment update.  The
     parameter vector is updated in place and the instance owns the moment
-    vectors, so one optimizer must stay attached to one model.
+    vectors, so one optimizer must stay attached to one model.  ``step``
+    walks the vectors in consecutive ``_ADAM_CHUNK``-element slices through
+    two slice-sized scratch vectors, so it allocates nothing per call; the
+    per-element expressions and their order are those of a whole-vector
+    update, so the result is the same to the bit.  ``grads`` is only read.
     """
 
     def __init__(self, params: np.ndarray, config: TrainConfig):
@@ -401,6 +418,8 @@ class Adam:
         self.cfg = config
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
+        self._scratch = np.empty((2, min(_ADAM_CHUNK, params.size)),
+                                 dtype=params.dtype)
         self.t = 0
 
     def step(self, grads: np.ndarray) -> None:
@@ -409,15 +428,24 @@ class Adam:
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         lr = self.cfg.learning_rate
-        p, m, v = self.params, self.m, self.v
-        m *= b1
-        m += (1.0 - b1) * grads
-        v *= b2
-        v += (1.0 - b2) * grads * grads
-        update = (m / bias1) / (np.sqrt(v / bias2) + self.cfg.epsilon)
-        if self.cfg.weight_decay > 0.0:
-            p -= lr * self.cfg.weight_decay * p
-        p -= lr * update
+        decay = lr * self.cfg.weight_decay
+        eps = self.cfg.epsilon
+        for lo in range(0, self.params.size, _ADAM_CHUNK):
+            chunk = slice(lo, lo + _ADAM_CHUNK)
+            p, m, v, g = (self.params[chunk], self.m[chunk], self.v[chunk],
+                          grads[chunk])
+            a, b = self._scratch[:, :p.size]
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=a)
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, bias1, out=a)
+            np.sqrt(np.divide(v, bias2, out=b), out=b)
+            a /= np.add(b, eps, out=b)
+            if self.cfg.weight_decay > 0.0:
+                p -= np.multiply(p, decay, out=b)
+            p -= np.multiply(a, lr, out=a)
 
 
 def train_step(model: RnnModel, optimizer: Adam, inputs, targets,
@@ -427,7 +455,6 @@ def train_step(model: RnnModel, optimizer: Adam, inputs, targets,
     Backward, gradient clipping and the optimizer step run only when the
     loss is finite, so a diverged batch leaves the parameters untouched.
     """
-    model.grads.fill(0.0)
     outputs, cache = model.forward(inputs)
     loss = mse_loss(outputs, targets)
     if np.isfinite(loss):

@@ -137,7 +137,8 @@ class SurrogateBundle:
                  trained_group_count: int | None = None,
                  pca: pcalib.PcaModel | None = None, p: int | None = None,
                  family: str = ds.FAMILY_GAMMA, seed: int = 0,
-                 h0: float = nn.DEFAULT_H0):
+                 h0: float = nn.DEFAULT_H0, *, _draw: bool = True):
+        # _draw=False leaves the RNN parameters zero for ``load`` to fill
         if kind not in KINDS:
             raise ValueError(f"unknown surrogate kind {kind!r}")
         if kind == KIND_DIRECT:
@@ -175,8 +176,8 @@ class SurrogateBundle:
             raise ValueError("trained_group_count outside [0, Q]")
         self.trained_groups = list(range(n_trained))
         self.models = [
-            nn.RnnModel.build(arch.nnw_in, arch.n_h, arch.nnw_out,
-                              h0=h0, seed=[self.seed, gi])
+            nn.RnnModel.build(arch.nnw_in, arch.n_h, arch.nnw_out, h0=h0,
+                              seed=[self.seed, gi] if _draw else None)
             for gi in range(self.q)
         ]
         self.input_norm: ds.NormalizationSpec | None = None
@@ -272,6 +273,9 @@ class SurrogateBundle:
             gi: nn.Adam(self.models[gi].params, config)
             for gi in self.trained_groups
         }
+        # each trained group's parameters before the current batch
+        backup = [np.empty_like(self.models[gi].params)
+                  for gi in self.trained_groups]
         losses = np.zeros((config.n_batches, len(self.trained_groups)))
         batch_lengths = np.zeros(config.n_batches, dtype=int)
         aborted = False
@@ -280,7 +284,8 @@ class SurrogateBundle:
             x_all, y_all = groups[length]
             xb = x_all[idx]
             yb = y_all[idx]
-            backup = [self.models[gi].params.copy() for gi in self.trained_groups]
+            for gi, params in zip(self.trained_groups, backup):
+                np.copyto(params, self.models[gi].params)
             batch_losses = np.zeros(len(self.trained_groups))
             for slot, gi in enumerate(self.trained_groups):
                 model = self.models[gi]
@@ -496,6 +501,7 @@ class SurrogateBundle:
             p=meta["p"],
             seed=meta["seed"],
             h0=meta["h0"],
+            _draw=False,
         )
         for gi, model in enumerate(bundle.models):
             nn.load_model(directory / f"rnn_{gi:02d}.bin", model)

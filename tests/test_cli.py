@@ -188,6 +188,22 @@ class TestActionableErrors:
         assert key in capsys.readouterr().err
         assert not root.exists()
 
+    @pytest.mark.parametrize("snapshots, message", [
+        ({"snapshot_sequences": [0, 99]},
+         "eval.snapshot_sequences holds 99, outside the valid range 0..2"),
+        ({"snapshot_steps": [0, 500]},
+         "eval.snapshot_steps holds 500, outside the valid range 0..7"),
+    ])
+    def test_out_of_range_snapshot_rejected(self, tmp_path, monkeypatch,
+                                            capsys, snapshots, message):
+        # 3 paths packed into 8-step sequences
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        cfg["eval"] = snapshots
+        root = tmp_path / "root"
+        assert run_main("all", root, cfg, tmp_path, monkeypatch) == 1
+        assert message in capsys.readouterr().err
+        assert (root / "bundle").exists() and not (root / "eval").exists()
+
     def test_pca_fit_needs_p_or_delta(self, dataset_root, tmp_path,
                                       monkeypatch, capsys):
         # kind I stages run without either key, so only pca-fit rejects it

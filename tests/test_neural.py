@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,7 +201,6 @@ class TestMseLoss:
 
 def bptt(model, inputs, targets):
     """Loss and fresh exact parameter gradients for one batch."""
-    model.grads.fill(0.0)
     outputs, cache = model.forward(inputs)
     model.backward(cache, nn.mse_loss_grad(outputs, targets))
     return nn.mse_loss(outputs, targets), model.grads.copy()
@@ -226,6 +226,18 @@ class TestBptt:
         err = np.abs(grads - fd)
         ok = (err <= 1e-8) | (err <= 1e-5 * np.abs(fd))
         assert np.all(ok)
+
+    def test_backward_overwrites_the_gradients(self):
+        model = small_model(seed=29)
+        rng = np.random.default_rng(30)
+        outputs, cache = model.forward(rng.standard_normal((2, 5, 2)))
+        d_out = nn.mse_loss_grad(outputs, rng.standard_normal((2, 5, 3)))
+        model.grads.fill(np.nan)  # stale values must not survive
+        model.backward(cache, d_out)
+        once = model.grads.copy()
+        model.backward(cache, d_out)
+        assert np.all(np.isfinite(once))
+        assert model.grads.tobytes() == once.tobytes()
 
     def test_batch_gradient_is_mean_of_sequences(self):
         model = small_model(seed=14)
@@ -360,7 +372,10 @@ class TestParameterVector:
             "2ee295968da0a0b494edb0530f0ea127713fec0cc67520d208f87ae97f0a3631")
 
     def test_adam_on_the_vector_equals_the_per_array_loop(self):
-        model = nn.RnnModel.build((3, 5), 4, (3, 2), seed=5)
+        # more than two of the optimizer's slices, the last one partial
+        model = nn.RnnModel.build((3, 20), 100, (30, 7), seed=5)
+        assert model.params.size > 2 * nn._ADAM_CHUNK
+        assert model.params.size % nn._ADAM_CHUNK != 0
         arrays = [p.copy() for p, _ in layout(model)]
         offsets = np.cumsum([p.size for p in arrays])[:-1]
         cfg = nn.TrainConfig(learning_rate=1e-2, weight_decay=0.1)
@@ -368,7 +383,9 @@ class TestParameterVector:
         grad_steps = [rng.standard_normal(model.params.size) for _ in range(5)]
         opt = nn.Adam(model.params, cfg)
         for g in grad_steps:
+            before = g.tobytes()
             opt.step(g)
+            assert g.tobytes() == before
         adam_per_array(
             arrays,
             [[part.reshape(p.shape) for part, p in zip(np.split(g, offsets), arrays)]
@@ -378,6 +395,43 @@ class TestParameterVector:
         assert opt.t == 5
         assert np.concatenate([p.ravel() for p in arrays]).tobytes() \
             == model.params.tobytes()
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that ``call()`` holds allocated at once, per tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTrainingStepAllocations:
+    """At paper width (kind III groups of the benchmark), a training step
+    allocates no temporary the size of the parameter vector but clipping's."""
+
+    @pytest.fixture(scope="class")
+    def paper_width(self):
+        model = nn.RnnModel.build((3, 70), 400, (100, 10), seed=31)
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal((8, 32, 3))
+        outputs, cache = model.forward(x)
+        d_out = nn.mse_loss_grad(outputs, rng.standard_normal((8, 32, 10)))
+        return model, cache, d_out
+
+    def test_adam_step_allocates_under_1_mb(self, paper_width):
+        model = paper_width[0]
+        opt = nn.Adam(model.params.copy(), nn.TrainConfig(weight_decay=0.1))
+        g = np.random.default_rng(33).standard_normal(model.params.size)
+        opt.step(g)
+        assert traced_peak(lambda: opt.step(g)) < 1_000_000
+
+    def test_backward_allocates_under_the_parameter_bytes(self, paper_width):
+        model, cache, d_out = paper_width
+        model.backward(cache, d_out)
+        assert traced_peak(lambda: model.backward(cache, d_out)) \
+            < model.params.nbytes
 
 
 class TestParameterCount:

@@ -359,13 +359,28 @@ class TestHiddenSizeTrial:
 
 class TestSerialization:
     def test_round_trip_preserves_predictions(self, tmp_path, synthetic_packed,
-                                              gamma_pca):
+                                              gamma_pca, monkeypatch):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
         bundle = sg.SurrogateBundle("III", arch, q=4, trained_group_count=3,
                                     pca=gamma_pca, p=8, seed=14)
         bundle.train(synthetic_packed, quick_config(n_batches=25))
         bundle.save(tmp_path / "bundle")
+        draws = []
+
+        class Spy(np.random.Generator):
+            def uniform(self, *args, **kwargs):
+                draws.append(args)
+                return super().uniform(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", Spy)
+        nn.RnnModel.build((3, 8), 8, (4, 2))
+        assert draws  # the spy sees a seeded build's draws
+        draws.clear()
         loaded = sg.SurrogateBundle.load(tmp_path / "bundle")
+        # load reads every parameter, the untrained group's too, and draws none
+        assert draws == []
+        for a, b in zip(bundle.models, loaded.models):
+            assert a.params.tobytes() == b.params.tobytes()
         assert loaded.kind == "III"
         assert loaded.trained_groups == [0, 1, 2]
         x = synthetic_packed.groups[36][2].inputs
