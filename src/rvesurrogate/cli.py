@@ -20,6 +20,7 @@ import hashlib
 import os
 import re
 import shutil
+import struct
 import sys
 from multiprocessing import get_context
 from pathlib import Path
@@ -92,6 +93,8 @@ _REQUIRED_KEYS = {
 _WALK_FIELDS = dict.fromkeys(("delta_r", "delta_r_min", "r_max", "max_steps"),
                              "paths")
 _ARCH_FIELDS = dict.fromkeys(("nnw_in", "n_h", "nnw_out"), "train")
+# width of the surrogates' input, pg.LoadingPath.strain_features
+_STRAIN_FEATURES = 3
 _TRAIN_FIELDS = {
     **dict.fromkeys(("learning_rate", "weight_decay", "clip_norm", "n_epoch",
                      "n_batches", "seed"), "train"),
@@ -187,6 +190,12 @@ def validate_config(cfg: dict) -> None:
     _from_config(sg.Architecture, cfg, _ARCH_FIELDS)
     _train_config(cfg)
     _check_trial(cfg)
+    for section in ("train", "trial"):
+        width = cfg.get(section, {}).get("nnw_in", [_STRAIN_FEATURES])[0]
+        if width != _STRAIN_FEATURES:
+            raise StageError(
+                f"{section}.nnw_in[0] must be {_STRAIN_FEATURES}, the width of "
+                f"the strain features (E_xx, E_yy, E_xy), got {width}")
 
 
 def _check_pca(cfg: dict) -> None:
@@ -326,6 +335,17 @@ def require_artifact(path: Path, producing_stage: str) -> Path:
     return path
 
 
+def _read_artifact(read, path, rewriter: str):
+    """``read(path)``, with a malformed artifact reported as a
+    ``StageError`` that names it and ``rewriter``, the stage that rewrites
+    it."""
+    try:
+        return read(path)
+    except (ValueError, struct.error) as err:
+        raise StageError(f"cannot read {path} ({err}); re-run {rewriter} "
+                         "to rewrite it") from None
+
+
 # ---------------------------------------------------------------------------
 # stage: gen-paths
 
@@ -390,11 +410,14 @@ _WORKER = {}
 _LOCKSTEP_WIDTH = 16
 
 
+def _read_paths(path) -> list[pg.LoadingPath]:
+    return [pg.LoadingPath(u, kind) for u, kind in zip(*ds.read_pathset(path))]
+
+
 def _run_paths(indices) -> tuple[list[ds.SequenceRecord], int]:
     """Records of the paths at ``indices``, stepped in lockstep, and the
     number of their macro steps that needed sub-stepping."""
-    paths = [pg.LoadingPath(_WORKER["blocks"][i], _WORKER["kinds"][i])
-             for i in indices]
+    paths = [_WORKER["paths"][i] for i in indices]
     fields = mm.run_sequences(paths, _WORKER["ensemble"])
     records = [
         ds.SequenceRecord(
@@ -410,17 +433,17 @@ def _run_paths(indices) -> tuple[list[ds.SequenceRecord], int]:
 
 def stage_gen_data(cfg: dict, root: Path, jobs: int = 1) -> None:
     paths_file = require_artifact(root / "paths" / "paths.bin", "gen-paths")
-    blocks, kinds = ds.read_pathset(paths_file)
+    paths = _read_artifact(_read_paths, paths_file, "`gen-paths`")
     e = cfg["ensemble"]
     ensemble = mm.build_ensemble(
         d_gamma=e["d_gamma"], n_fiber=e["n_fiber"],
         perturbation_amplitude=e["perturbation"], seed=e["seed"],
     )
-    n = len(blocks)
+    n = len(paths)
     batches = [range(i, min(i + _LOCKSTEP_WIDTH, n))
                for i in range(0, n, _LOCKSTEP_WIDTH)]
     workers = min(jobs, len(batches))
-    _WORKER.update(ensemble=ensemble, blocks=blocks, kinds=kinds)
+    _WORKER.update(ensemble=ensemble, paths=paths)
     if workers > 1:
         with get_context("fork").Pool(workers) as pool:
             results = pool.map(_run_paths, batches, chunksize=1)
@@ -467,7 +490,8 @@ def _pack(cfg: dict, records, what: str = "the dataset") -> ds.PackedDataset:
 
 def _read_records(directory) -> list[ds.SequenceRecord]:
     try:
-        return ds.read_dataset(directory)
+        return _read_artifact(ds.read_dataset, directory, "`gen-data` (or the "
+                              "`dataset trim`/`dataset pack` that wrote it)")
     except FileNotFoundError:
         raise StageError(
             f"no records under {Path(directory) / 'records'}; point at a "
@@ -537,7 +561,7 @@ def _train_setup(cfg: dict, root: Path):
     p_retained = None
     if kind != sg.KIND_DIRECT:
         pca_file = require_artifact(root / "pca" / f"pca_{family}.bin", "pca-fit")
-        pca_model = pcalib.load(pca_file)
+        pca_model = _read_artifact(pcalib.load, pca_file, "`pca-fit`")
         # pca.p may be given as null next to pca.delta
         p_retained = cfg["pca"].get("p") or pca_model.retained_p
         if p_retained > pca_model.retained_p:
@@ -623,7 +647,7 @@ def stage_trial(cfg: dict, root: Path) -> None:
     records = _read_records(root / "dataset")
     family = cfg["pca"].get("family", ds.FAMILY_GAMMA)
     pca_file = require_artifact(root / "pca" / f"pca_{family}.bin", "pca-fit")
-    pca_model = pcalib.load(pca_file)
+    pca_model = _read_artifact(pcalib.load, pca_file, "`pca-fit`")
     t = cfg.get("trial", {})
     if t.get("target_p", 1) > pca_model.retained_p:
         raise StageError(

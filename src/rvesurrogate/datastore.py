@@ -291,8 +291,12 @@ def write_record(path, record: SequenceRecord) -> None:
 
 
 def read_record(path) -> SequenceRecord:
+    """One record; a malformed file raises ``ValueError`` naming it."""
     with open(path, "rb") as fh:
-        return _read_record_stream(fh)
+        try:
+            return _read_record_stream(fh)
+        except (ValueError, struct.error) as err:
+            raise ValueError(f"{path}: {err}") from None
 
 
 def write_dataset(directory, records, manifest: dict | None = None) -> None:

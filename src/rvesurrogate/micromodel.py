@@ -8,15 +8,18 @@ hyperelastic law; matrix points follow finite-strain J2 elasto-plasticity
 with saturating isotropic hardening, integrated with an exponential plastic
 flow update that keeps det(F^p) = 1 exactly up to roundoff.
 
-Plane-strain contract: every deformation and plastic deformation gradient
-is block-diagonal (see ``tensorlab``).  The paths stretch in plane only, the
-concentration maps act on the in-plane components only, and the flow update
-stays in the trial eigenframe, so ``F^p`` keeps the structure.  The return
-mapping works in principal logarithmic stretches (Simo, CMAME 99 (1992)
-61-112) with 2x2 algebra on the in-plane blocks and scalar algebra on the
-out-of-plane entries, on the closed-form ``tensorlab.sym_eig``.  The
+Plane strain: every deformation and plastic deformation gradient is
+carried as its in-plane 2x2 block ``(..., 2, 2)`` and its out-of-plane
+normal entry ``(...)`` (see ``tensorlab``); the couplings are zero and are
+never stored.  The paths stretch in plane only and the concentration maps
+act on the in-plane components only, so every local deformation has the
+out-of-plane entry 1; the flow update stays in the trial eigenframe, so
+``F^p`` keeps the block form while its out-of-plane entry evolves.  The
+return mapping works in principal logarithmic stretches (Simo, CMAME 99
+(1992) 61-112) with 2x2 algebra on the in-plane blocks and scalar algebra on
+the out-of-plane entries, on the closed-form ``tensorlab.sym_eig``.  The
 gamma and tau fields are bit-identical to the same update in general 3x3
-algebra.
+algebra; the 3x3 oracle in ``tests/test_micromodel.py`` checks this.
 
 Per loading step the ensemble emits the equivalent-plastic-strain field over
 the matrix points and the von Mises equivalent Kirchhoff stress field over
@@ -48,11 +51,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import tensorlab as tl
-from .pathgen import LoadingPath, make_rng, u_to_f
+from .pathgen import LoadingPath, make_rng
 
 logger = logging.getLogger(__name__)
 
@@ -126,48 +130,50 @@ FIBER_DEFAULTS = FiberParams()
 MATRIX_DEFAULTS = MatrixParams()
 
 
-@dataclass
-class PlasticState:
-    """Plastic deformation gradient and accumulated equivalent plastic strain."""
+class PlasticState(NamedTuple):
+    """Plastic deformation gradient, in blocks, and accumulated equivalent
+    plastic strain."""
 
-    fp: np.ndarray      # (..., 3, 3)
+    fp_in: np.ndarray   # (..., 2, 2)
+    fp_out: np.ndarray  # (...)
     gamma: np.ndarray   # (...)
 
     @classmethod
     def initial(cls, batch_shape=()) -> "PlasticState":
-        fp = np.broadcast_to(np.eye(3), tuple(batch_shape) + (3, 3)).copy()
-        return cls(fp=fp, gamma=np.zeros(batch_shape))
+        batch_shape = tuple(batch_shape)
+        fp_in = np.broadcast_to(np.eye(2), batch_shape + (2, 2)).copy()
+        return cls(fp_in, np.ones(batch_shape), np.zeros(batch_shape))
 
 
 def _log_strain_deviator(f_in, f_out):
-    """Eigenvectors of ``C = F^T F`` and the deviator of its log eigenvalues.
+    """``tl.sym_eig``'s vectors and order for ``C = F^T F``, and the
+    deviator of its log eigenvalues, in their descending order.
 
-    ``f_in``/``f_out`` are the in-plane blocks and out-of-plane entries of a
-    plane-strain deformation.  Raises ``InvalidDeformationError`` when an
-    eigenvalue of ``C`` is not positive.
+    Raises ``InvalidDeformationError`` when an eigenvalue of ``C`` is not
+    positive.
     """
-    c = tl.from_blocks(np.swapaxes(f_in, -1, -2) @ f_in, f_out * f_out)
-    vals, vecs = tl.sym_eig(c)
+    vals, vecs, order = tl.sym_eig(np.swapaxes(f_in, -1, -2) @ f_in, f_out * f_out)
     if (vals <= 0.0).any():
         raise InvalidDeformationError("degenerate elastic stretch")
     log_vals = np.log(vals)
-    return vecs, log_vals - log_vals.sum(axis=-1, keepdims=True) / 3.0
+    return vecs, order, log_vals - log_vals.sum(axis=-1, keepdims=True) / 3.0
 
 
-def _spectral_blocks(values, vecs):
-    """In-plane block and out-of-plane entry of ``sum_i values_i n_i (x) n_i``."""
-    # the out-of-plane eigenvector is e_3: row 2 of ``vecs`` is 1 in its
-    # column and 0 in the others, so the sum picks its value exactly
-    return (tl.reassemble(values, vecs[..., :2, :]),
-            (values * vecs[..., 2, :]).sum(axis=-1))
+def _spectral_blocks(values, vecs, order):
+    """In-plane block and out-of-plane entry of ``sum_i values_i n_i (x) n_i``
+    for ``values`` in the order of the decomposition ``vecs, order``."""
+    out_of_plane = order == 2
+    batch = values.shape[:-1]
+    return (tl.reassemble(values[~out_of_plane].reshape(batch + (2,)), vecs),
+            values[out_of_plane].reshape(batch))
 
 
 def _norm_sq(v) -> np.ndarray:
     return (v * v).sum(axis=-1)
 
 
-def _checked_det(f, label: str) -> np.ndarray:
-    det_f = tl.det(f)
+def _checked_det(f_in, f_out, label: str) -> np.ndarray:
+    det_f = tl.det(f_in, f_out)
     if (det_f <= 0.0).any():
         raise InvalidDeformationError(f"det F <= 0 in {label}")
     return det_f
@@ -177,33 +183,33 @@ def _energy(det_f, dev_log, k, mu) -> np.ndarray:
     return 0.5 * k * np.log(det_f) ** 2 + 0.25 * mu * _norm_sq(dev_log)
 
 
+# the reference energies take plane-strain (..., 3, 3) tensors, so that the
+# tests can differentiate them in 3x3 form
 def fiber_energy(f, params: FiberParams = FIBER_DEFAULTS) -> np.ndarray:
     """Elastic potential of the fiber law, MPa."""
-    f = np.asarray(f, dtype=np.float64)
-    det_f = _checked_det(f, "fiber_energy")
-    _, dev_log = _log_strain_deviator(f[..., :2, :2], f[..., 2, 2])
-    return _energy(det_f, dev_log, params.k_mpa, params.mu_mpa)
+    f_in, f_out = f[..., :2, :2], f[..., 2, 2]
+    det_f = _checked_det(f_in, f_out, "fiber_energy")
+    return _energy(det_f, _log_strain_deviator(f_in, f_out)[2],
+                   params.k_mpa, params.mu_mpa)
 
 
-def fiber_stress(f, params: FiberParams = FIBER_DEFAULTS):
+def fiber_stress(f_in, f_out, params: FiberParams = FIBER_DEFAULTS):
     """Von Mises equivalent Kirchhoff stress of the fiber law, MPa.
 
     The Kirchhoff stress of ``fiber_energy`` is ``K ln J 1 + mu dev ln b``,
     so ``tau_eq = sqrt(3/2) mu |dev ln C|``.
     """
-    f = np.asarray(f, dtype=np.float64)
-    _checked_det(f, "fiber_stress")
-    _, dev_log = _log_strain_deviator(f[..., :2, :2], f[..., 2, 2])
+    _checked_det(f_in, f_out, "fiber_stress")
+    dev_log = _log_strain_deviator(f_in, f_out)[2]
     return _SQRT_3_2 * params.mu_mpa * np.sqrt(_norm_sq(dev_log))
 
 
 def matrix_energy(f, fp, params: MatrixParams = MATRIX_DEFAULTS) -> np.ndarray:
     """Elastic potential of the matrix law at frozen plastic state, MPa."""
-    f = np.asarray(f, dtype=np.float64)
-    det_f = _checked_det(f, "matrix_energy")
-    fp_inv = tl.inv(fp)
-    _, dev_log = _log_strain_deviator(f[..., :2, :2] @ fp_inv[..., :2, :2],
-                                      f[..., 2, 2] * fp_inv[..., 2, 2])
+    f_in, f_out = f[..., :2, :2], f[..., 2, 2]
+    det_f = _checked_det(f_in, f_out, "matrix_energy")
+    fp_inv_in, fp_inv_out = tl.inv(fp[..., :2, :2], fp[..., 2, 2])
+    dev_log = _log_strain_deviator(f_in @ fp_inv_in, f_out * fp_inv_out)[2]
     return _energy(det_f, dev_log, params.k_mpa, params.mu_mpa)
 
 
@@ -252,10 +258,12 @@ def _solve_return_scalar(tau_tr, gamma0, params: MatrixParams):
     return x
 
 
-def matrix_update(f, state: PlasticState, params: MatrixParams = MATRIX_DEFAULTS):
+def matrix_update(f_in, f_out, state: PlasticState,
+                  params: MatrixParams = MATRIX_DEFAULTS):
     """Elastic-predictor / plastic-corrector update of the matrix points.
 
-    Returns ``(tau_eq, new_state)``: the von Mises equivalent Kirchhoff
+    ``f_in``/``f_out`` are the in-plane blocks and out-of-plane entries of
+    F.  Returns ``(tau_eq, new_state)``: the von Mises equivalent Kirchhoff
     stress (MPa) on the updated yield surface and the updated plastic state.
     The trial elastic state is built from the frozen plastic deformation;
     when the trial von Mises stress exceeds the current yield stress the
@@ -264,15 +272,12 @@ def matrix_update(f, state: PlasticState, params: MatrixParams = MATRIX_DEFAULTS
     trial-frame flow normal, which shares the trial eigenvectors and keeps
     the update exactly isochoric.
     """
-    f = np.asarray(f, dtype=np.float64)
-    _checked_det(f, "matrix_update")
+    _checked_det(f_in, f_out, "matrix_update")
 
     mu = params.mu_mpa
-    # tl.det and tl.inv have checked that f and F^p are plane-strain
-    fp_in, fp_out = state.fp[..., :2, :2], state.fp[..., 2, 2]
-    fp_inv = tl.inv(state.fp)
-    vecs, dev_log = _log_strain_deviator(f[..., :2, :2] @ fp_inv[..., :2, :2],
-                                         f[..., 2, 2] * fp_inv[..., 2, 2])
+    fp_inv_in, fp_inv_out = tl.inv(state.fp_in, state.fp_out)
+    vecs, order, dev_log = _log_strain_deviator(f_in @ fp_inv_in,
+                                                f_out * fp_inv_out)
 
     tau_tr = _SQRT_3_2 * mu * np.sqrt(_norm_sq(dev_log))
     f_trial = tau_tr - params.tau_y0 - params.hardening(state.gamma)
@@ -292,13 +297,14 @@ def matrix_update(f, state: PlasticState, params: MatrixParams = MATRIX_DEFAULTS
 
     if any_plastic:
         flow_in, flow_out = _spectral_blocks(
-            np.exp(0.5 * shrink[..., None] * dev_log), vecs)
-        exp_flow_fp = tl.from_blocks(flow_in @ fp_in, flow_out * fp_out)
+            np.exp(0.5 * shrink[..., None] * dev_log), vecs, order)
         # elastic entries keep their plastic state bit-identical
-        fp_new = np.where(plastic[..., None, None], exp_flow_fp, state.fp)
+        fp_in = np.where(plastic[..., None, None], flow_in @ state.fp_in,
+                         state.fp_in)
+        fp_out = np.where(plastic, flow_out * state.fp_out, state.fp_out)
     else:
-        fp_new = state.fp.copy()
-    det_fp = tl.det(fp_new)
+        fp_in, fp_out = state.fp_in.copy(), state.fp_out.copy()
+    det_fp = tl.det(fp_in, fp_out)
     drift = np.abs(det_fp - 1.0)
     bad = drift > _DET_FP_DRIFT_TOL
     if bad.any():
@@ -307,11 +313,12 @@ def matrix_update(f, state: PlasticState, params: MatrixParams = MATRIX_DEFAULTS
             int(np.count_nonzero(bad)),
             float(drift.max()),
         )
-        rescaled = fp_new * det_fp[..., None, None] ** (-1.0 / 3.0)
-        fp_new = np.where(bad[..., None, None], rescaled, fp_new)
+        # the unit scale leaves the other entries bit-identical
+        scale = np.where(bad, det_fp ** (-1.0 / 3.0), 1.0)
+        fp_in, fp_out = fp_in * scale[..., None, None], fp_out * scale
 
     tau_eq = tau_tr - 3.0 * mu * dgamma
-    return tau_eq, PlasticState(fp=fp_new, gamma=state.gamma + dgamma)
+    return tau_eq, PlasticState(fp_in, fp_out, state.gamma + dgamma)
 
 
 @dataclass
@@ -344,19 +351,12 @@ class RveEnsemble:
         return self.n_points
 
     def local_deformations(self, f_macro) -> np.ndarray:
-        """Per-point deformation gradients for a macro F, shape (n, 3, 3)."""
-        f_macro = np.asarray(f_macro, dtype=np.float64)
-        v = np.array(
-            [
-                f_macro[0, 0] - 1.0,
-                f_macro[0, 1],
-                f_macro[1, 0],
-                f_macro[1, 1] - 1.0,
-            ]
-        )
-        # the components are the row-major in-plane blocks
-        local = self.concentrations @ v
-        return tl.from_blocks(local.reshape(-1, 2, 2) + np.eye(2), 1.0)
+        """Per-point in-plane deformation blocks, shape (n, 2, 2), for a
+        macro in-plane block; every out-of-plane entry is 1."""
+        # F - I in row-major order is (xx, xy, yx, yy); so are the local
+        # perturbations
+        local = self.concentrations @ (f_macro - np.eye(2)).reshape(4)
+        return local.reshape(-1, 2, 2) + np.eye(2)
 
 
 def build_ensemble(
@@ -418,19 +418,21 @@ class SequenceFields:
 def _step_fields(ensemble: RveEnsemble, local, state: PlasticState):
     """Advance the matrix points one increment and evaluate both fields.
 
-    ``local`` holds per-point deformations, shape ``(..., n_points, 3, 3)``
-    with the matrix points first; the leading axes are loading paths.
+    ``local`` holds per-point in-plane deformation blocks, shape
+    ``(..., n_points, 2, 2)`` with the matrix points first; the leading axes
+    are loading paths.
     """
     n_m = ensemble.n_matrix
-    tau, new_state = matrix_update(local[..., :n_m, :, :], state, ensemble.matrix)
+    tau, new_state = matrix_update(local[..., :n_m, :, :], 1.0, state,
+                                   ensemble.matrix)
     if ensemble.n_fiber > 0:
-        tau_fib = fiber_stress(local[..., n_m:, :, :], ensemble.fiber)
+        tau_fib = fiber_stress(local[..., n_m:, :, :], 1.0, ensemble.fiber)
         tau = np.concatenate([tau, tau_fib], axis=-1)
     return new_state, tau
 
 
 def _interpolate(f_prev, f_target, fraction):
-    """Macro F a ``fraction`` of the way from ``f_prev`` to ``f_target``.
+    """Macro in-plane F a ``fraction`` of the way from ``f_prev`` to ``f_target``.
 
     At ``fraction == 1`` this is not ``f_target`` in floating point; the
     batched step and the lone sub-steps build every trial F with it, so a
@@ -482,10 +484,11 @@ def run_sequences(paths, ensemble: RveEnsemble) -> list[SequenceFields]:
 
     active = [i for i, n in enumerate(lengths) if n > 0]
     state = PlasticState.initial((len(active), ensemble.n_matrix))
-    f_prev = np.broadcast_to(np.eye(3), (len(active), 3, 3))
+    # F = U: the macro deformation is the path's in-plane stretch
+    f_prev = np.broadcast_to(np.eye(2), (len(active), 2, 2))
     t = 0
     while active:
-        f_target = u_to_f(np.stack([paths[i].stretches[t] for i in active]))
+        f_target = np.stack([paths[i].stretches[t, :2, :2] for i in active])
         f_macro = _interpolate(f_prev, f_target, 1.0)
         # one concentrations @ v product per path
         local = np.stack([ensemble.local_deformations(f) for f in f_macro])
@@ -493,19 +496,19 @@ def run_sequences(paths, ensemble: RveEnsemble) -> list[SequenceFields]:
         try:
             state, tau = _step_fields(ensemble, local, state)
         except (InvalidDeformationError, RuntimeError):
-            fp, gamma = state.fp.copy(), state.gamma.copy()
+            state = PlasticState(*(a.copy() for a in state))
             tau = np.zeros((len(active), ensemble.d_tau))
             for row, i in enumerate(active):
                 alone = _step_alone(ensemble, f_prev[row], f_target[row],
-                                    PlasticState(fp=fp[row], gamma=gamma[row]))
+                                    PlasticState(*(a[row] for a in state)))
                 if alone is None:
                     failed.add(row)
                     kept[i] = t
                     continue
                 new_state, tau[row], halvings = alone
-                fp[row], gamma[row] = new_state.fp, new_state.gamma
+                for a, new in zip(state, new_state):
+                    a[row] = new
                 substepped[i] += halvings > 0
-            state = PlasticState(fp=fp, gamma=gamma)
         for row, i in enumerate(active):
             gamma_out[i][t] = state.gamma[row]
             tau_out[i][t] = tau[row]
@@ -515,7 +518,7 @@ def run_sequences(paths, ensemble: RveEnsemble) -> list[SequenceFields]:
                  if row not in failed and lengths[i] > t]
         if len(going) < len(active):
             active = [active[row] for row in going]
-            state = PlasticState(fp=state.fp[going], gamma=state.gamma[going])
+            state = PlasticState(*(a[going] for a in state))
             f_prev = f_prev[going]
 
     return [SequenceFields(gamma=gamma_out[i][:n], tau=tau_out[i][:n],

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensorlab as tl
-
 RNG_ALGORITHM = "numpy.random.PCG64"
 
 KIND_RANDOM_WALK = "random_walk"
@@ -72,11 +70,6 @@ class LoadingPath:
         """Per-step (E_xx, E_yy, E_xy) features, shape (n_steps, 3)."""
         e = self.strains
         return np.stack([e[:, 0, 0], e[:, 1, 1], e[:, 0, 1]], axis=-1)
-
-
-def u_to_f(u) -> np.ndarray:
-    """Deformation gradient for a stretch history: F = U (rotation-free)."""
-    return np.array(u, dtype=np.float64, copy=True)
 
 
 def u_to_e(u) -> np.ndarray:

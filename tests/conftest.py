@@ -30,6 +30,20 @@ def synthetic_records(seed, n_records=30, d_gamma=16, d_tau=20,
     return records
 
 
+def plane_blocks(t):
+    """In-plane blocks and out-of-plane entries of plane-strain 3x3 tensors."""
+    return t[..., :2, :2], t[..., 2, 2]
+
+
+def plane_strain(in_plane, out_of_plane):
+    """Plane-strain 3x3 tensors assembled from their blocks."""
+    in_plane = np.asarray(in_plane, dtype=np.float64)
+    t = np.zeros(in_plane.shape[:-2] + (3, 3))
+    t[..., :2, :2] = in_plane
+    t[..., 2, 2] = out_of_plane
+    return t
+
+
 @pytest.fixture(scope="session")
 def synthetic_packed():
     records = synthetic_records(seed=1234, n_records=36)
@@ -49,8 +63,8 @@ def plastic_increment_cap(monkeypatch):
     def install(cap):
         update = mm.matrix_update
 
-        def capped(f, state, params=mm.MATRIX_DEFAULTS):
-            tau, new_state = update(f, state, params)
+        def capped(f_in, f_out, state, params=mm.MATRIX_DEFAULTS):
+            tau, new_state = update(f_in, f_out, state, params)
             if np.any(new_state.gamma - state.gamma > cap):
                 raise RuntimeError("plastic increment above the cap")
             return tau, new_state

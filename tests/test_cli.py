@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -174,6 +175,20 @@ class TestActionableErrors:
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not root.exists()
 
+    @pytest.mark.parametrize("section", ["train", "trial"])
+    @pytest.mark.parametrize("nnw_in", [[4, 70], [2, 4]])
+    def test_strain_feature_width_rejected_at_load(
+            self, tmp_path, monkeypatch, capsys, section, nnw_in):
+        # the surrogates read the 3 strain features (E_xx, E_yy, E_xy)
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        cfg.setdefault(section, {})["nnw_in"] = nnw_in
+        root = tmp_path / "root"
+        assert run_main("all", root, cfg, tmp_path, monkeypatch) == 1
+        err = capsys.readouterr().err
+        assert f"{section}.nnw_in[0] must be 3" in err
+        assert f"got {nnw_in[0]}" in err
+        assert not root.exists()
+
     @pytest.mark.parametrize("pca, key", [
         ({"delta": 1.5}, "pca.delta"),
         ({"delta": -1.0}, "pca.delta"),
@@ -245,6 +260,45 @@ class TestActionableErrors:
         assert cli.main(["dataset", argv[0], *paths, *argv[1:]]) == 1
         err = capsys.readouterr().err
         assert "no records under" in err and "gen-data" in err
+
+    @pytest.mark.parametrize("artifact, corrupt, command, rewriter", [
+        ("paths/paths.bin", "truncate", "gen-data", "`gen-paths`"),
+        ("paths/paths.bin", "start", "gen-data", "`gen-paths`"),
+        ("dataset/records/record_000001.rveseq", "truncate", "pca-fit",
+         "`gen-data`"),
+        ("dataset/records/record_000001.rveseq", "magic", "pca-fit",
+         "`gen-data`"),
+        ("dataset/records/record_000000.rveseq", "truncate", "stats",
+         "`gen-data`"),
+        ("pca/pca_gamma.bin", "truncate", "train", "`pca-fit`"),
+        ("pca/pca_gamma.bin", "truncate", "trial", "`pca-fit`"),
+    ])
+    def test_malformed_artifact(self, dataset_root, tmp_path, monkeypatch,
+                                capsys, artifact, corrupt, command, rewriter):
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        root = tmp_path / "root"
+        shutil.copytree(dataset_root / "paths", root / "paths")
+        shutil.copytree(dataset_root / "dataset", root / "dataset")
+        cli.run_stage("pca-fit", cfg, root)
+        path = root / artifact
+        data = path.read_bytes()
+        if corrupt == "truncate":
+            data = data[:len(data) - 13]
+        elif corrupt == "magic":
+            data = b"XXXXXXX" + data[7:]
+        else:
+            # the first path's first stretch component, after the 7-byte
+            # magic, the 8-byte header and the 5-byte path header
+            data = data[:20] + np.float64(2.0).tobytes() + data[28:]
+        path.write_bytes(data)
+        if command == "stats":
+            status = cli.main(["dataset", "stats", str(root / "dataset")])
+        else:
+            status = run_main(command, root, cfg, tmp_path, monkeypatch)
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read")
+        assert path.name in err and f"re-run {rewriter}" in err
 
     @pytest.mark.parametrize("argv, flag", [
         (["trim", "--gamma-crit", "0"], "--gamma-crit"),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import plane_blocks, plane_strain
 from rvesurrogate import micromodel as mm
 from rvesurrogate import pathgen as pg
 from rvesurrogate import tensorlab as tl
@@ -151,10 +152,10 @@ def oracle_fields(path, ens, inverse=np.linalg.inv, solve=bisect_return):
     gammas, taus = [], []
     f_prev = np.eye(3)
     for u in path.stretches:
-        # run_sequence's one-increment step: the target state, but reached
-        # as f_prev + (f_target - f_prev)
-        f = f_prev + 1.0 * (pg.u_to_f(u) - f_prev)
-        f_prev = pg.u_to_f(u)
+        # run_sequence's one-increment step: the target state (F = U), but
+        # reached as f_prev + (f_target - f_prev)
+        f = f_prev + 1.0 * (u - f_prev)
+        f_prev = u
         v = np.array([f[0, 0] - 1.0, f[0, 1], f[1, 0], f[1, 1] - 1.0])
         local = np.broadcast_to(np.eye(3), (ens.n_points, 3, 3)).copy()
         local[:, :2, :2] += (ens.concentrations @ v).reshape(-1, 2, 2)
@@ -176,18 +177,9 @@ def oracle_path(kind):
                                    step_size=0.008)
 
 
-def test_out_of_plane_shear_rejected():
-    f = np.eye(3)
-    f[0, 2] = 0.01
-    with pytest.raises(ValueError, match="out-of-plane"):
-        mm.fiber_stress(f)
-    with pytest.raises(ValueError, match="out-of-plane"):
-        mm.matrix_update(f, mm.PlasticState.initial())
-
-
 class TestFiber:
     def test_reference_state_stress_free(self):
-        assert mm.fiber_stress(np.eye(3)) == 0.0
+        assert mm.fiber_stress(np.eye(2), 1.0) == 0.0
 
     def test_small_strain_linear_elasticity(self):
         # linearization oracle: dev tau ~ 2 mu dev(sym eps); the relative
@@ -197,7 +189,7 @@ class TestFiber:
         for _ in range(10):
             eps = random_plane(rng)
             eps *= 1e-6 / np.linalg.norm(eps)
-            tau = mm.fiber_stress(np.eye(3) + eps, params)
+            tau = mm.fiber_stress(*plane_blocks(np.eye(3) + eps), params)
             sym = 0.5 * (eps + eps.T)
             dev = sym - np.trace(sym) / 3.0 * np.eye(3)
             ref = np.sqrt(1.5) * 2.0 * params.mu_mpa * np.linalg.norm(dev)
@@ -207,18 +199,18 @@ class TestFiber:
         rng = np.random.default_rng(2)
         for _ in range(20):
             f = random_deformation(rng)
-            tau = mm.fiber_stress(f)
+            tau = mm.fiber_stress(*plane_blocks(f))
             ref = tau_eq_of_pk1(fd_gradient(lambda x: mm.fiber_energy(x), f), f)
             assert abs(tau - ref) <= 1e-6 * max(ref, 1.0)
 
     def test_invalid_deformation(self):
         with pytest.raises(mm.InvalidDeformationError):
-            mm.fiber_stress(np.diag([-1.0, 1.0, 1.0]))
+            mm.fiber_stress(np.diag([-1.0, 1.0]), 1.0)
 
     def test_tau_eq_nonnegative(self):
         rng = np.random.default_rng(3)
         f = np.eye(3) + 0.05 * random_plane(rng, (64,))
-        tau = mm.fiber_stress(f)
+        tau = mm.fiber_stress(*plane_blocks(f))
         assert np.all(tau >= 0.0)
 
 
@@ -228,12 +220,13 @@ class TestMatrixUpdate:
         params = mm.MATRIX_DEFAULTS
         state = mm.PlasticState.initial()
         shear = 90.0 / (np.sqrt(3.0) * params.mu_mpa)
-        f = np.eye(3)
+        f = np.eye(2)
         f[0, 1] = shear
-        tau, new_state = mm.matrix_update(f, state, params)
+        tau, new_state = mm.matrix_update(f, 1.0, state, params)
         assert tau == pytest.approx(90.0, rel=1e-3)
         assert new_state.gamma == 0.0
-        assert np.array_equal(new_state.fp, np.eye(3))
+        assert np.array_equal(new_state.fp_in, np.eye(2))
+        assert new_state.fp_out == 1.0
 
     def test_elastic_stress_is_energy_gradient(self):
         rng = np.random.default_rng(5)
@@ -242,8 +235,8 @@ class TestMatrixUpdate:
             fp = random_plastic_fp(rng)
             # small enough elastic stretch on top of fp to stay elastic
             f = (np.eye(3) + 0.002 * random_plane(rng)) @ fp
-            state = mm.PlasticState(fp=fp.copy(), gamma=np.array(0.3))
-            tau, new_state = mm.matrix_update(f, state, params)
+            state = mm.PlasticState(*plane_blocks(fp.copy()), np.array(0.3))
+            tau, new_state = mm.matrix_update(*plane_blocks(f), state, params)
             assert new_state.gamma == state.gamma
             p_fd = fd_gradient(lambda x: mm.matrix_energy(x, fp, params), f)
             ref = tau_eq_of_pk1(p_fd, f)
@@ -256,16 +249,18 @@ class TestMatrixUpdate:
         rng = np.random.default_rng(10)
         params = mm.MATRIX_DEFAULTS
         f = np.eye(3) + 0.1 * random_plane(rng, (64,))
-        tau, state = mm.matrix_update(f, mm.PlasticState.initial((64,)), params)
+        tau, state = mm.matrix_update(*plane_blocks(f),
+                                      mm.PlasticState.initial((64,)), params)
         assert np.count_nonzero(state.gamma) > 32
-        fe = f @ np.linalg.inv(state.fp)
+        fp = plane_strain(state.fp_in, state.fp_out)
+        fe = f @ np.linalg.inv(fp)
         w, q = np.linalg.eigh(np.swapaxes(fe, -1, -2) @ fe)
         log_w = np.log(w)
         dev_w = log_w - log_w.mean(axis=-1, keepdims=True)
         m = (q * (params.mu_mpa * dev_w / w)[..., None, :]) @ np.swapaxes(q, -1, -2)
         f_inv_t = np.swapaxes(np.linalg.inv(f), -1, -2)
         ref = (params.k_mpa * np.log(np.linalg.det(f))[..., None, None] * f_inv_t
-               + fe @ m @ np.swapaxes(np.linalg.inv(state.fp), -1, -2))
+               + fe @ m @ np.swapaxes(np.linalg.inv(fp), -1, -2))
         tau_ref = tau_eq_of_pk1(ref, f)
         assert np.max(np.abs(tau - tau_ref)) <= 1e-10 * np.max(np.abs(tau_ref))
 
@@ -290,8 +285,8 @@ class TestMatrixUpdate:
                 continue
             dg_oracle = float(bisect_return(tau_tr, gamma0, params))
 
-            state = mm.PlasticState(fp=fp.copy(), gamma=np.array(gamma0))
-            tau_eq, new_state = mm.matrix_update(f, state, params)
+            state = mm.PlasticState(*plane_blocks(fp.copy()), np.array(gamma0))
+            tau_eq, new_state = mm.matrix_update(*plane_blocks(f), state, params)
             dg = float(new_state.gamma - gamma0)
             assert abs(dg - dg_oracle) <= 1e-10
             # consistency: stress sits on the updated yield surface
@@ -306,9 +301,9 @@ class TestMatrixUpdate:
         state = mm.PlasticState.initial()
         tau = 0.0
         for s in np.linspace(0.0, 0.6, 240)[1:]:
-            f = np.eye(3)
+            f = np.eye(2)
             f[0, 1] = s
-            tau, state = mm.matrix_update(f, state, params)
+            tau, state = mm.matrix_update(f, 1.0, state, params)
         assert abs(tau - 120.0) <= 0.5
 
     def test_det_fp_unimodular(self):
@@ -317,10 +312,10 @@ class TestMatrixUpdate:
         f = np.eye(3)
         for _ in range(60):
             f = f + 0.02 * random_plane(rng)
-            if tl.det(f) < 0.3:
+            if tl.det(*plane_blocks(f)) < 0.3:
                 f = np.eye(3)
-            _, state = mm.matrix_update(f, state)
-            assert abs(tl.det(state.fp) - 1.0) <= 1e-8
+            _, state = mm.matrix_update(*plane_blocks(f), state)
+            assert abs(tl.det(state.fp_in, state.fp_out) - 1.0) <= 1e-8
 
     def test_gamma_never_decreases(self):
         rng = np.random.default_rng(8)
@@ -329,31 +324,43 @@ class TestMatrixUpdate:
         last = state.gamma.copy()
         for _ in range(40):
             f = f + 0.01 * random_plane(rng, (16,))
-            _, state = mm.matrix_update(f, state)
+            _, state = mm.matrix_update(*plane_blocks(f), state)
             assert np.all(state.gamma >= last - 1e-15)
             last = state.gamma.copy()
 
+    def test_drifted_plastic_state_renormalized(self, caplog):
+        # an elastic step keeps F^p, but one with det F^p = 1.1^3 is scaled
+        # back to det 1, its block and out-of-plane entry alike; the
+        # unimodular neighbour is left bit-identical
+        state = mm.PlasticState(np.stack([1.1 * np.eye(2), np.eye(2)]),
+                                np.array([1.1, 1.0]), np.zeros(2))
+        tau, new = mm.matrix_update(np.stack([np.eye(2)] * 2), 1.0, state)
+        assert np.all(new.gamma == 0.0) and np.allclose(tau, 0.0)
+        assert "renormalizing 1 plastic" in caplog.text
+        assert np.allclose(new.fp_in[0], np.eye(2), atol=1e-15)
+        assert abs(new.fp_out[0] - 1.0) <= 1e-15
+        assert np.array_equal(new.fp_in[1], np.eye(2)) and new.fp_out[1] == 1.0
+
     def test_plane_strain_structure_preserved(self):
-        # plane-strain loading keeps F^p block-diagonal: no out-of-plane
-        # couplings ever appear (the out-of-plane normal stretch does evolve)
+        # plane-strain loading keeps F^p in block form, and its out-of-plane
+        # normal stretch evolves: the flow is isochoric in 3D, not in plane
         rng = np.random.default_rng(9)
         state = mm.PlasticState.initial()
         for _ in range(40):
-            g = np.zeros((3, 3))
-            g[:2, :2] = 0.04 * rng.standard_normal((2, 2))
-            f = np.eye(3) + g
-            _, state = mm.matrix_update(f, state)
-        fp = state.fp
-        off = [fp[0, 2], fp[1, 2], fp[2, 0], fp[2, 1]]
-        assert np.allclose(off, 0.0, atol=1e-14)
+            f = np.eye(2) + 0.04 * rng.standard_normal((2, 2))
+            _, state = mm.matrix_update(f, 1.0, state)
+        assert state.fp_in.shape == (2, 2) and state.fp_out.shape == ()
+        assert abs(state.fp_out - 1.0) > 1e-3
+        assert abs(tl.det(state.fp_in, state.fp_out) - 1.0) <= 1e-12
         assert state.gamma > 0.1
 
 
 class TestEnsemble:
     def test_zero_perturbation_is_uniform(self):
         ens = mm.build_ensemble(10, 4, 0.0, seed=1)
-        f = np.eye(3) + np.array([[0.02, 0.01, 0], [0.005, -0.01, 0], [0, 0, 0]])
+        f = np.eye(2) + np.array([[0.02, 0.01], [0.005, -0.01]])
         local = ens.local_deformations(f)
+        assert local.shape == (14, 2, 2)
         assert np.allclose(local, f, atol=1e-15)
 
     def test_mean_map_is_identity(self):
@@ -424,9 +431,8 @@ class TestRunSequence:
 
         state = mm.PlasticState.initial()
         for t, u in enumerate(path.stretches):
-            f = pg.u_to_f(u)
-            tau, state = mm.matrix_update(f, state, ens.matrix)
-            tau_fiber = mm.fiber_stress(f, ens.fiber)
+            tau, state = mm.matrix_update(*plane_blocks(u), state, ens.matrix)
+            tau_fiber = mm.fiber_stress(*plane_blocks(u), ens.fiber)
             assert np.allclose(fields.gamma[t], state.gamma, atol=1e-12)
             assert np.allclose(fields.tau[t, :6], tau, atol=1e-9)
             assert np.allclose(fields.tau[t, 6:], tau_fiber, atol=1e-9)
@@ -506,10 +512,10 @@ def reference_fields(path, ens):
     gamma = np.zeros((n_steps, ens.d_gamma))
     tau = np.zeros((n_steps, ens.d_tau))
     state = mm.PlasticState.initial((ens.n_matrix,))
-    f_prev = np.eye(3)
+    f_prev = np.eye(2)
     substepped = 0
     for t in range(n_steps):
-        f_target = pg.u_to_f(path.stretches[t])
+        f_target = path.stretches[t, :2, :2]
         for halving in range(9):
             n_sub = 2**halving
             trial = state

@@ -159,20 +159,13 @@ class TestCyclicPath:
 
 
 class TestKinematics:
-    def test_u_to_f_identity(self):
-        assert np.array_equal(pg.u_to_f(np.eye(3)), np.eye(3))
-
-    def test_u_to_f_is_stretch(self):
-        u = np.diag([1.1, 0.95, 1.0])
-        assert np.array_equal(pg.u_to_f(u), u)
-
     def test_polar_decomposition_recovers_u(self):
         # polar-decomposition oracle via the LAPACK symmetric square root
         rng = np.random.default_rng(31)
         for _ in range(20):
             s = 0.05 * rng.standard_normal((3, 3))
             u = np.eye(3) + 0.5 * (s + s.T)
-            f = pg.u_to_f(u)
+            f = u  # rotation-free kinematics: F = U
             w, q = np.linalg.eigh(f.T @ f)
             u_rec = (q * np.sqrt(w)) @ q.T
             assert np.allclose(u_rec, u, atol=1e-10)
@@ -192,5 +185,5 @@ class TestKinematics:
         rng = np.random.default_rng(32)
         s = 0.03 * rng.standard_normal((3, 3))
         u = np.eye(3) + 0.5 * (s + s.T)
-        f = pg.u_to_f(u)
+        f = u  # rotation-free kinematics: F = U
         assert np.allclose(pg.u_to_e(u), 0.5 * (f.T @ f - np.eye(3)), atol=1e-14)

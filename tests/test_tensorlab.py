@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import plane_blocks, plane_strain
 from rvesurrogate import tensorlab as tl
-
-
-def plane_strain(in_plane, out_of_plane):
-    t = np.zeros((3, 3))
-    t[:2, :2] = in_plane
-    t[2, 2] = out_of_plane
-    return t
 
 
 def random_symmetric(rng, scale=1.0):
@@ -23,36 +17,60 @@ def random_spd(rng, spread=1.0):
 
 
 def random_plane_strain(rng, shape):
-    t = np.zeros(shape + (3, 3))
-    t[..., :2, :2] = rng.standard_normal(shape + (2, 2))
-    t[..., 2, 2] = rng.standard_normal(shape)
-    return t
+    return plane_strain(rng.standard_normal(shape + (2, 2)),
+                        rng.standard_normal(shape))
+
+
+def eigenvectors_3x3(decomp):
+    """The 3x3 eigenvector matrices of a decomposition, one column per value."""
+    vecs, order = decomp.vectors, decomp.order
+    out = np.zeros(order.shape[:-1] + (3, 3))
+    for idx in np.ndindex(order.shape[:-1]):
+        in_plane = iter(vecs[idx].T)
+        for k, source in enumerate(order[idx]):
+            if source == 2:
+                out[idx + (2, k)] = 1.0
+            else:
+                out[idx + (slice(0, 2), k)] = next(in_plane)
+    return out
+
+
+def sym_eig_3x3(s):
+    """Eigenvalues and 3x3 eigenvector matrices of plane-strain tensors."""
+    decomp = tl.sym_eig(*plane_blocks(s))
+    return decomp.values, eigenvectors_3x3(decomp)
 
 
 def spectral_map(s, func):
     """``func`` applied to the eigenvalues of ``s`` through sym_eig."""
-    vals, vecs = tl.sym_eig(s)
+    vals, vecs = sym_eig_3x3(s)
     return tl.reassemble(func(vals), vecs)
 
 
 class TestSymEig:
     def test_identity(self):
-        vals, vecs = tl.sym_eig(np.eye(3))
+        vals, vecs, order = tl.sym_eig(np.eye(2), 1.0)
         assert np.allclose(vals, [1.0, 1.0, 1.0])
-        assert np.allclose(vecs.T @ vecs, np.eye(3), atol=1e-12)
+        assert np.allclose(vecs.T @ vecs, np.eye(2), atol=1e-12)
+        assert order.tolist() == [0, 1, 2]
 
     def test_diagonal(self):
-        vals, vecs = tl.sym_eig(np.diag([3.0, 2.0, 1.0]))
-        assert np.allclose(vals, [3.0, 2.0, 1.0], atol=1e-14)
-        # axis-aligned eigenvectors up to sign
-        assert np.allclose(np.abs(vecs), np.eye(3), atol=1e-12)
+        for diagonal, order in (([3.0, 2.0, 1.0], [0, 1, 2]),
+                                ([1.0, 2.0, 3.0], [2, 1, 0]),
+                                ([1.0, 3.0, 2.0], [1, 2, 0])):
+            decomp = tl.sym_eig(np.diag(diagonal[:2]), diagonal[2])
+            assert np.allclose(decomp.values, [3.0, 2.0, 1.0], atol=1e-14)
+            assert decomp.order.tolist() == order
+            # axis-aligned eigenvectors up to sign, in the order of their values
+            vecs = eigenvectors_3x3(decomp)
+            assert np.allclose(np.abs(vecs), np.eye(3)[:, order], atol=1e-12)
 
     def test_against_lapack_oracle(self):
         # independent oracle: LAPACK symmetric eigensolver
         rng = np.random.default_rng(42)
         for _ in range(200):
             s = random_symmetric(rng, scale=rng.uniform(0.1, 10.0))
-            vals, vecs = tl.sym_eig(s)
+            vals, vecs = sym_eig_3x3(s)
             ref = np.sort(np.linalg.eigvalsh(s))
             assert np.allclose(np.sort(vals), ref,
                                atol=1e-9 * max(1.0, np.abs(ref).max()))
@@ -64,7 +82,7 @@ class TestSymEig:
     def test_descending_order(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            vals, _ = tl.sym_eig(random_symmetric(rng))
+            vals, _ = sym_eig_3x3(random_symmetric(rng))
             assert vals[0] >= vals[1] >= vals[2]
 
     def test_batch_matches_single_bitwise(self):
@@ -73,34 +91,26 @@ class TestSymEig:
         # isotropic and diagonal blocks need no rotation
         batch[3, :2, :2] = 2.5 * np.eye(2)
         batch[4, :2, :2] = np.diag([-1.0, 4.0])
-        bvals, bvecs = tl.sym_eig(batch)
+        batched = tl.sym_eig(*plane_blocks(batch))
         for i in range(batch.shape[0]):
-            svals, svecs = tl.sym_eig(batch[i])
-            assert np.array_equal(bvals[i], svals)
-            assert np.array_equal(bvecs[i], svecs)
+            single = tl.sym_eig(*plane_blocks(batch[i]))
+            for got, want in zip(batched, single):
+                assert np.array_equal(got[i], want)
 
     def test_rejects_nonfinite(self):
-        s = np.eye(3)
-        s[0, 0] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            tl.sym_eig(s)
+        for entry in ((0, 0), (2, 2)):
+            s = np.eye(3)
+            s[entry] = np.nan
+            with pytest.raises(ValueError, match="non-finite"):
+                tl.sym_eig(*plane_blocks(s))
 
     def test_rejects_asymmetric(self):
-        t = np.eye(3)
-        t[0, 1] = 0.5
         with pytest.raises(ValueError, match="not symmetric"):
-            tl.sym_eig(t)
-
-    @pytest.mark.parametrize("i, j", [(0, 2), (1, 2)])
-    def test_rejects_out_of_plane_coupling(self, i, j):
-        s = np.eye(3)
-        s[i, j] = s[j, i] = 1e-3
-        with pytest.raises(ValueError, match="out-of-plane"):
-            tl.sym_eig(s)
+            tl.sym_eig(np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0)
 
     def test_degenerate_spectrum(self):
         s = np.diag([2.0, 2.0, 2.0])
-        vals, vecs = tl.sym_eig(s)
+        vals, vecs = sym_eig_3x3(s)
         assert np.allclose(vals, 2.0)
         assert np.allclose(tl.reassemble(vals, vecs), s, atol=1e-12)
 
@@ -157,31 +167,20 @@ class TestLogExp:
 
 class TestBasicOps:
     def test_det_identity(self):
-        assert tl.det(np.eye(3)) == 1.0
+        assert tl.det(np.eye(2), 1.0) == 1.0
 
     def test_det_against_numpy(self):
         rng = np.random.default_rng(22)
         t = random_plane_strain(rng, (40,))
-        assert np.allclose(tl.det(t), np.linalg.det(t), atol=1e-12)
+        assert np.allclose(tl.det(*plane_blocks(t)), np.linalg.det(t), atol=1e-12)
 
     def test_inv(self):
         rng = np.random.default_rng(23)
         t = random_plane_strain(rng, (20,)) + 2.0 * np.eye(3)
-        assert np.allclose(tl.inv(t) @ t, np.broadcast_to(np.eye(3), t.shape), atol=1e-10)
+        t_inv = plane_strain(*tl.inv(*plane_blocks(t)))
+        assert np.allclose(t_inv @ t, np.broadcast_to(np.eye(3), t.shape), atol=1e-10)
 
     def test_inv_singular_raises(self):
-        with pytest.raises(ValueError, match="singular"):
-            tl.inv(np.zeros((3, 3)))
-
-    @pytest.mark.parametrize("op", [tl.det, tl.inv, tl.blocks])
-    def test_rejects_out_of_plane_coupling(self, op):
-        t = np.eye(3)
-        t[2, 0] = 0.1
-        with pytest.raises(ValueError, match="out-of-plane"):
-            op(t)
-
-    def test_blocks_round_trip(self):
-        rng = np.random.default_rng(24)
-        t = random_plane_strain(rng, (5,))
-        in_plane, out_of_plane = tl.blocks(t)
-        assert np.array_equal(tl.from_blocks(in_plane, out_of_plane), t)
+        for in_plane, out_of_plane in ((np.zeros((2, 2)), 1.0), (np.eye(2), 0.0)):
+            with pytest.raises(ValueError, match="singular"):
+                tl.inv(in_plane, out_of_plane)
