@@ -607,10 +607,20 @@ def stage_train(cfg: dict, root: Path) -> None:
         stage_dir, "train", cfg, inputs=inputs,
         notes={"surrogate": bundle.describe(),
                "final_loss": history.final_loss(),
-               "aborted": history.aborted},
+               "aborted": history.aborted,
+               "gradients": [
+                   {"group": gi, "clipped_steps": int(n_clipped),
+                    "max_norm": float(norm)}
+                   for gi, n_clipped, norm in zip(bundle.trained_groups,
+                                                  history.clipped_steps,
+                                                  history.max_grad_norm)]},
     )
     if history.aborted:
-        raise StageError("train postcondition failed: loss diverged")
+        where = ", ".join(f"group {gi} at batch {b}" for gi, b in history.aborted)
+        raise StageError(
+            f"train postcondition failed: loss diverged in {where}, each "
+            "restored to before that batch; lower train.learning_rate"
+        )
     probe = bundle.predict_fields(np.zeros((4, 3))).fields
     if not np.all(np.isfinite(probe)):
         raise StageError("train postcondition failed: non-finite predictions")

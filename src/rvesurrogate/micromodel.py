@@ -354,8 +354,9 @@ class RveEnsemble:
         """Per-point in-plane deformation blocks, shape (n, 2, 2), for a
         macro in-plane block; every out-of-plane entry is 1."""
         # F - I in row-major order is (xx, xy, yx, yy); so are the local
-        # perturbations
-        local = self.concentrations @ (f_macro - np.eye(2)).reshape(4)
+        # perturbations, stacked point by point as the rows of one
+        # (4 n, 4) product
+        local = self.concentrations.reshape(-1, 4) @ (f_macro - np.eye(2)).reshape(4)
         return local.reshape(-1, 2, 2) + np.eye(2)
 
 

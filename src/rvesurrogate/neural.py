@@ -35,9 +35,26 @@ two vectors.  Their dtype, float64 so finite-difference gradient checks
 resolve, is the model's one storage decision.  ``backward`` writes every
 gradient over ``grads``, so nothing carries over from an earlier batch and
 nothing needs zeroing; ``Adam.step`` updates ``params`` and its moment
-vectors in place, slice by cache-sized slice.  A training step therefore
-allocates no parameter-sized temporary but the squared gradient that
-``clip_gradient_norm`` sums.
+vectors in place, slice by cache-sized slice.
+
+Workspace: the big arrays of a training step are views of float64
+buffers kept in a workspace, a dict that ``forward`` and ``train_step``
+take as ``workspace=``.  They are ``forward``'s input-side gate
+pre-activations ``gx``, ``h_all``, the four gate/candidate caches and the
+block of states the output net reads (gathered from ``h_all`` when the
+batch has more than one sequence); ``backward``'s ``d_h`` and ``d_g``
+(``d_g`` in ``gx``'s buffer, and the block of previous states in
+``d_h``'s, each once its first user is done with it); and the squared
+gradient that clipping sums.  A buffer grows to the largest request and
+never shrinks.  The training loop passes one workspace to every step, so
+once the longest batch has run a step allocates only the dense nets'
+activations, the loss gradient and the per-step rows of the recurrence
+(under 1 MB at paper width, batch 8, 32 steps), and no heap pages are
+handed back to the system and faulted in again between steps.  Without a
+workspace ``forward`` builds a fresh one sized for its input, so
+prediction runs as before; ``backward`` takes its buffers from the
+workspace its cache was made in.  A later forward through the same
+workspace overwrites an earlier forward's cache.
 """
 
 from __future__ import annotations
@@ -69,10 +86,6 @@ def leaky_relu(x):
     """max(0, x) + min(0, x) / 100, elementwise."""
     x = np.asarray(x, dtype=np.float64)
     return np.where(x >= 0.0, x, LEAKY_SLOPE * x)
-
-
-def _leaky_grad(x):
-    return np.where(x >= 0.0, 1.0, LEAKY_SLOPE)
 
 
 def _sigmoid(x):
@@ -123,24 +136,37 @@ class FeedForwardNet:
         return cls(sizes, acts, draw)
 
     def forward(self, x):
-        """Returns (output, cache) for a (n_rows, n_in) block."""
+        """Returns (output, cache) for a (n_rows, n_in) block.
+
+        The cache keeps each layer's input and, for a leaky layer, where
+        its pre-activation is not negative, all that backward reads.
+        """
         cache = []
         out = x
         for w, b, act in zip(self.weights, self.biases, self.activations):
-            z = out @ w + b
-            cache.append((out, z))
-            out = leaky_relu(z) if act == ACT_LEAKY else z
+            z = out @ w
+            z += b
+            leaky = act == ACT_LEAKY
+            cache.append((out, z >= 0.0 if leaky else None))
+            out = leaky_relu(z) if leaky else z
         return out, cache
 
-    def backward(self, cache, d_out):
-        """Writes the parameter gradients; returns the input gradient."""
+    def backward(self, cache, d_out, out=None):
+        """Writes the parameter gradients; returns the input gradient,
+        written into ``out`` when given.  ``d_out`` is only read."""
         grad = d_out
         for i in reversed(range(len(self.weights))):
-            x_in, z = cache[i]
-            dz = grad * _leaky_grad(z) if self.activations[i] == ACT_LEAKY else grad
+            x_in, positive = cache[i]
+            dz = grad
+            if positive is not None:
+                # the slope scales the negative side in place, of a copy
+                # only when the gradient is the caller's
+                if dz is d_out:
+                    dz = dz.copy()
+                np.multiply(dz, LEAKY_SLOPE, out=dz, where=~positive)
             np.matmul(x_in.T, dz, out=self.grad_weights[i])
             np.sum(dz, axis=0, out=self.grad_biases[i])
-            grad = dz @ self.weights[i].T
+            grad = np.matmul(dz, self.weights[i].T, out=out if i == 0 else None)
         return grad
 
 
@@ -180,12 +206,59 @@ def gru_step(cell: GruCell, gx_t, h_prev):
     return u * h_prev + (1.0 - u) * c, u, r, c, ghc
 
 
+def _take(workspace: dict, name: str, shape: tuple) -> np.ndarray:
+    """A C-ordered float64 ``shape`` view of the leading elements of the
+    buffer ``workspace[name]``, which is replaced by a ``shape`` array
+    first when it is missing or too small."""
+    buffer = workspace.get(name)
+    if buffer is not None and buffer.shape == shape:
+        return buffer
+    size = math.prod(shape)
+    if buffer is None or buffer.size < size:
+        buffer = workspace[name] = np.empty(shape)
+        return buffer
+    return buffer.reshape(-1)[:size].reshape(shape)
+
+
+def _gru_backward(cell: GruCell, cache: ForwardCache, d_h, d_g) -> None:
+    """Backpropagation through :func:`gru_step` from the last step to the
+    first.
+
+    ``d_h`` (batch, steps, n_h) is the loss gradient of the state after each
+    step from outside the recurrence; the input-side pre-activation
+    gradient ``d_gx`` of every step is written into ``d_g``.  The sweep's
+    own arrays are per-step rows, released when it returns.
+    """
+    n_b, n_t, n = d_h.shape
+    d_gh_t = np.empty((n_b, 3 * n))
+    wh_t = cell.wh.T
+    dh_next = np.zeros((n_b, n))
+    for t in range(n_t - 1, -1, -1):
+        dh = d_h[:, t] + dh_next
+        u = cache.gate_u[:, t]
+        r = cache.gate_r[:, t]
+        c = cache.cand[:, t]
+        h_prev = cache.h_all[:, t]
+        du = dh * (h_prev - c)
+        dc = dh * (1.0 - u)
+        dac = dc * (1.0 - c * c)
+        dr = dac * cache.gh_cand[:, t]
+        dau = du * u * (1.0 - u)
+        dar = dr * r * (1.0 - r)
+        d_g[:, t, :n] = d_gh_t[:, :n] = dau
+        d_g[:, t, n:2 * n] = d_gh_t[:, n:2 * n] = dar
+        d_g[:, t, 2 * n:] = dac
+        np.multiply(dac, r, out=d_gh_t[:, 2 * n:])
+        dh_next = dh * u + d_gh_t @ wh_t
+
+
 class ForwardCache(NamedTuple):
     """What :meth:`RnnModel.forward` keeps for :meth:`RnnModel.backward`.
 
     ``h_all`` (batch, steps + 1, n_h) holds the initial hidden state and the
     state after every step, so ``h_all[:, -1]`` is the ``h_init`` that
-    resumes the recurrence after the last step.
+    resumes the recurrence after the last step.  ``workspace`` is the one
+    the forward pass ran in; ``backward`` takes its buffers from it.
     """
 
     shape: tuple
@@ -197,6 +270,7 @@ class ForwardCache(NamedTuple):
     cand: np.ndarray
     gh_cand: np.ndarray
     out_cache: list
+    workspace: dict
 
 
 class RnnModel:
@@ -260,14 +334,15 @@ class RnnModel:
 
     # -- forward / backward -------------------------------------------------
 
-    def forward(self, inputs, h_init=None):
+    def forward(self, inputs, h_init=None, workspace=None):
         """Full-sequence forward pass.
 
         ``inputs`` has shape (batch, steps, n_x).  The recurrence starts from
         ``h_init`` (batch, n_h) when given, else from the constant ``h0``, so
         a sequence run in two parts, the second from the first's final state
         ``cache.h_all[:, -1]``, gives the outputs of one run over the whole to
-        roundoff.
+        roundoff.  The cached arrays are views of ``workspace`` (a fresh one
+        when ``None``; see the module notes).
         Returns the output block (batch, steps, n_y) and the
         :class:`ForwardCache` consumed by :meth:`backward`.
         """
@@ -284,70 +359,61 @@ class RnnModel:
 
         xp_flat, in_cache = self.nnw_in.forward(x.reshape(n_b * n_t, -1))
         xp = xp_flat.reshape(n_b, n_t, self.gru.n_in)
-        gx = xp @ self.gru.wx + self.gru.bx
+        if workspace is None:
+            workspace = {}
+        gx = _take(workspace, "gx", (n_b, n_t, 3 * n))
+        np.matmul(xp, self.gru.wx, out=gx)
+        gx += self.gru.bx
 
-        h_all = np.empty((n_b, n_t + 1, n))
+        h_all = _take(workspace, "h_all", (n_b, n_t + 1, n))
         h_all[:, 0] = self.h0 if h_init is None else h_init
-        gate_u = np.empty((n_b, n_t, n))
-        gate_r = np.empty((n_b, n_t, n))
-        cand = np.empty((n_b, n_t, n))
-        gh_cand = np.empty((n_b, n_t, n))
+        gate_u, gate_r, cand, gh_cand = _take(workspace, "gates", (4, n_b, n_t, n))
         for t in range(n_t):
             (h_all[:, t + 1], gate_u[:, t], gate_r[:, t], cand[:, t],
              gh_cand[:, t]) = gru_step(self.gru, gx[:, t], h_all[:, t])
 
-        y_flat, out_cache = self.nnw_out.forward(h_all[:, 1:].reshape(n_b * n_t, n))
+        # the output net reads the states after each step as one block,
+        # which they already are in a batch of one
+        h_out = h_all[:, 1:]
+        if not h_out.flags.c_contiguous:
+            h_out = _take(workspace, "h_out", (n_b, n_t, n))
+            h_out[...] = h_all[:, 1:]
+        y_flat, out_cache = self.nnw_out.forward(h_out.reshape(n_b * n_t, n))
         outputs = y_flat.reshape(n_b, n_t, self.n_outputs)
         cache = ForwardCache(x.shape, in_cache, xp, h_all, gate_u, gate_r, cand,
-                             gh_cand, out_cache)
+                             gh_cand, out_cache, workspace)
         return outputs, cache
 
     def backward(self, cache: ForwardCache, d_outputs) -> None:
         """Exact gradients of the cached forward pass, written over ``grads``."""
-        (shape, in_cache, xp, h_all, gate_u, gate_r, cand, gh_cand,
-         out_cache) = cache
-        n_b, n_t, _ = shape
+        n_b, n_t, _ = cache.shape
         n = self.gru.n_h
+        rows = n_b * n_t
+        workspace = cache.workspace
 
-        d_h = self.nnw_out.backward(
-            out_cache, np.asarray(d_outputs).reshape(n_b * n_t, -1)
-        ).reshape(n_b, n_t, n)
+        d_h = _take(workspace, "d_h", (n_b, n_t, n))
+        self.nnw_out.backward(cache.out_cache,
+                              np.asarray(d_outputs).reshape(rows, -1),
+                              out=d_h.reshape(rows, n))
 
         # d_g holds the input-side pre-activation gradient d_gx; the
         # hidden-side one d_gh differs only in its candidate third, which is
-        # d_gx's times r, so that third is scaled in place once d_gx is used
-        d_g = np.empty((n_b, n_t, 3 * n))
-        d_gh_t = np.empty((n_b, 3 * n))
-        wh_t = self.gru.wh.T
-        dh_next = np.zeros((n_b, n))
-        for t in range(n_t - 1, -1, -1):
-            dh = d_h[:, t] + dh_next
-            u = gate_u[:, t]
-            r = gate_r[:, t]
-            c = cand[:, t]
-            h_prev = h_all[:, t]
-            du = dh * (h_prev - c)
-            dc = dh * (1.0 - u)
-            dac = dc * (1.0 - c * c)
-            dr = dac * gh_cand[:, t]
-            dau = du * u * (1.0 - u)
-            dar = dr * r * (1.0 - r)
-            d_g[:, t, :n] = d_gh_t[:, :n] = dau
-            d_g[:, t, n:2 * n] = d_gh_t[:, n:2 * n] = dar
-            d_g[:, t, 2 * n:] = dac
-            np.multiply(dac, r, out=d_gh_t[:, 2 * n:])
-            dh_next = dh * u + d_gh_t @ wh_t
-
-        d_g_flat = d_g.reshape(n_b * n_t, 3 * n)
-        xp_flat = xp.reshape(n_b * n_t, self.gru.n_in)
+        # d_gx's times r, so that third is scaled in place once d_gx is used.
+        # d_g overwrites gx, whose one reader was the forward loop
+        d_g = _take(workspace, "gx", (n_b, n_t, 3 * n))
+        _gru_backward(self.gru, cache, d_h, d_g)
+        d_g_flat = d_g.reshape(rows, 3 * n)
+        xp_flat = cache.xp.reshape(rows, self.gru.n_in)
         np.matmul(xp_flat.T, d_g_flat, out=self.gru.grad_wx)
         np.sum(d_g_flat, axis=0, out=self.gru.grad_bx)
         d_xp = d_g_flat @ self.gru.wx.T
-        d_g[..., 2 * n:] *= gate_r
-        h_prev_flat = h_all[:, :-1].reshape(n_b * n_t, n)
-        np.matmul(h_prev_flat.T, d_g_flat, out=self.gru.grad_wh)
+        d_g[..., 2 * n:] *= cache.gate_r
+        # d_h's buffer is free again: the sweep was its last reader
+        h_prev = _take(workspace, "d_h", (n_b, n_t, n))
+        h_prev[...] = cache.h_all[:, :-1]
+        np.matmul(h_prev.reshape(rows, n).T, d_g_flat, out=self.gru.grad_wh)
         np.sum(d_g_flat, axis=0, out=self.gru.grad_bh)
-        self.nnw_in.backward(in_cache, d_xp)
+        self.nnw_in.backward(cache.in_cache, d_xp)
 
 
 def mse_loss(pred, target) -> float:
@@ -367,9 +433,12 @@ def mse_loss_grad(pred, target):
     return (pred - target) * (2.0 / pred.size)
 
 
-def clip_gradient_norm(grads: np.ndarray, max_norm: float) -> float:
-    """Scale a gradient vector in place to a norm cap; returns the norm."""
-    total = np.sqrt(float(np.sum(grads * grads)))
+def clip_gradient_norm(grads: np.ndarray, max_norm: float,
+                       squares: np.ndarray | None = None) -> float:
+    """Scale a gradient vector in place to a norm cap; returns the norm
+    before scaling.  The squares it sums go to ``squares`` when given, an
+    array of the shape of ``grads``."""
+    total = np.sqrt(float(np.sum(np.multiply(grads, grads, out=squares))))
     if max_norm > 0.0 and total > max_norm:
         grads *= max_norm / total
     return total
@@ -449,19 +518,25 @@ class Adam:
 
 
 def train_step(model: RnnModel, optimizer: Adam, inputs, targets,
-               clip_norm: float) -> float:
-    """One BPTT update on a batch; returns its MSE loss.
+               clip_norm: float, workspace=None) -> tuple[float, float]:
+    """One BPTT update on a batch; returns its MSE loss and the gradient
+    norm before clipping.
 
     Backward, gradient clipping and the optimizer step run only when the
-    loss is finite, so a diverged batch leaves the parameters untouched.
+    loss is finite, so a diverged batch leaves the parameters untouched and
+    its norm is NaN.  The step's big arrays are views of ``workspace`` (a
+    fresh one when ``None``; see the module notes).
     """
-    outputs, cache = model.forward(inputs)
+    outputs, cache = model.forward(inputs, workspace=workspace)
     loss = mse_loss(outputs, targets)
+    norm = math.nan
     if np.isfinite(loss):
         model.backward(cache, mse_loss_grad(outputs, targets))
-        clip_gradient_norm(model.grads, clip_norm)
+        norm = clip_gradient_norm(
+            model.grads, clip_norm,
+            _take(cache.workspace, "squares", model.grads.shape))
         optimizer.step(model.grads)
-    return loss
+    return loss, norm
 
 
 # ---------------------------------------------------------------------------

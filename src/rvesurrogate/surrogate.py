@@ -10,12 +10,16 @@ Three surrogate kinds map macro strain histories to state-variable fields:
 All kinds run through one training loop, ``SurrogateBundle.train``, that
 treats a surrogate as a list of (model, output-slice) pairs, so kind II is
 numerically identical to kind III with a single group.  It draws the
-mini-batches with ``datastore.draw_minibatches`` and updates each RNN with
-``neural.train_step``.  The hidden-size trial is a kind II bundle of one
-coefficient trained by the same loop.  Evaluation always maps predictions
-back to the normalized full-dimensional field space, which makes the three
-kinds (and the PCA reconstruction floor from the same ``p`` coefficients)
-directly comparable.
+mini-batch list once with ``datastore.draw_minibatches`` and then trains
+the groups one after another, each over every batch, updating each RNN
+with ``neural.train_step``.  The groups share nothing but the draws, so
+this sequential order gives the bytes of training every group on a batch
+before drawing the next, while only one optimizer state, one parameter
+backup and one step workspace are alive.  The hidden-size trial is a
+kind II bundle of one coefficient trained by the same loop.  Evaluation
+always maps predictions back to the normalized full-dimensional field
+space, which makes the three kinds (and the PCA reconstruction floor from
+the same ``p`` coefficients) directly comparable.
 
 History reuse: in FE2 use every Gauss point queries ``predict_fields`` at
 each macro increment with its strain history so far, one row longer than
@@ -32,7 +36,7 @@ empty one.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -106,7 +110,12 @@ class FieldPrediction:
 class TrainingHistory:
     losses: np.ndarray          # (n_batches_run, n_trained_groups), output-space MSE
     batch_lengths: np.ndarray   # (n_batches_run,), sequence length per batch
-    aborted: bool = False
+    # per trained group: steps whose gradient norm exceeded the clip norm,
+    # and the largest norm before clipping
+    clipped_steps: np.ndarray
+    max_grad_norm: np.ndarray
+    # (group, batch) of each group stopped by a non-finite loss, in group order
+    aborted: list = field(default_factory=list)
 
     @property
     def n_batches_run(self) -> int:
@@ -255,59 +264,64 @@ class SurrogateBundle:
               config: nn.TrainConfig) -> TrainingHistory:
         """Mini-batch training per the shared schedule.
 
-        Every mini-batch is drawn once and then trains each trained group's
-        RNN in turn on its output slice for ``n_epoch`` epochs.  Groups
-        beyond ``trained_group_count`` are never touched.  A NaN loss aborts
-        with the parameters restored to the previous batch.
+        The ``n_batches`` mini-batches are drawn once.  Then each trained
+        group's RNN in turn, in group order, trains on its output slice over
+        every batch, ``n_epoch`` epochs per batch, with an optimizer of its
+        own; all steps share one workspace.  The groups share nothing but
+        the draws, so the result is that of drawing each batch and training
+        every group on it.  Groups beyond ``trained_group_count`` are never
+        touched.  A non-finite loss stops only its own group, with its
+        parameters restored to before that batch, and is listed in
+        ``aborted``; the other groups train every batch.  ``losses`` stops
+        at the first aborted batch.
         """
         self.fit_normalization(dataset)
         groups = self._group_arrays(dataset)
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([config.seed]))
         )
-        draws = ds.draw_minibatches(
+        draws = list(ds.draw_minibatches(
             {length: x.shape[0] for length, (x, _) in groups.items()},
             config.batch_size, config.n_batches, rng,
-        )
-        optimizers = {
-            gi: nn.Adam(self.models[gi].params, config)
-            for gi in self.trained_groups
-        }
-        # each trained group's parameters before the current batch
-        backup = [np.empty_like(self.models[gi].params)
-                  for gi in self.trained_groups]
-        losses = np.zeros((config.n_batches, len(self.trained_groups)))
-        batch_lengths = np.zeros(config.n_batches, dtype=int)
-        aborted = False
-        n_run = 0
-        for b, (length, idx) in enumerate(draws):
-            x_all, y_all = groups[length]
-            xb = x_all[idx]
-            yb = y_all[idx]
-            for gi, params in zip(self.trained_groups, backup):
-                np.copyto(params, self.models[gi].params)
-            batch_losses = np.zeros(len(self.trained_groups))
-            for slot, gi in enumerate(self.trained_groups):
-                model = self.models[gi]
-                lo, hi = self.group_map[gi]
-                target = yb[..., lo:hi]
+        ))
+        n_groups = len(self.trained_groups)
+        losses = np.zeros((config.n_batches, n_groups))
+        clipped = np.zeros(n_groups, dtype=int)
+        max_norm = np.zeros(n_groups)
+        aborted = []
+        # the current group's parameters before the current batch
+        backup = np.empty_like(self.models[0].params)
+        workspace = {}
+        for slot, gi in enumerate(self.trained_groups):
+            model = self.models[gi]
+            lo, hi = self.group_map[gi]
+            optimizer = nn.Adam(model.params, config)
+            for b, (length, idx) in enumerate(draws):
+                x_all, y_all = groups[length]
+                xb = x_all[idx]
+                target = y_all[idx, :, lo:hi]
+                np.copyto(backup, model.params)
                 for _ in range(config.n_epoch):
-                    last = nn.train_step(model, optimizers[gi], xb, target,
-                                         config.clip_norm)
-                    if not np.isfinite(last):
+                    loss, norm = nn.train_step(model, optimizer, xb, target,
+                                               config.clip_norm, workspace)
+                    if not np.isfinite(loss):
                         break
-                batch_losses[slot] = last
-            if not np.all(np.isfinite(batch_losses)):
-                for gi, params in zip(self.trained_groups, backup):
-                    self.models[gi].params[...] = params
-                aborted = True
-                break
-            losses[b] = batch_losses
-            batch_lengths[b] = length
-            n_run = b + 1
+                    clipped[slot] += 0.0 < config.clip_norm < norm
+                    max_norm[slot] = max(max_norm[slot], norm)
+                if not np.isfinite(loss):
+                    model.params[...] = backup
+                    aborted.append((gi, b))
+                    break
+                losses[b, slot] = loss
+            # released before the next group's is built
+            del optimizer
+        n_run = min((b for _, b in aborted), default=config.n_batches)
         return TrainingHistory(
             losses=losses[:n_run],
-            batch_lengths=batch_lengths[:n_run],
+            batch_lengths=np.array([length for length, _ in draws[:n_run]],
+                                   dtype=int),
+            clipped_steps=clipped,
+            max_grad_norm=max_norm,
             aborted=aborted,
         )
 

@@ -94,7 +94,8 @@ class TestTrainOutputs:
     @pytest.mark.parametrize("trained", [0, 1, 2])
     def test_loss_history_rows_match_its_header(self, dataset_root, trained):
         cfg = tiny_config({"p": 4}, 2, (4, 2))
-        cfg["train"].update(trained_group_count=trained, n_batches=3)
+        cfg["train"].update(trained_group_count=trained, n_batches=3,
+                            clip_norm=1e-12)
         for stage in ("pca-fit", "train"):
             cli.run_stage(stage, cfg, dataset_root)
         bundle_dir = dataset_root / "bundle"
@@ -104,6 +105,35 @@ class TestTrainOutputs:
         assert all(len(row.split(",")) == 2 + trained for row in rows)
         notes = json.loads((bundle_dir / "manifest.json").read_text())["notes"]
         assert (notes["final_loss"] is None) == (trained == 0)
+        assert notes["aborted"] == []
+        # 3 batches x 2 epochs per trained group, each clipped at a 1e-12 cap
+        assert [(g["group"], g["clipped_steps"]) for g in notes["gradients"]] \
+            == [(gi, 6) for gi in range(trained)]
+        assert all(g["max_norm"] > 0.0 for g in notes["gradients"])
+
+    def test_divergence_names_each_group_and_batch(self, dataset_root,
+                                                   monkeypatch):
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        cfg["train"].update(n_batches=3, n_epoch=1)
+        real_step = nn.train_step
+        calls = []
+
+        def diverging_step(*args):
+            # the first group runs its 3 batches; the second diverges in its
+            # second batch (index 1)
+            calls.append(None)
+            loss, norm = real_step(*args)
+            return (np.nan, norm) if len(calls) == 3 + 2 else (loss, norm)
+
+        monkeypatch.setattr(nn, "train_step", diverging_step)
+        cli.run_stage("pca-fit", cfg, dataset_root)
+        with pytest.raises(cli.StageError, match="group 1 at batch 1"):
+            cli.run_stage("train", cfg, dataset_root)
+        bundle_dir = dataset_root / "bundle"
+        notes = json.loads((bundle_dir / "manifest.json").read_text())["notes"]
+        assert notes["aborted"] == [[1, 1]]
+        rows = (bundle_dir / "loss_history.csv").read_text().splitlines()[1:]
+        assert len(rows) == 1
 
 
 class TestActionableErrors:

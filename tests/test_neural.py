@@ -257,9 +257,14 @@ class TestTrainStep:
         x = rng.standard_normal((2, 4, 2))
         t = rng.standard_normal((2, 4, 3))
         before = model.params.tobytes()
-        expected = nn.mse_loss(model.forward(x)[0], t)
+        expected, grads = bptt(model, x, t)
         opt = nn.Adam(model.params, nn.TrainConfig())
-        assert nn.train_step(model, opt, x, t, 1.0) == expected
+        loss, norm = nn.train_step(model, opt, x, t, 1e-3)
+        assert loss == expected
+        # the norm before clipping, which the tiny cap then scales down
+        assert norm == np.sqrt(np.sum(grads * grads))
+        assert norm > 1e-3
+        assert np.linalg.norm(model.grads) == pytest.approx(1e-3)
         assert model.params.tobytes() != before
         assert opt.t == 1
 
@@ -270,9 +275,47 @@ class TestTrainStep:
         t = np.full((2, 4, 3), np.nan)
         before = model.params.tobytes()
         opt = nn.Adam(model.params, nn.TrainConfig())
-        assert np.isnan(nn.train_step(model, opt, x, t, 1.0))
+        loss, norm = nn.train_step(model, opt, x, t, 1.0)
+        assert np.isnan(loss) and np.isnan(norm)
         assert model.params.tobytes() == before
         assert opt.t == 0
+
+
+class TestWorkspace:
+    """One workspace serves batches of any shape, in any order, with the
+    bytes of fresh arrays for each."""
+
+    SHAPES = [(3, 6), (2, 4), (3, 7), (1, 2)]
+
+    def test_forward_and_backward_match_fresh_buffers(self):
+        model = small_model(seed=40)
+        rng = np.random.default_rng(41)
+        workspace = {}
+        for n_b, n_t in self.SHAPES:
+            x = rng.standard_normal((n_b, n_t, 2))
+            t = rng.standard_normal((n_b, n_t, 3))
+            fresh_y, fresh_cache = model.forward(x)
+            model.backward(fresh_cache, nn.mse_loss_grad(fresh_y, t))
+            fresh_grads = model.grads.copy()
+            y, cache = model.forward(x, workspace=workspace)
+            assert y.tobytes() == fresh_y.tobytes()
+            assert cache.h_all.tobytes() == fresh_cache.h_all.tobytes()
+            model.backward(cache, nn.mse_loss_grad(y, t))
+            assert model.grads.tobytes() == fresh_grads.tobytes()
+
+    def test_train_steps_match_fresh_buffers(self):
+        rng = np.random.default_rng(42)
+        batches = [(rng.standard_normal((n_b, n_t, 2)),
+                    rng.standard_normal((n_b, n_t, 3))) for n_b, n_t in self.SHAPES]
+
+        def run(workspace):
+            model = small_model(seed=43)
+            opt = nn.Adam(model.params, nn.TrainConfig())
+            out = [nn.train_step(model, opt, x, t, 0.5, workspace)
+                   for x, t in batches]
+            return out, model.params.tobytes()
+
+        assert run({}) == run(None)
 
 
 class TestOptimizer:

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -150,34 +153,125 @@ class TestTraining:
 
     def test_nan_abort_restores_the_parameter_bytes(self, synthetic_packed,
                                                     gamma_pca, monkeypatch):
+        # groups train one after another, so a NaN stops only its own group
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
 
         def build():
             return sg.SurrogateBundle("III", arch, q=4, trained_group_count=3,
                                       pca=gamma_pca, p=8, seed=4)
 
-        cfg = quick_config(n_batches=10, n_epoch=2)
-        clean = build()
-        clean.train(synthetic_packed, quick_config(n_batches=6, n_epoch=2))
+        clean_6, clean_10 = build(), build()
+        clean_6.train(synthetic_packed, quick_config(n_batches=6, n_epoch=2))
+        clean_hist = clean_10.train(synthetic_packed,
+                                    quick_config(n_batches=10, n_epoch=2))
         real_step = nn.train_step
         calls = []
 
         def diverging_step(*args):
-            # the update runs; batch 7 (index 6) reports NaN from the second
-            # epoch of its second group, after 6 batches x 3 groups x 2 epochs
-            loss = real_step(*args)
+            # the update runs; the second group's batch 7 (index 6) reports
+            # NaN from its second epoch, after the first group's 10 batches
+            # and the second group's first 6, at 2 epochs each
+            loss, norm = real_step(*args)
             calls.append(loss)
-            return np.nan if len(calls) == 6 * 3 * 2 + 2 + 2 else loss
+            if len(calls) == 10 * 2 + 6 * 2 + 2:
+                return np.nan, norm
+            return loss, norm
 
         monkeypatch.setattr(nn, "train_step", diverging_step)
         bundle = build()
-        hist = bundle.train(synthetic_packed, cfg)
-        assert hist.aborted
+        hist = bundle.train(synthetic_packed, quick_config(n_batches=10, n_epoch=2))
+        assert hist.aborted == [(1, 6)]
         assert hist.n_batches_run == 6
-        # the third group still trained in the aborted batch, and is restored
-        assert len(calls) == 7 * 3 * 2
-        for a, b in zip(bundle.models, clean.models):
-            assert a.params.tobytes() == b.params.tobytes()
+        assert np.array_equal(hist.losses, clean_hist.losses[:6])
+        assert np.array_equal(hist.batch_lengths, clean_hist.batch_lengths[:6])
+        # the other trained groups ran every batch; the fourth is untrained
+        assert len(calls) == (10 + 7 + 10) * 2
+        for gi, clean in enumerate((clean_10, clean_6, clean_10, clean_10)):
+            assert bundle.models[gi].params.tobytes() \
+                == clean.models[gi].params.tobytes()
+
+    def test_kind_iii_training_is_pinned(self, synthetic_packed, gamma_pca):
+        # computed with the batch-outer loop that trained every group on a
+        # batch before drawing the next; the group-outer loop must give the
+        # same bytes, which it does only if every group sees every batch
+        arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
+        bundle = sg.SurrogateBundle("III", arch, q=3, pca=gamma_pca, p=6, seed=5)
+        hist = bundle.train(synthetic_packed,
+                            quick_config(n_batches=12, seed=9, n_epoch=2))
+        digests = [hashlib.sha256(m.params.tobytes()).hexdigest()[:16]
+                   for m in bundle.models]
+        assert digests == ["303a6011112e2410", "d977aeccfca2b3e1",
+                           "4e9d88b09f6fcc23"]
+        assert set(hist.batch_lengths) == {24, 36}
+        assert hashlib.sha256(hist.losses.tobytes()).hexdigest()[:16] \
+            == "64c94d86349a0ee8"
+
+    @pytest.mark.parametrize("clip_norm, clipped", [(1e-9, 10), (0.0, 0)])
+    def test_clipped_steps_per_group(self, synthetic_packed, gamma_pca,
+                                     clip_norm, clipped):
+        # 5 batches x 2 epochs: a cap below every norm clips each step, and
+        # a zero cap clips none
+        arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
+        bundle = sg.SurrogateBundle("III", arch, q=4, trained_group_count=3,
+                                    pca=gamma_pca, p=8, seed=6)
+        hist = bundle.train(synthetic_packed, quick_config(
+            n_batches=5, n_epoch=2, clip_norm=clip_norm))
+        assert hist.clipped_steps.tolist() == [clipped] * 3
+        assert hist.max_grad_norm.shape == (3,)
+        assert np.all(hist.max_grad_norm > 0.0)
+
+
+class TestTrainingAllocations:
+    """Kind III at paper width, (3, 70) / 400 / (100, 2), on batches of 8
+    sequences of 32 steps: one optimizer state, one backup and one step
+    workspace are alive at a time, whatever the group count."""
+
+    @pytest.fixture(scope="class")
+    def traced(self, gamma_pca):
+        packed = ds.pack_records(synthetic_records(seed=1234, n_records=36),
+                                 lengths=(32,))
+        arch = sg.Architecture(nnw_in=(3, 70), n_h=400, nnw_out=(100, 2))
+        cfg = quick_config(n_batches=3, n_epoch=2, batch_size=8)
+        peaks = {}
+        real_step = nn.train_step
+        for q in (2, 4):
+            bundle = sg.SurrogateBundle("III", arch, q=q, pca=gamma_pca,
+                                        p=2 * q, seed=8)
+            steps = []
+            # peaks of the call before each step, as each step resets it
+            call_peaks = []
+
+            def step(*args):
+                before, peak = tracemalloc.get_traced_memory()
+                call_peaks.append(peak)
+                tracemalloc.reset_peak()
+                out = real_step(*args)
+                steps.append(tracemalloc.get_traced_memory()[1] - before)
+                return out
+
+            nn.train_step = step
+            tracemalloc.start()
+            try:
+                bundle.train(packed, cfg)
+                call_peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+                nn.train_step = real_step
+            peaks[q] = (max(call_peaks), steps, bundle.models[0].params.nbytes)
+        return peaks
+
+    def test_train_peak_under_7_parameter_vectors(self, traced):
+        peak, _, nbytes = traced[4]
+        assert peak < 7 * nbytes
+
+    def test_train_peak_does_not_grow_with_the_group_count(self, traced):
+        assert traced[4][0] == pytest.approx(traced[2][0], rel=0.1)
+
+    def test_steps_after_the_first_allocate_under_1_mb(self, traced):
+        for q in (2, 4):
+            steps = traced[q][1]
+            assert len(steps) == q * 3 * 2
+            assert max(steps[1:]) < 1_000_000
 
 
 class TestKindEquivalence:
