@@ -353,16 +353,13 @@ def _read_artifact(read, path, rewriter: str):
 def stage_gen_paths(cfg: dict, root: Path) -> None:
     p = cfg["paths"]
     walk_base = p["seed"]
-    blocks = []
-    kinds = []
-    for i in range(p["n_random"]):
-        walk_cfg = pg.RandomWalkConfig(
+    paths = [
+        pg.generate_random_path(pg.RandomWalkConfig(
             delta_r=p["delta_r"], delta_r_min=p["delta_r_min"],
             r_max=p["r_max"], max_steps=p["max_steps"], seed=(walk_base, i),
-        )
-        path = pg.generate_random_path(walk_cfg)
-        blocks.append(path.stretches)
-        kinds.append(path.kind)
+        ))
+        for i in range(p["n_random"])
+    ]
     rev_lo = p.get("cyclic_reversals_min", 2)
     rev_hi = p.get("cyclic_reversals_max", 6)
     amp = p.get("cyclic_amplitude_max", p["r_max"])
@@ -370,29 +367,25 @@ def stage_gen_paths(cfg: dict, root: Path) -> None:
     for i in range(p.get("n_cyclic", 0)):
         rev_rng = pg.make_rng((walk_base, i, 1))
         n_rev = int(rev_rng.integers(rev_lo, rev_hi + 1))
-        path = pg.generate_cyclic_path(
+        paths.append(pg.generate_cyclic_path(
             seed=(walk_base, i, 2), n_reversals=n_rev,
             amplitude_max=amp, step_size=step,
-        )
-        blocks.append(path.stretches)
-        kinds.append(path.kind)
+        ))
 
     stage_dir = _fresh_stage_dir(root, "paths")
-    ds.write_pathset(stage_dir / "paths.bin", blocks, kinds)
+    ds.write_pathset(stage_dir / "paths.bin", paths)
     write_manifest(
         stage_dir, "gen-paths", cfg, inputs={},
         notes={
             "termination": "random walks stop once any stretch eigenvalue "
                            "deviates from 1 by more than r_max (deviation "
                            "reading of the critical radius)",
-            "steps": {"min": min(len(b) for b in blocks),
-                      "max": max(len(b) for b in blocks)},
+            "steps": {"min": min(len(lp) for lp in paths),
+                      "max": max(len(lp) for lp in paths)},
         },
     )
-    # postcondition check: increments bounded, strains reload bit-exactly
-    reread, _ = ds.read_pathset(stage_dir / "paths.bin")
-    for u, kind in zip(reread[: p["n_random"]], kinds):
-        lp = pg.LoadingPath(u, kind)
+    # postcondition check: the re-read walks' increments are bounded
+    for lp in ds.read_pathset(stage_dir / "paths.bin")[: p["n_random"]]:
         norms = pg.increment_eigen_norms(lp)
         if np.any(norms > p["delta_r"] + 1e-12) or np.any(norms <= p["delta_r_min"]):
             raise StageError("gen-paths postcondition failed: increment bounds")
@@ -408,10 +401,6 @@ _WORKER = {}
 # depend on --jobs, and it bounds a batch's working set; the kernel cost
 # per point-step barely falls past 16 paths
 _LOCKSTEP_WIDTH = 16
-
-
-def _read_paths(path) -> list[pg.LoadingPath]:
-    return [pg.LoadingPath(u, kind) for u, kind in zip(*ds.read_pathset(path))]
 
 
 def _run_paths(indices) -> tuple[list[ds.SequenceRecord], int]:
@@ -433,7 +422,7 @@ def _run_paths(indices) -> tuple[list[ds.SequenceRecord], int]:
 
 def stage_gen_data(cfg: dict, root: Path, jobs: int = 1) -> None:
     paths_file = require_artifact(root / "paths" / "paths.bin", "gen-paths")
-    paths = _read_artifact(_read_paths, paths_file, "`gen-paths`")
+    paths = _read_artifact(ds.read_pathset, paths_file, "`gen-paths`")
     e = cfg["ensemble"]
     ensemble = mm.build_ensemble(
         d_gamma=e["d_gamma"], n_fiber=e["n_fiber"],
@@ -591,7 +580,10 @@ def stage_train(cfg: dict, root: Path) -> None:
     packed, bundle, train_cfg = _train_setup(cfg, root)
     history = bundle.train(packed, train_cfg)
     stage_dir = _fresh_stage_dir(root, "bundle")
-    bundle.save(stage_dir)
+    # a diverged bundle keeps only its loss history and manifest, so that
+    # eval cannot score it
+    if not history.aborted:
+        bundle.save(stage_dir)
     with open(stage_dir / "loss_history.csv", "w") as fh:
         headers = ",".join(f"loss_group_{gi:02d}" for gi in bundle.trained_groups)
         fh.write(f"batch,length,{headers}\n" if headers else "batch,length\n")

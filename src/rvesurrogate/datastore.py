@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import pathgen as pg
+
 RECORD_MAGIC = b"RVESEQ1"
 PATHSET_MAGIC = b"RVEPTH1"
 FORMAT_VERSION = 1
@@ -319,23 +321,25 @@ def read_dataset(directory) -> list[SequenceRecord]:
     return [read_record(f) for f in files]
 
 
-def write_pathset(path, stretch_blocks, kinds) -> None:
-    """Store loading paths as per-step in-plane stretch components."""
+def write_pathset(path, paths) -> None:
+    """Store ``pathgen.LoadingPath``s as per-step (U_xx, U_yy, U_xy)
+    stretch components and a cyclic flag."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(PATHSET_MAGIC)
-        fh.write(struct.pack("<II", FORMAT_VERSION, len(stretch_blocks)))
-        for u, kind in zip(stretch_blocks, kinds):
-            u = np.asarray(u, dtype=np.float64)
+        fh.write(struct.pack("<II", FORMAT_VERSION, len(paths)))
+        for lp in paths:
+            u = lp.stretches
             comps = np.stack([u[:, 0, 0], u[:, 1, 1], u[:, 0, 1]], axis=-1)
-            flags = FLAG_CYCLIC if kind == "cyclic" else 0
+            flags = FLAG_CYCLIC if lp.kind == pg.KIND_CYCLIC else 0
             fh.write(struct.pack("<IB", comps.shape[0], flags))
             fh.write(comps.astype("<f8").tobytes())
 
 
-def read_pathset(path):
-    """Load loading paths; returns (list of (n,3,3) stretches, list of kinds)."""
+def read_pathset(path) -> list[pg.LoadingPath]:
+    """Load the ``pathgen.LoadingPath``s that ``write_pathset`` stored, with
+    symmetric in-plane stretch blocks."""
     with open(path, "rb") as fh:
         magic = fh.read(len(PATHSET_MAGIC))
         if magic != PATHSET_MAGIC:
@@ -343,21 +347,14 @@ def read_pathset(path):
         version, count = struct.unpack("<II", fh.read(8))
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported path-set version {version}")
-        blocks = []
-        kinds = []
+        paths = []
         for _ in range(count):
             length, flags = struct.unpack("<IB", fh.read(5))
             comps = np.frombuffer(fh.read(8 * 3 * length), dtype="<f8")
-            comps = comps.reshape(length, 3)
-            u = np.zeros((length, 3, 3))
-            u[:, 0, 0] = comps[:, 0]
-            u[:, 1, 1] = comps[:, 1]
-            u[:, 0, 1] = comps[:, 2]
-            u[:, 1, 0] = comps[:, 2]
-            u[:, 2, 2] = 1.0
-            blocks.append(u)
-            kinds.append("cyclic" if flags & FLAG_CYCLIC else "random_walk")
-    return blocks, kinds
+            u = comps.reshape(length, 3)[:, [0, 2, 2, 1]].reshape(length, 2, 2)
+            kind = pg.KIND_CYCLIC if flags & FLAG_CYCLIC else pg.KIND_RANDOM_WALK
+            paths.append(pg.LoadingPath(u, kind))
+    return paths
 
 
 def write_json(path, payload: dict) -> None:

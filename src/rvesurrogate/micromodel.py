@@ -11,15 +11,17 @@ flow update that keeps det(F^p) = 1 exactly up to roundoff.
 Plane strain: every deformation and plastic deformation gradient is
 carried as its in-plane 2x2 block ``(..., 2, 2)`` and its out-of-plane
 normal entry ``(...)`` (see ``tensorlab``); the couplings are zero and are
-never stored.  The paths stretch in plane only and the concentration maps
-act on the in-plane components only, so every local deformation has the
-out-of-plane entry 1; the flow update stays in the trial eigenframe, so
-``F^p`` keeps the block form while its out-of-plane entry evolves.  The
-return mapping works in principal logarithmic stretches (Simo, CMAME 99
-(1992) 61-112) with 2x2 algebra on the in-plane blocks and scalar algebra on
-the out-of-plane entries, on the closed-form ``tensorlab.sym_eig``.  The
-gamma and tau fields are bit-identical to the same update in general 3x3
-algebra; the 3x3 oracle in ``tests/test_micromodel.py`` checks this.
+never stored.  The energies, the stresses and the return mapping take the
+two parts as separate arguments.  The paths stretch in plane only and carry
+their 2x2 blocks alone, and the concentration maps act on the in-plane
+components only, so every local deformation has the out-of-plane entry 1;
+the flow update stays in the trial eigenframe, so ``F^p`` keeps the block
+form while its out-of-plane entry evolves.  The return mapping works in
+principal logarithmic stretches (Simo, CMAME 99 (1992) 61-112) with 2x2
+algebra on the in-plane blocks and scalar algebra on the out-of-plane
+entries, on the closed-form ``tensorlab.sym_eig``.  The gamma and tau
+fields are bit-identical to the same update in general 3x3 algebra; the 3x3
+oracle in ``tests/test_micromodel.py`` checks this.
 
 Per loading step the ensemble emits the equivalent-plastic-strain field over
 the matrix points and the von Mises equivalent Kirchhoff stress field over
@@ -183,11 +185,9 @@ def _energy(det_f, dev_log, k, mu) -> np.ndarray:
     return 0.5 * k * np.log(det_f) ** 2 + 0.25 * mu * _norm_sq(dev_log)
 
 
-# the reference energies take plane-strain (..., 3, 3) tensors, so that the
-# tests can differentiate them in 3x3 form
-def fiber_energy(f, params: FiberParams = FIBER_DEFAULTS) -> np.ndarray:
+def fiber_energy(f_in, f_out,
+                 params: FiberParams = FIBER_DEFAULTS) -> np.ndarray:
     """Elastic potential of the fiber law, MPa."""
-    f_in, f_out = f[..., :2, :2], f[..., 2, 2]
     det_f = _checked_det(f_in, f_out, "fiber_energy")
     return _energy(det_f, _log_strain_deviator(f_in, f_out)[2],
                    params.k_mpa, params.mu_mpa)
@@ -204,11 +204,12 @@ def fiber_stress(f_in, f_out, params: FiberParams = FIBER_DEFAULTS):
     return _SQRT_3_2 * params.mu_mpa * np.sqrt(_norm_sq(dev_log))
 
 
-def matrix_energy(f, fp, params: MatrixParams = MATRIX_DEFAULTS) -> np.ndarray:
-    """Elastic potential of the matrix law at frozen plastic state, MPa."""
-    f_in, f_out = f[..., :2, :2], f[..., 2, 2]
+def matrix_energy(f_in, f_out, state: PlasticState,
+                  params: MatrixParams = MATRIX_DEFAULTS) -> np.ndarray:
+    """Elastic potential of the matrix law at the frozen plastic state
+    ``state``, MPa."""
     det_f = _checked_det(f_in, f_out, "matrix_energy")
-    fp_inv_in, fp_inv_out = tl.inv(fp[..., :2, :2], fp[..., 2, 2])
+    fp_inv_in, fp_inv_out = tl.inv(state.fp_in, state.fp_out)
     dev_log = _log_strain_deviator(f_in @ fp_inv_in, f_out * fp_inv_out)[2]
     return _energy(det_f, dev_log, params.k_mpa, params.mu_mpa)
 
@@ -485,11 +486,11 @@ def run_sequences(paths, ensemble: RveEnsemble) -> list[SequenceFields]:
 
     active = [i for i, n in enumerate(lengths) if n > 0]
     state = PlasticState.initial((len(active), ensemble.n_matrix))
-    # F = U: the macro deformation is the path's in-plane stretch
+    # F = U: the macro deformation is the path's stretch
     f_prev = np.broadcast_to(np.eye(2), (len(active), 2, 2))
     t = 0
     while active:
-        f_target = np.stack([paths[i].stretches[t, :2, :2] for i in active])
+        f_target = np.stack([paths[i].stretches[t] for i in active])
         f_macro = _interpolate(f_prev, f_target, 1.0)
         # one concentrations @ v product per path
         local = np.stack([ensemble.local_deformations(f) for f in f_macro])

@@ -151,9 +151,10 @@ class FeedForwardNet:
             out = leaky_relu(z) if leaky else z
         return out, cache
 
-    def backward(self, cache, d_out, out=None):
-        """Writes the parameter gradients; returns the input gradient,
-        written into ``out`` when given.  ``d_out`` is only read."""
+    def backward(self, cache, d_out, out=None) -> None:
+        """Writes the parameter gradients, and the input gradient into
+        ``out`` when given; without ``out`` it is not computed.  ``d_out``
+        is only read."""
         grad = d_out
         for i in reversed(range(len(self.weights))):
             x_in, positive = cache[i]
@@ -166,8 +167,10 @@ class FeedForwardNet:
                 np.multiply(dz, LEAKY_SLOPE, out=dz, where=~positive)
             np.matmul(x_in.T, dz, out=self.grad_weights[i])
             np.sum(dz, axis=0, out=self.grad_biases[i])
-            grad = np.matmul(dz, self.weights[i].T, out=out if i == 0 else None)
-        return grad
+            if i > 0:
+                grad = dz @ self.weights[i].T
+            elif out is not None:
+                np.matmul(dz, self.weights[0].T, out=out)
 
 
 class GruCell:

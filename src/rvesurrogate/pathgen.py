@@ -1,18 +1,19 @@
 """Random-walk and proportional cyclic macro loading paths.
 
-A loading path is a sequence of right stretch tensors ``U`` starting at the
-identity.  Random-walk paths accumulate spectral increments with a random
-in-plane orientation and bounded eigenvalue norm until the stretch deviates
-from the identity by more than a critical radius.  Cyclic paths ramp a fixed
-random direction up and down through random reversal amplitudes.
+A loading path is a sequence of in-plane right stretch tensors ``U``, each a
+2x2 block, starting at the identity.  Random-walk paths accumulate spectral
+increments with a random in-plane orientation and bounded eigenvalue norm
+until the stretch deviates from the identity by more than a critical
+radius.  Cyclic paths ramp a fixed random direction up and down through
+random reversal amplitudes.
 
 Only 2D (plane-strain) loading is generated: increments act in the x-y plane
-and the out-of-plane stretch stays exactly 1.
+and the out-of-plane stretch stays exactly 1, so it is not stored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,37 +50,31 @@ class RandomWalkConfig:
 
 @dataclass
 class LoadingPath:
-    """Stretch-tensor history with derived Green-Lagrange strains."""
+    """In-plane stretch-tensor history of a plane-strain loading."""
 
-    stretches: np.ndarray  # (n_steps, 3, 3), stretches[0] = I
+    stretches: np.ndarray  # (n_steps, 2, 2), stretches[0] = I
     kind: str
-    strains: np.ndarray = field(init=False)  # (n_steps, 3, 3)
 
     def __post_init__(self):
         self.stretches = np.asarray(self.stretches, dtype=np.float64)
-        if self.stretches.ndim != 3 or self.stretches.shape[1:] != (3, 3):
-            raise ValueError("stretches must have shape (n, 3, 3)")
-        if not np.allclose(self.stretches[0], np.eye(3), atol=1e-12):
+        if self.stretches.shape[1:] != (2, 2) or not self.stretches.shape[0]:
+            raise ValueError("stretches must have shape (n, 2, 2), n >= 1")
+        if not np.allclose(self.stretches[0], np.eye(2), atol=1e-12):
             raise ValueError("loading paths must start at the identity stretch")
-        self.strains = u_to_e(self.stretches)
 
     def __len__(self) -> int:
         return self.stretches.shape[0]
 
     def strain_features(self) -> np.ndarray:
-        """Per-step (E_xx, E_yy, E_xy) features, shape (n_steps, 3)."""
-        e = self.strains
+        """Per-step Green-Lagrange strains E = (U^2 - I) / 2 as
+        (E_xx, E_yy, E_xy) features, shape (n_steps, 3)."""
+        u = self.stretches
+        e = 0.5 * (u @ u - np.eye(2))
         return np.stack([e[:, 0, 0], e[:, 1, 1], e[:, 0, 1]], axis=-1)
 
 
-def u_to_e(u) -> np.ndarray:
-    """Green-Lagrange strain E = (U^2 - I) / 2."""
-    uu = np.asarray(u, dtype=np.float64)
-    return 0.5 * (uu @ uu - np.eye(3))
-
-
 def _inplane_eigenvalues(u) -> np.ndarray:
-    """Closed-form eigenvalues of the in-plane 2x2 block, shape (..., 2)."""
+    """Closed-form eigenvalues of symmetric 2x2 tensors, shape (..., 2)."""
     a = u[..., 0, 0]
     b = u[..., 1, 1]
     c = u[..., 0, 1]
@@ -89,15 +84,15 @@ def _inplane_eigenvalues(u) -> np.ndarray:
 
 
 def _inplane_direction(rng, eig_norm: float) -> np.ndarray:
-    """Symmetric in-plane tensor with eigenvalue vector of given norm.
+    """Symmetric 2x2 tensor with eigenvalue vector of given norm.
 
     The principal directions sit at a uniformly random in-plane angle and the
     squared eigenvalues split the squared norm at a uniformly random ratio,
     with independent random signs.
     """
     phi = rng.uniform(0.0, np.pi)
-    n1 = np.array([np.cos(phi), np.sin(phi), 0.0])
-    n2 = np.array([-np.sin(phi), np.cos(phi), 0.0])
+    n1 = np.array([np.cos(phi), np.sin(phi)])
+    n2 = np.array([-np.sin(phi), np.cos(phi)])
     split = rng.uniform(0.0, 1.0)
     lam1 = np.sqrt(split) * eig_norm
     lam2 = np.sqrt(1.0 - split) * eig_norm
@@ -122,7 +117,7 @@ def generate_random_path(cfg: RandomWalkConfig) -> LoadingPath:
     ``max_steps``.  Deterministic for a fixed seed.
     """
     rng = make_rng(cfg.seed)
-    u = np.eye(3)
+    u = np.eye(2)
     steps = [u]
     for _ in range(cfg.max_steps):
         u = u + random_increment(rng, cfg)
@@ -170,7 +165,7 @@ def generate_cyclic_path(
             s_values.append(s)
 
     scalars = np.asarray(s_values)
-    stretches = np.eye(3) + scalars[:, None, None] * direction
+    stretches = np.eye(2) + scalars[:, None, None] * direction
     return LoadingPath(stretches, KIND_CYCLIC)
 
 

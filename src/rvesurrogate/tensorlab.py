@@ -23,8 +23,10 @@ Every routine performs exactly the floating-point operations of its general
 over the three index pairs, spectral sums in descending eigenvalue order),
 minus the terms that the zero couplings make exact no-ops.  Results are
 therefore bit-identical to the general 3x3 algebra, and so are the
-micro-model fields built on them: ``tests/test_micromodel.py`` checks them
-against a 3x3 oracle, which holds the only 3x3 assembly.
+micro-model fields built on them.  The package holds no 3x3 tensor: the 3x3
+form lives only in the tests' oracles, assembled by ``conftest.plane_strain``,
+and ``tests/test_tensorlab.py`` and ``tests/test_micromodel.py`` check these
+routines and the fields against them.
 """
 
 from __future__ import annotations

@@ -134,6 +134,11 @@ class TestTrainOutputs:
         assert notes["aborted"] == [[1, 1]]
         rows = (bundle_dir / "loss_history.csv").read_text().splitlines()[1:]
         assert len(rows) == 1
+        # no model is left for eval to score
+        assert not (bundle_dir / sg.BUNDLE_FILE).exists()
+        assert not list(bundle_dir.glob("rnn_*.bin"))
+        with pytest.raises(cli.StageError, match="run the `train` stage"):
+            cli.run_stage("eval", cfg, dataset_root)
 
 
 class TestActionableErrors:
@@ -505,6 +510,18 @@ class TestTrialStage:
 
 
 class TestGenDataDeterminism:
+    def test_paths_and_records_are_pinned(self, tmp_path):
+        # digests recorded while the paths were still 3x3 tensors: a rewrite
+        # of the path or strain algebra must not move one bit
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        cfg["paths"]["n_cyclic"] = 1
+        for stage in ("gen-paths", "gen-data"):
+            cli.run_stage(stage, cfg, tmp_path)
+        assert cli.hash_tree(tmp_path / "paths") == "sha256:" \
+            "88b60f8daa5d1baa32baae2a8ee376e0c59db946d5adb87dbbb1906ebd8f32a2"
+        assert cli.hash_tree(tmp_path / "dataset" / "records") == "sha256:" \
+            "85c7b74dd0b8ee567bc4e5262b4a6aaad173e6c7bfe2eaae37e382880116d8fe"
+
     def test_records_identical_across_jobs_and_reruns(self, tmp_path,
                                                       monkeypatch):
         # 8 paths: one lockstep batch, or batches of 3/3/2 spread over two

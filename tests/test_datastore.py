@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rvesurrogate import datastore as ds
+from rvesurrogate import pathgen as pg
 
 CHI2_99_DOF7 = 18.4753  # upper 1% quantile, 7 degrees of freedom
 CHI2_99_DOF3 = 11.3449  # upper 1% quantile, 3 degrees of freedom
@@ -242,17 +243,15 @@ class TestFileFormats:
 
     def test_pathset_round_trip(self, tmp_path):
         rng = np.random.default_rng(18)
-        blocks = []
-        for n in (4, 6):
-            u = np.zeros((n, 3, 3))
-            u[:] = np.eye(3)
-            u[:, 0, 0] += 0.01 * rng.standard_normal(n)
-            u[:, 0, 1] = 0.005 * rng.standard_normal(n)
-            u[:, 1, 0] = u[:, 0, 1]
-            blocks.append(u)
+        paths = []
+        for n, kind in ((4, pg.KIND_RANDOM_WALK), (6, pg.KIND_CYCLIC)):
+            u = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
+            u[1:, 0, 0] += 0.01 * rng.standard_normal(n - 1)
+            u[1:, 0, 1] = u[1:, 1, 0] = 0.005 * rng.standard_normal(n - 1)
+            paths.append(pg.LoadingPath(u, kind))
         p = tmp_path / "paths.bin"
-        ds.write_pathset(p, blocks, kinds=["random_walk", "cyclic"])
-        back, kinds = ds.read_pathset(p)
-        assert kinds == ["random_walk", "cyclic"]
-        for a, b in zip(blocks, back):
-            assert a.tobytes() == b.tobytes()
+        ds.write_pathset(p, paths)
+        back = ds.read_pathset(p)
+        assert [lp.kind for lp in back] == [pg.KIND_RANDOM_WALK, pg.KIND_CYCLIC]
+        for a, b in zip(paths, back):
+            assert a.stretches.tobytes() == b.stretches.tobytes()

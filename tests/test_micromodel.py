@@ -151,7 +151,7 @@ def oracle_fields(path, ens, inverse=np.linalg.inv, solve=bisect_return):
     gamma = np.zeros(ens.n_matrix)
     gammas, taus = [], []
     f_prev = np.eye(3)
-    for u in path.stretches:
+    for u in plane_strain(path.stretches, 1.0):
         # run_sequence's one-increment step: the target state (F = U), but
         # reached as f_prev + (f_target - f_prev)
         f = f_prev + 1.0 * (u - f_prev)
@@ -200,7 +200,8 @@ class TestFiber:
         for _ in range(20):
             f = random_deformation(rng)
             tau = mm.fiber_stress(*plane_blocks(f))
-            ref = tau_eq_of_pk1(fd_gradient(lambda x: mm.fiber_energy(x), f), f)
+            p_fd = fd_gradient(lambda x: mm.fiber_energy(*plane_blocks(x)), f)
+            ref = tau_eq_of_pk1(p_fd, f)
             assert abs(tau - ref) <= 1e-6 * max(ref, 1.0)
 
     def test_invalid_deformation(self):
@@ -238,7 +239,8 @@ class TestMatrixUpdate:
             state = mm.PlasticState(*plane_blocks(fp.copy()), np.array(0.3))
             tau, new_state = mm.matrix_update(*plane_blocks(f), state, params)
             assert new_state.gamma == state.gamma
-            p_fd = fd_gradient(lambda x: mm.matrix_energy(x, fp, params), f)
+            p_fd = fd_gradient(
+                lambda x: mm.matrix_energy(*plane_blocks(x), state, params), f)
             ref = tau_eq_of_pk1(p_fd, f)
             assert abs(tau - ref) <= 1e-6 * max(ref, 1.0)
 
@@ -398,7 +400,7 @@ def pathological_ensemble():
 
 def stretch_path(amplitude, n_steps=9):
     amps = np.linspace(0.0, amplitude, n_steps)
-    u = np.stack([np.diag([1.0 + a, 1.0, 1.0]) for a in amps])
+    u = np.stack([np.diag([1.0 + a, 1.0]) for a in amps])
     return pg.LoadingPath(u, pg.KIND_CYCLIC)
 
 
@@ -413,7 +415,7 @@ def capped_walks():
 
 class TestRunSequence:
     def test_identity_path_all_zero(self):
-        u = np.broadcast_to(np.eye(3), (10, 3, 3))
+        u = np.broadcast_to(np.eye(2), (10, 2, 2))
         path = pg.LoadingPath(u.copy(), pg.KIND_RANDOM_WALK)
         ens = mm.build_ensemble(12, 5, 0.3, seed=4)
         fields = mm.run_sequence(path, ens)
@@ -431,8 +433,8 @@ class TestRunSequence:
 
         state = mm.PlasticState.initial()
         for t, u in enumerate(path.stretches):
-            tau, state = mm.matrix_update(*plane_blocks(u), state, ens.matrix)
-            tau_fiber = mm.fiber_stress(*plane_blocks(u), ens.fiber)
+            tau, state = mm.matrix_update(u, 1.0, state, ens.matrix)
+            tau_fiber = mm.fiber_stress(u, 1.0, ens.fiber)
             assert np.allclose(fields.gamma[t], state.gamma, atol=1e-12)
             assert np.allclose(fields.tau[t, :6], tau, atol=1e-9)
             assert np.allclose(fields.tau[t, 6:], tau_fiber, atol=1e-9)
@@ -515,7 +517,7 @@ def reference_fields(path, ens):
     f_prev = np.eye(2)
     substepped = 0
     for t in range(n_steps):
-        f_target = path.stretches[t, :2, :2]
+        f_target = path.stretches[t]
         for halving in range(9):
             n_sub = 2**halving
             trial = state
@@ -558,7 +560,7 @@ class TestRunSequences:
         paths = [pg.generate_cyclic_path(seed=(0, i, 2), n_reversals=3,
                                          amplitude_max=0.08, step_size=0.005)
                  for i in range(3)]
-        paths.append(pg.LoadingPath(np.eye(3)[None], pg.KIND_RANDOM_WALK))
+        paths.append(pg.LoadingPath(np.eye(2)[None], pg.KIND_RANDOM_WALK))
         assert len({len(p) for p in paths}) == len(paths)
         got = self.assert_per_path(paths, mm.build_ensemble(20, 8, 0.3, seed=1))
         assert min(f.gamma.max() for f in got[:3]) > 0.0

@@ -22,13 +22,6 @@ class TestRandomIncrement:
             norm = np.sqrt(np.sum(lams**2))
             assert cfg.delta_r_min < norm <= cfg.delta_r + 1e-15
 
-    def test_out_of_plane_zero(self, cfg):
-        rng = pg.make_rng(1)
-        for _ in range(100):
-            du = pg.random_increment(rng, cfg)
-            assert np.all(du[2, :] == 0.0)
-            assert np.all(du[:, 2] == 0.0)
-
     def test_symmetric(self, cfg):
         rng = pg.make_rng(2)
         du = pg.random_increment(rng, cfg)
@@ -42,8 +35,7 @@ class TestRandomIncrement:
         angles = np.empty(n_samples)
         for i in range(n_samples):
             du = pg.random_increment(rng, cfg)
-            block = du[:2, :2]
-            w, v = np.linalg.eigh(block)
+            w, v = np.linalg.eigh(du)
             dom = v[:, np.argmax(np.abs(w))]
             angles[i] = np.arctan2(dom[1], dom[0]) % np.pi
         counts, _ = np.histogram(angles, bins=16, range=(0.0, np.pi))
@@ -56,17 +48,18 @@ class TestRandomPath:
     def test_deterministic_for_seed(self, cfg):
         p1 = pg.generate_random_path(cfg)
         p2 = pg.generate_random_path(cfg)
-        assert p1.strains.tobytes() == p2.strains.tobytes()
+        assert p1.stretches.tobytes() == p2.stretches.tobytes()
+        assert p1.strain_features().tobytes() == p2.strain_features().tobytes()
 
     def test_starts_at_identity(self, cfg):
         path = pg.generate_random_path(cfg)
-        assert np.array_equal(path.stretches[0], np.eye(3))
-        assert np.all(path.strains[0] == 0.0)
+        assert np.array_equal(path.stretches[0], np.eye(2))
+        assert np.all(path.strain_features()[0] == 0.0)
 
     def test_termination_criterion(self, cfg):
         path = pg.generate_random_path(cfg)
         # per-step max |lambda_i(U) - 1| over the in-plane eigenvalues
-        lams = np.linalg.eigvalsh(path.stretches[:, :2, :2])
+        lams = np.linalg.eigvalsh(path.stretches)
         dev = np.max(np.abs(lams - 1.0), axis=-1)
         assert len(path) < cfg.max_steps + 1
         assert dev[-1] > cfg.r_max
@@ -85,9 +78,12 @@ class TestRandomPath:
         for u in path.stretches[:: max(1, len(path) // 20)]:
             assert np.all(np.linalg.eigvalsh(u) > 0.0)
 
-    def test_strains_derived_from_stretches(self, cfg):
+    def test_strain_features_derived_from_stretches(self, cfg):
         path = pg.generate_random_path(cfg)
-        assert np.allclose(path.strains, pg.u_to_e(path.stretches))
+        u = path.stretches
+        e = 0.5 * (np.einsum("nki,nkj->nij", u, u) - np.eye(2))
+        want = np.stack([e[:, 0, 0], e[:, 1, 1], e[:, 0, 1]], axis=-1)
+        assert np.allclose(path.strain_features(), want, atol=1e-15)
 
 
 class TestCyclicPath:
@@ -95,7 +91,7 @@ class TestCyclicPath:
         path = pg.generate_cyclic_path(
             seed=5, n_reversals=1, amplitude_max=0.1, step_size=0.01,
             amplitudes=[0.05])
-        hits = [np.allclose(u, np.eye(3), atol=0.0) for u in path.stretches]
+        hits = [np.allclose(u, np.eye(2), atol=0.0) for u in path.stretches]
         assert sum(hits) == 2
         assert hits[0] and hits[-1]
 
@@ -106,7 +102,8 @@ class TestCyclicPath:
         path = pg.generate_cyclic_path(
             seed=6, n_reversals=3, amplitude_max=0.1, step_size=0.008)
         ref = None
-        for e in path.strains:
+        for xx, yy, xy in path.strain_features():
+            e = np.array([[xx, xy], [xy, yy]])
             norm = np.linalg.norm(e)
             if norm < 1e-12:
                 continue
@@ -119,10 +116,10 @@ class TestCyclicPath:
     def test_shared_eigenvectors(self):
         path = pg.generate_cyclic_path(
             seed=7, n_reversals=2, amplitude_max=0.08, step_size=0.005)
-        direction = path.stretches[1] - np.eye(3)
+        direction = path.stretches[1] - np.eye(2)
         for u in path.stretches:
             # U - I must be a scalar multiple of the fixed direction
-            d = u - np.eye(3)
+            d = u - np.eye(2)
             coeff = np.sum(d * direction) / np.sum(direction * direction)
             assert np.allclose(d, coeff * direction, atol=1e-12)
 
@@ -141,12 +138,12 @@ class TestCyclicPath:
             if rem > 1e-9:
                 s = target
                 expected.append(s)
-        direction = np.diag([1.0, -0.3, 0.0])
+        direction = np.diag([1.0, -0.3])
         direction = direction / np.sqrt(np.sum(np.linalg.eigvalsh(direction) ** 2))
         path = pg.generate_cyclic_path(
             seed=8, n_reversals=2, amplitude_max=0.1, step_size=step,
             amplitudes=amplitudes, direction=direction)
-        got = [(u - np.eye(3))[0, 0] / direction[0, 0] for u in path.stretches]
+        got = [(u - np.eye(2))[0, 0] / direction[0, 0] for u in path.stretches]
         assert np.allclose(got, expected, atol=1e-12)
 
     def test_amplitude_bound_validation(self):
@@ -171,19 +168,31 @@ class TestKinematics:
             assert np.allclose(u_rec, u, atol=1e-10)
             assert np.allclose(f @ np.linalg.inv(u_rec), np.eye(3), atol=1e-10)
 
-    def test_u_to_e_identity(self):
-        assert np.allclose(pg.u_to_e(np.eye(3)), 0.0)
+    @staticmethod
+    def features_at(u):
+        """Strain features of the one-step path from the identity to ``u``."""
+        path = pg.LoadingPath(np.stack([np.eye(2), u]), pg.KIND_RANDOM_WALK)
+        return path.strain_features()[1]
 
-    def test_u_to_e_uniaxial(self):
-        e = pg.u_to_e(np.diag([1.1, 1.0, 1.0]))
-        assert abs(e[0, 0] - 0.105) < 1e-15
-        e_others = e.copy()
-        e_others[0, 0] = 0.0
-        assert np.all(e_others == 0.0)
+    def test_strain_features_identity(self):
+        path = pg.LoadingPath(np.eye(2)[None], pg.KIND_RANDOM_WALK)
+        assert np.all(path.strain_features() == 0.0)
 
-    def test_e_consistent_with_f(self):
+    def test_strain_features_uniaxial(self):
+        e_xx, e_yy, e_xy = self.features_at(np.diag([1.1, 1.0]))
+        assert abs(e_xx - 0.105) < 1e-15
+        assert e_yy == 0.0 and e_xy == 0.0
+
+    def test_strain_features_consistent_with_f(self):
         rng = np.random.default_rng(32)
-        s = 0.03 * rng.standard_normal((3, 3))
-        u = np.eye(3) + 0.5 * (s + s.T)
+        s = 0.03 * rng.standard_normal((2, 2))
+        u = np.eye(2) + 0.5 * (s + s.T)
         f = u  # rotation-free kinematics: F = U
-        assert np.allclose(pg.u_to_e(u), 0.5 * (f.T @ f - np.eye(3)), atol=1e-14)
+        e = 0.5 * (f.T @ f - np.eye(2))
+        assert np.allclose(self.features_at(u), [e[0, 0], e[1, 1], e[0, 1]],
+                           atol=1e-14)
+
+    def test_stretches_must_be_in_plane_blocks(self):
+        for u in (np.eye(3)[None], np.eye(2), np.zeros((0, 2, 2))):
+            with pytest.raises(ValueError, match="shape"):
+                pg.LoadingPath(u, pg.KIND_RANDOM_WALK)
