@@ -3,8 +3,10 @@
 Stages (``gen-paths``, ``gen-data``, ``pca-fit``, ``train``, ``trial``,
 ``eval``; ``all`` chains gen-paths through eval) read one JSON config and
 write their artifacts under the output root (env var ``RVESURROGATE_ROOT``,
-default ``./pipeline_out``).  Every stage writes a manifest carrying the
-config echo, the seeds in effect and SHA-256 hashes of its inputs and
+default ``./pipeline_out``).  A key the config leaves out takes its default
+from one table, ``_SCHEMA``, and the config is resolved so before a stage
+runs.  Every stage writes a manifest carrying the resolved config (the
+values in effect, seeds included) and SHA-256 hashes of its inputs and
 outputs, so a finished pipeline is replayable and diffable; re-running a
 stage with identical config and inputs reproduces its artifacts
 byte-for-byte.  A stage replaces its previous outputs: after reading its
@@ -17,11 +19,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import os
 import re
 import shutil
 import struct
 import sys
+from dataclasses import replace
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -43,51 +47,59 @@ STAGE_ORDER = ("gen-paths", "gen-data", "pca-fit", "train", "eval")
 # seed-override offsets per stage stream
 _SEED_SLOTS = {"paths": 0, "ensemble": 1, "pca": 2, "train": 3, "trial": 4}
 
-# every allowed key, per section, with the JSON types its value may take
+# marks a key without a default
+_REQUIRED = object()
+
+
+def _required(**types) -> dict:
+    """Schema entries of keys without a default, each of its JSON type."""
+    return {key: (kind, _REQUIRED) for key, kind in types.items()}
+
+
+def _defaults_of(fn, **types) -> dict:
+    """Schema entries of keys that go straight to ``fn``, each of its JSON
+    type and at the default of ``fn``'s parameter of that name."""
+    params = inspect.signature(fn).parameters
+    return {key: (kind, params[key].default) for key, kind in types.items()}
+
+
+# every allowed key, per section: the JSON types its value may take and its
+# default; a callable default is computed from the section's values
 _SCHEMA = {
     "paths": {
-        "n_random": "int", "n_cyclic": "int", "delta_r": "real",
-        "delta_r_min": "real", "r_max": "real", "max_steps": "int",
-        "seed": "int", "cyclic_reversals_min": "int",
-        "cyclic_reversals_max": "int", "cyclic_amplitude_max": "real",
-        "cyclic_step_size": "real",
+        **_required(n_random="int", delta_r="real", delta_r_min="real",
+                    r_max="real", max_steps="int", seed="int"),
+        "n_cyclic": ("int", 0), "cyclic_reversals_min": ("int", 2),
+        "cyclic_reversals_max": ("int", 6),
+        "cyclic_amplitude_max": ("real", lambda p: p["r_max"]),
+        "cyclic_step_size": ("real", lambda p: p["delta_r"]),
     },
-    "ensemble": {"d_gamma": "int", "n_fiber": "int", "perturbation": "real",
-                 "seed": "int"},
-    "dataset": {"lengths": "list of int", "gamma_crit": "real",
-                "batch_size": "int"},
-    "pca": {"family": "str", "p": "int|null", "delta": "real|null",
-            "subsample_fraction": "real", "seed": "int"},
+    "ensemble": _required(d_gamma="int", n_fiber="int", perturbation="real",
+                          seed="int"),
+    "dataset": _required(lengths="list of int", gamma_crit="real",
+                         batch_size="int"),
+    "pca": {"family": ("str", ds.FAMILY_GAMMA),
+            **_defaults_of(pcalib.fit, p="int|null", delta="real|null",
+                           subsample_fraction="real", seed="int")},
     "train": {
-        "kind": "str", "nnw_in": "list of int", "n_h": "int",
-        "nnw_out": "list of int",
-        "q": "int", "trained_group_count": "int|null", "n_batches": "int",
-        "n_epoch": "int", "learning_rate": "real", "weight_decay": "real",
-        "clip_norm": "real", "seed": "int",
+        **_required(kind="str", nnw_in="list of int", n_h="int",
+                    nnw_out="list of int", n_batches="int"),
+        **_defaults_of(sg.SurrogateBundle, q="int",
+                       trained_group_count="int|null"),
+        **_defaults_of(nn.TrainConfig, n_epoch="int", learning_rate="real",
+                       weight_decay="real", clip_norm="real", seed="int"),
     },
-    "trial": {
-        "target_p": "int", "start_n_h": "int", "increment": "int",
-        "epoch_budget": "int", "max_trials": "int", "threshold": "real",
-        "nnw_in": "list of int", "nnw_out": "list of int",
-        "learning_rate": "real",
-        "seed": "int",
-    },
-    "eval": {"snapshot_steps": "list of int",
-             "snapshot_sequences": "list of int"},
+    # target_p stays null: hidden_size_trial resolves it from the basis
+    "trial": _defaults_of(
+        sg.hidden_size_trial, target_p="int|null", start_n_h="int",
+        increment="int", epoch_budget="int", max_trials="int",
+        threshold="real", nnw_in="list of int", nnw_out="list of int",
+        learning_rate="real", seed="int"),
+    "eval": {"snapshot_steps": ("list of int", ()),
+             "snapshot_sequences": ("list of int", (0,))},
 }
 _JSON_TYPES = {"int": (int,), "real": (int, float), "list": (list, tuple),
                "str": (str,), "null": (type(None),)}
-
-_REQUIRED_SECTIONS = ("paths", "ensemble", "dataset", "pca", "train")
-
-# keys without a default, per section
-_REQUIRED_KEYS = {
-    "paths": ("n_random", "delta_r", "delta_r_min", "r_max", "max_steps",
-              "seed"),
-    "ensemble": ("d_gamma", "n_fiber", "perturbation", "seed"),
-    "dataset": ("lengths", "gamma_crit", "batch_size"),
-    "train": ("kind", "nnw_in", "n_h", "nnw_out", "n_batches"),
-}
 
 # constructor field -> config section of the key of the same name
 _WALK_FIELDS = dict.fromkeys(("delta_r", "delta_r_min", "r_max", "max_steps"),
@@ -114,13 +126,13 @@ def load_config(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise StageError(f"config file not found: {path}")
-    cfg = ds.read_json(path)
-    validate_config(cfg)
-    return cfg
+    return validate_config(ds.read_json(path))
 
 
-def validate_config(cfg: dict) -> None:
-    """Reject unknown keys and violated invariants before any compute."""
+def validate_config(cfg: dict) -> dict:
+    """``cfg`` resolved: every section of ``_SCHEMA``, every missing key at
+    its default.  Unknown keys and violated invariants are rejected before
+    any compute."""
     unknown_sections = set(cfg) - set(_SCHEMA)
     if unknown_sections:
         raise StageError(f"unknown config sections: {sorted(unknown_sections)}")
@@ -129,7 +141,7 @@ def validate_config(cfg: dict) -> None:
         if extra:
             raise StageError(f"unknown keys in [{section}]: {sorted(extra)}")
         for key, value in cfg.get(section, {}).items():
-            kind = keys[key]
+            kind = keys[key][0]
             # "list of <type>" types each element too
             outer, _, element = kind.partition(" of ")
             types = sum((_JSON_TYPES[k] for k in outer.split("|")), ())
@@ -137,19 +149,34 @@ def validate_config(cfg: dict) -> None:
                     _is_a(v, _JSON_TYPES[element]) for v in value)):
                 raise StageError(f"{section}.{key} must be "
                                  f"{kind.replace('|', ' or ')}, got {value!r}")
-    missing = [s for s in _REQUIRED_SECTIONS if s not in cfg]
-    if missing:
-        raise StageError(f"missing config sections: {missing}")
-    missing = [f"{section}.{key}" for section, keys in _REQUIRED_KEYS.items()
-               for key in keys if key not in cfg[section]]
+    missing = [f"{section}.{key}" for section, keys in _SCHEMA.items()
+               for key, (_, default) in keys.items()
+               if default is _REQUIRED and key not in cfg.get(section, {})]
     if missing:
         raise StageError(f"missing config keys: {', '.join(missing)}")
+    cfg = {section: dict(cfg.get(section, {})) for section in _SCHEMA}
+    for section, keys in _SCHEMA.items():
+        for key, (_, default) in keys.items():
+            if key not in cfg[section]:
+                cfg[section][key] = (default(cfg[section]) if callable(default)
+                                     else default)
     _from_config(pg.RandomWalkConfig, cfg, _WALK_FIELDS)
     p = cfg["paths"]
     if p["n_random"] < 1:
         raise StageError("paths.n_random must be >= 1")
-    if p.get("n_cyclic", 0) < 0:
+    if p["n_cyclic"] < 0:
         raise StageError("paths.n_cyclic must be >= 0")
+    # checked whatever n_cyclic is, like every other key
+    if not 0.0 < p["cyclic_step_size"] < p["cyclic_amplitude_max"]:
+        raise StageError(
+            "paths.cyclic_step_size must lie in (0, paths.cyclic_amplitude_max"
+            f" = {p['cyclic_amplitude_max']}), got {p['cyclic_step_size']}")
+    if p["cyclic_reversals_min"] < 1:
+        raise StageError("paths.cyclic_reversals_min must be >= 1")
+    if p["cyclic_reversals_min"] > p["cyclic_reversals_max"]:
+        raise StageError(
+            f"paths.cyclic_reversals_min = {p['cyclic_reversals_min']} exceeds "
+            f"paths.cyclic_reversals_max = {p['cyclic_reversals_max']}")
     e = cfg["ensemble"]
     if not 0.0 <= e["perturbation"] < 1.0:
         raise StageError("ensemble.perturbation must lie in [0, 1)")
@@ -165,37 +192,37 @@ def validate_config(cfg: dict) -> None:
     if d["gamma_crit"] <= 0.0:
         raise StageError("dataset.gamma_crit must be positive")
     families = (ds.FAMILY_GAMMA, ds.FAMILY_TAU)
-    if cfg["pca"].get("family", ds.FAMILY_GAMMA) not in families:
+    if cfg["pca"]["family"] not in families:
         raise StageError(f"pca.family must be one of {families}")
-    if not 0.0 < cfg["pca"].get("subsample_fraction", 1.0) <= 1.0:
+    if not 0.0 < cfg["pca"]["subsample_fraction"] <= 1.0:
         raise StageError("pca.subsample_fraction must lie in (0, 1]")
     _check_pca(cfg)
     t = cfg["train"]
     if t["kind"] not in sg.KINDS:
         raise StageError(f"train.kind must be one of {sg.KINDS}")
-    q = t.get("q", 1)
-    if q < 1:
+    if t["q"] < 1:
         raise StageError("train.q must be >= 1")
-    if t["kind"] == sg.KIND_BROKEN_DOWN and cfg["pca"].get("p") is not None:
-        if cfg["pca"]["p"] % q != 0:
-            raise StageError("pca.p must be divisible by train.q for kind III")
     # kinds I and II have one group whatever train.q says
-    n_groups = q if t["kind"] == sg.KIND_BROKEN_DOWN else 1
-    trained = t.get("trained_group_count")
-    if trained is not None and not 0 <= trained <= n_groups:
+    if t["kind"] != sg.KIND_BROKEN_DOWN:
+        t["q"] = 1
+    if cfg["pca"]["p"] is not None and cfg["pca"]["p"] % t["q"] != 0:
+        raise StageError("pca.p must be divisible by train.q for kind III")
+    trained = t["trained_group_count"]
+    if trained is not None and not 0 <= trained <= t["q"]:
         raise StageError(
-            f"train.trained_group_count must lie in [0, {n_groups}], the "
+            f"train.trained_group_count must lie in [0, {t['q']}], the "
             f"number of groups of kind {t['kind']}"
         )
     _from_config(sg.Architecture, cfg, _ARCH_FIELDS)
-    _train_config(cfg)
+    _from_config(nn.TrainConfig, cfg, _TRAIN_FIELDS)
     _check_trial(cfg)
     for section in ("train", "trial"):
-        width = cfg.get(section, {}).get("nnw_in", [_STRAIN_FEATURES])[0]
+        width = cfg[section]["nnw_in"][0]
         if width != _STRAIN_FEATURES:
             raise StageError(
                 f"{section}.nnw_in[0] must be {_STRAIN_FEATURES}, the width of "
                 f"the strain features (E_xx, E_yy, E_xy), got {width}")
+    return cfg
 
 
 def _check_pca(cfg: dict) -> None:
@@ -203,11 +230,11 @@ def _check_pca(cfg: dict) -> None:
 
     Setting neither is left to ``pca-fit``; stages of kind I need no PCA.
     """
-    p, delta = cfg["pca"].get("p"), cfg["pca"].get("delta")
+    p, delta = cfg["pca"]["p"], cfg["pca"]["delta"]
     if p is not None and delta is not None:
         raise StageError("give exactly one of pca.p and pca.delta, not both")
     e = cfg["ensemble"]
-    family = cfg["pca"].get("family", ds.FAMILY_GAMMA)
+    family = cfg["pca"]["family"]
     d = e["d_gamma"] + (e["n_fiber"] if family == ds.FAMILY_TAU else 0)
     if p is not None and not 1 <= p <= d:
         raise StageError(f"pca.p must lie in [1, {d}], the field dimension of "
@@ -217,16 +244,16 @@ def _check_pca(cfg: dict) -> None:
 
 
 def _check_trial(cfg: dict) -> None:
-    t = cfg.get("trial", {})
+    t = cfg["trial"]
     for key in ("target_p", "start_n_h", "increment", "epoch_budget",
                 "max_trials"):
-        if t.get(key, 1) < 1:
+        if t[key] is not None and t[key] < 1:
             raise StageError(f"trial.{key} must be >= 1")
-    if "nnw_in" in t and len(t["nnw_in"]) < 2:
+    if len(t["nnw_in"]) < 2:
         raise StageError("trial.nnw_in must list the input width and at "
                          "least one layer width")
     for key in ("nnw_in", "nnw_out"):
-        if min(t.get(key, [1]), default=1) < 1:
+        if min(t[key], default=1) < 1:
             raise StageError(f"trial.{key} layer widths must be >= 1")
     _from_config(nn.TrainConfig, cfg, {"learning_rate": "trial"})
 
@@ -239,14 +266,13 @@ def _is_a(value, types) -> bool:
 def _from_config(cls, cfg: dict, fields: dict):
     """``cls`` built from the config keys named like its ``fields``.
 
-    ``fields`` maps each field to the section of its key; a missing key
-    leaves ``cls``'s default.  A ``ValueError`` of ``cls`` becomes a
-    ``StageError`` naming the ``section.key`` entries its message names.
+    ``fields`` maps each field to the section of its key.  A ``ValueError``
+    of ``cls`` becomes a ``StageError`` naming the ``section.key`` entries
+    its message names.
     """
     try:
         return cls(**{name: cfg[section][name]
-                      for name, section in fields.items()
-                      if name in cfg.get(section, {})})
+                      for name, section in fields.items()})
     except ValueError as err:
         keys = [f"{section}.{name}" for name, section in fields.items()
                 if re.search(rf"\b{name}\b", str(err))]
@@ -254,19 +280,12 @@ def _from_config(cls, cfg: dict, fields: dict):
         raise StageError(f"invalid {', '.join(keys)}: {err}") from None
 
 
-def _train_config(cfg: dict) -> nn.TrainConfig:
-    return _from_config(nn.TrainConfig, cfg, _TRAIN_FIELDS)
-
-
 def apply_seed_override(cfg: dict, override: int) -> dict:
-    """Replace every stage seed with a stream derived from one master seed."""
-    out = {k: dict(v) for k, v in cfg.items()}
-    out["paths"]["seed"] = override + _SEED_SLOTS["paths"]
-    out["ensemble"]["seed"] = override + _SEED_SLOTS["ensemble"]
-    out["pca"]["seed"] = override + _SEED_SLOTS["pca"]
-    out["train"]["seed"] = override + _SEED_SLOTS["train"]
-    if "trial" in out:
-        out["trial"]["seed"] = override + _SEED_SLOTS["trial"]
+    """``cfg`` resolved, with every stage seed replaced by a stream derived
+    from one master seed."""
+    out = validate_config(cfg)
+    for section, slot in _SEED_SLOTS.items():
+        out[section]["seed"] = override + slot
     return out
 
 
@@ -299,6 +318,8 @@ def hash_tree(directory, pattern="**/*") -> str:
 
 def write_manifest(stage_dir: Path, stage: str, cfg: dict, inputs: dict,
                    notes: dict | None = None) -> None:
+    """``stage_dir/manifest.json``: the resolved ``cfg`` the stage ran with,
+    every default filled in, and the hashes of ``inputs`` and outputs."""
     outputs = {
         f.name: hash_tree(f) if f.is_dir() else sha256_file(f)
         for f in sorted(stage_dir.glob("*"))
@@ -352,24 +373,17 @@ def _read_artifact(read, path, rewriter: str):
 
 def stage_gen_paths(cfg: dict, root: Path) -> None:
     p = cfg["paths"]
-    walk_base = p["seed"]
-    paths = [
-        pg.generate_random_path(pg.RandomWalkConfig(
-            delta_r=p["delta_r"], delta_r_min=p["delta_r_min"],
-            r_max=p["r_max"], max_steps=p["max_steps"], seed=(walk_base, i),
-        ))
-        for i in range(p["n_random"])
-    ]
-    rev_lo = p.get("cyclic_reversals_min", 2)
-    rev_hi = p.get("cyclic_reversals_max", 6)
-    amp = p.get("cyclic_amplitude_max", p["r_max"])
-    step = p.get("cyclic_step_size", p["delta_r"])
-    for i in range(p.get("n_cyclic", 0)):
-        rev_rng = pg.make_rng((walk_base, i, 1))
-        n_rev = int(rev_rng.integers(rev_lo, rev_hi + 1))
+    walk = _from_config(pg.RandomWalkConfig, cfg, _WALK_FIELDS)
+    paths = [pg.generate_random_path(replace(walk, seed=(p["seed"], i)))
+             for i in range(p["n_random"])]
+    for i in range(p["n_cyclic"]):
+        rev_rng = pg.make_rng((p["seed"], i, 1))
+        n_rev = int(rev_rng.integers(p["cyclic_reversals_min"],
+                                     p["cyclic_reversals_max"] + 1))
         paths.append(pg.generate_cyclic_path(
-            seed=(walk_base, i, 2), n_reversals=n_rev,
-            amplitude_max=amp, step_size=step,
+            seed=(p["seed"], i, 2), n_reversals=n_rev,
+            amplitude_max=p["cyclic_amplitude_max"],
+            step_size=p["cyclic_step_size"],
         ))
 
     stage_dir = _fresh_stage_dir(root, "paths")
@@ -500,21 +514,16 @@ def _load_packed(cfg: dict, root: Path) -> ds.PackedDataset:
 
 def stage_pca_fit(cfg: dict, root: Path) -> None:
     p = cfg["pca"]
-    if p.get("p") is None and p.get("delta") is None:
+    if p["p"] is None and p["delta"] is None:
         raise StageError("pca-fit needs pca.p (the retained dimension) or "
                          "pca.delta (the residual eigenvalue fraction)")
     packed = _load_packed(cfg, root)
-    family = p.get("family", ds.FAMILY_GAMMA)
+    family = p["family"]
     snaps = np.concatenate(
         [r.outputs(family) for r in packed.all_records()], axis=0
     )
-    model = pcalib.fit(
-        snaps,
-        subsample_fraction=p.get("subsample_fraction", 1.0),
-        p=p.get("p"),
-        delta=p.get("delta"),
-        seed=p.get("seed", 0),
-    )
+    model = pcalib.fit(snaps, subsample_fraction=p["subsample_fraction"],
+                       p=p["p"], delta=p["delta"], seed=p["seed"])
     if model.retained_p == 0:
         raise StageError(
             f"pca.p / pca.delta retained no principal component of the "
@@ -544,7 +553,7 @@ def stage_pca_fit(cfg: dict, root: Path) -> None:
 def _train_setup(cfg: dict, root: Path):
     packed = _load_packed(cfg, root)
     t = cfg["train"]
-    family = cfg["pca"].get("family", ds.FAMILY_GAMMA)
+    family = cfg["pca"]["family"]
     kind = t["kind"]
     pca_model = None
     p_retained = None
@@ -552,28 +561,26 @@ def _train_setup(cfg: dict, root: Path):
         pca_file = require_artifact(root / "pca" / f"pca_{family}.bin", "pca-fit")
         pca_model = _read_artifact(pcalib.load, pca_file, "`pca-fit`")
         # pca.p may be given as null next to pca.delta
-        p_retained = cfg["pca"].get("p") or pca_model.retained_p
+        p_retained = cfg["pca"]["p"] or pca_model.retained_p
         if p_retained > pca_model.retained_p:
             raise StageError(
                 f"pca.p = {p_retained} exceeds the {pca_model.retained_p} "
                 f"components stored in {pca_file}; re-run `pca-fit` after "
                 "changing pca.p"
             )
-        q = t.get("q", 1) if kind == sg.KIND_BROKEN_DOWN else 1
-        if t["nnw_out"][-1] * q != p_retained:
+        if t["nnw_out"][-1] * t["q"] != p_retained:
             raise StageError(
                 f"kind {kind} needs train.nnw_out[-1] * train.q = p, but "
-                f"{t['nnw_out'][-1]} * {q} != p = {p_retained} retained by "
+                f"{t['nnw_out'][-1]} * {t['q']} != p = {p_retained} retained by "
                 "pca.p / pca.delta; choose pca.p divisible by train.q and "
                 "set train.nnw_out[-1] = pca.p / train.q"
             )
     arch = _from_config(sg.Architecture, cfg, _ARCH_FIELDS)
     bundle = sg.SurrogateBundle(
-        kind, arch, q=t.get("q", 1),
-        trained_group_count=t.get("trained_group_count"),
-        pca=pca_model, p=p_retained, family=family, seed=t.get("seed", 0),
+        kind, arch, q=t["q"], trained_group_count=t["trained_group_count"],
+        pca=pca_model, p=p_retained, family=family, seed=t["seed"],
     )
-    return packed, bundle, _train_config(cfg)
+    return packed, bundle, _from_config(nn.TrainConfig, cfg, _TRAIN_FIELDS)
 
 
 def stage_train(cfg: dict, root: Path) -> None:
@@ -591,7 +598,7 @@ def stage_train(cfg: dict, root: Path) -> None:
             row = ",".join(f"{v:.10e}" for v in history.losses[b])
             fh.write(f"{b},{history.batch_lengths[b]}" + (f",{row}" if row else "") + "\n")
     inputs = {"dataset/records": hash_tree(root / "dataset" / "records")}
-    family = cfg["pca"].get("family", ds.FAMILY_GAMMA)
+    family = cfg["pca"]["family"]
     pca_file = root / "pca" / f"pca_{family}.bin"
     if bundle.reduced:
         inputs[f"pca/pca_{family}.bin"] = sha256_file(pca_file)
@@ -647,21 +654,21 @@ def _split_paths(n: int, seed: int) -> tuple[list[int], list[int]]:
 def stage_trial(cfg: dict, root: Path) -> None:
     require_artifact(root / "dataset" / "records", "gen-data")
     records = _read_records(root / "dataset")
-    family = cfg["pca"].get("family", ds.FAMILY_GAMMA)
+    family = cfg["pca"]["family"]
     pca_file = require_artifact(root / "pca" / f"pca_{family}.bin", "pca-fit")
     pca_model = _read_artifact(pcalib.load, pca_file, "`pca-fit`")
-    t = cfg.get("trial", {})
-    if t.get("target_p", 1) > pca_model.retained_p:
+    t = cfg["trial"]
+    if t["target_p"] is not None and t["target_p"] > pca_model.retained_p:
         raise StageError(
             f"trial.target_p = {t['target_p']} exceeds the "
             f"{pca_model.retained_p} components that pca-fit retained"
         )
-    train_idx, val_idx = _split_paths(len(records), t.get("seed", 0))
+    train_idx, val_idx = _split_paths(len(records), t["seed"])
     train_set = _pack(cfg, [records[i] for i in train_idx],
                       "the trial's training side")
     val_set = _pack(cfg, [records[i] for i in val_idx],
                     "the trial's validation side")
-    # the config keys are hidden_size_trial's parameters, defaults and all
+    # the config keys are hidden_size_trial's parameters
     report = sg.hidden_size_trial(train_set, val_set, pca_model,
                                   family=family, **t)
     stage_dir = _fresh_stage_dir(root, "trial")
@@ -679,9 +686,9 @@ def stage_trial(cfg: dict, root: Path) -> None:
 
 def stage_eval(cfg: dict, root: Path) -> None:
     packed = _load_packed(cfg, root)
-    e = cfg.get("eval", {})
+    e = cfg["eval"]
     records = list(packed.all_records())
-    for seq_idx in e.get("snapshot_sequences", [0]):
+    for seq_idx in e["snapshot_sequences"]:
         if not 0 <= seq_idx < len(records):
             raise StageError(
                 f"eval.snapshot_sequences holds {seq_idx}, outside the valid "
@@ -689,7 +696,7 @@ def stage_eval(cfg: dict, root: Path) -> None:
                 "sequences"
             )
         length = records[seq_idx].length
-        for step in e.get("snapshot_steps", []):
+        for step in e["snapshot_steps"]:
             if not 0 <= step < length:
                 raise StageError(
                     f"eval.snapshot_steps holds {step}, outside the valid "
@@ -716,11 +723,12 @@ def stage_eval(cfg: dict, root: Path) -> None:
             for t, (a, b) in enumerate(zip(mp, mt)):
                 fh.write(f"{i},{t},{a:.10e},{b:.10e}\n")
 
-    for seq_idx in e.get("snapshot_sequences", [0]):
+    # a sequence is replayed only when it has steps to write
+    for seq_idx in e["snapshot_sequences"] if e["snapshot_steps"] else ():
         rec = records[seq_idx]
         pred = bundle.predict_fields(rec.inputs)
         truth = rec.outputs(bundle.family)
-        for step in e.get("snapshot_steps", []):
+        for step in e["snapshot_steps"]:
             stem = stage_dir / f"snapshot_seq{seq_idx:03d}_step{step:04d}"
             for tag, fld in (("pred", pred.clamped()[step]),
                              ("true", truth[step])):
@@ -838,8 +846,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_stage(stage: str, cfg: dict, root: Path, jobs: int = 1) -> None:
+    """Run ``stage`` on ``cfg`` resolved by ``validate_config``."""
     if jobs < 1:
         raise StageError(f"--jobs must be >= 1, got {jobs}")
+    cfg = validate_config(cfg)
     if stage == "gen-paths":
         stage_gen_paths(cfg, root)
     elif stage == "gen-data":

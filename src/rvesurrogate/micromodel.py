@@ -484,7 +484,7 @@ def run_sequences(paths, ensemble: RveEnsemble) -> list[SequenceFields]:
     kept = list(lengths)
     substepped = [0] * len(paths)
 
-    active = [i for i, n in enumerate(lengths) if n > 0]
+    active = list(range(len(paths)))
     state = PlasticState.initial((len(active), ensemble.n_matrix))
     # F = U: the macro deformation is the path's stretch
     f_prev = np.broadcast_to(np.eye(2), (len(active), 2, 2))

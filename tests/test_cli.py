@@ -1,5 +1,6 @@
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +201,10 @@ class TestActionableErrors:
         ("trial", "learning_rate", -1),
         ("train", "weight_decay", -1),
         ("trial", "nnw_out", [0]),
+        # checked although n_cyclic = 0; the amplitude defaults to r_max
+        ("paths", "cyclic_step_size", 0.3),
+        ("paths", "cyclic_reversals_min", 0),
+        ("paths", "cyclic_reversals_min", 7),  # > cyclic_reversals_max = 6
     ])
     def test_invalid_config_value_rejected_at_load(
             self, tmp_path, monkeypatch, capsys, section, key, value):
@@ -431,6 +436,28 @@ class TestStagesReplaceTheirOutputs:
 
 
 class TestTrialStage:
+    def test_seed_override_reaches_the_trial(self, dataset_root, tmp_path,
+                                             monkeypatch):
+        # the config has no trial section
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        cli.run_stage("pca-fit", cfg, dataset_root)
+        seen = {}
+
+        def keep_seed(*args, seed, **kw):
+            seen["seed"] = seed
+            return {}
+
+        monkeypatch.setattr(sg, "hidden_size_trial", keep_seed)
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(cfg))
+        monkeypatch.setenv(cli.ROOT_ENV_VAR, str(dataset_root))
+        assert cli.main(["trial", "--config", str(config_file),
+                         "--seed-override", "10"]) == 0
+        assert seen["seed"] == 10 + cli._SEED_SLOTS["trial"]
+        manifest = json.loads(
+            (dataset_root / "trial" / "manifest.json").read_text())
+        assert manifest["config"]["trial"]["seed"] == seen["seed"]
+
     def test_defaults_are_those_of_hidden_size_trial(self, dataset_root):
         cfg = tiny_config({"p": 4}, 2, (4, 2))
         cfg["trial"] = {"epoch_budget": 2, "max_trials": 1}
@@ -557,6 +584,47 @@ class TestGenDataDeterminism:
         assert counts[0] >= 2
         assert counts[0] == counts[1] == counts[2]
         assert all(n["truncated_sequences"] == 0 for n in notes)
+
+
+class TestResolvedConfig:
+    def test_default_eval_replays_no_sequence(self, dataset_root,
+                                              monkeypatch):
+        # eval.snapshot_steps is empty by default, so no snapshot is written
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        for stage in ("pca-fit", "train"):
+            cli.run_stage(stage, cfg, dataset_root)
+        calls = []
+        real = sg.SurrogateBundle.predict_fields
+
+        def counted(self, *args, **kw):
+            calls.append(None)
+            return real(self, *args, **kw)
+
+        monkeypatch.setattr(sg.SurrogateBundle, "predict_fields", counted)
+        cli.run_stage("eval", cfg, dataset_root)
+        assert calls == []
+        assert not list((dataset_root / "eval").glob("snapshot_*"))
+
+    def test_defaults_written_out_change_no_byte(self, tmp_path,
+                                                 monkeypatch):
+        # the tiny config less every key that holds its default
+        required = tiny_config({"p": 4}, 2, (4, 2))
+        del required["paths"]["n_cyclic"], required["train"]["seed"]
+        del required["pca"]["family"], required["pca"]["seed"]
+        written_out = json.loads(json.dumps(cli.validate_config(required)))
+        assert json.loads(json.dumps(cli.validate_config(written_out))) \
+            == written_out
+        trees = []
+        for name, cfg in (("a", required), ("b", written_out)):
+            root = tmp_path / name
+            assert run_main("all", root, cfg, tmp_path, monkeypatch) == 0
+            trees.append({f.relative_to(root): f.read_bytes()
+                          for f in sorted(root.rglob("*")) if f.is_file()})
+        assert trees[0] == trees[1]
+        assert {f.parts[0] for f in trees[0]} == {
+            "paths", "dataset", "pca", "bundle", "eval"}
+        manifest = json.loads(trees[0][Path("eval", "manifest.json")])
+        assert manifest["config"] == written_out
 
 
 class TestEndToEnd:
