@@ -186,9 +186,11 @@ def validate_config(cfg: dict) -> dict:
         raise StageError("ensemble.n_fiber must be >= 0")
     d = cfg["dataset"]
     lengths = d["lengths"]
-    if not (lengths and min(lengths) >= 1 and sorted(lengths) == list(lengths)):
-        raise StageError("dataset.lengths must be an ascending non-empty "
-                         "list of positive integers")
+    if not (lengths and min(lengths) >= 1
+            and all(a < b for a, b in zip(lengths, lengths[1:]))):
+        raise StageError("dataset.lengths must be a strictly ascending "
+                         "non-empty list of positive integers, got "
+                         f"{lengths}")
     if d["gamma_crit"] <= 0.0:
         raise StageError("dataset.gamma_crit must be positive")
     families = (ds.FAMILY_GAMMA, ds.FAMILY_TAU)
@@ -799,7 +801,11 @@ def dataset_pack(src, dst, lengths, gamma_crit: float | None) -> dict:
         raise StageError(f"--lengths must be >= 1, got {lengths}")
     _check_gamma_crit(gamma_crit)
     records = _read_records(src)
-    packed = ds.pack_records(records, lengths=lengths, gamma_crit=gamma_crit)
+    try:
+        packed = ds.pack_records(records, lengths=lengths, gamma_crit=gamma_crit)
+    except ValueError as err:
+        raise StageError(f"cannot pack {src} with --lengths {lengths} and "
+                         f"--gamma-crit {gamma_crit}: {err}") from None
     ds.write_dataset(dst, packed.all_records(), manifest={
         "stage": "dataset-pack", "lengths": list(packed.lengths),
         "group_sizes": {str(k): len(v) for k, v in packed.groups.items()},

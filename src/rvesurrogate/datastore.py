@@ -209,11 +209,15 @@ def pack_records(records, lengths, gamma_crit: float | None = None) -> PackedDat
     The first (shortest) group takes every surviving record; each longer
     group takes only the records whose trimmed length exceeds the previous
     group's length, so long histories are represented without truncating
-    them all the way down.
+    them all the way down.  A repeated length raises a ``ValueError``: its
+    second group would replace the first with only the longer records.
     """
     lengths = sorted(int(x) for x in lengths)
     if not lengths:
         raise ValueError("need at least one target length")
+    repeated = sorted({a for a, b in zip(lengths, lengths[1:]) if a == b})
+    if repeated:
+        raise ValueError(f"target lengths repeat {repeated}")
     trimmed = []
     for rec in records:
         if gamma_crit is not None:

@@ -27,10 +27,14 @@ its previous query.  A bundle therefore keeps, for its last
 ``HISTORY_CACHE_ENTRIES`` queried histories (least recently used out
 first), each trained group's hidden state after the last row and the fields
 predicted so far.  A query whose history without its last row is
-byte-for-byte one of them resumes from it and runs one recurrence step per
-group; any other query replays its whole history from ``h0``.  ``train`` and
-``fit_normalization`` empty the map, and ``load`` builds a bundle with an
-empty one.
+byte-for-byte one of them resumes from it: only its new row is checked for
+finite entries, and it runs one recurrence step per group; any other query
+is checked whole and replays its whole history from ``h0``.  Every
+prediction (these queries, ``evaluate``, the trial's scoring and the
+``train`` stage's probe) runs ``RnnModel.forward`` without a workspace, so
+it keeps no training cache: what stays alive after a query is its answer
+and the kept states.  ``train`` and ``fit_normalization`` empty the map,
+and ``load`` builds a bundle with an empty one.
 """
 
 from __future__ import annotations
@@ -341,11 +345,11 @@ class SurrogateBundle:
         finals = []
         for slot, gi in enumerate(self.trained_groups):
             lo, hi = self.group_map[gi]
-            y, cache = self.models[gi].forward(
+            # a prediction forward: no workspace, no training cache
+            y, final = self.models[gi].forward(
                 x_norm, h_init=None if states is None else states[slot])
             out[..., lo:hi] = y
-            # a copy: a kept state must not hold the whole trace h_all alive
-            finals.append(cache.h_all[:, -1].copy())
+            finals.append(final)
         return out, finals
 
     def _predict_normalized(self, x_norm: np.ndarray) -> np.ndarray:
@@ -356,15 +360,14 @@ class SurrogateBundle:
         """Map normalized RNN outputs back to raw state-variable fields."""
         if not self.reduced:
             return self.output_norm.denormalize(out_norm)
-        coeffs = np.broadcast_to(
-            self.coeff_means, out_norm.shape[:-1] + (self.p,)
-        ).copy()
         denorm = self.output_norm.denormalize(out_norm)
+        padded = np.zeros(out_norm.shape[:-1] + (self.pca.retained_p,))
+        # untrained groups predict their training mean
+        if len(self.trained_groups) < self.q:
+            padded[..., : self.p] = self.coeff_means
         for gi in self.trained_groups:
             lo, hi = self.group_map[gi]
-            coeffs[..., lo:hi] = denorm[..., lo:hi]
-        padded = np.zeros(coeffs.shape[:-1] + (self.pca.retained_p,))
-        padded[..., : self.p] = coeffs
+            padded[..., lo:hi] = denorm[..., lo:hi]
         return pcalib.reconstruct(padded, self.pca)
 
     def predict_fields(self, strain_features) -> FieldPrediction:
@@ -374,8 +377,9 @@ class SurrogateBundle:
         finite entries; anything else raises a ``ValueError``.  When the
         sequence without its last row equals, byte for byte and in shape,
         one of the last ``HISTORY_CACHE_ENTRIES`` histories this bundle was
-        queried with, only the last row runs, from the hidden states that
-        history ended in; otherwise the whole sequence runs from ``h0``.
+        queried with, only the last row is checked and runs, from the hidden
+        states that history ended in; otherwise the whole sequence is
+        checked and runs from ``h0``.
         Either way the answer equals a full replay to roundoff, and this
         query's history is kept for the next one.  ``train`` and
         ``fit_normalization`` forget every kept history.  The returned
@@ -391,14 +395,18 @@ class SurrogateBundle:
                 f"expected a (steps, {n_in}) strain-feature sequence with at "
                 f"least one step, got shape {x.shape}"
             )
-        finite = np.isfinite(x).all(axis=1)
+        prefix_key = _history_key(x[:-1])
+        hit = prefix_key in self._history
+        # a kept history was checked when it was queried, so on a hit only
+        # the new row is
+        first = x.shape[0] - 1 if hit else 0
+        finite = np.isfinite(x[first:]).all(axis=1)
         if not finite.all():
             raise ValueError(
-                f"non-finite strain features at step {np.argmin(finite)} of "
-                f"the (steps, {n_in}) sequence"
+                f"non-finite strain features at step "
+                f"{first + np.argmin(finite)} of the (steps, {n_in}) sequence"
             )
-        prefix_key = _history_key(x[:-1])
-        if prefix_key in self._history:
+        if hit:
             self._history.move_to_end(prefix_key)
             prev_states, prev_fields = self._history[prefix_key]
             out, states = self._run_groups(

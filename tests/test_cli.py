@@ -205,6 +205,7 @@ class TestActionableErrors:
         ("paths", "cyclic_step_size", 0.3),
         ("paths", "cyclic_reversals_min", 0),
         ("paths", "cyclic_reversals_min", 7),  # > cyclic_reversals_max = 6
+        ("dataset", "lengths", [8, 8]),
     ])
     def test_invalid_config_value_rejected_at_load(
             self, tmp_path, monkeypatch, capsys, section, key, value):
@@ -352,6 +353,20 @@ class TestActionableErrors:
                          str(dest), *argv[1:]]) == 1
         assert flag in capsys.readouterr().err
         assert not dest.exists()
+
+    def test_dataset_pack_rejects_a_repeated_length(self, tmp_path, capsys):
+        # a repeat used to replace the group with its records over 30 steps
+        src, dest = tmp_path / "src", tmp_path / "dest"
+        ds.write_dataset(src, [
+            synthetic_records(seed=n, n_records=1, min_steps=n, max_steps=n)[0]
+            for n in (25, 28, 31, 35, 38, 42)])
+        argv = ["dataset", "pack", str(src), str(dest), "--lengths", "30"]
+        assert cli.main(argv + ["30"]) == 1
+        err = capsys.readouterr().err
+        assert "--lengths [30, 30]" in err and "repeat [30]" in err
+        assert not dest.exists()
+        assert cli.main(argv) == 0
+        assert len(ds.read_dataset(dest)) == 6
 
 
 def stage_outputs(stage_dir):

@@ -161,6 +161,14 @@ class TestPacking:
         packed = ds.pack_records([bad, good], lengths=(10,), gamma_crit=6.0)
         assert len(packed.groups[10]) == 1
 
+    def test_repeated_length_rejected(self):
+        # a repeat used to replace the group with its records over 30 steps
+        rng = np.random.default_rng(12)
+        records = [make_record(rng, n_steps=n) for n in (25, 28, 31, 35, 38, 42)]
+        assert len(ds.pack_records(records, lengths=(30,)).groups[30]) == 6
+        with pytest.raises(ValueError, match=r"repeat \[30\]"):
+            ds.pack_records(records, lengths=(30, 30))
+
 
 class TestMiniBatch:
     def test_shapes_and_lengths(self):

@@ -65,7 +65,7 @@ def input_preactivation(cell, x):
 
 def hidden_trace(model, x):
     """Hidden states after every step; the forward cache keeps h0 first."""
-    _, cache = model.forward(x)
+    _, cache = model.forward(x, workspace={})
     return cache.h_all[:, 1:]
 
 
@@ -160,19 +160,57 @@ class TestForwardSequence:
         rng = np.random.default_rng(10)
         x = rng.standard_normal((2, 12, 2))
         k = 1 if split == "first" else x.shape[1] - 1
-        whole, whole_cache = model.forward(x)
-        head, head_cache = model.forward(x[:, :k])
-        tail, tail_cache = model.forward(x[:, k:], h_init=head_cache.h_all[:, -1])
+        whole, whole_final = model.forward(x)
+        head, head_final = model.forward(x[:, :k])
+        tail, tail_final = model.forward(x[:, k:], h_init=head_final)
         resumed = np.concatenate([head, tail], axis=1)
         assert np.allclose(resumed, whole, atol=1e-12, rtol=0.0)
-        assert np.allclose(tail_cache.h_all[:, -1], whole_cache.h_all[:, -1],
-                           atol=1e-12, rtol=0.0)
+        assert np.allclose(tail_final, whole_final, atol=1e-12, rtol=0.0)
 
     @pytest.mark.parametrize("shape", [(1, 4), (2, 5), (4,), (2, 4, 1)])
     def test_misshaped_initial_state_rejected(self, shape):
         model = small_model()
         with pytest.raises(ValueError, match=r"h_init must have shape.*\(2, 4\)"):
             model.forward(np.zeros((2, 3, 2)), h_init=np.zeros(shape))
+
+
+class TestPredictionForward:
+    """Without a workspace ``forward`` predicts: the training pass's bytes,
+    no cache."""
+
+    @pytest.fixture(scope="class")
+    def paper_width(self):
+        # a kind III group of the benchmark: (3, 70) / 400 / (100, 10)
+        model = nn.RnnModel.build((3, 70), 400, (100, 10), seed=34)
+        x = np.random.default_rng(35).standard_normal((8, 32, 3))
+        return model, x
+
+    @pytest.mark.parametrize("n_b", [1, 8])
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_equals_the_training_forward(self, paper_width, n_b, resume):
+        model, x = paper_width
+        x = x[:n_b]
+        h_init = None
+        if resume:
+            h_init = np.random.default_rng(36).uniform(-1.0, 1.0, (n_b, 400))
+        y, final = model.forward(x, h_init=h_init)
+        y_train, cache = model.forward(x, h_init=h_init, workspace={})
+        assert np.array_equal(y, y_train)
+        assert np.array_equal(final, cache.h_all[:, -1])
+
+    def test_retains_under_0_1_mb(self, paper_width):
+        model, x = paper_width
+        model.forward(x)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y, final = model.forward(x)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 100_000
+        # what is kept is the answer itself
+        assert retained >= y.nbytes + final.nbytes
 
 
 class TestMseLoss:
@@ -201,7 +239,7 @@ class TestMseLoss:
 
 def bptt(model, inputs, targets):
     """Loss and fresh exact parameter gradients for one batch."""
-    outputs, cache = model.forward(inputs)
+    outputs, cache = model.forward(inputs, workspace={})
     model.backward(cache, nn.mse_loss_grad(outputs, targets))
     return nn.mse_loss(outputs, targets), model.grads.copy()
 
@@ -230,7 +268,8 @@ class TestBptt:
     def test_backward_overwrites_the_gradients(self):
         model = small_model(seed=29)
         rng = np.random.default_rng(30)
-        outputs, cache = model.forward(rng.standard_normal((2, 5, 2)))
+        outputs, cache = model.forward(rng.standard_normal((2, 5, 2)),
+                                       workspace={})
         d_out = nn.mse_loss_grad(outputs, rng.standard_normal((2, 5, 3)))
         model.grads.fill(np.nan)  # stale values must not survive
         model.backward(cache, d_out)
@@ -294,7 +333,7 @@ class TestWorkspace:
         for n_b, n_t in self.SHAPES:
             x = rng.standard_normal((n_b, n_t, 2))
             t = rng.standard_normal((n_b, n_t, 3))
-            fresh_y, fresh_cache = model.forward(x)
+            fresh_y, fresh_cache = model.forward(x, workspace={})
             model.backward(fresh_cache, nn.mse_loss_grad(fresh_y, t))
             fresh_grads = model.grads.copy()
             y, cache = model.forward(x, workspace=workspace)
@@ -459,7 +498,7 @@ class TestTrainingStepAllocations:
         model = nn.RnnModel.build((3, 70), 400, (100, 10), seed=31)
         rng = np.random.default_rng(32)
         x = rng.standard_normal((8, 32, 3))
-        outputs, cache = model.forward(x)
+        outputs, cache = model.forward(x, workspace={})
         d_out = nn.mse_loss_grad(outputs, rng.standard_normal((8, 32, 10)))
         return model, cache, d_out
 

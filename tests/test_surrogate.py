@@ -533,9 +533,9 @@ def forward_steps(monkeypatch):
     steps = []
     original = nn.RnnModel.forward
 
-    def recording(model, inputs, h_init=None):
+    def recording(model, inputs, h_init=None, workspace=None):
         steps.append(np.shape(inputs)[1])
-        return original(model, inputs, h_init=h_init)
+        return original(model, inputs, h_init=h_init, workspace=workspace)
 
     monkeypatch.setattr(nn.RnnModel, "forward", recording)
     return steps
@@ -664,3 +664,19 @@ class TestMalformedQueries:
         with pytest.raises(ValueError,
                            match=r"non-finite .* step 4 of the \(steps, 3\)"):
             bundle.predict_fields(x)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_new_row_rejected_on_a_hit(self, bundle, value,
+                                                  forward_steps):
+        x = np.full((6, 3), 0.01)
+        bundle.predict_fields(x[:5])
+        bad = x.copy()
+        bad[5, 2] = value
+        del forward_steps[:]
+        with pytest.raises(ValueError,
+                           match=r"non-finite .* step 5 of the \(steps, 3\)"):
+            bundle.predict_fields(bad)
+        assert forward_steps == []
+        # the kept history still serves the next query with one step a group
+        bundle.predict_fields(x)
+        assert forward_steps == [1] * len(bundle.trained_groups)
