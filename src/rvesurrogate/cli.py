@@ -419,9 +419,10 @@ _WORKER = {}
 _LOCKSTEP_WIDTH = 16
 
 
-def _run_paths(indices) -> tuple[list[ds.SequenceRecord], int]:
+def _run_paths(indices) -> tuple[list[ds.SequenceRecord], int, int]:
     """Records of the paths at ``indices``, stepped in lockstep, and the
-    number of their macro steps that needed sub-stepping."""
+    numbers of their macro steps that needed sub-stepping and that
+    renormalized a plastic deformation gradient."""
     paths = [_WORKER["paths"][i] for i in indices]
     fields = mm.run_sequences(paths, _WORKER["ensemble"])
     records = [
@@ -433,7 +434,8 @@ def _run_paths(indices) -> tuple[list[ds.SequenceRecord], int]:
         )
         for path, f in zip(paths, fields)
     ]
-    return records, sum(f.substepped_steps for f in fields)
+    return (records, sum(f.substepped_steps for f in fields),
+            sum(f.renormalized_steps for f in fields))
 
 
 def stage_gen_data(cfg: dict, root: Path, jobs: int = 1) -> None:
@@ -454,7 +456,7 @@ def stage_gen_data(cfg: dict, root: Path, jobs: int = 1) -> None:
             results = pool.map(_run_paths, batches, chunksize=1)
     else:
         results = [_run_paths(batch) for batch in batches]
-    records = [rec for batch_records, _ in results for rec in batch_records]
+    records = [rec for batch_records, _, _ in results for rec in batch_records]
 
     stage_dir = _fresh_stage_dir(root, "dataset")
     ds.write_dataset(stage_dir, records)
@@ -472,7 +474,8 @@ def stage_gen_data(cfg: dict, root: Path, jobs: int = 1) -> None:
             "field_convention": "one constitutive point per field entry "
                                 "(stand-in for element-averaged values)",
             "truncated_sequences": int(sum(r.truncated for r in records)),
-            "substepped_steps": int(sum(count for _, count in results)),
+            "substepped_steps": int(sum(count for _, count, _ in results)),
+            "renormalized_steps": int(sum(count for _, _, count in results)),
         },
     )
     # postcondition: per-point monotonicity of the accumulated plastic strain

@@ -51,7 +51,6 @@ converted on access.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -59,8 +58,6 @@ import numpy as np
 
 from . import tensorlab as tl
 from .pathgen import LoadingPath, make_rng
-
-logger = logging.getLogger(__name__)
 
 _SQRT_3_2 = np.sqrt(1.5)
 _NEWTON_TOL_FACTOR = 1e-12   # on |residual| relative to the initial yield stress
@@ -264,8 +261,10 @@ def matrix_update(f_in, f_out, state: PlasticState,
     """Elastic-predictor / plastic-corrector update of the matrix points.
 
     ``f_in``/``f_out`` are the in-plane blocks and out-of-plane entries of
-    F.  Returns ``(tau_eq, new_state)``: the von Mises equivalent Kirchhoff
-    stress (MPa) on the updated yield surface and the updated plastic state.
+    F.  Returns ``(tau_eq, new_state, renormalized)``: the von Mises
+    equivalent Kirchhoff stress (MPa) on the updated yield surface, the
+    updated plastic state, and where the updated ``det F^p`` drifted from 1
+    by more than ``_DET_FP_DRIFT_TOL`` and ``F^p`` was scaled back to it.
     The trial elastic state is built from the frozen plastic deformation;
     when the trial von Mises stress exceeds the current yield stress the
     plastic multiplier solves the scalar consistency equation and the
@@ -309,17 +308,12 @@ def matrix_update(f_in, f_out, state: PlasticState,
     drift = np.abs(det_fp - 1.0)
     bad = drift > _DET_FP_DRIFT_TOL
     if bad.any():
-        logger.warning(
-            "renormalizing %d plastic deformation gradients (max det drift %.3e)",
-            int(np.count_nonzero(bad)),
-            float(drift.max()),
-        )
         # the unit scale leaves the other entries bit-identical
         scale = np.where(bad, det_fp ** (-1.0 / 3.0), 1.0)
         fp_in, fp_out = fp_in * scale[..., None, None], fp_out * scale
 
     tau_eq = tau_tr - 3.0 * mu * dgamma
-    return tau_eq, PlasticState(fp_in, fp_out, state.gamma + dgamma)
+    return tau_eq, PlasticState(fp_in, fp_out, state.gamma + dgamma), bad
 
 
 @dataclass
@@ -405,13 +399,16 @@ class SequenceFields:
     """Full per-step field history of one loading path.
 
     ``substepped_steps`` counts the kept macro steps that converged only
-    when split into sub-steps.
+    when split into sub-steps, ``renormalized_steps`` those in which
+    ``matrix_update`` scaled some point's drifted ``F^p`` back to
+    ``det F^p = 1``.
     """
 
     gamma: np.ndarray        # (n_steps, d_gamma)
     tau: np.ndarray          # (n_steps, d_tau)
     truncated: bool = False
     substepped_steps: int = 0
+    renormalized_steps: int = 0
 
     def __len__(self) -> int:
         return self.gamma.shape[0]
@@ -422,15 +419,16 @@ def _step_fields(ensemble: RveEnsemble, local, state: PlasticState):
 
     ``local`` holds per-point in-plane deformation blocks, shape
     ``(..., n_points, 2, 2)`` with the matrix points first; the leading axes
-    are loading paths.
+    are loading paths.  Returns ``(state, tau, renormalized)``, the last
+    telling per path whether some matrix point's ``F^p`` was renormalized.
     """
     n_m = ensemble.n_matrix
-    tau, new_state = matrix_update(local[..., :n_m, :, :], 1.0, state,
-                                   ensemble.matrix)
+    tau, new_state, renormalized = matrix_update(
+        local[..., :n_m, :, :], 1.0, state, ensemble.matrix)
     if ensemble.n_fiber > 0:
         tau_fib = fiber_stress(local[..., n_m:, :, :], 1.0, ensemble.fiber)
         tau = np.concatenate([tau, tau_fib], axis=-1)
-    return new_state, tau
+    return new_state, tau, renormalized.any(axis=-1)
 
 
 def _interpolate(f_prev, f_target, fraction):
@@ -446,20 +444,24 @@ def _interpolate(f_prev, f_target, fraction):
 def _step_alone(ensemble: RveEnsemble, f_prev, f_target, state: PlasticState):
     """One path's macro step, split into 1, 2, ..., 2**_MAX_HALVINGS sub-steps.
 
-    Returns ``(state, tau, halvings)`` of the first split that converges,
-    or ``None`` when none does.
+    Returns ``(state, tau, halvings, renormalized)`` of the first split
+    that converges, the last telling whether any of its sub-steps
+    renormalized an ``F^p``, or ``None`` when none does.
     """
     for halving in range(_MAX_HALVINGS + 1):
         n_sub = 2**halving
         trial = state
+        renormalized = False
         try:
             for j in range(1, n_sub + 1):
                 local = ensemble.local_deformations(
                     _interpolate(f_prev, f_target, j / n_sub))
-                trial, tau = _step_fields(ensemble, local, trial)
+                trial, tau, sub_renormalized = _step_fields(ensemble, local,
+                                                            trial)
+                renormalized |= bool(sub_renormalized)
         except (InvalidDeformationError, RuntimeError):
             continue
-        return trial, tau, halving
+        return trial, tau, halving, renormalized
     return None
 
 
@@ -483,6 +485,7 @@ def run_sequences(paths, ensemble: RveEnsemble) -> list[SequenceFields]:
     tau_out = [np.zeros((n, ensemble.d_tau)) for n in lengths]
     kept = list(lengths)
     substepped = [0] * len(paths)
+    renormalized = [0] * len(paths)
 
     active = list(range(len(paths)))
     state = PlasticState.initial((len(active), ensemble.n_matrix))
@@ -496,10 +499,12 @@ def run_sequences(paths, ensemble: RveEnsemble) -> list[SequenceFields]:
         local = np.stack([ensemble.local_deformations(f) for f in f_macro])
         failed = set()
         try:
-            state, tau = _step_fields(ensemble, local, state)
+            state, tau, renormalized_rows = _step_fields(ensemble, local,
+                                                         state)
         except (InvalidDeformationError, RuntimeError):
             state = PlasticState(*(a.copy() for a in state))
             tau = np.zeros((len(active), ensemble.d_tau))
+            renormalized_rows = np.zeros(len(active), dtype=bool)
             for row, i in enumerate(active):
                 alone = _step_alone(ensemble, f_prev[row], f_target[row],
                                     PlasticState(*(a[row] for a in state)))
@@ -507,13 +512,14 @@ def run_sequences(paths, ensemble: RveEnsemble) -> list[SequenceFields]:
                     failed.add(row)
                     kept[i] = t
                     continue
-                new_state, tau[row], halvings = alone
+                new_state, tau[row], halvings, renormalized_rows[row] = alone
                 for a, new in zip(state, new_state):
                     a[row] = new
                 substepped[i] += halvings > 0
         for row, i in enumerate(active):
             gamma_out[i][t] = state.gamma[row]
             tau_out[i][t] = tau[row]
+            renormalized[i] += bool(renormalized_rows[row])
         f_prev = f_target
         t += 1
         going = [row for row, i in enumerate(active)
@@ -525,5 +531,6 @@ def run_sequences(paths, ensemble: RveEnsemble) -> list[SequenceFields]:
 
     return [SequenceFields(gamma=gamma_out[i][:n], tau=tau_out[i][:n],
                            truncated=n < lengths[i],
-                           substepped_steps=substepped[i])
+                           substepped_steps=substepped[i],
+                           renormalized_steps=renormalized[i])
             for i, n in enumerate(kept)]

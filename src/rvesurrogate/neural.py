@@ -36,7 +36,13 @@ two vectors.  Their dtype, float64 so finite-difference gradient checks
 resolve, is the model's one storage decision.  ``backward`` writes every
 gradient over ``grads``, so nothing carries over from an earlier batch and
 nothing needs zeroing; ``Adam.step`` updates ``params`` and its moment
-vectors in place, slice by cache-sized slice.
+vectors in place, slice by cache-sized slice.  Given ``params=`` and
+``grads=``, ``build`` lays the model over that storage instead: a surrogate
+bundle keeps one ``(Q, n)`` parameter block and one gradient block, and
+each group's model is built over its row, so that training still sees one
+contiguous vector per group.  Built over a ``(G, n)`` block of G groups'
+rows, the model's every weight is a ``(G, n_in, n_out)`` and every bias a
+``(G, 1, n_out)`` strided view of the block, never a copy.
 
 Workspace: the big arrays of a training step are views of float64
 buffers kept in a workspace, a dict that ``forward`` and ``train_step``
@@ -62,7 +68,16 @@ final state are those of a training pass to the bit, but it keeps no
 cache: no gate, candidate or leaky-mask arrays and no workspace, only the
 states the output net reads and the running state.  At paper width, batch
 8, 32 steps, what it leaves allocated is its outputs and final state,
-0.05 MB, where a training pass keeps a 7.8 MB cache alive.
+0.05 MB, where a training pass keeps a 7.8 MB cache alive.  A model over
+a block of G groups predicts them all in one pass over a leading group
+axis: every group reads the same inputs, every product is one stacked
+``np.matmul`` whose slices are the one-group products of the same shapes,
+and ``gru_step`` and ``FeedForwardNet.forward`` run unchanged on the
+stacked arrays, so each group's outputs and final state are those of its
+own pass to the bit.  One stacked call replaces G calls' Python and numpy
+dispatch, which on one row is comparable to a group's products at paper
+width; it holds G times one group's arrays, so callers bound G by the rows
+of the pass (``surrogate._STACK_ROWS``).
 """
 
 from __future__ import annotations
@@ -288,6 +303,16 @@ class ForwardCache(NamedTuple):
     workspace: dict
 
 
+def parameter_count(nnw_in_sizes, n_h, nnw_out_sizes) -> int:
+    """Length of the parameter vector of :meth:`RnnModel.build` for these
+    layer-size signatures."""
+    in_sizes = tuple(int(s) for s in nnw_in_sizes)
+    out_sizes = (int(n_h),) + tuple(int(s) for s in nnw_out_sizes)
+    size = sum((a + 1) * b for sizes in (in_sizes, out_sizes)
+               for a, b in zip(sizes[:-1], sizes[1:]))
+    return size + 3 * out_sizes[0] * (out_sizes[0] + in_sizes[-1] + 2)
+
+
 class RnnModel:
     """Input feed-forward net -> GRU -> output feed-forward net."""
 
@@ -304,33 +329,41 @@ class RnnModel:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def build(cls, nnw_in_sizes, n_h, nnw_out_sizes, h0=DEFAULT_H0, seed=0):
+    def build(cls, nnw_in_sizes, n_h, nnw_out_sizes, h0=DEFAULT_H0, seed=0,
+              params=None, grads=None):
         """Build from layer-size signatures.
 
         ``nnw_in_sizes`` includes the raw input width (e.g. ``(3, 70)``);
         ``nnw_out_sizes`` lists the widths after the GRU (e.g. ``(800, d)``),
         the hidden size being the implied input of the output net.
-        ``seed=None`` draws nothing and leaves the parameters zero, for a
-        model whose parameters are read from a file next.
+        ``seed=None`` draws nothing and leaves the parameters as they are
+        (zero in fresh vectors), for a model whose parameters are read from a
+        file next.  ``params`` and ``grads``, given together, are the storage
+        to build on instead of two fresh vectors: arrays whose last axis has
+        :func:`parameter_count` entries.  A leading axis is a group axis:
+        the model over a ``(G, n)`` block of G groups' vectors predicts the G
+        groups in one pass (see the module notes).
         """
         in_sizes = tuple(int(s) for s in nnw_in_sizes)
         n_h = int(n_h)
         out_sizes = (n_h,) + tuple(int(s) for s in nnw_out_sizes)
-        size = sum((a + 1) * b for sizes in (in_sizes, out_sizes)
-                   for a, b in zip(sizes[:-1], sizes[1:]))
-        size += 3 * n_h * (n_h + in_sizes[-1] + 2)
-        params = np.zeros(size)
-        grads = np.zeros(size)
+        if params is None:
+            size = parameter_count(in_sizes, n_h, out_sizes[1:])
+            params, grads = np.zeros(size), np.zeros(size)
+        groups = params.shape[:-1]
         rng = None if seed is None else _make_rng(seed)
         end = 0
 
         def draw(bound, shape):
             nonlocal end
             start, end = end, end + math.prod(shape)
-            p = params[start:end].reshape(shape)
+            if groups:
+                # one bias row per group, to broadcast over the rows of a pass
+                shape = groups + (1,) * (2 - len(shape)) + shape
+            p = params[..., start:end].reshape(shape)
             if rng is not None:
                 p[...] = rng.uniform(-bound, bound, size=shape)
-            return p, grads[start:end].reshape(shape)
+            return p, grads[..., start:end].reshape(shape)
 
         nnw_in = FeedForwardNet.input_path(in_sizes, draw)
         gru = GruCell(in_sizes[-1], n_h, draw)
@@ -361,23 +394,36 @@ class RnnModel:
         ``workspace`` dict, the :class:`ForwardCache` consumed by
         :meth:`backward`, its arrays views of the workspace (see the module
         notes); without one, the final hidden state (batch, n_h).  Both
-        modes give the same bytes.
+        modes give the same bytes.  A model over a block of G groups only
+        predicts: every group reads the same ``inputs``, ``h_init`` and the
+        two results gain a leading group axis, (G, batch, ...).
         """
         x = np.asarray(inputs, dtype=np.float64)
         if x.ndim != 3:
             raise ValueError("inputs must have shape (batch, steps, features)")
         n_b, n_t, _ = x.shape
         n = self.gru.n_h
-        if h_init is not None and np.shape(h_init) != (n_b, n):
+        groups = self.params.shape[:-1]
+        if h_init is not None and np.shape(h_init) != groups + (n_b, n):
             raise ValueError(
-                f"h_init must have shape (batch, n_h) = {(n_b, n)}, "
-                f"got {np.shape(h_init)}"
+                f"h_init must have shape ({'groups, ' if groups else ''}"
+                f"batch, n_h) = {groups + (n_b, n)}, got {np.shape(h_init)}"
             )
         in_cache = None if workspace is None else []
         xp = self.nnw_in.forward(x.reshape(n_b * n_t, -1), in_cache)
-        xp = xp.reshape(n_b, n_t, self.gru.n_in)
+        xp = xp.reshape(groups + (n_b, n_t, self.gru.n_in))
         if workspace is None:
-            return self._predict(xp, h_init)
+            # the prediction pass: one product per weight for all groups; it
+            # keeps only the states the output net reads and the running one
+            gx = np.matmul(xp, self.gru.wx[..., None, :, :])
+            gx += self.gru.bx[..., None, :]
+            h = np.full(groups + (n_b, n), self.h0) if h_init is None \
+                else np.asarray(h_init, dtype=np.float64)
+            h_out = np.empty(groups + (n_b, n_t, n))
+            for t in range(n_t):
+                h = h_out[..., t, :] = gru_step(self.gru, gx[..., t, :], h)[0]
+            y = self.nnw_out.forward(h_out.reshape(groups + (n_b * n_t, n)))
+            return y.reshape(groups + (n_b, n_t, self.n_outputs)), h
         gx = _take(workspace, "gx", (n_b, n_t, 3 * n))
         np.matmul(xp, self.gru.wx, out=gx)
         gx += self.gru.bx
@@ -401,22 +447,6 @@ class RnnModel:
         cache = ForwardCache(x.shape, in_cache, xp, h_all, gate_u, gate_r, cand,
                              gh_cand, out_cache, workspace)
         return outputs, cache
-
-    def _predict(self, xp, h_init):
-        """The recurrence and output net of a prediction :meth:`forward`
-        from the input net's output ``xp``: only the states the output net
-        reads and the running state are kept."""
-        n_b, n_t, _ = xp.shape
-        n = self.gru.n_h
-        gx = np.matmul(xp, self.gru.wx)
-        gx += self.gru.bx
-        h = np.full((n_b, n), self.h0) if h_init is None \
-            else np.asarray(h_init, dtype=np.float64)
-        h_out = np.empty((n_b, n_t, n))
-        for t in range(n_t):
-            h = h_out[:, t] = gru_step(self.gru, gx[:, t], h)[0]
-        y_flat = self.nnw_out.forward(h_out.reshape(n_b * n_t, n))
-        return y_flat.reshape(n_b, n_t, self.n_outputs), h
 
     def backward(self, cache: ForwardCache, d_outputs) -> None:
         """Exact gradients of the cached forward pass, written over ``grads``."""

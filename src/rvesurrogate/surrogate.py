@@ -21,16 +21,26 @@ always maps predictions back to the normalized full-dimensional field
 space, which makes the three kinds (and the PCA reconstruction floor from
 the same ``p`` coefficients) directly comparable.
 
+Storage: a bundle holds one ``(Q, n)`` parameter block and one gradient
+block, and group ``g``'s RNN is built over row ``g`` of both; training,
+``Adam``, clipping, the backup and ``rnn_XX.bin`` see that row as the
+group's one vector.  The trained groups are always the first ones, so
+prediction runs them as one stacked model over the leading rows of the
+block (see ``neural``'s module notes): each pass over ``batch x steps``
+rows stacks ``max(1, _STACK_ROWS // (batch x steps))`` groups, all of them
+in an FE2 query and one at a time in a long evaluation.
+
 History reuse: in FE2 use every Gauss point queries ``predict_fields`` at
 each macro increment with its strain history so far, one row longer than
 its previous query.  A bundle therefore keeps, for its last
 ``HISTORY_CACHE_ENTRIES`` queried histories (least recently used out
-first), each trained group's hidden state after the last row and the fields
-predicted so far.  A query whose history without its last row is
-byte-for-byte one of them resumes from it: only its new row is checked for
-finite entries, and it runs one recurrence step per group; any other query
-is checked whole and replays its whole history from ``h0``.  Every
-prediction (these queries, ``evaluate``, the trial's scoring and the
+first), the trained groups' hidden states after the last row, as one
+``(trained groups, 1, n_h)`` array, and the fields predicted so far.  A
+query whose history without its last row is byte-for-byte one of them
+resumes from it: only its new row is checked for finite entries, and it
+runs one recurrence step of every trained group in one stacked pass; any
+other query is checked whole and replays its whole history from ``h0``.
+Every prediction (these queries, ``evaluate``, the trial's scoring and the
 ``train`` stage's probe) runs ``RnnModel.forward`` without a workspace, so
 it keeps no training cache: what stays alive after a query is its answer
 and the kept states.  ``train`` and ``fit_normalization`` empty the map,
@@ -63,6 +73,15 @@ HISTORY_CACHE_ENTRIES = 64
 
 # mini-batch size of the hidden-size trial
 _TRIAL_BATCH_SIZE = 8
+
+# rows (batch x steps) up to which a prediction stacks groups: they run in
+# passes of max(1, _STACK_ROWS // rows) groups.  Stacking saves a pass's
+# per-group dispatch, which only shows on short passes, while a pass holds
+# its groups' gate pre-activations at once, 3 n_h floats per row and group:
+# under 2048 x 3 x 400 x 8 B = 19.7 MB at paper width, unless one group
+# alone holds more.  So an FE2 query (1 row) stacks every group and a
+# paper-scale evaluate (20 x 800 rows) runs one group at a time.
+_STACK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -188,17 +207,25 @@ class SurrogateBundle:
         if not 0 <= n_trained <= self.q:
             raise ValueError("trained_group_count outside [0, Q]")
         self.trained_groups = list(range(n_trained))
+        # one row per group: each group's model, and each stacked prediction
+        # model, is a set of views of these two blocks
+        size = nn.parameter_count(arch.nnw_in, arch.n_h, arch.nnw_out)
+        self.params = np.zeros((self.q, size))
+        self.grads = np.zeros((self.q, size))
         self.models = [
             nn.RnnModel.build(arch.nnw_in, arch.n_h, arch.nnw_out, h0=h0,
-                              seed=[self.seed, gi] if _draw else None)
+                              seed=[self.seed, gi] if _draw else None,
+                              params=self.params[gi], grads=self.grads[gi])
             for gi in range(self.q)
         ]
+        # (lo, hi) -> the model over the rows of groups lo..hi-1
+        self._stacks = {}
         self.input_norm: ds.NormalizationSpec | None = None
         self.output_norm: ds.NormalizationSpec | None = None
         self.field_norm: ds.NormalizationSpec | None = None
         self.coeff_means: np.ndarray | None = None
-        # (shape, raw input bytes) -> (final hidden state per trained group,
-        # fields so far); see predict_fields
+        # (shape, raw input bytes) -> (final hidden states of the trained
+        # groups, fields so far); see predict_fields
         self._history: OrderedDict = OrderedDict()
 
     # -- bookkeeping ---------------------------------------------------------
@@ -227,8 +254,8 @@ class SurrogateBundle:
             "groups": self.q,
             "trained_groups": len(self.trained_groups),
             "p": self.p,
-            "parameters_per_rnn": self.models[0].params.size,
-            "parameters_total": sum(m.params.size for m in self.models),
+            "parameters_per_rnn": self.params.shape[1],
+            "parameters_total": self.params.size,
         }
 
     # -- data preparation ------------------------------------------------------
@@ -331,26 +358,40 @@ class SurrogateBundle:
 
     # -- prediction / evaluation ---------------------------------------------------
 
-    def _run_groups(self, x_norm: np.ndarray, states=None):
-        """Stacked per-group RNN outputs, (batch, steps, output_dim).
+    def _stack(self, lo: int, hi: int) -> nn.RnnModel:
+        """The model over the block rows of groups ``lo..hi-1``, which
+        predicts them in one pass."""
+        stack = self._stacks.get((lo, hi))
+        if stack is None:
+            stack = self._stacks[lo, hi] = nn.RnnModel.build(
+                self.arch.nnw_in, self.arch.n_h, self.arch.nnw_out,
+                h0=self.h0, seed=None, params=self.params[lo:hi],
+                grads=self.grads[lo:hi])
+        return stack
 
-        Also returns each trained group's hidden state after the last step.
-        ``states`` (one per trained group) resumes the groups from those
-        states instead of ``h0``.
+    def _run_groups(self, x_norm: np.ndarray, states=None):
+        """The trained groups' RNN outputs side by side, (batch, steps,
+        output_dim), zero in the untrained groups' columns.
+
+        Also returns the trained groups' hidden states after the last step,
+        (trained groups, batch, n_h); ``states`` of that shape resumes the
+        groups from those states instead of ``h0``.  The groups run in
+        stacked prediction passes of ``_STACK_ROWS`` rows or one group.
         """
         if not self.fitted:
             raise ValueError("surrogate has not been trained or loaded")
         n_b, n_t, _ = x_norm.shape
-        out = np.zeros((n_b, n_t, self.output_dim))
-        finals = []
-        for slot, gi in enumerate(self.trained_groups):
-            lo, hi = self.group_map[gi]
+        n_groups = len(self.trained_groups)
+        out = np.zeros((n_b, n_t, self.q, self.arch.output_dim))
+        finals = np.empty((n_groups, n_b, self.arch.n_h))
+        chunk = max(1, _STACK_ROWS // (n_b * n_t))
+        for lo in range(0, n_groups, chunk):
+            hi = min(lo + chunk, n_groups)
             # a prediction forward: no workspace, no training cache
-            y, final = self.models[gi].forward(
-                x_norm, h_init=None if states is None else states[slot])
-            out[..., lo:hi] = y
-            finals.append(final)
-        return out, finals
+            y, finals[lo:hi] = self._stack(lo, hi).forward(
+                x_norm, h_init=None if states is None else states[lo:hi])
+            out[:, :, lo:hi] = np.moveaxis(y, 0, 2)
+        return out.reshape(n_b, n_t, self.output_dim), finals
 
     def _predict_normalized(self, x_norm: np.ndarray) -> np.ndarray:
         """Stacked per-group RNN outputs, (batch, steps, output_dim)."""
@@ -362,12 +403,12 @@ class SurrogateBundle:
             return self.output_norm.denormalize(out_norm)
         denorm = self.output_norm.denormalize(out_norm)
         padded = np.zeros(out_norm.shape[:-1] + (self.pca.retained_p,))
-        # untrained groups predict their training mean
-        if len(self.trained_groups) < self.q:
+        # the trained groups are the first ones; the others predict their
+        # training mean
+        trained = len(self.trained_groups) * self.arch.output_dim
+        if trained < self.p:
             padded[..., : self.p] = self.coeff_means
-        for gi in self.trained_groups:
-            lo, hi = self.group_map[gi]
-            padded[..., lo:hi] = denorm[..., lo:hi]
+        padded[..., :trained] = denorm[..., :trained]
         return pcalib.reconstruct(padded, self.pca)
 
     def predict_fields(self, strain_features) -> FieldPrediction:
@@ -503,8 +544,23 @@ class SurrogateBundle:
 
     @classmethod
     def load(cls, directory) -> "SurrogateBundle":
+        """The bundle ``save`` wrote to ``directory``.
+
+        Its trained groups must be the first ones, as ``train`` trains them,
+        and its group map the one ``group_slices`` gives; otherwise, or when
+        a model file disagrees with the bundle, a ``ValueError`` naming the
+        file is raised.
+        """
         directory = Path(directory)
-        meta = ds.read_json(directory / BUNDLE_FILE)
+        meta_file = directory / BUNDLE_FILE
+        meta = ds.read_json(meta_file)
+        n_trained = len(meta["trained_groups"])
+        if meta["trained_groups"] != list(range(n_trained)):
+            raise ValueError(
+                f"{meta_file} lists the trained groups "
+                f"{meta['trained_groups']}; training trains the first ones, "
+                f"{list(range(n_trained))}"
+            )
         pca_model = None
         if (directory / PCA_FILE).exists():
             pca_model = pcalib.load(directory / PCA_FILE)
@@ -518,13 +574,19 @@ class SurrogateBundle:
             family=meta["family"],
             arch=arch,
             q=meta["q"],
-            trained_group_count=len(meta["trained_groups"]),
+            trained_group_count=n_trained,
             pca=pca_model,
             p=meta["p"],
             seed=meta["seed"],
             h0=meta["h0"],
             _draw=False,
         )
+        if meta["group_map"] != [list(g) for g in bundle.group_map]:
+            raise ValueError(
+                f"{meta_file} holds the group map {meta['group_map']}; its "
+                f"{bundle.output_dim} outputs in {bundle.q} groups are "
+                f"{[list(g) for g in bundle.group_map]}"
+            )
         for gi, model in enumerate(bundle.models):
             nn.load_model(directory / f"rnn_{gi:02d}.bin", model)
         if meta["input_norm"] is not None:

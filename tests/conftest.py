@@ -64,10 +64,10 @@ def plastic_increment_cap(monkeypatch):
         update = mm.matrix_update
 
         def capped(f_in, f_out, state, params=mm.MATRIX_DEFAULTS):
-            tau, new_state = update(f_in, f_out, state, params)
+            tau, new_state, renormalized = update(f_in, f_out, state, params)
             if np.any(new_state.gamma - state.gamma > cap):
                 raise RuntimeError("plastic increment above the cap")
-            return tau, new_state
+            return tau, new_state, renormalized
 
         monkeypatch.setattr(mm, "matrix_update", capped)
     return install

@@ -8,6 +8,7 @@ import pytest
 from conftest import synthetic_records
 from rvesurrogate import cli
 from rvesurrogate import datastore as ds
+from rvesurrogate import micromodel as mm
 from rvesurrogate import neural as nn
 from rvesurrogate import pca as pcalib
 from rvesurrogate import surrogate as sg
@@ -449,6 +450,23 @@ class TestStagesReplaceTheirOutputs:
         err = capsys.readouterr().err
         assert "rnn_01.bin" in err and "re-run `train`" in err
 
+    @pytest.mark.parametrize("key, value", [("trained_groups", [0, 2]),
+                                            ("group_map", [[0, 1], [1, 4]])])
+    def test_eval_of_a_hand_edited_bundle_file(self, dataset_root, tmp_path,
+                                               monkeypatch, capsys, key,
+                                               value):
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        for stage in ("pca-fit", "train"):
+            cli.run_stage(stage, cfg, dataset_root)
+        meta_file = dataset_root / "bundle" / sg.BUNDLE_FILE
+        meta = ds.read_json(meta_file)
+        meta[key] = value
+        ds.write_json(meta_file, meta)
+        assert run_main("eval", dataset_root, cfg, tmp_path, monkeypatch) == 1
+        err = capsys.readouterr().err
+        assert "bundle.json" in err and str(value) in err
+        assert "re-run `train`" in err
+
 
 class TestTrialStage:
     def test_seed_override_reaches_the_trial(self, dataset_root, tmp_path,
@@ -564,6 +582,23 @@ class TestGenDataDeterminism:
         assert cli.hash_tree(tmp_path / "dataset" / "records") == "sha256:" \
             "85c7b74dd0b8ee567bc4e5262b4a6aaad173e6c7bfe2eaae37e382880116d8fe"
 
+    def test_bundle_and_eval_are_pinned(self, tmp_path):
+        # digests recorded while each group predicted in a pass of its own: a
+        # rewrite of how the groups are stored or run must not move one bit
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        cfg["paths"]["n_cyclic"] = 1
+        cfg["train"]["n_batches"] = 3
+        for stage in ("gen-paths", "gen-data", "pca-fit", "train", "eval"):
+            cli.run_stage(stage, cfg, tmp_path)
+        assert cli.hash_tree(tmp_path / "bundle") == "sha256:" \
+            "7d4d19f0f7feb0c5bd50956f0552442abd4ef60c9c2b2c051253f9013a347cd8"
+        assert cli.sha256_file(tmp_path / "bundle" / "loss_history.csv") \
+            == "sha256:" \
+            "f0474e397554a1b04918496b2ecd1534908c7b6919520a9116fdef99377893d4"
+        assert cli.sha256_file(tmp_path / "eval" / "summary.json") \
+            == "sha256:" \
+            "11908fbb0050ab4f5aecd3cc0182fd0a9ea74f93d461f7ae81e38ef537239aa4"
+
     def test_records_identical_across_jobs_and_reruns(self, tmp_path,
                                                       monkeypatch):
         # 8 paths: one lockstep batch, or batches of 3/3/2 spread over two
@@ -599,6 +634,24 @@ class TestGenDataDeterminism:
         assert counts[0] >= 2
         assert counts[0] == counts[1] == counts[2]
         assert all(n["truncated_sequences"] == 0 for n in notes)
+
+    def test_renormalized_steps_identical_across_jobs_and_reruns(
+            self, tmp_path, monkeypatch):
+        # a tolerance under roundoff, so that plastic steps renormalize
+        monkeypatch.setattr(mm, "_DET_FP_DRIFT_TOL", 1e-16)
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        cfg["paths"].update(n_random=4, n_cyclic=1)
+        notes = []
+        for name, jobs, width in (("a", 1, 16), ("b", 2, 2), ("a", 1, 16)):
+            monkeypatch.setattr(cli, "_LOCKSTEP_WIDTH", width)
+            root = tmp_path / name
+            cli.run_stage("gen-paths", cfg, root)
+            cli.run_stage("gen-data", cfg, root, jobs=jobs)
+            notes.append(json.loads(
+                (root / "dataset" / "manifest.json").read_text())["notes"])
+        counts = [n["renormalized_steps"] for n in notes]
+        assert counts[0] >= 2
+        assert counts[0] == counts[1] == counts[2]
 
 
 class TestResolvedConfig:

@@ -30,6 +30,19 @@ def layout(model):
             + dense(model.nnw_out))
 
 
+def group_block(n_groups, nnw_in, n_h, nnw_out, seed):
+    """Seeded models over the rows of one ``(n_groups, n)`` block, and the
+    model over the whole block."""
+    n = nn.parameter_count(nnw_in, n_h, nnw_out)
+    params, grads = np.zeros((n_groups, n)), np.zeros((n_groups, n))
+    models = [nn.RnnModel.build(nnw_in, n_h, nnw_out, seed=[seed, g],
+                                params=params[g], grads=grads[g])
+              for g in range(n_groups)]
+    stack = nn.RnnModel.build(nnw_in, n_h, nnw_out, seed=None, params=params,
+                              grads=grads)
+    return models, stack
+
+
 def finite_difference_grads(model, inputs, targets, h=1e-6):
     flat = model.params
     g = np.zeros(flat.size)
@@ -197,6 +210,42 @@ class TestPredictionForward:
         y_train, cache = model.forward(x, h_init=h_init, workspace={})
         assert np.array_equal(y, y_train)
         assert np.array_equal(final, cache.h_all[:, -1])
+
+    @pytest.mark.parametrize("width", ["odd", "paper"])
+    @pytest.mark.parametrize("n_groups", [1, 3])
+    @pytest.mark.parametrize("n_b", [1, 3])
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_stacked_pass_equals_each_groups_training_forward(
+            self, width, n_groups, n_b, resume):
+        # odd widths everywhere, so that every elementwise loop runs a tail
+        sizes = {"odd": ((3, 7, 9), 5, (9, 3)),
+                 "paper": ((3, 70), 400, (100, 10))}[width]
+        models, stack = group_block(n_groups, *sizes, seed=37)
+        x = np.random.default_rng(38).standard_normal((n_b, 11, 3))
+        h_init = None
+        if resume:
+            h_init = np.random.default_rng(39).uniform(
+                -1.0, 1.0, (n_groups, n_b, sizes[1]))
+        y, final = stack.forward(x, h_init=h_init)
+        assert y.shape == (n_groups, n_b, 11, sizes[2][-1])
+        assert final.shape == (n_groups, n_b, sizes[1])
+        for g, model in enumerate(models):
+            y_train, cache = model.forward(
+                x, h_init=None if h_init is None else h_init[g], workspace={})
+            assert y[g].tobytes() == y_train.tobytes()
+            assert final[g].tobytes() == cache.h_all[:, -1].tobytes()
+
+    def test_stacked_arrays_are_views_of_the_block(self):
+        models, stack = group_block(3, (3, 5, 4), 6, (5, 2), seed=40)
+        for (p, g), *rows in zip(layout(stack), *map(layout, models)):
+            assert np.shares_memory(p, stack.params)
+            assert np.shares_memory(g, stack.grads)
+            for i, (p_row, g_row) in enumerate(rows):
+                assert np.shares_memory(p[i], p_row)
+                assert np.shares_memory(g[i], g_row)
+                assert np.array_equal(p[i].reshape(p_row.shape), p_row)
+        with pytest.raises(ValueError, match=r"\(groups, batch, n_h\)"):
+            stack.forward(np.zeros((1, 2, 3)), h_init=np.zeros((1, 6)))
 
     def test_retains_under_0_1_mb(self, paper_width):
         model, x = paper_width
@@ -535,6 +584,7 @@ class TestParameterCount:
                         for a, b in zip(sizes[:-1], sizes[1:]))
             gru = 3 * n_h * (n_h + nnw_in[-1] + 2)
             assert model.params.size == model.grads.size == dense + gru
+            assert nn.parameter_count(nnw_in, n_h, nnw_out) == dense + gru
             assert sum(p.size for p, _ in layout(model)) == model.params.size
 
 

@@ -274,6 +274,36 @@ class TestTrainingAllocations:
             assert max(steps[1:]) < 1_000_000
 
 
+class TestPredictionMemory:
+    def test_stacked_prediction_peak_stays_near_one_groups(self):
+        # 18 groups of one coefficient each, their nets narrow next to the
+        # 3 n_h gate pre-activations per row and group that a stack holds
+        d = 18
+        records = synthetic_records(seed=41, n_records=4, d_gamma=d)
+        pca = pcalib.PcaModel(np.zeros(d), np.ones(d), np.eye(d))
+        arch = sg.Architecture(nnw_in=(3, 8), n_h=16, nnw_out=(1,))
+        bundle = sg.SurrogateBundle("III", arch, q=d, pca=pca, p=d, seed=42)
+        bundle.fit_normalization(ds.pack_records(records, lengths=(24,)))
+        # batch x steps = _STACK_ROWS rows: past the threshold under which a
+        # pass stacks two groups or more
+        n_b = 32
+        x = np.random.default_rng(43).uniform(
+            -1.0, 1.0, (n_b, sg._STACK_ROWS // n_b, 3))
+
+        def peak(call):
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_group = peak(lambda: bundle.models[0].forward(x))
+        every_group = peak(lambda: bundle._predict_normalized(x))
+        assert every_group < 2 * one_group
+
+
 class TestKindEquivalence:
     def test_ii_equals_iii_with_single_group(self, synthetic_packed, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 8))
@@ -501,6 +531,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"rnn_01\.bin is not a"):
             sg.SurrogateBundle.load(tmp_path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("trained_groups", [0, 2]),
+        ("trained_groups", [1, 2, 3]),
+        ("group_map", [[0, 2], [2, 4], [4, 6], [6, 7]]),
+        ("group_map", [[0, 4], [4, 8]]),
+    ])
+    def test_load_rejects_a_group_layout_training_cannot_write(
+            self, tmp_path, gamma_pca, key, value):
+        arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
+        sg.SurrogateBundle("III", arch, q=4, trained_group_count=3,
+                           pca=gamma_pca, p=8).save(tmp_path)
+        meta = ds.read_json(tmp_path / sg.BUNDLE_FILE)
+        meta[key] = value
+        ds.write_json(tmp_path / sg.BUNDLE_FILE, meta)
+        with pytest.raises(ValueError, match=r"bundle\.json (lists the trained "
+                                             r"groups|holds the group map)"):
+            sg.SurrogateBundle.load(tmp_path)
+
 
 # kind -> (architecture, build keywords); kind III leaves one of Q=4 groups
 # untrained, so resumed states must line up with the trained groups only
@@ -529,12 +577,13 @@ def saved_bundle(request, tmp_path_factory, synthetic_packed, gamma_pca):
 
 @pytest.fixture
 def forward_steps(monkeypatch):
-    """Step count of every RnnModel.forward call, in call order."""
+    """(groups, steps) of every RnnModel.forward call, in call order."""
     steps = []
     original = nn.RnnModel.forward
 
     def recording(model, inputs, h_init=None, workspace=None):
-        steps.append(np.shape(inputs)[1])
+        groups = model.params.shape[0] if model.params.ndim > 1 else 1
+        steps.append((groups, np.shape(inputs)[1]))
         return original(model, inputs, h_init=h_init, workspace=workspace)
 
     monkeypatch.setattr(nn.RnnModel, "forward", recording)
@@ -569,7 +618,8 @@ class TestHistoryReuse:
             for h, rows in zip(histories, kept):
                 rows[k - 1] = warm.predict_fields(h[:k]).fields[-1]
         # every history's first query replays; every later one runs one step
-        assert forward_steps == [1] * (60 * n_groups)
+        # of every trained group in one stacked pass
+        assert forward_steps == [(n_groups, 1)] * 60
         cold = sg.SurrogateBundle.load(saved_bundle)
         for h, rows in zip(histories, kept):
             assert_matches_cold(rows, cold.predict_fields(h).fields)
@@ -585,7 +635,7 @@ class TestHistoryReuse:
             x = np.vstack([prefix, prefix[-1] + np.array(trial)])
             del forward_steps[:]
             fields = warm.predict_fields(x).fields
-            assert forward_steps == [1] * len(warm.trained_groups)
+            assert forward_steps == [(len(warm.trained_groups), 1)]
             assert_matches_cold(fields, cold.predict_fields(x).fields)
 
     def test_answers_unaffected_by_caller_mutation(self, saved_bundle,
@@ -621,7 +671,7 @@ class TestHistoryReuse:
         assert_matches_cold(warm.predict_fields(h[:11]).fields,
                             cold.predict_fields(h[:11]).fields)
         # evicted: the warm bundle replayed all 11 steps, as the cold one did
-        assert set(forward_steps) == {11}
+        assert set(forward_steps) == {(len(warm.trained_groups), 11)}
 
     @pytest.mark.parametrize("refit", ["train", "fit_normalization"])
     def test_refit_bundle_answers_like_its_reloaded_copy(
@@ -679,4 +729,4 @@ class TestMalformedQueries:
         assert forward_steps == []
         # the kept history still serves the next query with one step a group
         bundle.predict_fields(x)
-        assert forward_steps == [1] * len(bundle.trained_groups)
+        assert forward_steps == [(len(bundle.trained_groups), 1)]
