@@ -84,8 +84,7 @@ _SCHEMA = {
     "train": {
         **_required(kind="str", nnw_in="list of int", n_h="int",
                     nnw_out="list of int", n_batches="int"),
-        **_defaults_of(sg.SurrogateBundle, q="int",
-                       trained_group_count="int|null"),
+        **_defaults_of(sg.SurrogateBundle, q="int"),
         **_defaults_of(nn.TrainConfig, n_epoch="int", learning_rate="real",
                        weight_decay="real", clip_norm="real", seed="int"),
     },
@@ -209,12 +208,6 @@ def validate_config(cfg: dict) -> dict:
         t["q"] = 1
     if cfg["pca"]["p"] is not None and cfg["pca"]["p"] % t["q"] != 0:
         raise StageError("pca.p must be divisible by train.q for kind III")
-    trained = t["trained_group_count"]
-    if trained is not None and not 0 <= trained <= t["q"]:
-        raise StageError(
-            f"train.trained_group_count must lie in [0, {t['q']}], the "
-            f"number of groups of kind {t['kind']}"
-        )
     _from_config(sg.Architecture, cfg, _ARCH_FIELDS)
     _from_config(nn.TrainConfig, cfg, _TRAIN_FIELDS)
     _check_trial(cfg)
@@ -582,8 +575,8 @@ def _train_setup(cfg: dict, root: Path):
             )
     arch = _from_config(sg.Architecture, cfg, _ARCH_FIELDS)
     bundle = sg.SurrogateBundle(
-        kind, arch, q=t["q"], trained_group_count=t["trained_group_count"],
-        pca=pca_model, p=p_retained, family=family, seed=t["seed"],
+        kind, arch, q=t["q"], pca=pca_model, p=p_retained, family=family,
+        seed=t["seed"],
     )
     return packed, bundle, _from_config(nn.TrainConfig, cfg, _TRAIN_FIELDS)
 
@@ -597,11 +590,11 @@ def stage_train(cfg: dict, root: Path) -> None:
     if not history.aborted:
         bundle.save(stage_dir)
     with open(stage_dir / "loss_history.csv", "w") as fh:
-        headers = ",".join(f"loss_group_{gi:02d}" for gi in bundle.trained_groups)
-        fh.write(f"batch,length,{headers}\n" if headers else "batch,length\n")
+        headers = ",".join(f"loss_group_{gi:02d}" for gi in range(bundle.q))
+        fh.write(f"batch,length,{headers}\n")
         for b in range(history.n_batches_run):
             row = ",".join(f"{v:.10e}" for v in history.losses[b])
-            fh.write(f"{b},{history.batch_lengths[b]}" + (f",{row}" if row else "") + "\n")
+            fh.write(f"{b},{history.batch_lengths[b]},{row}\n")
     inputs = {"dataset/records": hash_tree(root / "dataset" / "records")}
     family = cfg["pca"]["family"]
     pca_file = root / "pca" / f"pca_{family}.bin"
@@ -615,9 +608,8 @@ def stage_train(cfg: dict, root: Path) -> None:
                "gradients": [
                    {"group": gi, "clipped_steps": int(n_clipped),
                     "max_norm": float(norm)}
-                   for gi, n_clipped, norm in zip(bundle.trained_groups,
-                                                  history.clipped_steps,
-                                                  history.max_grad_norm)]},
+                   for gi, (n_clipped, norm) in enumerate(
+                       zip(history.clipped_steps, history.max_grad_norm))]},
     )
     if history.aborted:
         where = ", ".join(f"group {gi} at batch {b}" for gi, b in history.aborted)

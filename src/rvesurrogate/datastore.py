@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import shutil
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,11 +66,14 @@ class NormalizationSpec:
 
     Degenerate (constant) features keep a unit half-range so normalization
     reduces to a pure shift; they are flagged for audit.  Values outside the
-    fitted range pass through the affine map without clamping.
+    fitted range pass through the affine map without clamping.  The map's
+    center and half-range are computed once, from the bounds as given.
     """
 
     minimum: np.ndarray
     maximum: np.ndarray
+    center: np.ndarray = field(init=False, repr=False, compare=False)
+    half_range: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "minimum", np.asarray(self.minimum, dtype=np.float64))
@@ -79,15 +82,9 @@ class NormalizationSpec:
             raise ValueError("min/max must be 1-d arrays of equal length")
         if np.any(self.maximum < self.minimum):
             raise ValueError("maximum < minimum")
-
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.minimum + self.maximum)
-
-    @property
-    def half_range(self) -> np.ndarray:
+        object.__setattr__(self, "center", 0.5 * (self.minimum + self.maximum))
         hr = 0.5 * (self.maximum - self.minimum)
-        return np.where(hr > 0.0, hr, 1.0)
+        object.__setattr__(self, "half_range", np.where(hr > 0.0, hr, 1.0))
 
     @property
     def degenerate(self) -> np.ndarray:

@@ -21,12 +21,13 @@ always maps predictions back to the normalized full-dimensional field
 space, which makes the three kinds (and the PCA reconstruction floor from
 the same ``p`` coefficients) directly comparable.
 
-Storage: a bundle holds one ``(Q, n)`` parameter block and one gradient
-block, and group ``g``'s RNN is built over row ``g`` of both; training,
-``Adam``, clipping, the backup and ``rnn_XX.bin`` see that row as the
-group's one vector.  The trained groups are always the first ones, so
-prediction runs them as one stacked model over the leading rows of the
-block (see ``neural``'s module notes): each pass over ``batch x steps``
+Storage: a bundle trains and predicts every one of its Q groups, and a
+reduced bundle's PCA holds exactly the ``p`` components it predicts.  It
+holds one ``(Q, n)`` parameter block and one gradient block, and group
+``g``'s RNN is built over row ``g`` of both; training, ``Adam``, clipping,
+the backup and ``rnn_XX.bin`` see that row as the group's one vector.
+Prediction runs consecutive groups as one stacked model over their rows of
+the block (see ``neural``'s module notes): each pass over ``batch x steps``
 rows stacks ``max(1, _STACK_ROWS // (batch x steps))`` groups, all of them
 in an FE2 query and one at a time in a long evaluation.
 
@@ -34,11 +35,11 @@ History reuse: in FE2 use every Gauss point queries ``predict_fields`` at
 each macro increment with its strain history so far, one row longer than
 its previous query.  A bundle therefore keeps, for its last
 ``HISTORY_CACHE_ENTRIES`` queried histories (least recently used out
-first), the trained groups' hidden states after the last row, as one
-``(trained groups, 1, n_h)`` array, and the fields predicted so far.  A
+first), the groups' hidden states after the last row, as one
+``(Q, 1, n_h)`` array, and the fields predicted so far.  A
 query whose history without its last row is byte-for-byte one of them
 resumes from it: only its new row is checked for finite entries, and it
-runs one recurrence step of every trained group in one stacked pass; any
+runs one recurrence step of every group in one stacked pass; any
 other query is checked whole and replays its whole history from ``h0``.
 Every prediction (these queries, ``evaluate``, the trial's scoring and the
 ``train`` stage's probe) runs ``RnnModel.forward`` without a workspace, so
@@ -66,6 +67,10 @@ KINDS = (KIND_DIRECT, KIND_REDUCED, KIND_BROKEN_DOWN)
 
 BUNDLE_FILE = "bundle.json"
 PCA_FILE = "pca.bin"
+# the keys of every bundle file, as ``SurrogateBundle.save`` writes them
+_BUNDLE_KEYS = frozenset({"kind", "family", "arch", "q", "p", "seed", "h0",
+                          "group_map", "input_norm", "output_norm",
+                          "field_norm"})
 
 # queried histories whose final hidden states a bundle keeps; at least the
 # Gauss points one bundle serves in turn, so that each resumes its own
@@ -131,10 +136,10 @@ class FieldPrediction:
 
 @dataclass
 class TrainingHistory:
-    losses: np.ndarray          # (n_batches_run, n_trained_groups), output-space MSE
+    losses: np.ndarray          # (n_batches_run, Q), output-space MSE
     batch_lengths: np.ndarray   # (n_batches_run,), sequence length per batch
-    # per trained group: steps whose gradient norm exceeded the clip norm,
-    # and the largest norm before clipping
+    # per group: steps whose gradient norm exceeded the clip norm, and the
+    # largest norm before clipping
     clipped_steps: np.ndarray
     max_grad_norm: np.ndarray
     # (group, batch) of each group stopped by a non-finite loss, in group order
@@ -145,8 +150,8 @@ class TrainingHistory:
         return self.losses.shape[0]
 
     def final_loss(self) -> float | None:
-        """Mean loss over the trained groups on the last batch run; ``None``
-        when no batch ran or no group is trained."""
+        """Mean loss over the groups on the last batch run; ``None`` when no
+        batch ran."""
         return float(self.losses[-1].mean()) if self.losses.size else None
 
 
@@ -166,7 +171,6 @@ class SurrogateBundle:
     """Normalization specs, optional PCA and the RNN(s) of one surrogate."""
 
     def __init__(self, kind, arch: Architecture, q: int = 1,
-                 trained_group_count: int | None = None,
                  pca: pcalib.PcaModel | None = None, p: int | None = None,
                  family: str = ds.FAMILY_GAMMA, seed: int = 0,
                  h0: float = nn.DEFAULT_H0, *, _draw: bool = True):
@@ -194,6 +198,9 @@ class SurrogateBundle:
                 raise ValueError(
                     f"output net ends in {arch.output_dim} but p/Q = {out_total}/{q}"
                 )
+            # the bundle predicts the first p coefficients, and only those
+            pca = pcalib.PcaModel(pca.mean, pca.eigenvalues,
+                                  pca.components[:, :p])
         self.kind = kind
         self.family = family
         self.arch = arch
@@ -203,10 +210,6 @@ class SurrogateBundle:
         self.seed = int(seed)
         self.h0 = float(h0)
         self.group_map = group_slices(out_total, self.q)
-        n_trained = self.q if trained_group_count is None else int(trained_group_count)
-        if not 0 <= n_trained <= self.q:
-            raise ValueError("trained_group_count outside [0, Q]")
-        self.trained_groups = list(range(n_trained))
         # one row per group: each group's model, and each stacked prediction
         # model, is a set of views of these two blocks
         size = nn.parameter_count(arch.nnw_in, arch.n_h, arch.nnw_out)
@@ -223,9 +226,8 @@ class SurrogateBundle:
         self.input_norm: ds.NormalizationSpec | None = None
         self.output_norm: ds.NormalizationSpec | None = None
         self.field_norm: ds.NormalizationSpec | None = None
-        self.coeff_means: np.ndarray | None = None
-        # (shape, raw input bytes) -> (final hidden states of the trained
-        # groups, fields so far); see predict_fields
+        # (shape, raw input bytes) -> (final hidden states of the groups,
+        # fields so far); see predict_fields
         self._history: OrderedDict = OrderedDict()
 
     # -- bookkeeping ---------------------------------------------------------
@@ -252,7 +254,6 @@ class SurrogateBundle:
             "family": self.family,
             "n_h": self.arch.n_h,
             "groups": self.q,
-            "trained_groups": len(self.trained_groups),
             "p": self.p,
             "parameters_per_rnn": self.params.shape[1],
             "parameters_total": self.params.size,
@@ -270,10 +271,8 @@ class SurrogateBundle:
         fields = [r.outputs(self.family) for r in records]
         self.field_norm = ds.fit_normalization(fields)
         if self.reduced:
-            coeffs = [pcalib.project(f, self.pca)[:, : self.p] for f in fields]
-            self.output_norm = ds.fit_normalization(coeffs)
-            stacked = np.concatenate(coeffs, axis=0)
-            self.coeff_means = stacked.mean(axis=0)
+            self.output_norm = ds.fit_normalization(
+                [pcalib.project(f, self.pca) for f in fields])
         else:
             self.output_norm = self.field_norm
 
@@ -285,7 +284,7 @@ class SurrogateBundle:
             x = np.stack([self.input_norm.normalize(r.inputs) for r in records])
             target = np.stack([r.outputs(self.family) for r in records])
             if self.reduced:
-                target = pcalib.project(target, self.pca)[..., : self.p]
+                target = pcalib.project(target, self.pca)
             groups[length] = (x, self.output_norm.normalize(target))
         return groups
 
@@ -295,14 +294,13 @@ class SurrogateBundle:
               config: nn.TrainConfig) -> TrainingHistory:
         """Mini-batch training per the shared schedule.
 
-        The ``n_batches`` mini-batches are drawn once.  Then each trained
-        group's RNN in turn, in group order, trains on its output slice over
-        every batch, ``n_epoch`` epochs per batch, with an optimizer of its
-        own; all steps share one workspace.  The groups share nothing but
-        the draws, so the result is that of drawing each batch and training
-        every group on it.  Groups beyond ``trained_group_count`` are never
-        touched.  A non-finite loss stops only its own group, with its
-        parameters restored to before that batch, and is listed in
+        The ``n_batches`` mini-batches are drawn once.  Then each group's
+        RNN in turn, in group order, trains on its output slice over every
+        batch, ``n_epoch`` epochs per batch, with an optimizer of its own;
+        all steps share one workspace.  The groups share nothing but the
+        draws, so the result is that of drawing each batch and training
+        every group on it.  A non-finite loss stops only its own group,
+        with its parameters restored to before that batch, and is listed in
         ``aborted``; the other groups train every batch.  ``losses`` stops
         at the first aborted batch.
         """
@@ -315,17 +313,14 @@ class SurrogateBundle:
             {length: x.shape[0] for length, (x, _) in groups.items()},
             config.batch_size, config.n_batches, rng,
         ))
-        n_groups = len(self.trained_groups)
-        losses = np.zeros((config.n_batches, n_groups))
-        clipped = np.zeros(n_groups, dtype=int)
-        max_norm = np.zeros(n_groups)
+        losses = np.zeros((config.n_batches, self.q))
+        clipped = np.zeros(self.q, dtype=int)
+        max_norm = np.zeros(self.q)
         aborted = []
         # the current group's parameters before the current batch
         backup = np.empty_like(self.models[0].params)
         workspace = {}
-        for slot, gi in enumerate(self.trained_groups):
-            model = self.models[gi]
-            lo, hi = self.group_map[gi]
+        for gi, (model, (lo, hi)) in enumerate(zip(self.models, self.group_map)):
             optimizer = nn.Adam(model.params, config)
             for b, (length, idx) in enumerate(draws):
                 x_all, y_all = groups[length]
@@ -337,13 +332,13 @@ class SurrogateBundle:
                                                config.clip_norm, workspace)
                     if not np.isfinite(loss):
                         break
-                    clipped[slot] += 0.0 < config.clip_norm < norm
-                    max_norm[slot] = max(max_norm[slot], norm)
+                    clipped[gi] += 0.0 < config.clip_norm < norm
+                    max_norm[gi] = max(max_norm[gi], norm)
                 if not np.isfinite(loss):
                     model.params[...] = backup
                     aborted.append((gi, b))
                     break
-                losses[b, slot] = loss
+                losses[b, gi] = loss
             # released before the next group's is built
             del optimizer
         n_run = min((b for _, b in aborted), default=config.n_batches)
@@ -370,23 +365,21 @@ class SurrogateBundle:
         return stack
 
     def _run_groups(self, x_norm: np.ndarray, states=None):
-        """The trained groups' RNN outputs side by side, (batch, steps,
-        output_dim), zero in the untrained groups' columns.
+        """The groups' RNN outputs side by side, (batch, steps, output_dim).
 
-        Also returns the trained groups' hidden states after the last step,
-        (trained groups, batch, n_h); ``states`` of that shape resumes the
-        groups from those states instead of ``h0``.  The groups run in
-        stacked prediction passes of ``_STACK_ROWS`` rows or one group.
+        Also returns the groups' hidden states after the last step,
+        (Q, batch, n_h); ``states`` of that shape resumes the groups from
+        those states instead of ``h0``.  The groups run in stacked
+        prediction passes of ``_STACK_ROWS`` rows or one group.
         """
         if not self.fitted:
             raise ValueError("surrogate has not been trained or loaded")
         n_b, n_t, _ = x_norm.shape
-        n_groups = len(self.trained_groups)
-        out = np.zeros((n_b, n_t, self.q, self.arch.output_dim))
-        finals = np.empty((n_groups, n_b, self.arch.n_h))
+        out = np.empty((n_b, n_t, self.q, self.arch.output_dim))
+        finals = np.empty((self.q, n_b, self.arch.n_h))
         chunk = max(1, _STACK_ROWS // (n_b * n_t))
-        for lo in range(0, n_groups, chunk):
-            hi = min(lo + chunk, n_groups)
+        for lo in range(0, self.q, chunk):
+            hi = min(lo + chunk, self.q)
             # a prediction forward: no workspace, no training cache
             y, finals[lo:hi] = self._stack(lo, hi).forward(
                 x_norm, h_init=None if states is None else states[lo:hi])
@@ -399,17 +392,8 @@ class SurrogateBundle:
 
     def _to_fields(self, out_norm: np.ndarray) -> np.ndarray:
         """Map normalized RNN outputs back to raw state-variable fields."""
-        if not self.reduced:
-            return self.output_norm.denormalize(out_norm)
-        denorm = self.output_norm.denormalize(out_norm)
-        padded = np.zeros(out_norm.shape[:-1] + (self.pca.retained_p,))
-        # the trained groups are the first ones; the others predict their
-        # training mean
-        trained = len(self.trained_groups) * self.arch.output_dim
-        if trained < self.p:
-            padded[..., : self.p] = self.coeff_means
-        padded[..., :trained] = denorm[..., :trained]
-        return pcalib.reconstruct(padded, self.pca)
+        out = self.output_norm.denormalize(out_norm)
+        return pcalib.reconstruct(out, self.pca) if self.reduced else out
 
     def predict_fields(self, strain_features) -> FieldPrediction:
         """Fields for one raw strain-feature sequence of shape (steps, n_inputs).
@@ -491,9 +475,8 @@ class SurrogateBundle:
             max_pred.extend(list(pred.max(axis=2)))
             max_true.extend(list(truth.max(axis=2)))
             if self.reduced:
-                coeffs = pcalib.project(truth, self.pca)
-                coeffs[..., self.p:] = 0.0
-                recon = pcalib.reconstruct(coeffs, self.pca)
+                recon = pcalib.reconstruct(pcalib.project(truth, self.pca),
+                                           self.pca)
                 r_norm = self.field_norm.normalize(recon)
                 floor_acc += np.sum(np.mean((r_norm - t_norm) ** 2, axis=2))
                 floor_steps += truth.shape[0] * truth.shape[1]
@@ -527,14 +510,10 @@ class SurrogateBundle:
             "p": self.p,
             "seed": self.seed,
             "h0": self.h0,
-            "trained_groups": self.trained_groups,
             "group_map": [list(g) for g in self.group_map],
             "input_norm": self.input_norm.to_dict() if self.fitted else None,
             "output_norm": self.output_norm.to_dict() if self.fitted else None,
             "field_norm": self.field_norm.to_dict() if self.fitted else None,
-            "coeff_means": (
-                self.coeff_means.tolist() if self.coeff_means is not None else None
-            ),
         }
         ds.write_json(directory / BUNDLE_FILE, meta)
         if self.pca is not None:
@@ -546,20 +525,20 @@ class SurrogateBundle:
     def load(cls, directory) -> "SurrogateBundle":
         """The bundle ``save`` wrote to ``directory``.
 
-        Its trained groups must be the first ones, as ``train`` trains them,
-        and its group map the one ``group_slices`` gives; otherwise, or when
-        a model file disagrees with the bundle, a ``ValueError`` naming the
-        file is raised.
+        Its bundle file must hold exactly the keys ``save`` writes, and its
+        group map the one ``group_slices`` gives; otherwise, or when a
+        model file disagrees with the bundle, a ``ValueError`` naming the
+        file is raised.  Every group of a loaded bundle predicts.
         """
         directory = Path(directory)
         meta_file = directory / BUNDLE_FILE
         meta = ds.read_json(meta_file)
-        n_trained = len(meta["trained_groups"])
-        if meta["trained_groups"] != list(range(n_trained)):
+        unexpected = sorted(meta.keys() - _BUNDLE_KEYS)
+        missing = sorted(_BUNDLE_KEYS - meta.keys())
+        if unexpected or missing:
             raise ValueError(
-                f"{meta_file} lists the trained groups "
-                f"{meta['trained_groups']}; training trains the first ones, "
-                f"{list(range(n_trained))}"
+                f"{meta_file} is not a bundle file this version writes: "
+                f"unexpected keys {unexpected}, missing keys {missing}"
             )
         pca_model = None
         if (directory / PCA_FILE).exists():
@@ -574,7 +553,6 @@ class SurrogateBundle:
             family=meta["family"],
             arch=arch,
             q=meta["q"],
-            trained_group_count=n_trained,
             pca=pca_model,
             p=meta["p"],
             seed=meta["seed"],
@@ -593,8 +571,6 @@ class SurrogateBundle:
             bundle.input_norm = ds.NormalizationSpec.from_dict(meta["input_norm"])
             bundle.output_norm = ds.NormalizationSpec.from_dict(meta["output_norm"])
             bundle.field_norm = ds.NormalizationSpec.from_dict(meta["field_norm"])
-        if meta["coeff_means"] is not None:
-            bundle.coeff_means = np.asarray(meta["coeff_means"])
         return bundle
 
 

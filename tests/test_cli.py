@@ -93,24 +93,24 @@ class TestTrainHeadCoversPca:
 
 
 class TestTrainOutputs:
-    @pytest.mark.parametrize("trained", [0, 1, 2])
-    def test_loss_history_rows_match_its_header(self, dataset_root, trained):
-        cfg = tiny_config({"p": 4}, 2, (4, 2))
-        cfg["train"].update(trained_group_count=trained, n_batches=3,
-                            clip_norm=1e-12)
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_loss_history_rows_match_its_header(self, dataset_root, q):
+        cfg = tiny_config({"p": 4}, q, (4, 4 // q))
+        cfg["train"].update(n_batches=3, clip_norm=1e-12)
         for stage in ("pca-fit", "train"):
             cli.run_stage(stage, cfg, dataset_root)
         bundle_dir = dataset_root / "bundle"
         header, *rows = (bundle_dir / "loss_history.csv").read_text().splitlines()
-        assert len(header.split(",")) == 2 + trained
+        assert header.split(",") == ["batch", "length"] + [
+            f"loss_group_{gi:02d}" for gi in range(q)]
         assert len(rows) == 3
-        assert all(len(row.split(",")) == 2 + trained for row in rows)
+        assert all(len(row.split(",")) == 2 + q for row in rows)
         notes = json.loads((bundle_dir / "manifest.json").read_text())["notes"]
-        assert (notes["final_loss"] is None) == (trained == 0)
+        assert notes["final_loss"] is not None
         assert notes["aborted"] == []
-        # 3 batches x 2 epochs per trained group, each clipped at a 1e-12 cap
+        # 3 batches x 2 epochs per group, each clipped at a 1e-12 cap
         assert [(g["group"], g["clipped_steps"]) for g in notes["gradients"]] \
-            == [(gi, 6) for gi in range(trained)]
+            == [(gi, 6) for gi in range(q)]
         assert all(g["max_norm"] > 0.0 for g in notes["gradients"])
 
     def test_divergence_names_each_group_and_batch(self, dataset_root,
@@ -176,7 +176,6 @@ class TestActionableErrors:
         ("paths", "delta_r", 0.3),  # = r_max
         ("paths", "max_steps", 0),
         ("train", "n_h", 0),
-        ("train", "trained_group_count", 3),  # > q = 2
         ("pca", "family", "foo"),
         ("dataset", "lengths", [0]),
         ("pca", "subsample_fraction", 0.0),
@@ -215,6 +214,18 @@ class TestActionableErrors:
         root = tmp_path / "root"
         assert run_main("all", root, cfg, tmp_path, monkeypatch) == 1
         assert f"{section}.{key}" in capsys.readouterr().err
+        assert not root.exists()
+
+    def test_trained_group_count_is_an_unknown_train_key(
+            self, tmp_path, monkeypatch, capsys):
+        # every bundle trains all of its groups; training the first g of Q
+        # groups of p coefficients is pca.p = g p / Q with train.q = g
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        cfg["train"]["trained_group_count"] = 1
+        root = tmp_path / "root"
+        assert run_main("all", root, cfg, tmp_path, monkeypatch) == 1
+        assert "unknown keys in [train]: ['trained_group_count']" \
+            in capsys.readouterr().err
         assert not root.exists()
 
     @pytest.mark.parametrize("section", ["train", "trial"])
@@ -450,11 +461,15 @@ class TestStagesReplaceTheirOutputs:
         err = capsys.readouterr().err
         assert "rnn_01.bin" in err and "re-run `train`" in err
 
-    @pytest.mark.parametrize("key, value", [("trained_groups", [0, 2]),
-                                            ("group_map", [[0, 1], [1, 4]])])
+    @pytest.mark.parametrize("key, value, named", [
+        # bundle files of versions that could leave groups untrained
+        ("trained_groups", [0, 1], "['trained_groups']"),
+        ("coeff_means", [0.0] * 4, "['coeff_means']"),
+        ("group_map", [[0, 1], [1, 4]], "[[0, 1], [1, 4]]"),
+    ])
     def test_eval_of_a_hand_edited_bundle_file(self, dataset_root, tmp_path,
                                                monkeypatch, capsys, key,
-                                               value):
+                                               value, named):
         cfg = tiny_config({"p": 4}, 2, (4, 2))
         for stage in ("pca-fit", "train"):
             cli.run_stage(stage, cfg, dataset_root)
@@ -464,7 +479,7 @@ class TestStagesReplaceTheirOutputs:
         ds.write_json(meta_file, meta)
         assert run_main("eval", dataset_root, cfg, tmp_path, monkeypatch) == 1
         err = capsys.readouterr().err
-        assert "bundle.json" in err and str(value) in err
+        assert "bundle.json" in err and named in err
         assert "re-run `train`" in err
 
 
@@ -582,22 +597,60 @@ class TestGenDataDeterminism:
         assert cli.hash_tree(tmp_path / "dataset" / "records") == "sha256:" \
             "85c7b74dd0b8ee567bc4e5262b4a6aaad173e6c7bfe2eaae37e382880116d8fe"
 
-    def test_bundle_and_eval_are_pinned(self, tmp_path):
-        # digests recorded while each group predicted in a pass of its own: a
-        # rewrite of how the groups are stored or run must not move one bit
+    # digests recorded while each group predicted in a pass of its own and
+    # a bundle could leave groups untrained: a rewrite of how the groups
+    # are stored, trained or run must not move one bit of these
+    PINNED_OUTPUTS = {
+        "bundle/rnn_00.bin":
+            "cdf50b7a1d16b100c8cef3ed1747beedb41ad50ea48f101fc1b7cfd4b4febdcf",
+        "bundle/rnn_01.bin":
+            "13322614e3db684c45e0ce4e8f8839d6332ddc54e614f87959d1e635444a1f82",
+        "bundle/pca.bin":
+            "fb60c00009525284d6a4fb32ec31c101c173531e10f7ffeca015e4ceac49973f",
+        "bundle/loss_history.csv":
+            "f0474e397554a1b04918496b2ecd1534908c7b6919520a9116fdef99377893d4",
+        "eval/report.csv":
+            "76179eb6a8d4dcc164fa1dec59bffd6b4cb9c13cb4e81d9858d4b87897847ca6",
+        "eval/max_traces.csv":
+            "37fb48457fbd123ccc34c9870952a1c6e2e282932189b95ec339674573d52189",
+    }
+    # the files that also describe the bundle's layout, re-pinned when
+    # bundle.json lost trained_groups and coeff_means, and describe() lost
+    # trained_groups
+    PINNED_DESCRIPTIONS = {
+        "bundle/bundle.json":
+            "72dba15331b173b6620056cff8fe66941500a1fae3470a4448ce4fa41761450b",
+        "eval/summary.json":
+            "61f0c5086fc34212e71e03098dd0d733172041981067a0b2b00854b5e80527a4",
+    }
+
+    @pytest.fixture(scope="class")
+    def pipeline_root(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("pinned")
         cfg = tiny_config({"p": 4}, 2, (4, 2))
         cfg["paths"]["n_cyclic"] = 1
         cfg["train"]["n_batches"] = 3
         for stage in ("gen-paths", "gen-data", "pca-fit", "train", "eval"):
-            cli.run_stage(stage, cfg, tmp_path)
-        assert cli.hash_tree(tmp_path / "bundle") == "sha256:" \
-            "7d4d19f0f7feb0c5bd50956f0552442abd4ef60c9c2b2c051253f9013a347cd8"
-        assert cli.sha256_file(tmp_path / "bundle" / "loss_history.csv") \
-            == "sha256:" \
-            "f0474e397554a1b04918496b2ecd1534908c7b6919520a9116fdef99377893d4"
-        assert cli.sha256_file(tmp_path / "eval" / "summary.json") \
-            == "sha256:" \
-            "11908fbb0050ab4f5aecd3cc0182fd0a9ea74f93d461f7ae81e38ef537239aa4"
+            cli.run_stage(stage, cfg, root)
+        return root
+
+    @pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+    def test_bundle_and_eval_outputs_are_pinned(self, pipeline_root, name):
+        assert cli.sha256_file(pipeline_root / name) \
+            == "sha256:" + self.PINNED_OUTPUTS[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_DESCRIPTIONS))
+    def test_bundle_and_eval_descriptions_are_pinned(self, pipeline_root,
+                                                     name):
+        assert cli.sha256_file(pipeline_root / name) \
+            == "sha256:" + self.PINNED_DESCRIPTIONS[name]
+
+    def test_bundle_holds_only_the_pinned_files(self, pipeline_root):
+        names = {f"bundle/{f.name}" for f in (pipeline_root / "bundle").iterdir()
+                 if f.name != "manifest.json"}
+        assert names == {n for n in {**self.PINNED_OUTPUTS,
+                                     **self.PINNED_DESCRIPTIONS}
+                         if n.startswith("bundle/")}
 
     def test_records_identical_across_jobs_and_reruns(self, tmp_path,
                                                       monkeypatch):

@@ -68,12 +68,6 @@ class TestBuild:
         assert bundle.models[0].n_outputs == 1607
         assert bundle.field_dim == 1607
 
-    def test_partial_training_groups(self, gamma_pca):
-        arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.SurrogateBundle("III", arch, q=4, trained_group_count=2,
-                                    pca=gamma_pca, p=8)
-        assert bundle.trained_groups == [0, 1]
-
     def test_arch_mismatch_rejected(self, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 3))
         with pytest.raises(ValueError, match="p/Q"):
@@ -127,17 +121,6 @@ class TestTraining:
         hb = b.train(synthetic_packed, quick_config(n_batches=15))
         assert np.array_equal(ha.losses, hb.losses)
 
-    def test_untrained_groups_parameters_frozen(self, synthetic_packed, gamma_pca):
-        arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.SurrogateBundle("III", arch, q=4, trained_group_count=2,
-                                    pca=gamma_pca, p=8, seed=3)
-        before = [bundle.models[gi].params.tobytes() for gi in (2, 3)]
-        trained_before = bundle.models[0].params.tobytes()
-        bundle.train(synthetic_packed, quick_config(n_batches=25))
-        assert bundle.models[2].params.tobytes() == before[0]
-        assert bundle.models[3].params.tobytes() == before[1]
-        assert bundle.models[0].params.tobytes() != trained_before
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_divergence_aborts_with_checkpoint(self, synthetic_packed, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
@@ -157,8 +140,8 @@ class TestTraining:
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
 
         def build():
-            return sg.SurrogateBundle("III", arch, q=4, trained_group_count=3,
-                                      pca=gamma_pca, p=8, seed=4)
+            return sg.SurrogateBundle("III", arch, q=3, pca=gamma_pca, p=6,
+                                      seed=4)
 
         clean_6, clean_10 = build(), build()
         clean_6.train(synthetic_packed, quick_config(n_batches=6, n_epoch=2))
@@ -184,9 +167,9 @@ class TestTraining:
         assert hist.n_batches_run == 6
         assert np.array_equal(hist.losses, clean_hist.losses[:6])
         assert np.array_equal(hist.batch_lengths, clean_hist.batch_lengths[:6])
-        # the other trained groups ran every batch; the fourth is untrained
+        # the other groups ran every batch
         assert len(calls) == (10 + 7 + 10) * 2
-        for gi, clean in enumerate((clean_10, clean_6, clean_10, clean_10)):
+        for gi, clean in enumerate((clean_10, clean_6, clean_10)):
             assert bundle.models[gi].params.tobytes() \
                 == clean.models[gi].params.tobytes()
 
@@ -212,8 +195,8 @@ class TestTraining:
         # 5 batches x 2 epochs: a cap below every norm clips each step, and
         # a zero cap clips none
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.SurrogateBundle("III", arch, q=4, trained_group_count=3,
-                                    pca=gamma_pca, p=8, seed=6)
+        bundle = sg.SurrogateBundle("III", arch, q=3, pca=gamma_pca, p=6,
+                                    seed=6)
         hist = bundle.train(synthetic_packed, quick_config(
             n_batches=5, n_epoch=2, clip_norm=clip_norm))
         assert hist.clipped_steps.tolist() == [clipped] * 3
@@ -328,22 +311,6 @@ class TestPrediction:
         scale = max(abs(float(bundle.field_norm.maximum.max())), 1e-12)
         assert np.max(np.abs(pred.fields)) <= 0.25 * scale
         assert np.all(pred.clamped() >= 0.0)
-
-    def test_untrained_bundle_matches_variance_baseline(self, synthetic_packed,
-                                                        gamma_pca):
-        # no trained groups: predictions collapse to the training-mean field,
-        # so the error reproduces the variance-of-targets baseline
-        arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.SurrogateBundle("III", arch, q=4, trained_group_count=0,
-                                    pca=gamma_pca, p=8, seed=9)
-        bundle.fit_normalization(synthetic_packed)
-        report = bundle.evaluate(synthetic_packed)
-        truth = np.concatenate(
-            [bundle.field_norm.normalize(r.outputs_gamma)
-             for r in synthetic_packed.all_records()], axis=0)
-        baseline = float(np.mean((truth - truth.mean(axis=0)) ** 2))
-        assert report.mse_full_dim <= 1.1 * baseline
-        assert report.mse_full_dim >= 0.5 * baseline
 
     def test_requires_training(self, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
@@ -485,8 +452,8 @@ class TestSerialization:
     def test_round_trip_preserves_predictions(self, tmp_path, synthetic_packed,
                                               gamma_pca, monkeypatch):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.SurrogateBundle("III", arch, q=4, trained_group_count=3,
-                                    pca=gamma_pca, p=8, seed=14)
+        bundle = sg.SurrogateBundle("III", arch, q=3, pca=gamma_pca, p=6,
+                                    seed=14)
         bundle.train(synthetic_packed, quick_config(n_batches=25))
         bundle.save(tmp_path / "bundle")
         draws = []
@@ -501,12 +468,13 @@ class TestSerialization:
         assert draws  # the spy sees a seeded build's draws
         draws.clear()
         loaded = sg.SurrogateBundle.load(tmp_path / "bundle")
-        # load reads every parameter, the untrained group's too, and draws none
+        # load reads every parameter and draws none
         assert draws == []
         for a, b in zip(bundle.models, loaded.models):
             assert a.params.tobytes() == b.params.tobytes()
         assert loaded.kind == "III"
-        assert loaded.trained_groups == [0, 1, 2]
+        # the bundle keeps the 6 of the 8 components it predicts
+        assert loaded.pca.retained_p == 6
         x = synthetic_packed.groups[36][2].inputs
         a = bundle.predict_fields(x).fields
         b = loaded.predict_fields(x).fields
@@ -531,32 +499,38 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"rnn_01\.bin is not a"):
             sg.SurrogateBundle.load(tmp_path)
 
-    @pytest.mark.parametrize("key, value", [
-        ("trained_groups", [0, 2]),
-        ("trained_groups", [1, 2, 3]),
-        ("group_map", [[0, 2], [2, 4], [4, 6], [6, 7]]),
-        ("group_map", [[0, 4], [4, 8]]),
+    @pytest.mark.parametrize("key, value, message", [
+        # bundle files of versions that could leave groups untrained
+        ("trained_groups", [0, 1],
+         r"unexpected keys \['trained_groups'\], missing keys \[\]"),
+        ("coeff_means", [0.0] * 8,
+         r"unexpected keys \['coeff_means'\], missing keys \[\]"),
+        ("h0", None, r"unexpected keys \[\], missing keys \['h0'\]"),
+        ("group_map", [[0, 2], [2, 4], [4, 6], [6, 7]], "holds the group map"),
+        ("group_map", [[0, 4], [4, 8]], "holds the group map"),
     ])
     def test_load_rejects_a_group_layout_training_cannot_write(
-            self, tmp_path, gamma_pca, key, value):
+            self, tmp_path, gamma_pca, key, value, message):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        sg.SurrogateBundle("III", arch, q=4, trained_group_count=3,
-                           pca=gamma_pca, p=8).save(tmp_path)
+        sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8).save(tmp_path)
         meta = ds.read_json(tmp_path / sg.BUNDLE_FILE)
-        meta[key] = value
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
         ds.write_json(tmp_path / sg.BUNDLE_FILE, meta)
-        with pytest.raises(ValueError, match=r"bundle\.json (lists the trained "
-                                             r"groups|holds the group map)"):
+        with pytest.raises(ValueError, match=r"bundle\.json .*" + message):
             sg.SurrogateBundle.load(tmp_path)
 
 
-# kind -> (architecture, build keywords); kind III leaves one of Q=4 groups
-# untrained, so resumed states must line up with the trained groups only
+# kind -> (architecture, build keywords); kind III predicts 6 of the 8
+# retained components in Q=3 groups, so resumed states stack 3 groups and
+# the fields come from a cut PCA
 HISTORY_KINDS = {
     "I": (sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(8, 16)), {}),
     "II": (sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 8)), {"p": 8}),
     "III": (sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2)),
-            {"q": 4, "trained_group_count": 3, "p": 8}),
+            {"q": 3, "p": 6}),
 }
 
 
@@ -612,14 +586,13 @@ class TestHistoryReuse:
             self, saved_bundle, synthetic_packed, forward_steps):
         histories = query_histories(synthetic_packed)
         warm = sg.SurrogateBundle.load(saved_bundle)
-        n_groups = len(warm.trained_groups)
         kept = [np.empty((len(h), warm.field_dim)) for h in histories]
         for k in range(1, 21):
             for h, rows in zip(histories, kept):
                 rows[k - 1] = warm.predict_fields(h[:k]).fields[-1]
         # every history's first query replays; every later one runs one step
-        # of every trained group in one stacked pass
-        assert forward_steps == [(n_groups, 1)] * 60
+        # of every group in one stacked pass
+        assert forward_steps == [(warm.q, 1)] * 60
         cold = sg.SurrogateBundle.load(saved_bundle)
         for h, rows in zip(histories, kept):
             assert_matches_cold(rows, cold.predict_fields(h).fields)
@@ -635,7 +608,7 @@ class TestHistoryReuse:
             x = np.vstack([prefix, prefix[-1] + np.array(trial)])
             del forward_steps[:]
             fields = warm.predict_fields(x).fields
-            assert forward_steps == [(len(warm.trained_groups), 1)]
+            assert forward_steps == [(warm.q, 1)]
             assert_matches_cold(fields, cold.predict_fields(x).fields)
 
     def test_answers_unaffected_by_caller_mutation(self, saved_bundle,
@@ -671,7 +644,7 @@ class TestHistoryReuse:
         assert_matches_cold(warm.predict_fields(h[:11]).fields,
                             cold.predict_fields(h[:11]).fields)
         # evicted: the warm bundle replayed all 11 steps, as the cold one did
-        assert set(forward_steps) == {(len(warm.trained_groups), 11)}
+        assert set(forward_steps) == {(warm.q, 11)}
 
     @pytest.mark.parametrize("refit", ["train", "fit_normalization"])
     def test_refit_bundle_answers_like_its_reloaded_copy(
@@ -729,4 +702,4 @@ class TestMalformedQueries:
         assert forward_steps == []
         # the kept history still serves the next query with one step a group
         bundle.predict_fields(x)
-        assert forward_steps == [(len(bundle.trained_groups), 1)]
+        assert forward_steps == [(bundle.q, 1)]
