@@ -642,7 +642,7 @@ def _split_paths(n: int, seed: int) -> tuple[list[int], list[int]]:
             f"got {n}; generate more paths (paths.n_random)"
         )
     n_val = min(n - 1, max(1, round(_TRIAL_HOLDOUT * n)))
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))
+    rng = pg.make_rng([seed, 1])
     held_out = np.zeros(n, dtype=bool)
     held_out[rng.permutation(n)[:n_val]] = True
     return np.flatnonzero(~held_out).tolist(), np.flatnonzero(held_out).tolist()
@@ -703,10 +703,10 @@ def stage_eval(cfg: dict, root: Path) -> None:
     bundle_dir = require_artifact(root / "bundle" / sg.BUNDLE_FILE, "train").parent
     try:
         bundle = sg.SurrogateBundle.load(bundle_dir)
+        report = bundle.evaluate(packed)
     except ValueError as err:
-        raise StageError(f"cannot load the bundle in {bundle_dir} ({err}); "
-                         "re-run `train`") from None
-    report = bundle.evaluate(packed)
+        raise StageError(f"cannot evaluate {bundle_dir / sg.BUNDLE_FILE} "
+                         f"({err}); re-run `train`") from None
 
     stage_dir = _fresh_stage_dir(root, "eval")
     with open(stage_dir / "report.csv", "w") as fh:

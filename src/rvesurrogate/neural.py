@@ -27,19 +27,19 @@ final state of an earlier pass over its beginning.
 clipping, Adam step); its one caller is ``SurrogateBundle.train``, the
 package's one training loop.
 
-Storage: :meth:`RnnModel.build` allocates one parameter vector ``params``
-and one gradient vector ``grads``; every weight, bias and gradient array is
-a reshaped view of a consecutive slice, in the seeded draw order: input net
-``w, b`` per layer, GRU ``wx, bx, wh, bh``, output net ``w, b`` per layer.
-Adam, clipping, the training loop's backup and the model file see only the
-two vectors.  Their dtype, float64 so finite-difference gradient checks
-resolve, is the model's one storage decision.  ``backward`` writes every
-gradient over ``grads``, so nothing carries over from an earlier batch and
-nothing needs zeroing; ``Adam.step`` updates ``params`` and its moment
-vectors in place, slice by cache-sized slice.  Given ``params=`` and
-``grads=``, ``build`` lays the model over that storage instead: a surrogate
-bundle keeps one ``(Q, n)`` parameter block and one gradient block, and
-each group's model is built over its row, so that training still sees one
+Storage: :meth:`RnnModel.build` allocates one parameter vector ``params``;
+every weight and bias array is a reshaped view of a consecutive slice, in
+the seeded draw order: input net ``w, b`` per layer, GRU ``wx, bx, wh,
+bh``, output net ``w, b`` per layer.  Adam, the training loop's backup and
+the model file see only this vector.  Its dtype, float64 so
+finite-difference gradient checks resolve, is the model's one storage
+decision.  A model holds no gradient: ``backward`` writes one over a
+vector that its caller passes, laid out like ``params``, through the
+arrays of the model :meth:`RnnModel.over` that vector; ``Adam.step``
+updates ``params`` and its moment vectors in place, slice by cache-sized
+slice.  Given ``params=``, ``build`` lays the model over that storage
+instead: a surrogate bundle keeps one ``(Q, n)`` parameter block and each
+group's model is built over its row, so that training still sees one
 contiguous vector per group.  Built over a ``(G, n)`` block of G groups'
 rows, the model's every weight is a ``(G, n_in, n_out)`` and every bias a
 ``(G, 1, n_out)`` strided view of the block, never a copy.
@@ -51,16 +51,18 @@ pre-activations ``gx``, ``h_all``, the four gate/candidate caches and the
 block of states the output net reads (gathered from ``h_all`` when the
 batch has more than one sequence); ``backward``'s ``d_h`` and ``d_g``
 (``d_g`` in ``gx``'s buffer, and the block of previous states in
-``d_h``'s, each once its first user is done with it); and the squared
-gradient that clipping sums.  A buffer grows to the largest request and
-never shrinks.  The training loop passes one workspace to every step, so
-once the longest batch has run a step allocates only the dense nets'
-activations, the loss gradient and the per-step rows of the recurrence
-(under 1 MB at paper width, batch 8, 32 steps), and no heap pages are
-handed back to the system and faulted in again between steps;
-``train_step`` without one makes a fresh one.  ``backward`` takes its
-buffers from the workspace its cache was made in, and a later forward
-through the same workspace overwrites an earlier forward's cache.
+``d_h``'s, each once its first user is done with it); and the gradient
+vector, which ``backward`` fills, and the squares that clipping sums.
+``backward`` writes every gradient entry, so an uninitialized buffer is
+safe.  A buffer grows to the largest request and never shrinks.  The
+training loop passes one workspace to every step, so once the longest
+batch has run a step allocates only the dense nets' activations, the loss
+gradient and the per-step rows of the recurrence (under 1 MB at paper
+width, batch 8, 32 steps), and no heap pages are handed back to the
+system and faulted in again between steps; ``train_step`` without one
+makes a fresh one.  ``backward`` takes its buffers from the workspace its
+cache was made in, and a later forward through the same workspace
+overwrites an earlier forward's cache.
 
 Prediction: ``forward`` without a workspace is the prediction pass.  It
 runs the same :func:`gru_step` over the same products, so its outputs and
@@ -90,6 +92,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .pathgen import make_rng
+
 MODEL_MAGIC = b"RNNMDL1"
 MODEL_VERSION = 1
 
@@ -116,15 +120,11 @@ def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def _make_rng(seed) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
 class FeedForwardNet:
     """Dense layers with per-layer activation ('leaky_relu' or 'linear').
 
-    ``draw(bound, shape)`` returns a U(-bound, bound) parameter array and its
-    gradient array; each layer draws its weight, then its bias.
+    ``draw(bound, shape)`` returns a U(-bound, bound) parameter array; each
+    layer draws its weight, then its bias.
     """
 
     def __init__(self, sizes, activations, draw):
@@ -135,16 +135,11 @@ class FeedForwardNet:
             raise ValueError("one activation per layer pair required")
         self.sizes = sizes
         self.activations = tuple(activations)
-        self.weights, self.grad_weights = [], []
-        self.biases, self.grad_biases = [], []
+        self.weights, self.biases = [], []
         for n_in, n_out in zip(sizes[:-1], sizes[1:]):
             bound = 1.0 / np.sqrt(n_in)
-            w, grad_w = draw(bound, (n_in, n_out))
-            b, grad_b = draw(bound, (n_out,))
-            self.weights.append(w)
-            self.grad_weights.append(grad_w)
-            self.biases.append(b)
-            self.grad_biases.append(grad_b)
+            self.weights.append(draw(bound, (n_in, n_out)))
+            self.biases.append(draw(bound, (n_out,)))
 
     @classmethod
     def input_path(cls, sizes, draw) -> "FeedForwardNet":
@@ -175,10 +170,10 @@ class FeedForwardNet:
             out = leaky_relu(z) if leaky else z
         return out
 
-    def backward(self, cache, d_out, out=None) -> None:
-        """Writes the parameter gradients, and the input gradient into
-        ``out`` when given; without ``out`` it is not computed.  ``d_out``
-        is only read."""
+    def backward(self, cache, d_out, grads, out=None) -> None:
+        """Writes the parameter gradients into the arrays of ``grads``, a
+        net of these sizes, and the input gradient into ``out`` when given;
+        without ``out`` it is not computed.  ``d_out`` is only read."""
         grad = d_out
         for i in reversed(range(len(self.weights))):
             x_in, positive = cache[i]
@@ -189,8 +184,8 @@ class FeedForwardNet:
                 if dz is d_out:
                     dz = dz.copy()
                 np.multiply(dz, LEAKY_SLOPE, out=dz, where=~positive)
-            np.matmul(x_in.T, dz, out=self.grad_weights[i])
-            np.sum(dz, axis=0, out=self.grad_biases[i])
+            np.matmul(x_in.T, dz, out=grads.weights[i])
+            np.sum(dz, axis=0, out=grads.biases[i])
             if i > 0:
                 grad = dz @ self.weights[i].T
             elif out is not None:
@@ -210,10 +205,10 @@ class GruCell:
         self.n_h = int(n_h)
         bx_bound = 1.0 / np.sqrt(self.n_in)
         bh_bound = 1.0 / np.sqrt(self.n_h)
-        self.wx, self.grad_wx = draw(bx_bound, (self.n_in, 3 * self.n_h))
-        self.bx, self.grad_bx = draw(bx_bound, (3 * self.n_h,))
-        self.wh, self.grad_wh = draw(bh_bound, (self.n_h, 3 * self.n_h))
-        self.bh, self.grad_bh = draw(bh_bound, (3 * self.n_h,))
+        self.wx = draw(bx_bound, (self.n_in, 3 * self.n_h))
+        self.bx = draw(bx_bound, (3 * self.n_h,))
+        self.wh = draw(bh_bound, (self.n_h, 3 * self.n_h))
+        self.bh = draw(bh_bound, (3 * self.n_h,))
 
 
 def gru_step(cell: GruCell, gx_t, h_prev):
@@ -318,19 +313,18 @@ class RnnModel:
 
     def __init__(self, nnw_in: FeedForwardNet, gru: GruCell,
                  nnw_out: FeedForwardNet, params: np.ndarray,
-                 grads: np.ndarray, h0: float = DEFAULT_H0):
+                 h0: float = DEFAULT_H0):
         self.nnw_in = nnw_in
         self.gru = gru
         self.nnw_out = nnw_out
         self.params = params
-        self.grads = grads
         self.h0 = float(h0)
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def build(cls, nnw_in_sizes, n_h, nnw_out_sizes, h0=DEFAULT_H0, seed=0,
-              params=None, grads=None):
+              params=None):
         """Build from layer-size signatures.
 
         ``nnw_in_sizes`` includes the raw input width (e.g. ``(3, 70)``);
@@ -338,20 +332,19 @@ class RnnModel:
         the hidden size being the implied input of the output net.
         ``seed=None`` draws nothing and leaves the parameters as they are
         (zero in fresh vectors), for a model whose parameters are read from a
-        file next.  ``params`` and ``grads``, given together, are the storage
-        to build on instead of two fresh vectors: arrays whose last axis has
-        :func:`parameter_count` entries.  A leading axis is a group axis:
-        the model over a ``(G, n)`` block of G groups' vectors predicts the G
-        groups in one pass (see the module notes).
+        file next.  ``params`` is the storage to build on instead of a fresh
+        vector: an array whose last axis has :func:`parameter_count`
+        entries.  A leading axis is a group axis: the model over a ``(G, n)``
+        block of G groups' vectors predicts the G groups in one pass (see
+        the module notes).
         """
         in_sizes = tuple(int(s) for s in nnw_in_sizes)
         n_h = int(n_h)
         out_sizes = (n_h,) + tuple(int(s) for s in nnw_out_sizes)
         if params is None:
-            size = parameter_count(in_sizes, n_h, out_sizes[1:])
-            params, grads = np.zeros(size), np.zeros(size)
+            params = np.zeros(parameter_count(in_sizes, n_h, out_sizes[1:]))
         groups = params.shape[:-1]
-        rng = None if seed is None else _make_rng(seed)
+        rng = None if seed is None else make_rng(seed)
         end = 0
 
         def draw(bound, shape):
@@ -363,12 +356,18 @@ class RnnModel:
             p = params[..., start:end].reshape(shape)
             if rng is not None:
                 p[...] = rng.uniform(-bound, bound, size=shape)
-            return p, grads[..., start:end].reshape(shape)
+            return p
 
         nnw_in = FeedForwardNet.input_path(in_sizes, draw)
         gru = GruCell(in_sizes[-1], n_h, draw)
         nnw_out = FeedForwardNet.output_path(out_sizes, draw)
-        return cls(nnw_in, gru, nnw_out, params, grads, h0=h0)
+        return cls(nnw_in, gru, nnw_out, params, h0=h0)
+
+    def over(self, vector: np.ndarray) -> "RnnModel":
+        """This model's layout over ``vector``, a parameter vector or block."""
+        return RnnModel.build(self.nnw_in.sizes, self.gru.n_h,
+                              self.nnw_out.sizes[1:], h0=self.h0, seed=None,
+                              params=vector)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -448,17 +447,19 @@ class RnnModel:
                              gh_cand, out_cache, workspace)
         return outputs, cache
 
-    def backward(self, cache: ForwardCache, d_outputs) -> None:
-        """Exact gradients of the cached forward pass, written over ``grads``."""
+    def backward(self, cache: ForwardCache, d_outputs, grads) -> None:
+        """Exact gradients of the cached forward pass, written over every
+        entry of ``grads``, a vector laid out like ``params``."""
         n_b, n_t, _ = cache.shape
         n = self.gru.n_h
         rows = n_b * n_t
         workspace = cache.workspace
+        g = self.over(grads)
 
         d_h = _take(workspace, "d_h", (n_b, n_t, n))
         self.nnw_out.backward(cache.out_cache,
                               np.asarray(d_outputs).reshape(rows, -1),
-                              out=d_h.reshape(rows, n))
+                              g.nnw_out, out=d_h.reshape(rows, n))
 
         # d_g holds the input-side pre-activation gradient d_gx; the
         # hidden-side one d_gh differs only in its candidate third, which is
@@ -468,16 +469,16 @@ class RnnModel:
         _gru_backward(self.gru, cache, d_h, d_g)
         d_g_flat = d_g.reshape(rows, 3 * n)
         xp_flat = cache.xp.reshape(rows, self.gru.n_in)
-        np.matmul(xp_flat.T, d_g_flat, out=self.gru.grad_wx)
-        np.sum(d_g_flat, axis=0, out=self.gru.grad_bx)
+        np.matmul(xp_flat.T, d_g_flat, out=g.gru.wx)
+        np.sum(d_g_flat, axis=0, out=g.gru.bx)
         d_xp = d_g_flat @ self.gru.wx.T
         d_g[..., 2 * n:] *= cache.gate_r
         # d_h's buffer is free again: the sweep was its last reader
         h_prev = _take(workspace, "d_h", (n_b, n_t, n))
         h_prev[...] = cache.h_all[:, :-1]
-        np.matmul(h_prev.reshape(rows, n).T, d_g_flat, out=self.gru.grad_wh)
-        np.sum(d_g_flat, axis=0, out=self.gru.grad_bh)
-        self.nnw_in.backward(cache.in_cache, d_xp)
+        np.matmul(h_prev.reshape(rows, n).T, d_g_flat, out=g.gru.wh)
+        np.sum(d_g_flat, axis=0, out=g.gru.bh)
+        self.nnw_in.backward(cache.in_cache, d_xp, g.nnw_in)
 
 
 def mse_loss(pred, target) -> float:
@@ -588,8 +589,9 @@ def train_step(model: RnnModel, optimizer: Adam, inputs, targets,
 
     Backward, gradient clipping and the optimizer step run only when the
     loss is finite, so a diverged batch leaves the parameters untouched and
-    its norm is NaN.  The step's big arrays are views of ``workspace`` (a
-    fresh one when ``None``; see the module notes).
+    its norm is NaN.  The step's big arrays, its gradient vector among
+    them, are views of ``workspace`` (a fresh one when ``None``; see the
+    module notes).
     """
     if workspace is None:
         workspace = {}
@@ -597,11 +599,11 @@ def train_step(model: RnnModel, optimizer: Adam, inputs, targets,
     loss = mse_loss(outputs, targets)
     norm = math.nan
     if np.isfinite(loss):
-        model.backward(cache, mse_loss_grad(outputs, targets))
-        norm = clip_gradient_norm(
-            model.grads, clip_norm,
-            _take(cache.workspace, "squares", model.grads.shape))
-        optimizer.step(model.grads)
+        grads = _take(workspace, "grads", model.params.shape)
+        model.backward(cache, mse_loss_grad(outputs, targets), grads)
+        norm = clip_gradient_norm(grads, clip_norm,
+                                  _take(workspace, "squares", grads.shape))
+        optimizer.step(grads)
     return loss, norm
 
 

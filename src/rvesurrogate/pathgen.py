@@ -24,7 +24,7 @@ KIND_CYCLIC = "cyclic"
 
 
 def make_rng(seed) -> np.random.Generator:
-    """Seeded generator with the algorithm recorded in dataset manifests.
+    """The package's one seeded generator, of the algorithm manifests record.
 
     ``seed`` may be an int or a sequence of ints (stream-splitting)."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))

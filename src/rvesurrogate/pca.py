@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .pathgen import make_rng
+
 PCA_MAGIC = b"RVEPCA1"
 PCA_VERSION = 1
 
@@ -78,7 +80,7 @@ def fit(
 
     if subsample_fraction < 1.0:
         keep = max(2, int(round(subsample_fraction * n)))
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        rng = make_rng(seed)
         idx = np.sort(rng.choice(n, size=min(keep, n), replace=False))
         x = x[idx]
     if x.shape[0] < 2:

@@ -23,13 +23,13 @@ the same ``p`` coefficients) directly comparable.
 
 Storage: a bundle trains and predicts every one of its Q groups, and a
 reduced bundle's PCA holds exactly the ``p`` components it predicts.  It
-holds one ``(Q, n)`` parameter block and one gradient block, and group
-``g``'s RNN is built over row ``g`` of both; training, ``Adam``, clipping,
-the backup and ``rnn_XX.bin`` see that row as the group's one vector.
-Prediction runs consecutive groups as one stacked model over their rows of
-the block (see ``neural``'s module notes): each pass over ``batch x steps``
-rows stacks ``max(1, _STACK_ROWS // (batch x steps))`` groups, all of them
-in an FE2 query and one at a time in a long evaluation.
+holds one ``(Q, n)`` parameter block and no gradients; group ``g``'s RNN
+is built over row ``g``, which training, ``Adam``, the backup and
+``rnn_XX.bin`` see as the group's one vector.  Prediction runs consecutive
+groups as one stacked model over their rows of the block (see ``neural``'s
+module notes): each pass over ``batch x steps`` rows stacks
+``max(1, _STACK_ROWS // (batch x steps))`` groups, all of them in an FE2
+query and one at a time in a long evaluation.
 
 History reuse: in FE2 use every Gauss point queries ``predict_fields`` at
 each macro increment with its strain history so far, one row longer than
@@ -59,6 +59,7 @@ import numpy as np
 from . import datastore as ds
 from . import neural as nn
 from . import pca as pcalib
+from .pathgen import make_rng
 
 KIND_DIRECT = "I"
 KIND_REDUCED = "II"
@@ -210,15 +211,13 @@ class SurrogateBundle:
         self.seed = int(seed)
         self.h0 = float(h0)
         self.group_map = group_slices(out_total, self.q)
-        # one row per group: each group's model, and each stacked prediction
-        # model, is a set of views of these two blocks
+        # one row per group; every model of the bundle is views of it
         size = nn.parameter_count(arch.nnw_in, arch.n_h, arch.nnw_out)
         self.params = np.zeros((self.q, size))
-        self.grads = np.zeros((self.q, size))
         self.models = [
             nn.RnnModel.build(arch.nnw_in, arch.n_h, arch.nnw_out, h0=h0,
                               seed=[self.seed, gi] if _draw else None,
-                              params=self.params[gi], grads=self.grads[gi])
+                              params=self.params[gi])
             for gi in range(self.q)
         ]
         # (lo, hi) -> the model over the rows of groups lo..hi-1
@@ -306,9 +305,7 @@ class SurrogateBundle:
         """
         self.fit_normalization(dataset)
         groups = self._group_arrays(dataset)
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([config.seed]))
-        )
+        rng = make_rng([config.seed])
         draws = list(ds.draw_minibatches(
             {length: x.shape[0] for length, (x, _) in groups.items()},
             config.batch_size, config.n_batches, rng,
@@ -356,13 +353,9 @@ class SurrogateBundle:
     def _stack(self, lo: int, hi: int) -> nn.RnnModel:
         """The model over the block rows of groups ``lo..hi-1``, which
         predicts them in one pass."""
-        stack = self._stacks.get((lo, hi))
-        if stack is None:
-            stack = self._stacks[lo, hi] = nn.RnnModel.build(
-                self.arch.nnw_in, self.arch.n_h, self.arch.nnw_out,
-                h0=self.h0, seed=None, params=self.params[lo:hi],
-                grads=self.grads[lo:hi])
-        return stack
+        if (lo, hi) not in self._stacks:
+            self._stacks[lo, hi] = self.models[0].over(self.params[lo:hi])
+        return self._stacks[lo, hi]
 
     def _run_groups(self, x_norm: np.ndarray, states=None):
         """The groups' RNN outputs side by side, (batch, steps, output_dim).
@@ -372,8 +365,6 @@ class SurrogateBundle:
         those states instead of ``h0``.  The groups run in stacked
         prediction passes of ``_STACK_ROWS`` rows or one group.
         """
-        if not self.fitted:
-            raise ValueError("surrogate has not been trained or loaded")
         n_b, n_t, _ = x_norm.shape
         out = np.empty((n_b, n_t, self.q, self.arch.output_dim))
         finals = np.empty((self.q, n_b, self.arch.n_h))
@@ -454,8 +445,11 @@ class SurrogateBundle:
         into the normalized field space, so reduced and direct surrogates
         are compared on the same reference.  Reduced kinds also report the
         PCA floor: the error of reconstructing the same data from its exact
-        first ``p`` coefficients, the ones the surrogate predicts.
+        first ``p`` coefficients, the ones the surrogate predicts.  An
+        untrained bundle raises the ``ValueError`` of :meth:`predict_fields`.
         """
+        if not self.fitted:
+            raise ValueError("surrogate has not been trained or loaded")
         per_mse = []
         lengths = []
         max_pred = []
@@ -528,7 +522,8 @@ class SurrogateBundle:
         Its bundle file must hold exactly the keys ``save`` writes, and its
         group map the one ``group_slices`` gives; otherwise, or when a
         model file disagrees with the bundle, a ``ValueError`` naming the
-        file is raised.  Every group of a loaded bundle predicts.
+        file is raised.  Every group of a loaded bundle predicts; a bundle
+        file with a ``null`` normalization loads untrained.
         """
         directory = Path(directory)
         meta_file = directory / BUNDLE_FILE
@@ -567,10 +562,10 @@ class SurrogateBundle:
             )
         for gi, model in enumerate(bundle.models):
             nn.load_model(directory / f"rnn_{gi:02d}.bin", model)
-        if meta["input_norm"] is not None:
-            bundle.input_norm = ds.NormalizationSpec.from_dict(meta["input_norm"])
-            bundle.output_norm = ds.NormalizationSpec.from_dict(meta["output_norm"])
-            bundle.field_norm = ds.NormalizationSpec.from_dict(meta["field_norm"])
+        norms = [meta[f"{name}_norm"] for name in ("input", "output", "field")]
+        if None not in norms:
+            bundle.input_norm, bundle.output_norm, bundle.field_norm = map(
+                ds.NormalizationSpec.from_dict, norms)
         return bundle
 
 

@@ -466,6 +466,9 @@ class TestStagesReplaceTheirOutputs:
         ("trained_groups", [0, 1], "['trained_groups']"),
         ("coeff_means", [0.0] * 4, "['coeff_means']"),
         ("group_map", [[0, 1], [1, 4]], "[[0, 1], [1, 4]]"),
+        # a bundle file without normalizations loads untrained
+        ("input_norm", None, "has not been trained"),
+        ("output_norm", None, "has not been trained"),
     ])
     def test_eval_of_a_hand_edited_bundle_file(self, dataset_root, tmp_path,
                                                monkeypatch, capsys, key,

@@ -17,29 +17,29 @@ def gru_cell(n_in, n_h, seed):
     return nn.RnnModel.build((n_in, n_in), n_h, (1,), seed=seed).gru
 
 
-def layout(model):
-    """(parameter, gradient) array pairs in the order of ``model.params``."""
-    def dense(net):
-        return [pair for w, gw, b, gb in zip(net.weights, net.grad_weights,
-                                            net.biases, net.grad_biases)
-                for pair in ((w, gw), (b, gb))]
-    gru = model.gru
-    return (dense(model.nnw_in)
-            + [(gru.wx, gru.grad_wx), (gru.bx, gru.grad_bx),
-               (gru.wh, gru.grad_wh), (gru.bh, gru.grad_bh)]
-            + dense(model.nnw_out))
+def layout(model, grads=None):
+    """(parameter, gradient) array pairs in the order of ``model.params``;
+    the gradient arrays are the views of ``grads`` (a zero vector or block
+    of the shape of ``model.params`` when ``None``) that ``backward``
+    writes."""
+    def arrays(m):
+        dense = [[a for pair in zip(net.weights, net.biases) for a in pair]
+                 for net in (m.nnw_in, m.nnw_out)]
+        gru = m.gru
+        return dense[0] + [gru.wx, gru.bx, gru.wh, gru.bh] + dense[1]
+    if grads is None:
+        grads = np.zeros_like(model.params)
+    return list(zip(arrays(model), arrays(model.over(grads))))
 
 
 def group_block(n_groups, nnw_in, n_h, nnw_out, seed):
     """Seeded models over the rows of one ``(n_groups, n)`` block, and the
     model over the whole block."""
-    n = nn.parameter_count(nnw_in, n_h, nnw_out)
-    params, grads = np.zeros((n_groups, n)), np.zeros((n_groups, n))
+    params = np.zeros((n_groups, nn.parameter_count(nnw_in, n_h, nnw_out)))
     models = [nn.RnnModel.build(nnw_in, n_h, nnw_out, seed=[seed, g],
-                                params=params[g], grads=grads[g])
+                                params=params[g])
               for g in range(n_groups)]
-    stack = nn.RnnModel.build(nnw_in, n_h, nnw_out, seed=None, params=params,
-                              grads=grads)
+    stack = nn.RnnModel.build(nnw_in, n_h, nnw_out, seed=None, params=params)
     return models, stack
 
 
@@ -237,9 +237,12 @@ class TestPredictionForward:
 
     def test_stacked_arrays_are_views_of_the_block(self):
         models, stack = group_block(3, (3, 5, 4), 6, (5, 2), seed=40)
-        for (p, g), *rows in zip(layout(stack), *map(layout, models)):
+        grads = np.zeros_like(stack.params)
+        for (p, g), *rows in zip(layout(stack, grads),
+                                 *(layout(m, grads[i])
+                                   for i, m in enumerate(models))):
             assert np.shares_memory(p, stack.params)
-            assert np.shares_memory(g, stack.grads)
+            assert np.shares_memory(g, grads)
             for i, (p_row, g_row) in enumerate(rows):
                 assert np.shares_memory(p[i], p_row)
                 assert np.shares_memory(g[i], g_row)
@@ -289,8 +292,9 @@ class TestMseLoss:
 def bptt(model, inputs, targets):
     """Loss and fresh exact parameter gradients for one batch."""
     outputs, cache = model.forward(inputs, workspace={})
-    model.backward(cache, nn.mse_loss_grad(outputs, targets))
-    return nn.mse_loss(outputs, targets), model.grads.copy()
+    grads = np.empty_like(model.params)
+    model.backward(cache, nn.mse_loss_grad(outputs, targets), grads)
+    return nn.mse_loss(outputs, targets), grads
 
 
 class TestBptt:
@@ -320,12 +324,12 @@ class TestBptt:
         outputs, cache = model.forward(rng.standard_normal((2, 5, 2)),
                                        workspace={})
         d_out = nn.mse_loss_grad(outputs, rng.standard_normal((2, 5, 3)))
-        model.grads.fill(np.nan)  # stale values must not survive
-        model.backward(cache, d_out)
-        once = model.grads.copy()
-        model.backward(cache, d_out)
+        grads = np.full_like(model.params, np.nan)  # must not survive
+        model.backward(cache, d_out, grads)
+        once = grads.copy()
+        model.backward(cache, d_out, grads)
         assert np.all(np.isfinite(once))
-        assert model.grads.tobytes() == once.tobytes()
+        assert grads.tobytes() == once.tobytes()
 
     def test_batch_gradient_is_mean_of_sequences(self):
         model = small_model(seed=14)
@@ -347,12 +351,14 @@ class TestTrainStep:
         before = model.params.tobytes()
         expected, grads = bptt(model, x, t)
         opt = nn.Adam(model.params, nn.TrainConfig())
-        loss, norm = nn.train_step(model, opt, x, t, 1e-3)
+        workspace = {}
+        loss, norm = nn.train_step(model, opt, x, t, 1e-3, workspace)
         assert loss == expected
-        # the norm before clipping, which the tiny cap then scales down
+        # the norm before clipping, which the tiny cap then scales down in
+        # the workspace's gradient vector
         assert norm == np.sqrt(np.sum(grads * grads))
         assert norm > 1e-3
-        assert np.linalg.norm(model.grads) == pytest.approx(1e-3)
+        assert np.linalg.norm(workspace["grads"]) == pytest.approx(1e-3)
         assert model.params.tobytes() != before
         assert opt.t == 1
 
@@ -379,17 +385,19 @@ class TestWorkspace:
         model = small_model(seed=40)
         rng = np.random.default_rng(41)
         workspace = {}
+        grads = np.empty_like(model.params)
         for n_b, n_t in self.SHAPES:
             x = rng.standard_normal((n_b, n_t, 2))
             t = rng.standard_normal((n_b, n_t, 3))
             fresh_y, fresh_cache = model.forward(x, workspace={})
-            model.backward(fresh_cache, nn.mse_loss_grad(fresh_y, t))
-            fresh_grads = model.grads.copy()
+            fresh_grads = np.empty_like(model.params)
+            model.backward(fresh_cache, nn.mse_loss_grad(fresh_y, t),
+                           fresh_grads)
             y, cache = model.forward(x, workspace=workspace)
             assert y.tobytes() == fresh_y.tobytes()
             assert cache.h_all.tobytes() == fresh_cache.h_all.tobytes()
-            model.backward(cache, nn.mse_loss_grad(y, t))
-            assert model.grads.tobytes() == fresh_grads.tobytes()
+            model.backward(cache, nn.mse_loss_grad(y, t), grads)
+            assert grads.tobytes() == fresh_grads.tobytes()
 
     def test_train_steps_match_fresh_buffers(self):
         rng = np.random.default_rng(42)
@@ -443,10 +451,12 @@ class TestOptimizer:
         # the vector sum adds in another order than the per-array loop did
         model = small_model(seed=27)
         rng = np.random.default_rng(28)
-        bptt(model, rng.standard_normal((2, 5, 2)), rng.standard_normal((2, 5, 3)))
-        per_array = np.sqrt(sum(float(np.sum(g * g)) for _, g in layout(model)))
-        norm = nn.clip_gradient_norm(model.grads.copy(), 0.0)
-        rtol = model.grads.size * np.finfo(np.float64).eps
+        _, grads = bptt(model, rng.standard_normal((2, 5, 2)),
+                        rng.standard_normal((2, 5, 3)))
+        per_array = np.sqrt(sum(float(np.sum(g * g))
+                                for _, g in layout(model, grads)))
+        norm = nn.clip_gradient_norm(grads.copy(), 0.0)
+        rtol = grads.size * np.finfo(np.float64).eps
         assert norm == pytest.approx(per_array, rel=rtol, abs=0.0)
 
     def test_train_config_validation(self):
@@ -483,17 +493,18 @@ def adam_per_array(arrays, grad_steps, cfg):
 class TestParameterVector:
     def test_every_array_is_a_view_of_the_vectors(self):
         model = nn.RnnModel.build((3, 5, 4), 6, (5, 2), seed=3)
-        pairs = layout(model)
+        grads = np.zeros_like(model.params)
+        pairs = layout(model, grads)
         for p, g in pairs:
             assert np.shares_memory(p, model.params)
-            assert np.shares_memory(g, model.grads)
+            assert np.shares_memory(g, grads)
             assert p.shape == g.shape
         # consecutive slices, in layout order, that cover both vectors
         assert np.concatenate([p.ravel() for p, _ in pairs]).tobytes() \
             == model.params.tobytes()
-        model.grads[:] = np.arange(model.grads.size)
+        grads[:] = np.arange(grads.size)
         assert np.array_equal(np.concatenate([g.ravel() for _, g in pairs]),
-                              model.grads)
+                              grads)
 
     def test_seeded_vector_is_pinned(self):
         # sha256 of the per-array parameter bytes, concatenated in draw order,
@@ -549,7 +560,7 @@ class TestTrainingStepAllocations:
         x = rng.standard_normal((8, 32, 3))
         outputs, cache = model.forward(x, workspace={})
         d_out = nn.mse_loss_grad(outputs, rng.standard_normal((8, 32, 10)))
-        return model, cache, d_out
+        return model, cache, d_out, np.empty_like(model.params)
 
     def test_adam_step_allocates_under_1_mb(self, paper_width):
         model = paper_width[0]
@@ -559,9 +570,9 @@ class TestTrainingStepAllocations:
         assert traced_peak(lambda: opt.step(g)) < 1_000_000
 
     def test_backward_allocates_under_the_parameter_bytes(self, paper_width):
-        model, cache, d_out = paper_width
-        model.backward(cache, d_out)
-        assert traced_peak(lambda: model.backward(cache, d_out)) \
+        model, cache, d_out, grads = paper_width
+        model.backward(cache, d_out, grads)
+        assert traced_peak(lambda: model.backward(cache, d_out, grads)) \
             < model.params.nbytes
 
 
@@ -583,7 +594,7 @@ class TestParameterCount:
             dense = sum((a + 1) * b for sizes in (nnw_in, (n_h,) + nnw_out)
                         for a, b in zip(sizes[:-1], sizes[1:]))
             gru = 3 * n_h * (n_h + nnw_in[-1] + 2)
-            assert model.params.size == model.grads.size == dense + gru
+            assert model.params.size == dense + gru
             assert nn.parameter_count(nnw_in, n_h, nnw_out) == dense + gru
             assert sum(p.size for p, _ in layout(model)) == model.params.size
 

@@ -207,7 +207,8 @@ class TestTraining:
 class TestTrainingAllocations:
     """Kind III at paper width, (3, 70) / 400 / (100, 2), on batches of 8
     sequences of 32 steps: one optimizer state, one backup and one step
-    workspace are alive at a time, whatever the group count."""
+    workspace are alive at a time, whatever the group count, and a bundle
+    holds its parameters and no gradients."""
 
     @pytest.fixture(scope="class")
     def traced(self, gamma_pca):
@@ -218,8 +219,6 @@ class TestTrainingAllocations:
         peaks = {}
         real_step = nn.train_step
         for q in (2, 4):
-            bundle = sg.SurrogateBundle("III", arch, q=q, pca=gamma_pca,
-                                        p=2 * q, seed=8)
             steps = []
             # peaks of the call before each step, as each step resets it
             call_peaks = []
@@ -235,20 +234,33 @@ class TestTrainingAllocations:
             nn.train_step = step
             tracemalloc.start()
             try:
+                bundle = sg.SurrogateBundle("III", arch, q=q, pca=gamma_pca,
+                                            p=2 * q, seed=8)
+                built = tracemalloc.get_traced_memory()[0]
                 bundle.train(packed, cfg)
                 call_peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
                 nn.train_step = real_step
-            peaks[q] = (max(call_peaks), steps, bundle.models[0].params.nbytes)
+            # the peak of training over what the built bundle holds, the
+            # steps' allocations, a parameter vector's bytes and the peak
+            # of building and training the bundle
+            peaks[q] = (max(call_peaks) - built, steps,
+                        bundle.models[0].params.nbytes, max(call_peaks))
         return peaks
 
     def test_train_peak_under_7_parameter_vectors(self, traced):
-        peak, _, nbytes = traced[4]
+        peak, _, nbytes, _ = traced[4]
         assert peak < 7 * nbytes
 
     def test_train_peak_does_not_grow_with_the_group_count(self, traced):
         assert traced[4][0] == pytest.approx(traced[2][0], rel=0.1)
+
+    def test_bundle_peak_grows_by_its_parameter_rows_alone(self, traced):
+        # two more groups add two parameter rows to the block; a gradient
+        # block would add two more
+        nbytes = traced[2][2]
+        assert traced[4][3] - traced[2][3] < 3 * nbytes
 
     def test_steps_after_the_first_allocate_under_1_mb(self, traced):
         for q in (2, 4):
