@@ -300,11 +300,10 @@ def sha256_file(path) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def hash_tree(directory, pattern="**/*") -> str:
+def hash_tree(directory) -> str:
     """Order-independent digest over a directory's data files."""
-    directory = Path(directory)
     h = hashlib.sha256()
-    for f in sorted(directory.glob(pattern)):
+    for f in sorted(Path(directory).glob("**/*")):
         if f.is_file() and f.name != "manifest.json":
             h.update(f.name.encode())
             h.update(sha256_file(f).encode())

@@ -120,17 +120,16 @@ def fit_normalization(blocks) -> NormalizationSpec:
     return NormalizationSpec(lo, hi)
 
 
-def pre_trim(record: SequenceRecord, y_crit: float,
-             family: str = FAMILY_GAMMA) -> SequenceRecord:
-    """Cut the record before the first step a monitored component exceeds y_crit.
+def pre_trim(record: SequenceRecord, gamma_crit: float) -> SequenceRecord:
+    """Cut the record before the first step a gamma component exceeds
+    ``gamma_crit``.
 
     A record whose first step already exceeds comes back with zero length and
     is meant to be excluded by the caller.
     """
-    if y_crit <= 0.0:
-        raise ValueError("y_crit must be positive")
-    monitored = record.outputs(family)
-    exceed = np.any(monitored > y_crit, axis=1)
+    if gamma_crit <= 0.0:
+        raise ValueError("gamma_crit must be positive")
+    exceed = np.any(record.outputs_gamma > gamma_crit, axis=1)
     if not np.any(exceed):
         return record
     k = int(np.argmax(exceed))
@@ -218,7 +217,7 @@ def pack_records(records, lengths, gamma_crit: float | None = None) -> PackedDat
     trimmed = []
     for rec in records:
         if gamma_crit is not None:
-            rec = pre_trim(rec, gamma_crit, FAMILY_GAMMA)
+            rec = pre_trim(rec, gamma_crit)
         if rec.length > 0:
             trimmed.append(rec)
     if not trimmed:
@@ -297,7 +296,10 @@ def read_record(path) -> SequenceRecord:
     """One record; a malformed file raises ``ValueError`` naming it."""
     with open(path, "rb") as fh:
         try:
-            return _read_record_stream(fh)
+            record = _read_record_stream(fh)
+            if fh.read(1):
+                raise ValueError("bytes remain after the last block")
+            return record
         except (ValueError, struct.error) as err:
             raise ValueError(f"{path}: {err}") from None
 
@@ -355,6 +357,8 @@ def read_pathset(path) -> list[pg.LoadingPath]:
             u = comps.reshape(length, 3)[:, [0, 2, 2, 1]].reshape(length, 2, 2)
             kind = pg.KIND_CYCLIC if flags & FLAG_CYCLIC else pg.KIND_RANDOM_WALK
             paths.append(pg.LoadingPath(u, kind))
+        if fh.read(1):
+            raise ValueError("bytes remain after the last path")
     return paths
 
 

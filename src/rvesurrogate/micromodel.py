@@ -360,8 +360,6 @@ def build_ensemble(
     n_fiber: int,
     perturbation_amplitude: float,
     seed: int,
-    fiber: FiberParams = FIBER_DEFAULTS,
-    matrix: MatrixParams = MATRIX_DEFAULTS,
 ) -> RveEnsemble:
     """Random ensemble of concentration maps with exact-identity mean.
 
@@ -389,8 +387,6 @@ def build_ensemble(
         n_fiber=n_fiber,
         perturbation_amplitude=perturbation_amplitude,
         seed=seed,
-        fiber=fiber,
-        matrix=matrix,
     )
 
 

@@ -44,42 +44,35 @@ contiguous vector per group.  Built over a ``(G, n)`` block of G groups'
 rows, the model's every weight is a ``(G, n_in, n_out)`` and every bias a
 ``(G, 1, n_out)`` strided view of the block, never a copy.
 
-Workspace: the big arrays of a training step are views of float64
-buffers kept in a workspace, a dict that ``forward`` and ``train_step``
-take as ``workspace=``.  They are ``forward``'s input-side gate
-pre-activations ``gx``, ``h_all``, the four gate/candidate caches and the
-block of states the output net reads (gathered from ``h_all`` when the
-batch has more than one sequence); ``backward``'s ``d_h`` and ``d_g``
-(``d_g`` in ``gx``'s buffer, and the block of previous states in
-``d_h``'s, each once its first user is done with it); and the gradient
-vector, which ``backward`` fills, and the squares that clipping sums.
-``backward`` writes every gradient entry, so an uninitialized buffer is
-safe.  A buffer grows to the largest request and never shrinks.  The
-training loop passes one workspace to every step, so once the longest
-batch has run a step allocates only the dense nets' activations, the loss
-gradient and the per-step rows of the recurrence (under 1 MB at paper
-width, batch 8, 32 steps), and no heap pages are handed back to the
-system and faulted in again between steps; ``train_step`` without one
-makes a fresh one.  ``backward`` takes its buffers from the workspace its
-cache was made in, and a later forward through the same workspace
+Forward: :meth:`RnnModel.forward` has one body, so training and prediction
+give the same bytes.  It takes the recurrence's arrays from ``_take``: from
+the caller's workspace, a dict of float64 buffers, when training, and from a
+throwaway dict when predicting.  They are the input-side gate
+pre-activations ``gx``, the start state ``h_init``, the block ``h_out`` of
+the states after each step, which the output net reads, and, when training
+only, the four gate/candidate caches.  A prediction pass at paper width,
+batch 8, 32 steps, leaves allocated only its outputs and final state,
+0.05 MB, where a training pass keeps a 7.0 MB cache alive.  ``backward``
+takes ``d_h`` and ``d_g`` from its cache's workspace (``d_g`` in ``gx``'s
+buffer and the previous states in ``d_h``'s, once their first user is done),
+and ``train_step`` takes the gradient vector that ``backward`` fills and the
+squares that clipping sums.  ``backward`` writes every gradient entry, so an
+uninitialized buffer is safe.  A buffer grows to the largest request and
+never shrinks.  The training loop passes one workspace to every step, so
+once the longest batch has run a step allocates only the dense nets'
+activations, the loss gradient and the per-step rows of the recurrence
+(under 1 MB at paper width, batch 8, 32 steps), and no heap pages are handed
+back to the system between steps.  A later forward through a workspace
 overwrites an earlier forward's cache.
 
-Prediction: ``forward`` without a workspace is the prediction pass.  It
-runs the same :func:`gru_step` over the same products, so its outputs and
-final state are those of a training pass to the bit, but it keeps no
-cache: no gate, candidate or leaky-mask arrays and no workspace, only the
-states the output net reads and the running state.  At paper width, batch
-8, 32 steps, what it leaves allocated is its outputs and final state,
-0.05 MB, where a training pass keeps a 7.8 MB cache alive.  A model over
-a block of G groups predicts them all in one pass over a leading group
-axis: every group reads the same inputs, every product is one stacked
-``np.matmul`` whose slices are the one-group products of the same shapes,
-and ``gru_step`` and ``FeedForwardNet.forward`` run unchanged on the
-stacked arrays, so each group's outputs and final state are those of its
-own pass to the bit.  One stacked call replaces G calls' Python and numpy
-dispatch, which on one row is comparable to a group's products at paper
-width; it holds G times one group's arrays, so callers bound G by the rows
-of the pass (``surrogate._STACK_ROWS``).
+A model over a block of G groups predicts them all in one pass over a
+leading group axis: every product is one stacked ``np.matmul`` whose
+slices are the one-group products of the same shapes, so each group's
+outputs and final state are those of its own pass to the bit.  One stacked
+call replaces G calls' Python and numpy dispatch, which on one row is
+comparable to a group's products at paper width; it holds G times one
+group's arrays, so callers bound G by the rows of the pass
+(``surrogate._STACK_ROWS``).
 """
 
 from __future__ import annotations
@@ -99,6 +92,11 @@ MODEL_VERSION = 1
 
 LEAKY_SLOPE = 0.01
 DEFAULT_H0 = -1.0
+
+# Adam's moment decay rates and the guard of its denominator
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 # elements per slice of an Adam step: its six 128 KB float64 slices
 # (parameters, two moments, gradient, two scratch) stay in a core's L2 cache
@@ -263,7 +261,7 @@ def _gru_backward(cell: GruCell, cache: ForwardCache, d_h, d_g) -> None:
         u = cache.gate_u[:, t]
         r = cache.gate_r[:, t]
         c = cache.cand[:, t]
-        h_prev = cache.h_all[:, t]
+        h_prev = cache.h_out[:, t - 1] if t else cache.h_init
         du = dh * (h_prev - c)
         dc = dh * (1.0 - u)
         dac = dc * (1.0 - c * c)
@@ -280,16 +278,18 @@ def _gru_backward(cell: GruCell, cache: ForwardCache, d_h, d_g) -> None:
 class ForwardCache(NamedTuple):
     """What :meth:`RnnModel.forward` keeps for :meth:`RnnModel.backward`.
 
-    ``h_all`` (batch, steps + 1, n_h) holds the initial hidden state and the
-    state after every step, so ``h_all[:, -1]`` is the ``h_init`` that
-    resumes the recurrence after the last step.  ``workspace`` is the one
-    the forward pass ran in; ``backward`` takes its buffers from it.
+    ``h_init`` (batch, n_h) is the state the recurrence started from and
+    ``h_out`` (batch, steps, n_h) the state after every step, so
+    ``h_out[:, -1]`` is the ``h_init`` that resumes the recurrence after
+    the last step.  ``workspace`` is the one the forward pass ran in;
+    ``backward`` takes its buffers from it.
     """
 
     shape: tuple
     in_cache: list
     xp: np.ndarray
-    h_all: np.ndarray
+    h_init: np.ndarray
+    h_out: np.ndarray
     gate_u: np.ndarray
     gate_r: np.ndarray
     cand: np.ndarray
@@ -391,11 +391,13 @@ class RnnModel:
         state, gives the outputs of one run over the whole to roundoff.
         Returns the output block (batch, steps, n_y) and, with a
         ``workspace`` dict, the :class:`ForwardCache` consumed by
-        :meth:`backward`, its arrays views of the workspace (see the module
-        notes); without one, the final hidden state (batch, n_h).  Both
-        modes give the same bytes.  A model over a block of G groups only
-        predicts: every group reads the same ``inputs``, ``h_init`` and the
-        two results gain a leading group axis, (G, batch, ...).
+        :meth:`backward`, its arrays views of the workspace, whose
+        ``h_out[:, -1]`` is the final hidden state; without one, the final
+        hidden state (batch, n_h) itself.  Both modes run one body and give
+        the same bytes (see the module notes).  A model over a block of G
+        groups only predicts: every group reads the same ``inputs``,
+        ``h_init`` and the two results gain a leading group axis,
+        (G, batch, ...).
         """
         x = np.asarray(inputs, dtype=np.float64)
         if x.ndim != 3:
@@ -408,44 +410,37 @@ class RnnModel:
                 f"h_init must have shape ({'groups, ' if groups else ''}"
                 f"batch, n_h) = {groups + (n_b, n)}, got {np.shape(h_init)}"
             )
-        in_cache = None if workspace is None else []
+        training = workspace is not None
+        arrays = workspace if training else {}
+        in_cache, out_cache = ([], []) if training else (None, None)
         xp = self.nnw_in.forward(x.reshape(n_b * n_t, -1), in_cache)
         xp = xp.reshape(groups + (n_b, n_t, self.gru.n_in))
-        if workspace is None:
-            # the prediction pass: one product per weight for all groups; it
-            # keeps only the states the output net reads and the running one
-            gx = np.matmul(xp, self.gru.wx[..., None, :, :])
-            gx += self.gru.bx[..., None, :]
-            h = np.full(groups + (n_b, n), self.h0) if h_init is None \
-                else np.asarray(h_init, dtype=np.float64)
-            h_out = np.empty(groups + (n_b, n_t, n))
-            for t in range(n_t):
-                h = h_out[..., t, :] = gru_step(self.gru, gx[..., t, :], h)[0]
-            y = self.nnw_out.forward(h_out.reshape(groups + (n_b * n_t, n)))
-            return y.reshape(groups + (n_b, n_t, self.n_outputs)), h
-        gx = _take(workspace, "gx", (n_b, n_t, 3 * n))
-        np.matmul(xp, self.gru.wx, out=gx)
-        gx += self.gru.bx
+        # one product per weight for all groups and steps
+        gx = _take(arrays, "gx", groups + (n_b, n_t, 3 * n))
+        np.matmul(xp, self.gru.wx[..., None, :, :], out=gx)
+        gx += self.gru.bx[..., None, :]
 
-        h_all = _take(workspace, "h_all", (n_b, n_t + 1, n))
-        h_all[:, 0] = self.h0 if h_init is None else h_init
-        gate_u, gate_r, cand, gh_cand = _take(workspace, "gates", (4, n_b, n_t, n))
+        h = start = _take(arrays, "h_init", groups + (n_b, n))
+        start[...] = self.h0 if h_init is None else h_init
+        h_out = _take(arrays, "h_out", groups + (n_b, n_t, n))
+        if training:
+            gate_u, gate_r, cand, gh_cand = _take(arrays, "gates",
+                                                  (4, n_b, n_t, n))
         for t in range(n_t):
-            (h_all[:, t + 1], gate_u[:, t], gate_r[:, t], cand[:, t],
-             gh_cand[:, t]) = gru_step(self.gru, gx[:, t], h_all[:, t])
+            h, u, r, c, ghc = gru_step(self.gru, gx[..., t, :], h)
+            h_out[..., t, :] = h
+            if training:
+                (gate_u[:, t], gate_r[:, t], cand[:, t],
+                 gh_cand[:, t]) = u, r, c, ghc
 
-        # the output net reads the states after each step as one block,
-        # which they already are in a batch of one
-        h_out = h_all[:, 1:]
-        if not h_out.flags.c_contiguous:
-            h_out = _take(workspace, "h_out", (n_b, n_t, n))
-            h_out[...] = h_all[:, 1:]
-        out_cache = []
-        y_flat = self.nnw_out.forward(h_out.reshape(n_b * n_t, n), out_cache)
-        outputs = y_flat.reshape(n_b, n_t, self.n_outputs)
-        cache = ForwardCache(x.shape, in_cache, xp, h_all, gate_u, gate_r, cand,
-                             gh_cand, out_cache, workspace)
-        return outputs, cache
+        y = self.nnw_out.forward(h_out.reshape(groups + (n_b * n_t, n)),
+                                 out_cache)
+        outputs = y.reshape(groups + (n_b, n_t, self.n_outputs))
+        if not training:
+            return outputs, h
+        return outputs, ForwardCache(x.shape, in_cache, xp, start, h_out,
+                                     gate_u, gate_r, cand, gh_cand, out_cache,
+                                     workspace)
 
     def backward(self, cache: ForwardCache, d_outputs, grads) -> None:
         """Exact gradients of the cached forward pass, written over every
@@ -475,7 +470,8 @@ class RnnModel:
         d_g[..., 2 * n:] *= cache.gate_r
         # d_h's buffer is free again: the sweep was its last reader
         h_prev = _take(workspace, "d_h", (n_b, n_t, n))
-        h_prev[...] = cache.h_all[:, :-1]
+        h_prev[:, 0] = cache.h_init
+        h_prev[:, 1:] = cache.h_out[:, :-1]
         np.matmul(h_prev.reshape(rows, n).T, d_g_flat, out=g.gru.wh)
         np.sum(d_g_flat, axis=0, out=g.gru.bh)
         self.nnw_in.backward(cache.in_cache, d_xp, g.nnw_in)
@@ -514,9 +510,6 @@ class TrainConfig:
     """First-order optimizer settings and the mini-batch schedule."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     weight_decay: float = 0.0
     clip_norm: float = 1.0
     n_epoch: int = 2
@@ -529,6 +522,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.weight_decay < 0.0:
             raise ValueError("weight_decay must be >= 0")
+        if self.clip_norm < 0.0:
+            raise ValueError("clip_norm must be >= 0 (0 disables clipping)")
         if not 1 <= self.n_epoch <= 10:
             raise ValueError("n_epoch must lie in [1, 10]")
         if self.n_batches < 1 or self.batch_size < 1:
@@ -558,12 +553,12 @@ class Adam:
 
     def step(self, grads: np.ndarray) -> None:
         self.t += 1
-        b1, b2 = self.cfg.beta1, self.cfg.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         lr = self.cfg.learning_rate
         decay = lr * self.cfg.weight_decay
-        eps = self.cfg.epsilon
+        eps = ADAM_EPSILON
         for lo in range(0, self.params.size, _ADAM_CHUNK):
             chunk = slice(lo, lo + _ADAM_CHUNK)
             p, m, v, g = (self.params[chunk], self.m[chunk], self.v[chunk],

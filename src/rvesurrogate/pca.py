@@ -170,6 +170,8 @@ def load(path) -> PcaModel:
         mean = np.frombuffer(fh.read(8 * d), dtype="<f8").copy()
         vals = np.frombuffer(fh.read(8 * d), dtype="<f8").copy()
         comps = np.frombuffer(fh.read(8 * d * p), dtype="<f8").reshape(d, p).copy()
+        if fh.read(1):
+            raise ValueError("bytes remain after the last block")
     return PcaModel(mean=mean, eigenvalues=vals, components=comps)
 
 

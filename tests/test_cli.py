@@ -200,6 +200,7 @@ class TestActionableErrors:
         ("train", "learning_rate", 0),
         ("trial", "learning_rate", -1),
         ("train", "weight_decay", -1),
+        ("train", "clip_norm", -1),
         ("trial", "nnw_out", [0]),
         # checked although n_cyclic = 0; the amplitude defaults to r_max
         ("paths", "cyclic_step_size", 0.3),
@@ -325,6 +326,10 @@ class TestActionableErrors:
          "`gen-data`"),
         ("pca/pca_gamma.bin", "truncate", "train", "`pca-fit`"),
         ("pca/pca_gamma.bin", "truncate", "trial", "`pca-fit`"),
+        ("paths/paths.bin", "append", "gen-data", "`gen-paths`"),
+        ("dataset/records/record_000001.rveseq", "append", "pca-fit",
+         "`gen-data`"),
+        ("pca/pca_gamma.bin", "append", "train", "`pca-fit`"),
     ])
     def test_malformed_artifact(self, dataset_root, tmp_path, monkeypatch,
                                 capsys, artifact, corrupt, command, rewriter):
@@ -339,6 +344,8 @@ class TestActionableErrors:
             data = data[:len(data) - 13]
         elif corrupt == "magic":
             data = b"XXXXXXX" + data[7:]
+        elif corrupt == "append":
+            data += bytes(8)
         else:
             # the first path's first stretch component, after the 7-byte
             # magic, the 8-byte header and the 5-byte path header

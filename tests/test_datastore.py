@@ -91,13 +91,6 @@ class TestPreTrim:
         out = ds.pre_trim(rec, 6.0)
         assert out.length == 0
 
-    def test_tau_family(self):
-        rng = np.random.default_rng(4)
-        rec = make_record(rng, n_steps=12)
-        rec.outputs_tau[:] = 10.0
-        rec.outputs_tau[7, 0] = 500.0
-        assert ds.pre_trim(rec, 200.0, family=ds.FAMILY_TAU).length == 7
-
 
 class TestPadOrTrim:
     def test_pad_600_to_800(self):

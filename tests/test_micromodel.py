@@ -418,7 +418,7 @@ def capped_walks():
 
 
 class TestRunSequence:
-    def test_identity_path_all_zero(self):
+    def test_identity_path_gives_zero_fields(self):
         u = np.broadcast_to(np.eye(2), (10, 2, 2))
         path = pg.LoadingPath(u.copy(), pg.KIND_RANDOM_WALK)
         ens = mm.build_ensemble(12, 5, 0.3, seed=4)

@@ -77,9 +77,9 @@ def input_preactivation(cell, x):
 
 
 def hidden_trace(model, x):
-    """Hidden states after every step; the forward cache keeps h0 first."""
+    """Hidden states after every step, as the forward cache keeps them."""
     _, cache = model.forward(x, workspace={})
-    return cache.h_all[:, 1:]
+    return cache.h_out
 
 
 class TestGruStep:
@@ -209,7 +209,7 @@ class TestPredictionForward:
         y, final = model.forward(x, h_init=h_init)
         y_train, cache = model.forward(x, h_init=h_init, workspace={})
         assert np.array_equal(y, y_train)
-        assert np.array_equal(final, cache.h_all[:, -1])
+        assert np.array_equal(final, cache.h_out[:, -1])
 
     @pytest.mark.parametrize("width", ["odd", "paper"])
     @pytest.mark.parametrize("n_groups", [1, 3])
@@ -233,7 +233,7 @@ class TestPredictionForward:
             y_train, cache = model.forward(
                 x, h_init=None if h_init is None else h_init[g], workspace={})
             assert y[g].tobytes() == y_train.tobytes()
-            assert final[g].tobytes() == cache.h_all[:, -1].tobytes()
+            assert final[g].tobytes() == cache.h_out[:, -1].tobytes()
 
     def test_stacked_arrays_are_views_of_the_block(self):
         models, stack = group_block(3, (3, 5, 4), 6, (5, 2), seed=40)
@@ -395,7 +395,8 @@ class TestWorkspace:
                            fresh_grads)
             y, cache = model.forward(x, workspace=workspace)
             assert y.tobytes() == fresh_y.tobytes()
-            assert cache.h_all.tobytes() == fresh_cache.h_all.tobytes()
+            assert cache.h_init.tobytes() == fresh_cache.h_init.tobytes()
+            assert cache.h_out.tobytes() == fresh_cache.h_out.tobytes()
             model.backward(cache, nn.mse_loss_grad(y, t), grads)
             assert grads.tobytes() == fresh_grads.tobytes()
 
@@ -468,6 +469,8 @@ class TestOptimizer:
             nn.TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError, match="weight_decay"):
             nn.TrainConfig(weight_decay=-1e-3)
+        with pytest.raises(ValueError, match="0 disables clipping"):
+            nn.TrainConfig(clip_norm=-5.0)
 
 
 def adam_per_array(arrays, grad_steps, cfg):
@@ -475,7 +478,7 @@ def adam_per_array(arrays, grad_steps, cfg):
     gradient list per step, each array updated in place."""
     m = [np.zeros_like(p) for p in arrays]
     v = [np.zeros_like(p) for p in arrays]
-    b1, b2, lr = cfg.beta1, cfg.beta2, cfg.learning_rate
+    b1, b2, lr = nn.ADAM_BETA1, nn.ADAM_BETA2, cfg.learning_rate
     for t, grads in enumerate(grad_steps, start=1):
         bias1 = 1.0 - b1**t
         bias2 = 1.0 - b2**t
@@ -484,7 +487,7 @@ def adam_per_array(arrays, grad_steps, cfg):
             m_i += (1.0 - b1) * g
             v_i *= b2
             v_i += (1.0 - b2) * g * g
-            update = (m_i / bias1) / (np.sqrt(v_i / bias2) + cfg.epsilon)
+            update = (m_i / bias1) / (np.sqrt(v_i / bias2) + nn.ADAM_EPSILON)
             if cfg.weight_decay > 0.0:
                 p -= lr * cfg.weight_decay * p
             p -= lr * update
