@@ -23,7 +23,6 @@ import inspect
 import os
 import re
 import shutil
-import struct
 import sys
 from dataclasses import replace
 from multiprocessing import get_context
@@ -122,24 +121,33 @@ class StageError(RuntimeError):
 
 
 def load_config(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise StageError(f"config file not found: {path}")
-    return validate_config(ds.read_json(path))
+    try:
+        cfg = ds.read_json(path)
+    except FileNotFoundError:
+        raise StageError(f"config file not found: {path}") from None
+    except ValueError as err:
+        raise StageError(f"config file {path} is not JSON ({err})") from None
+    return validate_config(cfg)
 
 
 def validate_config(cfg: dict) -> dict:
     """``cfg`` resolved: every section of ``_SCHEMA``, every missing key at
     its default.  Unknown keys and violated invariants are rejected before
     any compute."""
+    if not isinstance(cfg, dict):
+        raise StageError(f"the config must be a JSON object, got {cfg!r}")
     unknown_sections = set(cfg) - set(_SCHEMA)
     if unknown_sections:
         raise StageError(f"unknown config sections: {sorted(unknown_sections)}")
     for section, keys in _SCHEMA.items():
-        extra = set(cfg.get(section, {})) - set(keys)
+        given = cfg.get(section, {})
+        if not isinstance(given, dict):
+            raise StageError(f"config section [{section}] must be a JSON "
+                             f"object, got {given!r}")
+        extra = set(given) - set(keys)
         if extra:
             raise StageError(f"unknown keys in [{section}]: {sorted(extra)}")
-        for key, value in cfg.get(section, {}).items():
+        for key, value in given.items():
             kind = keys[key][0]
             # "list of <type>" types each element too
             outer, _, element = kind.partition(" of ")
@@ -356,7 +364,7 @@ def _read_artifact(read, path, rewriter: str):
     it."""
     try:
         return read(path)
-    except (ValueError, struct.error) as err:
+    except ValueError as err:
         raise StageError(f"cannot read {path} ({err}); re-run {rewriter} "
                          "to rewrite it") from None
 
@@ -700,8 +708,8 @@ def stage_eval(cfg: dict, root: Path) -> None:
                     f"which has {length} steps"
                 )
     bundle_dir = require_artifact(root / "bundle" / sg.BUNDLE_FILE, "train").parent
+    bundle = _read_artifact(sg.SurrogateBundle.load, bundle_dir, "`train`")
     try:
-        bundle = sg.SurrogateBundle.load(bundle_dir)
         report = bundle.evaluate(packed)
     except ValueError as err:
         raise StageError(f"cannot evaluate {bundle_dir / sg.BUNDLE_FILE} "

@@ -6,6 +6,11 @@ are pre-trimmed against a critical state value, padded or trimmed to fixed
 length groups so they can be batched, and stored in a little-endian binary
 format that round-trips bit-exactly.  :func:`draw_minibatches` is the one
 mini-batch sampler: it draws a length group, then positions inside it.
+
+Binary layout: path sets, records, PCA bases and RNN model files are each a
+7-byte magic, a ``<I`` version, then ``struct`` fields and C-ordered ``<f8``
+blocks, and nothing more.  :func:`write_binary` is its one writer and
+:class:`BinaryReader` its one reader, which names the file in every fault.
 """
 
 from __future__ import annotations
@@ -249,59 +254,82 @@ def draw_minibatches(group_sizes: dict[int, int], batch_size: int,
 
 
 # ---------------------------------------------------------------------------
-# binary formats
+# binary layout
 
 
-def _write_record_stream(fh, record: SequenceRecord) -> None:
-    d_in = record.inputs.shape[1]
-    d_g = record.outputs_gamma.shape[1]
-    d_t = record.outputs_tau.shape[1]
-    flags = FLAG_TRUNCATED if record.truncated else 0
-    fh.write(RECORD_MAGIC)
-    fh.write(struct.pack("<IIIIIB", FORMAT_VERSION, d_in, d_g, d_t,
-                         record.length, flags))
-    fh.write(record.inputs.astype("<f8").tobytes())
-    fh.write(record.outputs_gamma.astype("<f8").tobytes())
-    fh.write(record.outputs_tau.astype("<f8").tobytes())
+def write_binary(path, magic: bytes, version: int, *parts) -> None:
+    """Write ``magic``, ``version`` as ``<I`` and ``parts`` to ``path``, each
+    a ``(struct format, *values)`` tuple or an array of ``<f8`` values."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack("<I", version))
+        for part in parts:
+            # a C-ordered float64 array is written from its own buffer
+            fh.write(struct.pack(*part) if isinstance(part, tuple)
+                     else np.ascontiguousarray(part, dtype="<f8"))
 
 
-def _read_record_stream(fh) -> SequenceRecord:
-    magic = fh.read(len(RECORD_MAGIC))
-    if magic != RECORD_MAGIC:
-        raise ValueError(f"bad record magic {magic!r}")
-    version, d_in, d_g, d_t, length, flags = struct.unpack(
-        "<IIIIIB", fh.read(struct.calcsize("<IIIIIB"))
-    )
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported record format version {version}")
+class BinaryReader:
+    """Checked reads, in order, of the parts of a :func:`write_binary` file:
+    each fault, a missing file too, raises a ``ValueError`` that names it."""
 
-    def block(cols):
-        raw = fh.read(8 * length * cols)
-        return np.frombuffer(raw, dtype="<f8").reshape(length, cols).copy()
+    def __init__(self, path, magic: bytes, version: int):
+        self.path = path
+        try:
+            self._raw = Path(path).read_bytes()
+        except OSError as err:
+            raise self.error(err.strerror) from None
+        self._at = len(magic)
+        if self._raw[:self._at] != magic:
+            raise self.error(f"bad magic {self._raw[:self._at]!r}, "
+                             f"expected {magic!r}")
+        (found,) = self.unpack("<I")
+        if found != version:
+            raise self.error(f"format version {found}, expected {version}")
 
-    return SequenceRecord(
-        inputs=block(d_in),
-        outputs_gamma=block(d_g),
-        outputs_tau=block(d_t),
-        truncated=bool(flags & FLAG_TRUNCATED),
-    )
+    def error(self, message: str) -> ValueError:
+        """The ``ValueError`` of a fault of this file, to raise."""
+        return ValueError(f"{self.path}: {message}")
+
+    def _take(self, size: int) -> int:
+        """Offset of the next ``size`` bytes, which the reader steps over."""
+        start, self._at = self._at, self._at + size
+        if self._at > len(self._raw):
+            raise self.error(f"the file ends {self._at - len(self._raw)} "
+                             "bytes short of its next block")
+        return start
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self._raw,
+                                  self._take(struct.calcsize(fmt)))
+
+    def floats(self, *shape) -> np.ndarray:
+        """The next block, a read-only view of the file's bytes: a caller
+        copies what it keeps, once."""
+        count = int(np.prod(shape))
+        return np.frombuffer(self._raw, dtype="<f8", count=count,
+                             offset=self._take(8 * count)).reshape(shape)
+
+    def finish(self) -> None:
+        if self._at < len(self._raw):
+            raise self.error(f"{len(self._raw) - self._at} bytes remain after "
+                             "the last block")
 
 
 def write_record(path, record: SequenceRecord) -> None:
-    with open(path, "wb") as fh:
-        _write_record_stream(fh, record)
+    blocks = (record.inputs, record.outputs_gamma, record.outputs_tau)
+    write_binary(path, RECORD_MAGIC, FORMAT_VERSION,
+                 ("<IIIIB", *(b.shape[1] for b in blocks), record.length,
+                  FLAG_TRUNCATED if record.truncated else 0), *blocks)
 
 
 def read_record(path) -> SequenceRecord:
     """One record; a malformed file raises ``ValueError`` naming it."""
-    with open(path, "rb") as fh:
-        try:
-            record = _read_record_stream(fh)
-            if fh.read(1):
-                raise ValueError("bytes remain after the last block")
-            return record
-        except (ValueError, struct.error) as err:
-            raise ValueError(f"{path}: {err}") from None
+    reader = BinaryReader(path, RECORD_MAGIC, FORMAT_VERSION)
+    *widths, length, flags = reader.unpack("<IIIIB")
+    blocks = [reader.floats(length, d).copy() for d in widths]
+    reader.finish()
+    return SequenceRecord(*blocks, truncated=bool(flags & FLAG_TRUNCATED))
 
 
 def write_dataset(directory, records, manifest: dict | None = None) -> None:
@@ -327,38 +355,28 @@ def read_dataset(directory) -> list[SequenceRecord]:
 def write_pathset(path, paths) -> None:
     """Store ``pathgen.LoadingPath``s as per-step (U_xx, U_yy, U_xy)
     stretch components and a cyclic flag."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(PATHSET_MAGIC)
-        fh.write(struct.pack("<II", FORMAT_VERSION, len(paths)))
-        for lp in paths:
-            u = lp.stretches
-            comps = np.stack([u[:, 0, 0], u[:, 1, 1], u[:, 0, 1]], axis=-1)
-            flags = FLAG_CYCLIC if lp.kind == pg.KIND_CYCLIC else 0
-            fh.write(struct.pack("<IB", comps.shape[0], flags))
-            fh.write(comps.astype("<f8").tobytes())
+    parts = []
+    for lp in paths:
+        u = lp.stretches
+        flags = FLAG_CYCLIC if lp.kind == pg.KIND_CYCLIC else 0
+        parts += [("<IB", len(lp), flags),
+                  np.stack([u[:, 0, 0], u[:, 1, 1], u[:, 0, 1]], axis=-1)]
+    write_binary(path, PATHSET_MAGIC, FORMAT_VERSION, ("<I", len(paths)),
+                 *parts)
 
 
 def read_pathset(path) -> list[pg.LoadingPath]:
     """Load the ``pathgen.LoadingPath``s that ``write_pathset`` stored, with
     symmetric in-plane stretch blocks."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(PATHSET_MAGIC))
-        if magic != PATHSET_MAGIC:
-            raise ValueError(f"bad path-set magic {magic!r}")
-        version, count = struct.unpack("<II", fh.read(8))
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported path-set version {version}")
-        paths = []
-        for _ in range(count):
-            length, flags = struct.unpack("<IB", fh.read(5))
-            comps = np.frombuffer(fh.read(8 * 3 * length), dtype="<f8")
-            u = comps.reshape(length, 3)[:, [0, 2, 2, 1]].reshape(length, 2, 2)
-            kind = pg.KIND_CYCLIC if flags & FLAG_CYCLIC else pg.KIND_RANDOM_WALK
-            paths.append(pg.LoadingPath(u, kind))
-        if fh.read(1):
-            raise ValueError("bytes remain after the last path")
+    reader = BinaryReader(path, PATHSET_MAGIC, FORMAT_VERSION)
+    (count,) = reader.unpack("<I")
+    paths = []
+    for _ in range(count):
+        length, flags = reader.unpack("<IB")
+        u = reader.floats(length, 3)[:, [0, 2, 2, 1]].reshape(length, 2, 2)
+        kind = pg.KIND_CYCLIC if flags & FLAG_CYCLIC else pg.KIND_RANDOM_WALK
+        paths.append(pg.LoadingPath(u, kind))
+    reader.finish()
     return paths
 
 

@@ -328,8 +328,6 @@ class RveEnsemble:
     concentrations: np.ndarray  # (n_points, 4, 4)
     n_matrix: int
     n_fiber: int
-    perturbation_amplitude: float
-    seed: int
     fiber: FiberParams = field(default_factory=FiberParams)
     matrix: MatrixParams = field(default_factory=MatrixParams)
 
@@ -385,8 +383,6 @@ def build_ensemble(
         concentrations=np.ascontiguousarray(conc),
         n_matrix=d_gamma,
         n_fiber=n_fiber,
-        perturbation_amplitude=perturbation_amplitude,
-        seed=seed,
     )
 
 

@@ -31,7 +31,8 @@ Storage: :meth:`RnnModel.build` allocates one parameter vector ``params``;
 every weight and bias array is a reshaped view of a consecutive slice, in
 the seeded draw order: input net ``w, b`` per layer, GRU ``wx, bx, wh,
 bh``, output net ``w, b`` per layer.  Adam, the training loop's backup and
-the model file see only this vector.  Its dtype, float64 so
+the model file see only this vector, which the file holds after ``h0`` and
+the layer sizes, in ``datastore``'s one binary layout.  Its dtype, float64 so
 finite-difference gradient checks resolve, is the model's one storage
 decision.  A model holds no gradient: ``backward`` writes one over a
 vector that its caller passes, laid out like ``params``, through the
@@ -79,12 +80,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-from pathlib import Path
-import struct
 from typing import NamedTuple
 
 import numpy as np
 
+from . import datastore as ds
 from .pathgen import make_rng
 
 MODEL_MAGIC = b"RNNMDL1"
@@ -606,36 +606,27 @@ def train_step(model: RnnModel, optimizer: Adam, inputs, targets,
 # serialization
 
 
-def _header(model: RnnModel) -> bytes:
-    """Magic, version, ``h0`` and the three layer-size lists of ``model``."""
-    parts = [MODEL_MAGIC, struct.pack("<Id", MODEL_VERSION, model.h0)]
-    for sizes in (model.nnw_in.sizes, (model.gru.n_h,), model.nnw_out.sizes):
-        parts.append(struct.pack(f"<I{len(sizes)}I", len(sizes), *sizes))
-    return b"".join(parts)
-
-
 def save_model(path, model: RnnModel) -> None:
-    """Write the header of ``model`` and then its parameter vector."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(_header(model))
-        model.params.astype("<f8", copy=False).tofile(fh)
+    """Write ``h0``, the layer-size lists and the parameter vector."""
+    sizes = (model.nnw_in.sizes, (model.gru.n_h,), model.nnw_out.sizes)
+    ds.write_binary(path, MODEL_MAGIC, MODEL_VERSION, ("<d", model.h0),
+                    *[(f"<I{len(s)}I", len(s), *s) for s in sizes],
+                    model.params)
 
 
 def load_model(path, model: RnnModel) -> None:
-    """Read a model file's parameter vector into ``model``.
-
-    The file must start with the header ``save_model`` writes for ``model``
-    (same format version, ``h0`` and layer sizes) and hold exactly its
-    parameter count; otherwise a ``ValueError`` is raised.
-    """
-    raw = Path(path).read_bytes()
-    header = _header(model)
-    if not raw.startswith(header) or len(raw) != len(header) + model.params.nbytes:
-        raise ValueError(
-            f"{path} is not a version-{MODEL_VERSION} model file with h0 = "
-            f"{model.h0} and layer sizes {model.nnw_in.sizes}, "
-            f"{model.gru.n_h}, {model.nnw_out.sizes}"
-        )
-    model.params[...] = np.frombuffer(raw, dtype="<f8", offset=len(header))
+    """Read into ``model`` the parameters of a file that ``save_model``
+    wrote for a model of its ``h0`` and layer sizes; any other file raises a
+    ``ValueError`` naming it and leaves ``model`` as it was."""
+    reader = ds.BinaryReader(path, MODEL_MAGIC, MODEL_VERSION)
+    (h0,) = reader.unpack("<d")
+    # each size list is its length, then its sizes
+    sizes = [reader.unpack(f"<{reader.unpack('<I')[0]}I") for _ in range(3)]
+    want = [model.nnw_in.sizes, (model.gru.n_h,), model.nnw_out.sizes]
+    if (h0, sizes) != (model.h0, want):
+        raise reader.error(f"not a version-{MODEL_VERSION} model file with "
+                           f"h0 = {model.h0} and layer sizes {want}; it holds "
+                           f"h0 = {h0} and layer sizes {sizes}")
+    params = reader.floats(model.params.size)
+    reader.finish()
+    model.params[...] = params

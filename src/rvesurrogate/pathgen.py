@@ -132,27 +132,23 @@ def generate_cyclic_path(
     n_reversals: int,
     amplitude_max: float,
     step_size: float,
-    amplitudes=None,
-    direction=None,
 ) -> LoadingPath:
     """Proportional path U(t) = I + s(t) D through random reversal amplitudes.
 
     ``D`` is a fixed random symmetric in-plane direction with unit eigen-norm
     and ``s(t)`` ramps piecewise linearly 0 -> a_1 -> ... -> a_n -> 0 in steps
     of at most ``step_size``, landing exactly on every reversal point.
-    Explicit ``amplitudes``/``direction`` override the random draws (used by
-    tests and replay).
+    ``D`` is drawn first, then the ``n_reversals`` amplitudes, uniform in
+    (-amplitude_max, amplitude_max).
     """
     if n_reversals < 1:
         raise ValueError("n_reversals must be >= 1")
     if not 0.0 < step_size < amplitude_max:
         raise ValueError("require 0 < step_size < amplitude_max")
     rng = make_rng(seed)
-    if direction is None:
-        direction = _inplane_direction(rng, 1.0)
-    if amplitudes is None:
-        amplitudes = rng.uniform(-amplitude_max, amplitude_max, size=n_reversals)
-    targets = list(np.asarray(amplitudes, dtype=np.float64)) + [0.0]
+    direction = _inplane_direction(rng, 1.0)
+    amplitudes = rng.uniform(-amplitude_max, amplitude_max, size=n_reversals)
+    targets = list(amplitudes) + [0.0]
 
     s_values = [0.0]
     s = 0.0

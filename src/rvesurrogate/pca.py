@@ -5,16 +5,19 @@ data matrix ``A`` of (optionally subsampled) snapshots and decomposed with a
 dense symmetric eigensolver.  Components are retained either as a fixed
 count ``p`` or as the smallest ``p`` whose residual fractional eigenvalue
 ``1 - sum_{i<=p} L_i / sum_k L_k`` drops below a tolerance.
+
+Storage: :func:`save` writes ``d``, ``p``, the mean, the spectrum and the
+components in ``datastore``'s one binary layout (see its module notes).
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import datastore as ds
 from .pathgen import make_rng
 
 PCA_MAGIC = b"RVEPCA1"
@@ -149,30 +152,18 @@ def reconstruct(xi, model: PcaModel) -> np.ndarray:
 
 
 def save(path, model: PcaModel) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(PCA_MAGIC)
-        fh.write(struct.pack("<III", PCA_VERSION, model.d, model.retained_p))
-        fh.write(model.mean.astype("<f8").tobytes())
-        fh.write(model.eigenvalues.astype("<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.components).astype("<f8").tobytes())
+    ds.write_binary(path, PCA_MAGIC, PCA_VERSION,
+                    ("<II", model.d, model.retained_p),
+                    model.mean, model.eigenvalues, model.components)
 
 
 def load(path) -> PcaModel:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(PCA_MAGIC))
-        if magic != PCA_MAGIC:
-            raise ValueError(f"bad PCA file magic {magic!r}")
-        version, d, p = struct.unpack("<III", fh.read(12))
-        if version != PCA_VERSION:
-            raise ValueError(f"unsupported PCA format version {version}")
-        mean = np.frombuffer(fh.read(8 * d), dtype="<f8").copy()
-        vals = np.frombuffer(fh.read(8 * d), dtype="<f8").copy()
-        comps = np.frombuffer(fh.read(8 * d * p), dtype="<f8").reshape(d, p).copy()
-        if fh.read(1):
-            raise ValueError("bytes remain after the last block")
-    return PcaModel(mean=mean, eigenvalues=vals, components=comps)
+    reader = ds.BinaryReader(path, PCA_MAGIC, PCA_VERSION)
+    d, p = reader.unpack("<II")
+    model = PcaModel(reader.floats(d).copy(), reader.floats(d).copy(),
+                     reader.floats(d, p).copy())
+    reader.finish()
+    return model
 
 
 def residual_curve_csv(path, model: PcaModel) -> None:

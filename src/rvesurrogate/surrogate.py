@@ -412,25 +412,23 @@ class SurrogateBundle:
                 f"least one step, got shape {x.shape}"
             )
         prefix_key = _history_key(x[:-1])
-        hit = prefix_key in self._history
+        kept = self._history.get(prefix_key)
         # a kept history was checked when it was queried, so on a hit only
         # the new row is
-        first = x.shape[0] - 1 if hit else 0
+        first = 0 if kept is None else x.shape[0] - 1
         finite = np.isfinite(x[first:]).all(axis=1)
         if not finite.all():
             raise ValueError(
                 f"non-finite strain features at step "
                 f"{first + np.argmin(finite)} of the (steps, {n_in}) sequence"
             )
-        if hit:
+        if kept is not None:
             self._history.move_to_end(prefix_key)
-            prev_states, prev_fields = self._history[prefix_key]
-            out, states = self._run_groups(
-                self.input_norm.normalize(x[-1:])[None], prev_states)
-            fields = np.concatenate([prev_fields, self._to_fields(out)[0]])
-        else:
-            out, states = self._run_groups(self.input_norm.normalize(x)[None])
-            fields = self._to_fields(out)[0]
+        # a miss resumes from no history: no states, no fields so far
+        states, fields = kept or (None, np.empty((0, self.field_dim)))
+        out, states = self._run_groups(
+            self.input_norm.normalize(x[first:])[None], states)
+        fields = np.concatenate([fields, self._to_fields(out)[0]])
         key = _history_key(x)
         self._history[key] = (states, fields)
         self._history.move_to_end(key)
@@ -491,7 +489,6 @@ class SurrogateBundle:
 
     def save(self, directory) -> None:
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
         meta = {
             "kind": self.kind,
             "family": self.family,
@@ -535,18 +532,20 @@ class SurrogateBundle:
                 f"{meta_file} is not a bundle file this version writes: "
                 f"unexpected keys {unexpected}, missing keys {missing}"
             )
-        pca_model = None
-        if (directory / PCA_FILE).exists():
-            pca_model = pcalib.load(directory / PCA_FILE)
-        arch = Architecture(
-            nnw_in=meta["arch"]["nnw_in"],
-            n_h=meta["arch"]["n_h"],
-            nnw_out=meta["arch"]["nnw_out"],
-        )
+        pca_file = directory / PCA_FILE
+        pca_model = pcalib.load(pca_file) if pca_file.exists() else None
+
+        def entry(name: str, build):
+            try:
+                return build(meta[name])
+            except (KeyError, TypeError, ValueError) as err:
+                raise ValueError(f"{meta_file} holds a malformed {name!r} "
+                                 f"entry ({err!r})") from None
+
         bundle = cls(
             kind=meta["kind"],
             family=meta["family"],
-            arch=arch,
+            arch=entry("arch", lambda arch: Architecture(**arch)),
             q=meta["q"],
             pca=pca_model,
             p=meta["p"],
@@ -562,10 +561,10 @@ class SurrogateBundle:
             )
         for gi, model in enumerate(bundle.models):
             nn.load_model(directory / f"rnn_{gi:02d}.bin", model)
-        norms = [meta[f"{name}_norm"] for name in ("input", "output", "field")]
-        if None not in norms:
-            bundle.input_norm, bundle.output_norm, bundle.field_norm = map(
-                ds.NormalizationSpec.from_dict, norms)
+        names = [f"{name}_norm" for name in ("input", "output", "field")]
+        if None not in (meta[name] for name in names):
+            bundle.input_norm, bundle.output_norm, bundle.field_norm = (
+                entry(name, ds.NormalizationSpec.from_dict) for name in names)
         return bundle
 
 

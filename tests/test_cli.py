@@ -330,6 +330,11 @@ class TestActionableErrors:
         ("dataset/records/record_000001.rveseq", "append", "pca-fit",
          "`gen-data`"),
         ("pca/pca_gamma.bin", "append", "train", "`pca-fit`"),
+        ("bundle/pca.bin", "truncate", "eval", "`train`"),
+        ("bundle/pca.bin", "append", "eval", "`train`"),
+        ("bundle/rnn_00.bin", "truncate", "eval", "`train`"),
+        ("bundle/rnn_00.bin", "append", "eval", "`train`"),
+        ("bundle/rnn_01.bin", "delete", "eval", "`train`"),
     ])
     def test_malformed_artifact(self, dataset_root, tmp_path, monkeypatch,
                                 capsys, artifact, corrupt, command, rewriter):
@@ -338,6 +343,8 @@ class TestActionableErrors:
         shutil.copytree(dataset_root / "paths", root / "paths")
         shutil.copytree(dataset_root / "dataset", root / "dataset")
         cli.run_stage("pca-fit", cfg, root)
+        if artifact.startswith("bundle/"):
+            cli.run_stage("train", cfg, root)
         path = root / artifact
         data = path.read_bytes()
         if corrupt == "truncate":
@@ -350,7 +357,10 @@ class TestActionableErrors:
             # the first path's first stretch component, after the 7-byte
             # magic, the 8-byte header and the 5-byte path header
             data = data[:20] + np.float64(2.0).tobytes() + data[28:]
-        path.write_bytes(data)
+        if corrupt == "delete":
+            path.unlink()
+        else:
+            path.write_bytes(data)
         if command == "stats":
             status = cli.main(["dataset", "stats", str(root / "dataset")])
         else:
@@ -359,6 +369,22 @@ class TestActionableErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read")
         assert path.name in err and f"re-run {rewriter}" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("{", "config.json is not JSON (Expecting property name"),
+        ('{"paths": 5}', "config section [paths] must be a JSON object, "
+                         "got 5"),
+        ("[1, 2]", "the config must be a JSON object, got [1, 2]"),
+    ])
+    def test_malformed_config_file(self, tmp_path, monkeypatch, capsys, text,
+                                   message):
+        config_file = tmp_path / "config.json"
+        config_file.write_text(text)
+        root = tmp_path / "root"
+        monkeypatch.setenv(cli.ROOT_ENV_VAR, str(root))
+        assert cli.main(["gen-paths", "--config", str(config_file)]) == 1
+        assert message in capsys.readouterr().err
+        assert not root.exists()
 
     @pytest.mark.parametrize("argv, flag", [
         (["trim", "--gamma-crit", "0"], "--gamma-crit"),
@@ -476,6 +502,11 @@ class TestStagesReplaceTheirOutputs:
         # a bundle file without normalizations loads untrained
         ("input_norm", None, "has not been trained"),
         ("output_norm", None, "has not been trained"),
+        # broken nested entries
+        ("arch", {"nnw_in": [3, 4], "n_h": 4}, "malformed 'arch' entry"),
+        ("input_norm", {"maximum": [0.0, 0.0, 0.0]},
+         "malformed 'input_norm' entry (KeyError('minimum'))"),
+        ("input_norm", [0.0, 1.0], "malformed 'input_norm' entry"),
     ])
     def test_eval_of_a_hand_edited_bundle_file(self, dataset_root, tmp_path,
                                                monkeypatch, capsys, key,

@@ -89,8 +89,7 @@ class TestRandomPath:
 class TestCyclicPath:
     def test_single_reversal_visits_identity_twice(self):
         path = pg.generate_cyclic_path(
-            seed=5, n_reversals=1, amplitude_max=0.1, step_size=0.01,
-            amplitudes=[0.05])
+            seed=5, n_reversals=1, amplitude_max=0.1, step_size=0.01)
         hits = [np.allclose(u, np.eye(2), atol=0.0) for u in path.stretches]
         assert sum(hits) == 2
         assert hits[0] and hits[-1]
@@ -124,8 +123,12 @@ class TestCyclicPath:
             assert np.allclose(d, coeff * direction, atol=1e-12)
 
     def test_scalar_ramp_oracle(self):
+        # the function's draws, in its order: the direction, then the
+        # reversal amplitudes, here of both signs
+        rng = pg.make_rng(18)
+        direction = pg._inplane_direction(rng, 1.0)
+        amplitudes = list(rng.uniform(-0.1, 0.1, size=2))
         # independently scripted piecewise-linear ramp
-        amplitudes = [0.06, -0.04]
         step = 0.01
         expected = [0.0]
         s = 0.0
@@ -138,12 +141,10 @@ class TestCyclicPath:
             if rem > 1e-9:
                 s = target
                 expected.append(s)
-        direction = np.diag([1.0, -0.3])
-        direction = direction / np.sqrt(np.sum(np.linalg.eigvalsh(direction) ** 2))
         path = pg.generate_cyclic_path(
-            seed=8, n_reversals=2, amplitude_max=0.1, step_size=step,
-            amplitudes=amplitudes, direction=direction)
-        got = [(u - np.eye(2))[0, 0] / direction[0, 0] for u in path.stretches]
+            seed=18, n_reversals=2, amplitude_max=0.1, step_size=step)
+        got = [np.sum((u - np.eye(2)) * direction) / np.sum(direction ** 2)
+               for u in path.stretches]
         assert np.allclose(got, expected, atol=1e-12)
 
     def test_amplitude_bound_validation(self):

@@ -508,7 +508,8 @@ class TestSerialization:
         sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8).save(tmp_path)
         nn.save_model(tmp_path / "rnn_01.bin",
                       nn.RnnModel.build((3, 8), 9, (4, 2)))
-        with pytest.raises(ValueError, match=r"rnn_01\.bin is not a"):
+        with pytest.raises(ValueError,
+                           match=r"rnn_01\.bin: not a version-1 model file"):
             sg.SurrogateBundle.load(tmp_path)
 
     @pytest.mark.parametrize("key, value, message", [
