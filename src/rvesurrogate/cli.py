@@ -3,16 +3,15 @@
 Stages (``gen-paths``, ``gen-data``, ``pca-fit``, ``train``, ``trial``,
 ``eval``; ``all`` chains gen-paths through eval) read one JSON config and
 write their artifacts under the output root (env var ``RVESURROGATE_ROOT``,
-default ``./pipeline_out``).  A key the config leaves out takes its default
-from one table, ``_SCHEMA``, and the config is resolved so before a stage
-runs.  Every stage writes a manifest carrying the resolved config (the
-values in effect, seeds included) and SHA-256 hashes of its inputs and
-outputs, so a finished pipeline is replayable and diffable; re-running a
-stage with identical config and inputs reproduces its artifacts
-byte-for-byte.  A stage replaces its previous outputs: after reading its
-inputs it empties its directory, and ``dataset trim``/``pack`` empty their
-destination's ``records``.  A stage exits 0 only after its postcondition
-checks pass.
+default ``./pipeline_out``).  The config is resolved before a stage runs:
+``datastore.check_json`` checks it against one typed table, ``_SCHEMA``,
+and gives each key it leaves out its default there.  Every stage writes a
+manifest carrying the resolved config (the values in effect, seeds
+included) and SHA-256 hashes of its inputs and outputs, so a finished
+pipeline is replayable and diffable; re-running a stage with identical
+config and inputs reproduces its artifacts byte-for-byte.  A stage
+replaces its previous outputs: after reading its inputs it empties its
+directory.  A stage exits 0 only after its postcondition checks pass.
 """
 
 from __future__ import annotations
@@ -46,17 +45,8 @@ STAGE_ORDER = ("gen-paths", "gen-data", "pca-fit", "train", "eval")
 # seed-override offsets per stage stream
 _SEED_SLOTS = {"paths": 0, "ensemble": 1, "pca": 2, "train": 3, "trial": 4}
 
-# marks a key without a default
-_REQUIRED = object()
-
-
-def _required(**types) -> dict:
-    """Schema entries of keys without a default, each of its JSON type."""
-    return {key: (kind, _REQUIRED) for key, kind in types.items()}
-
-
 def _defaults_of(fn, **types) -> dict:
-    """Schema entries of keys that go straight to ``fn``, each of its JSON
+    """Table entries of keys that go straight to ``fn``, each of its JSON
     type and at the default of ``fn``'s parameter of that name."""
     params = inspect.signature(fn).parameters
     return {key: (kind, params[key].default) for key, kind in types.items()}
@@ -64,25 +54,25 @@ def _defaults_of(fn, **types) -> dict:
 
 # every allowed key, per section: the JSON types its value may take and its
 # default; a callable default is computed from the section's values
-_SCHEMA = {
+_SECTIONS = {
     "paths": {
-        **_required(n_random="int", delta_r="real", delta_r_min="real",
-                    r_max="real", max_steps="int", seed="int"),
+        **ds.required(n_random="int", delta_r="real", delta_r_min="real",
+                      r_max="real", max_steps="int", seed="int"),
         "n_cyclic": ("int", 0), "cyclic_reversals_min": ("int", 2),
         "cyclic_reversals_max": ("int", 6),
         "cyclic_amplitude_max": ("real", lambda p: p["r_max"]),
         "cyclic_step_size": ("real", lambda p: p["delta_r"]),
     },
-    "ensemble": _required(d_gamma="int", n_fiber="int", perturbation="real",
-                          seed="int"),
-    "dataset": _required(lengths="list of int", gamma_crit="real",
-                         batch_size="int"),
+    "ensemble": ds.required(d_gamma="int", n_fiber="int",
+                            perturbation="real", seed="int"),
+    "dataset": ds.required(lengths="list of int", gamma_crit="real",
+                           batch_size="int"),
     "pca": {"family": ("str", ds.FAMILY_GAMMA),
             **_defaults_of(pcalib.fit, p="int|null", delta="real|null",
                            subsample_fraction="real", seed="int")},
     "train": {
-        **_required(kind="str", nnw_in="list of int", n_h="int",
-                    nnw_out="list of int", n_batches="int"),
+        **ds.required(kind="str", nnw_in="list of int", n_h="int",
+                      nnw_out="list of int", n_batches="int"),
         **_defaults_of(sg.SurrogateBundle, q="int"),
         **_defaults_of(nn.TrainConfig, n_epoch="int", learning_rate="real",
                        weight_decay="real", clip_norm="real", seed="int"),
@@ -96,8 +86,8 @@ _SCHEMA = {
     "eval": {"snapshot_steps": ("list of int", ()),
              "snapshot_sequences": ("list of int", (0,))},
 }
-_JSON_TYPES = {"int": (int,), "real": (int, float), "list": (list, tuple),
-               "str": (str,), "null": (type(None),)}
+# the config: each section a JSON object, every one of its keys optional
+_SCHEMA = {section: (keys, {}) for section, keys in _SECTIONS.items()}
 
 # constructor field -> config section of the key of the same name
 _WALK_FIELDS = dict.fromkeys(("delta_r", "delta_r_min", "r_max", "max_steps"),
@@ -126,47 +116,19 @@ def load_config(path) -> dict:
     except FileNotFoundError:
         raise StageError(f"config file not found: {path}") from None
     except ValueError as err:
-        raise StageError(f"config file {path} is not JSON ({err})") from None
-    return validate_config(cfg)
+        raise StageError(str(err)) from None
+    return validate_config(cfg, source=path)
 
 
-def validate_config(cfg: dict) -> dict:
-    """``cfg`` resolved: every section of ``_SCHEMA``, every missing key at
-    its default.  Unknown keys and violated invariants are rejected before
-    any compute."""
-    if not isinstance(cfg, dict):
-        raise StageError(f"the config must be a JSON object, got {cfg!r}")
-    unknown_sections = set(cfg) - set(_SCHEMA)
-    if unknown_sections:
-        raise StageError(f"unknown config sections: {sorted(unknown_sections)}")
-    for section, keys in _SCHEMA.items():
-        given = cfg.get(section, {})
-        if not isinstance(given, dict):
-            raise StageError(f"config section [{section}] must be a JSON "
-                             f"object, got {given!r}")
-        extra = set(given) - set(keys)
-        if extra:
-            raise StageError(f"unknown keys in [{section}]: {sorted(extra)}")
-        for key, value in given.items():
-            kind = keys[key][0]
-            # "list of <type>" types each element too
-            outer, _, element = kind.partition(" of ")
-            types = sum((_JSON_TYPES[k] for k in outer.split("|")), ())
-            if not _is_a(value, types) or (element and not all(
-                    _is_a(v, _JSON_TYPES[element]) for v in value)):
-                raise StageError(f"{section}.{key} must be "
-                                 f"{kind.replace('|', ' or ')}, got {value!r}")
-    missing = [f"{section}.{key}" for section, keys in _SCHEMA.items()
-               for key, (_, default) in keys.items()
-               if default is _REQUIRED and key not in cfg.get(section, {})]
-    if missing:
-        raise StageError(f"missing config keys: {', '.join(missing)}")
-    cfg = {section: dict(cfg.get(section, {})) for section in _SCHEMA}
-    for section, keys in _SCHEMA.items():
-        for key, (_, default) in keys.items():
-            if key not in cfg[section]:
-                cfg[section][key] = (default(cfg[section]) if callable(default)
-                                     else default)
+def validate_config(cfg: dict, source=None) -> dict:
+    """``cfg`` resolved by ``datastore.check_json``: every section of
+    ``_SCHEMA``, every missing key at its default.  Unknown keys and
+    violated invariants are rejected before any compute; a fault of a key
+    names ``source``, the config file, when given."""
+    try:
+        cfg = ds.check_json(cfg, _SCHEMA, source)
+    except ValueError as err:
+        raise StageError(str(err)) from None
     _from_config(pg.RandomWalkConfig, cfg, _WALK_FIELDS)
     p = cfg["paths"]
     if p["n_random"] < 1:
@@ -259,11 +221,6 @@ def _check_trial(cfg: dict) -> None:
         if min(t[key], default=1) < 1:
             raise StageError(f"trial.{key} layer widths must be >= 1")
     _from_config(nn.TrainConfig, cfg, {"learning_rate": "trial"})
-
-
-def _is_a(value, types) -> bool:
-    # JSON true/false load as bool, a subclass of int
-    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def _from_config(cls, cfg: dict, fields: dict):
@@ -360,13 +317,13 @@ def require_artifact(path: Path, producing_stage: str) -> Path:
 
 def _read_artifact(read, path, rewriter: str):
     """``read(path)``, with a malformed artifact reported as a
-    ``StageError`` that names it and ``rewriter``, the stage that rewrites
-    it."""
+    ``StageError``: the reader's ``ValueError``, which starts with the file
+    it names, and ``rewriter``, the stage that rewrites it."""
     try:
         return read(path)
     except ValueError as err:
-        raise StageError(f"cannot read {path} ({err}); re-run {rewriter} "
-                         "to rewrite it") from None
+        raise StageError(f"cannot read {err}; re-run {rewriter} to rewrite "
+                         "it") from None
 
 
 # ---------------------------------------------------------------------------
@@ -498,13 +455,11 @@ def _pack(cfg: dict, records, what: str = "the dataset") -> ds.PackedDataset:
 
 def _read_records(directory) -> list[ds.SequenceRecord]:
     try:
-        return _read_artifact(ds.read_dataset, directory, "`gen-data` (or the "
-                              "`dataset trim`/`dataset pack` that wrote it)")
+        return _read_artifact(ds.read_dataset, directory, "`gen-data`")
     except FileNotFoundError:
         raise StageError(
             f"no records under {Path(directory) / 'records'}; point at a "
-            "dataset directory written by `gen-data` (<root>/dataset) or by "
-            "`dataset trim`/`dataset pack`"
+            "dataset directory written by `gen-data` (<root>/dataset)"
         ) from None
 
 
@@ -778,44 +733,6 @@ def dataset_stats(directory) -> str:
     return "\n".join(lines)
 
 
-def _check_gamma_crit(gamma_crit) -> None:
-    if gamma_crit is not None and gamma_crit <= 0.0:
-        raise StageError(f"--gamma-crit must be positive, got {gamma_crit}")
-
-
-def dataset_trim(src, dst, gamma_crit: float) -> int:
-    _check_gamma_crit(gamma_crit)
-    records = _read_records(src)
-    kept = []
-    for rec in records:
-        trimmed = ds.pre_trim(rec, gamma_crit)
-        if trimmed.length > 0:
-            kept.append(trimmed)
-    ds.write_dataset(dst, kept, manifest={
-        "stage": "dataset-trim", "gamma_crit": gamma_crit,
-        "source_records": len(records), "kept_records": len(kept),
-    })
-    return len(kept)
-
-
-def dataset_pack(src, dst, lengths, gamma_crit: float | None) -> dict:
-    if min(lengths) < 1:
-        raise StageError(f"--lengths must be >= 1, got {lengths}")
-    _check_gamma_crit(gamma_crit)
-    records = _read_records(src)
-    try:
-        packed = ds.pack_records(records, lengths=lengths, gamma_crit=gamma_crit)
-    except ValueError as err:
-        raise StageError(f"cannot pack {src} with --lengths {lengths} and "
-                         f"--gamma-crit {gamma_crit}: {err}") from None
-    ds.write_dataset(dst, packed.all_records(), manifest={
-        "stage": "dataset-pack", "lengths": list(packed.lengths),
-        "group_sizes": {str(k): len(v) for k, v in packed.groups.items()},
-        "gamma_crit": gamma_crit,
-    })
-    return {k: len(v) for k, v in packed.groups.items()}
-
-
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -841,15 +758,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dsub = dp.add_subparsers(dest="dataset_command", required=True)
     st = dsub.add_parser("stats", help="print dataset statistics")
     st.add_argument("directory")
-    tr = dsub.add_parser("trim", help="pre-trim records at a critical value")
-    tr.add_argument("source")
-    tr.add_argument("dest")
-    tr.add_argument("--gamma-crit", type=float, required=True)
-    pk = dsub.add_parser("pack", help="pad/trim records into length groups")
-    pk.add_argument("source")
-    pk.add_argument("dest")
-    pk.add_argument("--lengths", type=int, nargs="+", required=True)
-    pk.add_argument("--gamma-crit", type=float, default=None)
     return parser
 
 
@@ -878,16 +786,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "dataset":
-            if args.dataset_command == "stats":
-                print(dataset_stats(args.directory))
-            elif args.dataset_command == "trim":
-                kept = dataset_trim(args.source, args.dest, args.gamma_crit)
-                print(f"kept {kept} records")
-            elif args.dataset_command == "pack":
-                sizes = dataset_pack(args.source, args.dest, args.lengths,
-                                     args.gamma_crit)
-                print("group sizes: " + ", ".join(
-                    f"{k}: {v}" for k, v in sorted(sizes.items())))
+            print(dataset_stats(args.directory))
             return 0
 
         cfg = load_config(args.config)

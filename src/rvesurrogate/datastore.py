@@ -11,6 +11,13 @@ Binary layout: path sets, records, PCA bases and RNN model files are each a
 7-byte magic, a ``<I`` version, then ``struct`` fields and C-ordered ``<f8``
 blocks, and nothing more.  :func:`write_binary` is its one writer and
 :class:`BinaryReader` its one reader, which names the file in every fault.
+
+JSON: :func:`write_json` writes every JSON artifact and :func:`read_json`
+reads the two JSON files the pipeline reads, the config and a bundle's
+``bundle.json``.  The reader of each states its layout as one typed table,
+``{key: (type, default)}``, and :func:`check_json` checks the file against
+it and fills in the defaults.  So an unknown, missing or mistyped key of
+either file is a ``ValueError`` that names the file and the dotted key.
 """
 
 from __future__ import annotations
@@ -332,7 +339,7 @@ def read_record(path) -> SequenceRecord:
     return SequenceRecord(*blocks, truncated=bool(flags & FLAG_TRUNCATED))
 
 
-def write_dataset(directory, records, manifest: dict | None = None) -> None:
+def write_dataset(directory, records) -> None:
     """Write ``records`` under ``directory/records``, replacing the records
     of any earlier write there."""
     directory = Path(directory)
@@ -340,8 +347,6 @@ def write_dataset(directory, records, manifest: dict | None = None) -> None:
     (directory / "records").mkdir(parents=True)
     for i, rec in enumerate(records):
         write_record(directory / "records" / f"record_{i:06d}.rveseq", rec)
-    if manifest is not None:
-        write_json(directory / "manifest.json", manifest)
 
 
 def read_dataset(directory) -> list[SequenceRecord]:
@@ -367,7 +372,8 @@ def write_pathset(path, paths) -> None:
 
 def read_pathset(path) -> list[pg.LoadingPath]:
     """Load the ``pathgen.LoadingPath``s that ``write_pathset`` stored, with
-    symmetric in-plane stretch blocks."""
+    symmetric in-plane stretch blocks; a malformed file, one holding a path
+    that is no ``LoadingPath`` too, raises a ``ValueError`` naming it."""
     reader = BinaryReader(path, PATHSET_MAGIC, FORMAT_VERSION)
     (count,) = reader.unpack("<I")
     paths = []
@@ -375,7 +381,10 @@ def read_pathset(path) -> list[pg.LoadingPath]:
         length, flags = reader.unpack("<IB")
         u = reader.floats(length, 3)[:, [0, 2, 2, 1]].reshape(length, 2, 2)
         kind = pg.KIND_CYCLIC if flags & FLAG_CYCLIC else pg.KIND_RANDOM_WALK
-        paths.append(pg.LoadingPath(u, kind))
+        try:
+            paths.append(pg.LoadingPath(u, kind))
+        except ValueError as err:
+            raise reader.error(str(err)) from None
     reader.finish()
     return paths
 
@@ -389,6 +398,76 @@ def write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def read_json(path) -> dict:
+def read_json(path):
+    """The JSON value in ``path``; text that is not JSON raises a
+    ``ValueError`` that names the file."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as err:
+            raise ValueError(f"{path}: not JSON ({err})") from None
+
+
+# marks a key of a JSON table without a default
+_REQUIRED = object()
+
+# the Python types of each JSON type name a table may use
+_TYPE_NAMES = {"int": (int,), "real": (int, float), "str": (str,),
+               "list": (list, tuple), "null": (type(None),)}
+
+
+def required(**types) -> dict:
+    """Table entries of keys without a default, each of its type."""
+    return {key: (kind, _REQUIRED) for key, kind in types.items()}
+
+
+def _is_json(value, names: str) -> bool:
+    """Whether ``value`` is of one of the ``|``-joined JSON type names."""
+    types = sum((_TYPE_NAMES[name] for name in names.split("|")), ())
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def check_json(value, kind, source=None, key: str = ""):
+    """``value`` checked against ``kind``, with defaults filled in.
+
+    ``kind`` is a table, ``{key: (type, default)}``, for a JSON object, or
+    the type of one entry: a nested table, or JSON type names (``"int"``,
+    ``"real"``, ``"str"``, ``"list"``, ``"null"``) joined by ``|``, with a
+    list's element type after `` of `` (``"real|null"``, ``"list of int"``).
+    ``true`` and ``false`` are not numbers.  A key that :func:`required`
+    made has no default; a callable default is called with the object's
+    values resolved so far, every given one among them.  An unknown,
+    missing or mistyped key raises a ``ValueError`` that names ``source``,
+    when given, and the key, dotted below ``key``.
+    """
+    def fault(message: str) -> ValueError:
+        return ValueError(f"{source}: {message}" if source else message)
+
+    if not isinstance(kind, dict):
+        outer, _, element = kind.partition(" of ")
+        if not _is_json(value, outer) or (element and not all(
+                _is_json(v, element) for v in value)):
+            raise fault(f"{key} must be {kind.replace('|', ' or ')}, "
+                        f"got {value!r}")
+        return value
+    if not isinstance(value, dict):
+        raise fault(f"{key or 'the top level'} must be a JSON object, "
+                    f"got {value!r}")
+
+    def dotted(name: str) -> str:
+        return f"{key}.{name}" if key else name
+
+    unknown = sorted(dotted(name) for name in value if name not in kind)
+    missing = [dotted(name) for name, (_, default) in kind.items()
+               if default is _REQUIRED and name not in value]
+    for names, what in ((unknown, "unknown"), (missing, "missing")):
+        if names:
+            raise fault(f"{what} keys: {', '.join(names)}")
+    out = {name: check_json(v, kind[name][0], source, dotted(name))
+           for name, v in value.items()}
+    for name, (sub, default) in kind.items():
+        if name not in out:
+            out[name] = check_json(default(out) if callable(default)
+                                   else default, sub, source, dotted(name))
+    return out

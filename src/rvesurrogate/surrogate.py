@@ -68,10 +68,17 @@ KINDS = (KIND_DIRECT, KIND_REDUCED, KIND_BROKEN_DOWN)
 
 BUNDLE_FILE = "bundle.json"
 PCA_FILE = "pca.bin"
-# the keys of every bundle file, as ``SurrogateBundle.save`` writes them
-_BUNDLE_KEYS = frozenset({"kind", "family", "arch", "q", "p", "seed", "h0",
-                          "group_map", "input_norm", "output_norm",
-                          "field_norm"})
+# a normalization entry of a bundle file, as ``NormalizationSpec.to_dict``
+# writes it
+_NORM_TABLE = ds.required(minimum="list of real", maximum="list of real",
+                          degenerate_features="list of int")
+# the keys of every bundle file and their JSON types, as
+# ``SurrogateBundle.save`` writes them
+_BUNDLE_TABLE = ds.required(
+    kind="str", family="str",
+    arch=ds.required(nnw_in="list of int", n_h="int", nnw_out="list of int"),
+    q="int", p="int|null", seed="int", h0="real", group_map="list of list",
+    input_norm=_NORM_TABLE, output_norm=_NORM_TABLE, field_norm=_NORM_TABLE)
 
 # queried histories whose final hidden states a bundle keeps; at least the
 # Gauss points one bundle serves in turn, so that each resumes its own
@@ -488,6 +495,11 @@ class SurrogateBundle:
     # -- serialization ------------------------------------------------------------
 
     def save(self, directory) -> None:
+        """Write the bundle to ``directory``; an untrained one raises a
+        ``ValueError``."""
+        if not self.fitted:
+            raise ValueError("surrogate has not been trained: a saved bundle "
+                             "holds its normalizations")
         directory = Path(directory)
         meta = {
             "kind": self.kind,
@@ -502,9 +514,9 @@ class SurrogateBundle:
             "seed": self.seed,
             "h0": self.h0,
             "group_map": [list(g) for g in self.group_map],
-            "input_norm": self.input_norm.to_dict() if self.fitted else None,
-            "output_norm": self.output_norm.to_dict() if self.fitted else None,
-            "field_norm": self.field_norm.to_dict() if self.fitted else None,
+            "input_norm": self.input_norm.to_dict(),
+            "output_norm": self.output_norm.to_dict(),
+            "field_norm": self.field_norm.to_dict(),
         }
         ds.write_json(directory / BUNDLE_FILE, meta)
         if self.pca is not None:
@@ -516,55 +528,43 @@ class SurrogateBundle:
     def load(cls, directory) -> "SurrogateBundle":
         """The bundle ``save`` wrote to ``directory``.
 
-        Its bundle file must hold exactly the keys ``save`` writes, and its
-        group map the one ``group_slices`` gives; otherwise, or when a
-        model file disagrees with the bundle, a ``ValueError`` naming the
-        file is raised.  Every group of a loaded bundle predicts; a bundle
-        file with a ``null`` normalization loads untrained.
+        ``_BUNDLE_TABLE`` checks every entry of its bundle file: the file
+        must hold exactly the keys ``save`` writes, nested ones included,
+        each of its JSON type.  Its group map must be the one
+        ``group_slices`` gives.  Any other fault, or a model file that
+        disagrees with the bundle, raises a ``ValueError`` naming the file.
+        A loaded bundle is trained, and every one of its groups predicts.
         """
         directory = Path(directory)
         meta_file = directory / BUNDLE_FILE
-        meta = ds.read_json(meta_file)
-        unexpected = sorted(meta.keys() - _BUNDLE_KEYS)
-        missing = sorted(_BUNDLE_KEYS - meta.keys())
-        if unexpected or missing:
-            raise ValueError(
-                f"{meta_file} is not a bundle file this version writes: "
-                f"unexpected keys {unexpected}, missing keys {missing}"
-            )
+        meta = ds.check_json(ds.read_json(meta_file), _BUNDLE_TABLE, meta_file)
         pca_file = directory / PCA_FILE
         pca_model = pcalib.load(pca_file) if pca_file.exists() else None
-
-        def entry(name: str, build):
-            try:
-                return build(meta[name])
-            except (KeyError, TypeError, ValueError) as err:
-                raise ValueError(f"{meta_file} holds a malformed {name!r} "
-                                 f"entry ({err!r})") from None
-
-        bundle = cls(
-            kind=meta["kind"],
-            family=meta["family"],
-            arch=entry("arch", lambda arch: Architecture(**arch)),
-            q=meta["q"],
-            pca=pca_model,
-            p=meta["p"],
-            seed=meta["seed"],
-            h0=meta["h0"],
-            _draw=False,
-        )
+        try:
+            bundle = cls(
+                kind=meta["kind"],
+                family=meta["family"],
+                arch=Architecture(**meta["arch"]),
+                q=meta["q"],
+                pca=pca_model,
+                p=meta["p"],
+                seed=meta["seed"],
+                h0=meta["h0"],
+                _draw=False,
+            )
+            bundle.input_norm, bundle.output_norm, bundle.field_norm = (
+                ds.NormalizationSpec.from_dict(meta[f"{name}_norm"])
+                for name in ("input", "output", "field"))
+        except ValueError as err:
+            raise ValueError(f"{meta_file}: {err}") from None
         if meta["group_map"] != [list(g) for g in bundle.group_map]:
             raise ValueError(
-                f"{meta_file} holds the group map {meta['group_map']}; its "
+                f"{meta_file}: group_map is {meta['group_map']}, but its "
                 f"{bundle.output_dim} outputs in {bundle.q} groups are "
                 f"{[list(g) for g in bundle.group_map]}"
             )
         for gi, model in enumerate(bundle.models):
             nn.load_model(directory / f"rnn_{gi:02d}.bin", model)
-        names = [f"{name}_norm" for name in ("input", "output", "field")]
-        if None not in (meta[name] for name in names):
-            bundle.input_norm, bundle.output_norm, bundle.field_norm = (
-                entry(name, ds.NormalizationSpec.from_dict) for name in names)
         return bundle
 
 

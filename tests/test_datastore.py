@@ -65,6 +65,31 @@ class TestNormalization:
         assert np.array_equal(loaded.maximum, spec.maximum)
 
 
+class TestCheckJson:
+    def test_faults_name_the_dotted_key_and_defaults_fill_in(self):
+        table = {
+            **ds.required(arch=ds.required(n_h="int", nnw_in="list of int")),
+            "walk": ({**ds.required(r_max="real"),
+                      "amplitude": ("real", lambda walk: walk["r_max"])}, {}),
+        }
+        arch = {"n_h": 4, "nnw_in": [3, 8]}
+        for value, message in [
+                ({"arch": {**arch, "n_h": "x"}},
+                 "b.json: arch.n_h must be int, got 'x'"),
+                # JSON true loads as a bool, which Python counts as an int
+                ({"arch": {**arch, "n_h": True}},
+                 "b.json: arch.n_h must be int, got True"),
+                ({"arch": {"n_h": 4}}, "b.json: missing keys: arch.nnw_in"),
+                ({"arch": arch, "walk": {"r_max": 0.3, "seed": 1}},
+                 "b.json: unknown keys: walk.seed")]:
+            with pytest.raises(ValueError) as err:
+                ds.check_json({"walk": {"r_max": 0.3}, **value}, table,
+                              "b.json")
+            assert str(err.value) == message
+        out = ds.check_json({"arch": arch, "walk": {"r_max": 0.3}}, table)
+        assert out == {"arch": arch, "walk": {"r_max": 0.3, "amplitude": 0.3}}
+
+
 class TestPreTrim:
     def test_within_bound_unchanged(self):
         rng = np.random.default_rng(2)
@@ -219,12 +244,11 @@ class TestFileFormats:
     def test_dataset_dir_round_trip(self, tmp_path):
         rng = np.random.default_rng(17)
         records = [make_record(rng, n_steps=n) for n in (5, 9, 7)]
-        ds.write_dataset(tmp_path / "data", records, manifest={"n": 3})
+        ds.write_dataset(tmp_path / "data", records)
         back = ds.read_dataset(tmp_path / "data")
         assert len(back) == 3
         for a, b in zip(records, back):
             assert a.inputs.tobytes() == b.inputs.tobytes()
-        assert ds.read_json(tmp_path / "data" / "manifest.json") == {"n": 3}
 
     def test_dataset_write_replaces_earlier_records(self, tmp_path):
         rng = np.random.default_rng(19)

@@ -502,10 +502,19 @@ class TestSerialization:
         assert np.array_equal(bundle.predict_fields(x).fields,
                               loaded.predict_fields(x).fields)
 
-    def test_load_rejects_a_model_file_that_disagrees_with_the_bundle(
-            self, tmp_path, gamma_pca):
+    def test_an_untrained_bundle_is_not_saved(self, tmp_path, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8).save(tmp_path)
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8)
+        with pytest.raises(ValueError, match="has not been trained"):
+            bundle.save(tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_load_rejects_a_model_file_that_disagrees_with_the_bundle(
+            self, tmp_path, synthetic_packed, gamma_pca):
+        arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8)
+        bundle.train(synthetic_packed, quick_config(n_batches=1))
+        bundle.save(tmp_path)
         nn.save_model(tmp_path / "rnn_01.bin",
                       nn.RnnModel.build((3, 8), 9, (4, 2)))
         with pytest.raises(ValueError,
@@ -514,25 +523,25 @@ class TestSerialization:
 
     @pytest.mark.parametrize("key, value, message", [
         # bundle files of versions that could leave groups untrained
-        ("trained_groups", [0, 1],
-         r"unexpected keys \['trained_groups'\], missing keys \[\]"),
-        ("coeff_means", [0.0] * 8,
-         r"unexpected keys \['coeff_means'\], missing keys \[\]"),
-        ("h0", None, r"unexpected keys \[\], missing keys \['h0'\]"),
-        ("group_map", [[0, 2], [2, 4], [4, 6], [6, 7]], "holds the group map"),
-        ("group_map", [[0, 4], [4, 8]], "holds the group map"),
+        ("trained_groups", [0, 1], r"unknown keys: trained_groups$"),
+        ("coeff_means", [0.0] * 8, r"unknown keys: coeff_means$"),
+        ("h0", None, r"missing keys: h0$"),
+        ("group_map", [[0, 2], [2, 4], [4, 6], [6, 7]], "group_map is"),
+        ("group_map", [[0, 4], [4, 8]], "group_map is"),
     ])
     def test_load_rejects_a_group_layout_training_cannot_write(
-            self, tmp_path, gamma_pca, key, value, message):
+            self, tmp_path, synthetic_packed, gamma_pca, key, value, message):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8).save(tmp_path)
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8)
+        bundle.train(synthetic_packed, quick_config(n_batches=1))
+        bundle.save(tmp_path)
         meta = ds.read_json(tmp_path / sg.BUNDLE_FILE)
         if value is None:
             del meta[key]
         else:
             meta[key] = value
         ds.write_json(tmp_path / sg.BUNDLE_FILE, meta)
-        with pytest.raises(ValueError, match=r"bundle\.json .*" + message):
+        with pytest.raises(ValueError, match=r"bundle\.json: " + message):
             sg.SurrogateBundle.load(tmp_path)
 
 
