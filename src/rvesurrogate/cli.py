@@ -5,13 +5,14 @@ Stages (``gen-paths``, ``gen-data``, ``pca-fit``, ``train``, ``trial``,
 write their artifacts under the output root (env var ``RVESURROGATE_ROOT``,
 default ``./pipeline_out``).  The config is resolved before a stage runs:
 ``datastore.check_json`` checks it against one typed table, ``_SCHEMA``,
-and gives each key it leaves out its default there.  Every stage writes a
-manifest carrying the resolved config (the values in effect, seeds
-included) and SHA-256 hashes of its inputs and outputs, so a finished
-pipeline is replayable and diffable; re-running a stage with identical
-config and inputs reproduces its artifacts byte-for-byte.  A stage
-replaces its previous outputs: after reading its inputs it empties its
-directory.  A stage exits 0 only after its postcondition checks pass.
+and gives each key it leaves out its default there.  A stage reads each of
+its inputs once, through ``_Inputs.read``.  Its manifest carries the
+resolved config (the values in effect, seeds included), SHA-256 hashes of
+its outputs and, as ``inputs``, the hashes of exactly what it read, so a
+finished pipeline is replayable and diffable; re-running a stage with
+identical config and inputs reproduces its artifacts byte-for-byte.  A
+stage replaces its previous outputs: after reading its inputs it empties
+its directory.  A stage exits 0 only after its postcondition checks pass.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import os
 import re
 import shutil
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -162,9 +163,8 @@ def validate_config(cfg: dict, source=None) -> dict:
                          f"{lengths}")
     if d["gamma_crit"] <= 0.0:
         raise StageError("dataset.gamma_crit must be positive")
-    families = (ds.FAMILY_GAMMA, ds.FAMILY_TAU)
-    if cfg["pca"]["family"] not in families:
-        raise StageError(f"pca.family must be one of {families}")
+    if cfg["pca"]["family"] not in ds.FAMILIES:
+        raise StageError(f"pca.family must be one of {ds.FAMILIES}")
     if not 0.0 < cfg["pca"]["subsample_fraction"] <= 1.0:
         raise StageError("pca.subsample_fraction must lie in (0, 1]")
     _check_pca(cfg)
@@ -275,22 +275,22 @@ def hash_tree(directory) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def write_manifest(stage_dir: Path, stage: str, cfg: dict, inputs: dict,
+def write_manifest(stage_dir: Path, stage: str, cfg: dict, inputs,
                    notes: dict | None = None) -> None:
     """``stage_dir/manifest.json``: the resolved ``cfg`` the stage ran with,
-    every default filled in, and the hashes of ``inputs`` and outputs."""
-    outputs = {
-        f.name: hash_tree(f) if f.is_dir() else sha256_file(f)
-        for f in sorted(stage_dir.glob("*"))
-        if f.name != "manifest.json"
-    }
+    every default filled in, and the hashes of ``inputs``, the artifacts
+    it read named below the root, and of its outputs."""
+    def digest(path: Path) -> str:
+        return hash_tree(path) if path.is_dir() else sha256_file(path)
+
     manifest = {
         "stage": stage,
         "version": __version__,
         "rng": pg.RNG_ALGORITHM,
         "config": cfg,
-        "inputs": inputs,
-        "outputs": outputs,
+        "inputs": {name: digest(stage_dir.parent / name) for name in inputs},
+        "outputs": {f.name: digest(f) for f in sorted(stage_dir.glob("*"))
+                    if f.name != "manifest.json"},
     }
     if notes:
         manifest["notes"] = notes
@@ -306,24 +306,43 @@ def _fresh_stage_dir(root: Path, name: str) -> Path:
     return stage_dir
 
 
-def require_artifact(path: Path, producing_stage: str) -> Path:
-    if not path.exists():
-        raise StageError(
-            f"missing upstream artifact {path}; run the `{producing_stage}` "
-            "stage first"
-        )
-    return path
+@dataclass
+class _Inputs:
+    """The artifacts one stage reads below ``root``: ``names``, each read
+    once, are its manifest's ``inputs``."""
+
+    root: Path
+    names: list = field(default_factory=list)
+
+    def read(self, name: str, reader, producer: str):
+        """``reader(root / name)``.  A missing artifact, or a file of it
+        that ``reader`` misses, is a ``StageError`` that asks to run
+        ``producer``; a malformed one, whose file the reader's
+        ``ValueError`` names, is one that asks to re-run it."""
+        path = self.root / name
+        try:
+            if not path.exists():
+                raise FileNotFoundError
+            value = reader(path)
+        except FileNotFoundError as err:
+            missing = Path(err.filename or path)
+            raise StageError(f"no {missing.name} under {missing.parent}; "
+                             f"run the `{producer}` stage first") from None
+        except ValueError as err:
+            raise StageError(f"cannot read {err}; re-run `{producer}` to "
+                             "rewrite it") from None
+        self.names.append(name)
+        return value
 
 
-def _read_artifact(read, path, rewriter: str):
-    """``read(path)``, with a malformed artifact reported as a
-    ``StageError``: the reader's ``ValueError``, which starts with the file
-    it names, and ``rewriter``, the stage that rewrites it."""
-    try:
-        return read(path)
-    except ValueError as err:
-        raise StageError(f"cannot read {err}; re-run {rewriter} to rewrite "
-                         "it") from None
+def _records(path: Path) -> list[ds.SequenceRecord]:
+    """The records of ``path``, the ``records`` directory of a dataset."""
+    return ds.read_dataset(path.parent)
+
+
+def _pca_basis(cfg: dict) -> str:
+    """Where ``pca-fit`` writes the basis of ``pca.family``, below the root."""
+    return f"pca/pca_{cfg['pca']['family']}.bin"
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +367,7 @@ def stage_gen_paths(cfg: dict, root: Path) -> None:
     stage_dir = _fresh_stage_dir(root, "paths")
     ds.write_pathset(stage_dir / "paths.bin", paths)
     write_manifest(
-        stage_dir, "gen-paths", cfg, inputs={},
+        stage_dir, "gen-paths", cfg, inputs=(),
         notes={
             "termination": "random walks stop once any stretch eigenvalue "
                            "deviates from 1 by more than r_max (deviation "
@@ -396,8 +415,8 @@ def _run_paths(indices) -> tuple[list[ds.SequenceRecord], int, int]:
 
 
 def stage_gen_data(cfg: dict, root: Path, jobs: int = 1) -> None:
-    paths_file = require_artifact(root / "paths" / "paths.bin", "gen-paths")
-    paths = _read_artifact(ds.read_pathset, paths_file, "`gen-paths`")
+    inputs = _Inputs(root)
+    paths = inputs.read("paths/paths.bin", ds.read_pathset, "gen-paths")
     e = cfg["ensemble"]
     ensemble = mm.build_ensemble(
         d_gamma=e["d_gamma"], n_fiber=e["n_fiber"],
@@ -418,8 +437,7 @@ def stage_gen_data(cfg: dict, root: Path, jobs: int = 1) -> None:
     stage_dir = _fresh_stage_dir(root, "dataset")
     ds.write_dataset(stage_dir, records)
     write_manifest(
-        stage_dir, "gen-data", cfg,
-        inputs={"paths/paths.bin": sha256_file(paths_file)},
+        stage_dir, "gen-data", cfg, inputs.names,
         notes={
             "materials": {
                 "fiber_gpa": [ensemble.fiber.k, ensemble.fiber.mu],
@@ -453,21 +471,6 @@ def _pack(cfg: dict, records, what: str = "the dataset") -> ds.PackedDataset:
         ) from None
 
 
-def _read_records(directory) -> list[ds.SequenceRecord]:
-    try:
-        return _read_artifact(ds.read_dataset, directory, "`gen-data`")
-    except FileNotFoundError:
-        raise StageError(
-            f"no records under {Path(directory) / 'records'}; point at a "
-            "dataset directory written by `gen-data` (<root>/dataset)"
-        ) from None
-
-
-def _load_packed(cfg: dict, root: Path) -> ds.PackedDataset:
-    require_artifact(root / "dataset" / "records", "gen-data")
-    return _pack(cfg, _read_records(root / "dataset"))
-
-
 # ---------------------------------------------------------------------------
 # stage: pca-fit
 
@@ -477,7 +480,8 @@ def stage_pca_fit(cfg: dict, root: Path) -> None:
     if p["p"] is None and p["delta"] is None:
         raise StageError("pca-fit needs pca.p (the retained dimension) or "
                          "pca.delta (the residual eigenvalue fraction)")
-    packed = _load_packed(cfg, root)
+    inputs = _Inputs(root)
+    packed = _pack(cfg, inputs.read("dataset/records", _records, "gen-data"))
     family = p["family"]
     snaps = np.concatenate(
         [r.outputs(family) for r in packed.all_records()], axis=0
@@ -493,11 +497,13 @@ def stage_pca_fit(cfg: dict, root: Path) -> None:
             "paths.max_steps)"
         )
     stage_dir = _fresh_stage_dir(root, "pca")
-    pcalib.save(stage_dir / f"pca_{family}.bin", model)
-    pcalib.residual_curve_csv(stage_dir / f"residual_{family}.csv", model)
+    pcalib.save(root / _pca_basis(cfg), model)
+    ds.write_csv(stage_dir / f"residual_{family}.csv",
+                 ["p", "residual_fraction"],
+                 [(k, pcalib.residual_fraction(model, k))
+                  for k in range(model.d + 1)], digits=16)
     write_manifest(
-        stage_dir, "pca-fit", cfg,
-        inputs={"dataset/records": hash_tree(root / "dataset" / "records")},
+        stage_dir, "pca-fit", cfg, inputs.names,
         notes={"snapshots_used": int(snaps.shape[0]),
                "retained_p": model.retained_p},
     )
@@ -510,23 +516,21 @@ def stage_pca_fit(cfg: dict, root: Path) -> None:
 # stage: train
 
 
-def _train_setup(cfg: dict, root: Path):
-    packed = _load_packed(cfg, root)
+def stage_train(cfg: dict, root: Path) -> None:
+    inputs = _Inputs(root)
+    packed = _pack(cfg, inputs.read("dataset/records", _records, "gen-data"))
     t = cfg["train"]
-    family = cfg["pca"]["family"]
     kind = t["kind"]
-    pca_model = None
-    p_retained = None
+    pca_model = p_retained = None
     if kind != sg.KIND_DIRECT:
-        pca_file = require_artifact(root / "pca" / f"pca_{family}.bin", "pca-fit")
-        pca_model = _read_artifact(pcalib.load, pca_file, "`pca-fit`")
+        pca_model = inputs.read(_pca_basis(cfg), pcalib.load, "pca-fit")
         # pca.p may be given as null next to pca.delta
         p_retained = cfg["pca"]["p"] or pca_model.retained_p
         if p_retained > pca_model.retained_p:
             raise StageError(
                 f"pca.p = {p_retained} exceeds the {pca_model.retained_p} "
-                f"components stored in {pca_file}; re-run `pca-fit` after "
-                "changing pca.p"
+                f"components stored in {root / _pca_basis(cfg)}; re-run "
+                "`pca-fit` after changing pca.p"
             )
         if t["nnw_out"][-1] * t["q"] != p_retained:
             raise StageError(
@@ -535,35 +539,25 @@ def _train_setup(cfg: dict, root: Path):
                 "pca.p / pca.delta; choose pca.p divisible by train.q and "
                 "set train.nnw_out[-1] = pca.p / train.q"
             )
-    arch = _from_config(sg.Architecture, cfg, _ARCH_FIELDS)
     bundle = sg.SurrogateBundle(
-        kind, arch, q=t["q"], pca=pca_model, p=p_retained, family=family,
+        kind, _from_config(sg.Architecture, cfg, _ARCH_FIELDS), q=t["q"],
+        pca=pca_model, p=p_retained, family=cfg["pca"]["family"],
         seed=t["seed"],
     )
-    return packed, bundle, _from_config(nn.TrainConfig, cfg, _TRAIN_FIELDS)
-
-
-def stage_train(cfg: dict, root: Path) -> None:
-    packed, bundle, train_cfg = _train_setup(cfg, root)
-    history = bundle.train(packed, train_cfg)
+    history = bundle.train(packed,
+                           _from_config(nn.TrainConfig, cfg, _TRAIN_FIELDS))
     stage_dir = _fresh_stage_dir(root, "bundle")
     # a diverged bundle keeps only its loss history and manifest, so that
     # eval cannot score it
     if not history.aborted:
         bundle.save(stage_dir)
-    with open(stage_dir / "loss_history.csv", "w") as fh:
-        headers = ",".join(f"loss_group_{gi:02d}" for gi in range(bundle.q))
-        fh.write(f"batch,length,{headers}\n")
-        for b in range(history.n_batches_run):
-            row = ",".join(f"{v:.10e}" for v in history.losses[b])
-            fh.write(f"{b},{history.batch_lengths[b]},{row}\n")
-    inputs = {"dataset/records": hash_tree(root / "dataset" / "records")}
-    family = cfg["pca"]["family"]
-    pca_file = root / "pca" / f"pca_{family}.bin"
-    if bundle.reduced:
-        inputs[f"pca/pca_{family}.bin"] = sha256_file(pca_file)
+    ds.write_csv(stage_dir / "loss_history.csv",
+                 ["batch", "length",
+                  *(f"loss_group_{gi:02d}" for gi in range(bundle.q))],
+                 ([b, length, *losses] for b, (length, losses) in
+                  enumerate(zip(history.batch_lengths, history.losses))))
     write_manifest(
-        stage_dir, "train", cfg, inputs=inputs,
+        stage_dir, "train", cfg, inputs.names,
         notes={"surrogate": bundle.describe(),
                "final_loss": history.final_loss(),
                "aborted": history.aborted,
@@ -611,11 +605,9 @@ def _split_paths(n: int, seed: int) -> tuple[list[int], list[int]]:
 
 
 def stage_trial(cfg: dict, root: Path) -> None:
-    require_artifact(root / "dataset" / "records", "gen-data")
-    records = _read_records(root / "dataset")
-    family = cfg["pca"]["family"]
-    pca_file = require_artifact(root / "pca" / f"pca_{family}.bin", "pca-fit")
-    pca_model = _read_artifact(pcalib.load, pca_file, "`pca-fit`")
+    inputs = _Inputs(root)
+    records = inputs.read("dataset/records", _records, "gen-data")
+    pca_model = inputs.read(_pca_basis(cfg), pcalib.load, "pca-fit")
     t = cfg["trial"]
     if t["target_p"] is not None and t["target_p"] > pca_model.retained_p:
         raise StageError(
@@ -629,14 +621,10 @@ def stage_trial(cfg: dict, root: Path) -> None:
                     "the trial's validation side")
     # the config keys are hidden_size_trial's parameters
     report = sg.hidden_size_trial(train_set, val_set, pca_model,
-                                  family=family, **t)
+                                  family=cfg["pca"]["family"], **t)
     stage_dir = _fresh_stage_dir(root, "trial")
     ds.write_json(stage_dir / "trial_report.json", report)
-    write_manifest(
-        stage_dir, "trial", cfg,
-        inputs={f"pca/pca_{family}.bin": sha256_file(pca_file),
-                "dataset/records": hash_tree(root / "dataset" / "records")},
-    )
+    write_manifest(stage_dir, "trial", cfg, inputs.names)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +632,8 @@ def stage_trial(cfg: dict, root: Path) -> None:
 
 
 def stage_eval(cfg: dict, root: Path) -> None:
-    packed = _load_packed(cfg, root)
+    inputs = _Inputs(root)
+    packed = _pack(cfg, inputs.read("dataset/records", _records, "gen-data"))
     e = cfg["eval"]
     records = list(packed.all_records())
     for seq_idx in e["snapshot_sequences"]:
@@ -662,25 +651,34 @@ def stage_eval(cfg: dict, root: Path) -> None:
                     f"range 0..{length - 1} of packed sequence {seq_idx}, "
                     f"which has {length} steps"
                 )
-    bundle_dir = require_artifact(root / "bundle" / sg.BUNDLE_FILE, "train").parent
-    bundle = _read_artifact(sg.SurrogateBundle.load, bundle_dir, "`train`")
-    try:
-        report = bundle.evaluate(packed)
-    except ValueError as err:
-        raise StageError(f"cannot evaluate {bundle_dir / sg.BUNDLE_FILE} "
-                         f"({err}); re-run `train`") from None
 
+    def load(bundle_dir: Path) -> sg.SurrogateBundle:
+        """The bundle in ``bundle_dir``, if it reads the records' widths."""
+        bundle = sg.SurrogateBundle.load(bundle_dir)
+        for entry, width, found in (
+                ("arch.nnw_in[0]", bundle.arch.nnw_in[0],
+                 {r.inputs.shape[1] for r in records}),
+                (f"family {bundle.family!r}", bundle.field_dim,
+                 {r.outputs(bundle.family).shape[1] for r in records})):
+            if found != {width}:
+                raise ValueError(
+                    f"{bundle_dir / sg.BUNDLE_FILE}: {entry} reads {width} "
+                    "values per step, but the records under "
+                    f"{root / 'dataset' / 'records'} hold "
+                    f"{', '.join(map(str, sorted(found)))}")
+        return bundle
+
+    bundle = inputs.read("bundle", load, "train")
+    report = bundle.evaluate(packed)
     stage_dir = _fresh_stage_dir(root, "eval")
-    with open(stage_dir / "report.csv", "w") as fh:
-        fh.write("sequence,length,mse\n")
-        for i, (length, mse) in enumerate(zip(report.lengths,
-                                              report.per_sequence_mse)):
-            fh.write(f"{i},{length},{mse:.10e}\n")
-    with open(stage_dir / "max_traces.csv", "w") as fh:
-        fh.write("sequence,step,max_pred,max_true\n")
-        for i, (mp, mt) in enumerate(zip(report.max_pred, report.max_true)):
-            for t, (a, b) in enumerate(zip(mp, mt)):
-                fh.write(f"{i},{t},{a:.10e},{b:.10e}\n")
+    ds.write_csv(stage_dir / "report.csv", ["sequence", "length", "mse"],
+                 zip(range(len(report.lengths)), report.lengths,
+                     report.per_sequence_mse))
+    ds.write_csv(stage_dir / "max_traces.csv",
+                 ["sequence", "step", "max_pred", "max_true"],
+                 ((i, t, a, b) for i, (mp, mt) in
+                  enumerate(zip(report.max_pred, report.max_true))
+                  for t, (a, b) in enumerate(zip(mp, mt))))
 
     # a sequence is replayed only when it has steps to write
     for seq_idx in e["snapshot_sequences"] if e["snapshot_steps"] else ():
@@ -691,10 +689,8 @@ def stage_eval(cfg: dict, root: Path) -> None:
             stem = stage_dir / f"snapshot_seq{seq_idx:03d}_step{step:04d}"
             for tag, fld in (("pred", pred.clamped()[step]),
                              ("true", truth[step])):
-                with open(f"{stem}_{tag}.csv", "w") as fh:
-                    fh.write("point_index,value\n")
-                    for j, v in enumerate(fld):
-                        fh.write(f"{j},{v:.10e}\n")
+                ds.write_csv(f"{stem}_{tag}.csv", ["point_index", "value"],
+                             enumerate(fld))
 
     summary = {
         "mse_full_dim": report.mse_full_dim,
@@ -703,11 +699,7 @@ def stage_eval(cfg: dict, root: Path) -> None:
         "surrogate": bundle.describe(),
     }
     ds.write_json(stage_dir / "summary.json", summary)
-    write_manifest(
-        stage_dir, "eval", cfg,
-        inputs={"bundle": hash_tree(bundle_dir),
-                "dataset/records": hash_tree(root / "dataset" / "records")},
-    )
+    write_manifest(stage_dir, "eval", cfg, inputs.names)
     if not np.isfinite(report.mse_full_dim):
         raise StageError("eval postcondition failed: non-finite error")
 
@@ -717,7 +709,7 @@ def stage_eval(cfg: dict, root: Path) -> None:
 
 
 def dataset_stats(directory) -> str:
-    records = _read_records(directory)
+    records = _Inputs(Path(directory)).read("records", _records, "gen-data")
     lengths = np.array([r.length for r in records])
     gmax = max(float(r.outputs_gamma.max()) for r in records)
     tmax = max(float(r.outputs_tau.max()) for r in records)
@@ -761,25 +753,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_STAGES = {"gen-paths": stage_gen_paths, "gen-data": stage_gen_data,
+           "pca-fit": stage_pca_fit, "train": stage_train,
+           "trial": stage_trial, "eval": stage_eval}
+
+
 def run_stage(stage: str, cfg: dict, root: Path, jobs: int = 1) -> None:
     """Run ``stage`` on ``cfg`` resolved by ``validate_config``."""
     if jobs < 1:
         raise StageError(f"--jobs must be >= 1, got {jobs}")
     cfg = validate_config(cfg)
-    if stage == "gen-paths":
-        stage_gen_paths(cfg, root)
-    elif stage == "gen-data":
-        stage_gen_data(cfg, root, jobs=jobs)
-    elif stage == "pca-fit":
-        stage_pca_fit(cfg, root)
-    elif stage == "train":
-        stage_train(cfg, root)
-    elif stage == "trial":
-        stage_trial(cfg, root)
-    elif stage == "eval":
-        stage_eval(cfg, root)
-    else:
+    if stage not in _STAGES:
         raise StageError(f"unknown stage {stage!r}")
+    # only gen-data runs worker processes
+    _STAGES[stage](cfg, root, **({"jobs": jobs} if stage == "gen-data" else {}))
 
 
 def main(argv=None) -> int:

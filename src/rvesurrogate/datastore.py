@@ -18,6 +18,8 @@ reads the two JSON files the pipeline reads, the config and a bundle's
 ``{key: (type, default)}``, and :func:`check_json` checks the file against
 it and fills in the defaults.  So an unknown, missing or mistyped key of
 either file is a ``ValueError`` that names the file and the dotted key.
+
+CSV: :func:`write_csv` writes every CSV artifact; the pipeline reads none.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ FLAG_CYCLIC = 0x02
 
 FAMILY_GAMMA = "gamma"
 FAMILY_TAU = "tau"
+FAMILIES = (FAMILY_GAMMA, FAMILY_TAU)
 
 
 @dataclass
@@ -396,6 +399,16 @@ def write_json(path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_csv(path, header, rows, digits: int = 10) -> None:
+    """The ``header`` line, then one line per row of ``rows``: an integer as
+    it is, a real in ``.{digits}e`` notation."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) if isinstance(v, (int, np.integer))
+                              else f"{v:.{digits}e}" for v in row) + "\n")
 
 
 def read_json(path):

@@ -13,7 +13,6 @@ components in ``datastore``'s one binary layout (see its module notes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -165,12 +164,3 @@ def load(path) -> PcaModel:
     reader.finish()
     return model
 
-
-def residual_curve_csv(path, model: PcaModel) -> None:
-    """CSV of residual fractional eigenvalue versus retained dimension."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write("p,residual_fraction\n")
-        for p in range(model.d + 1):
-            fh.write(f"{p},{residual_fraction(model, p):.16e}\n")

@@ -144,18 +144,14 @@ class FieldPrediction:
 
 @dataclass
 class TrainingHistory:
-    losses: np.ndarray          # (n_batches_run, Q), output-space MSE
-    batch_lengths: np.ndarray   # (n_batches_run,), sequence length per batch
+    losses: np.ndarray          # (batches run, Q), output-space MSE
+    batch_lengths: np.ndarray   # (batches run,), sequence length per batch
     # per group: steps whose gradient norm exceeded the clip norm, and the
     # largest norm before clipping
     clipped_steps: np.ndarray
     max_grad_norm: np.ndarray
     # (group, batch) of each group stopped by a non-finite loss, in group order
     aborted: list = field(default_factory=list)
-
-    @property
-    def n_batches_run(self) -> int:
-        return self.losses.shape[0]
 
     def final_loss(self) -> float | None:
         """Mean loss over the groups on the last batch run; ``None`` when no
@@ -185,6 +181,8 @@ class SurrogateBundle:
         # _draw=False leaves the RNN parameters zero for ``load`` to fill
         if kind not in KINDS:
             raise ValueError(f"unknown surrogate kind {kind!r}")
+        if family not in ds.FAMILIES:
+            raise ValueError(f"unknown state-variable family {family!r}")
         if kind == KIND_DIRECT:
             if pca is not None or p is not None:
                 raise ValueError("kind I takes no PCA reduction")
@@ -531,15 +529,16 @@ class SurrogateBundle:
         ``_BUNDLE_TABLE`` checks every entry of its bundle file: the file
         must hold exactly the keys ``save`` writes, nested ones included,
         each of its JSON type.  Its group map must be the one
-        ``group_slices`` gives.  Any other fault, or a model file that
-        disagrees with the bundle, raises a ``ValueError`` naming the file.
+        ``group_slices`` gives, and each normalization as wide as what it
+        maps.  Any other fault, or a model or PCA file that disagrees with
+        the bundle or is missing, raises a ``ValueError`` naming the file.
         A loaded bundle is trained, and every one of its groups predicts.
         """
         directory = Path(directory)
         meta_file = directory / BUNDLE_FILE
         meta = ds.check_json(ds.read_json(meta_file), _BUNDLE_TABLE, meta_file)
-        pca_file = directory / PCA_FILE
-        pca_model = pcalib.load(pca_file) if pca_file.exists() else None
+        pca_model = (None if meta["kind"] == KIND_DIRECT
+                     else pcalib.load(directory / PCA_FILE))
         try:
             bundle = cls(
                 kind=meta["kind"],
@@ -552,9 +551,15 @@ class SurrogateBundle:
                 h0=meta["h0"],
                 _draw=False,
             )
-            bundle.input_norm, bundle.output_norm, bundle.field_norm = (
-                ds.NormalizationSpec.from_dict(meta[f"{name}_norm"])
-                for name in ("input", "output", "field"))
+            for name, width in (("input", bundle.arch.nnw_in[0]),
+                                ("output", bundle.output_dim),
+                                ("field", bundle.field_dim)):
+                norm = ds.NormalizationSpec.from_dict(meta[f"{name}_norm"])
+                if norm.minimum.size != width:
+                    raise ValueError(
+                        f"{name}_norm has {norm.minimum.size} features, but "
+                        f"the bundle's {name} has {width}")
+                setattr(bundle, f"{name}_norm", norm)
         except ValueError as err:
             raise ValueError(f"{meta_file}: {err}") from None
         if meta["group_map"] != [list(g) for g in bundle.group_map]:

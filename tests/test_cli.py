@@ -92,6 +92,20 @@ class TestTrainHeadCoversPca:
         assert "pca.p = 4" in err and "re-run `pca-fit`" in err
 
 
+class TestPcaFitOutputs:
+    def test_residual_curve_csv(self, dataset_root):
+        cfg = tiny_config({"p": 3}, 1, (4, 3))
+        cli.run_stage("pca-fit", cfg, dataset_root)
+        model = pcalib.load(dataset_root / "pca" / "pca_gamma.bin")
+        f = dataset_root / "pca" / "residual_gamma.csv"
+        lines = f.read_text().strip().splitlines()
+        assert lines[0] == "p,residual_fraction"
+        assert len(lines) == model.d + 2 == 10  # d_gamma = 8
+        values = [float(l.split(",")[1]) for l in lines[1:]]
+        assert values[0] == pytest.approx(1.0)
+        assert values[-1] == pytest.approx(0.0, abs=1e-12)
+
+
 class TestTrainOutputs:
     @pytest.mark.parametrize("q", [1, 2])
     def test_loss_history_rows_match_its_header(self, dataset_root, q):
@@ -331,6 +345,7 @@ class TestActionableErrors:
         ("bundle/rnn_00.bin", "truncate", "eval", "`train`"),
         ("bundle/rnn_00.bin", "append", "eval", "`train`"),
         ("bundle/rnn_01.bin", "delete", "eval", "`train`"),
+        ("bundle/pca.bin", "delete", "eval", "`train`"),
     ])
     def test_malformed_artifact(self, dataset_root, tmp_path, monkeypatch,
                                 capsys, artifact, corrupt, command, rewriter):
@@ -471,6 +486,15 @@ class TestStagesReplaceTheirOutputs:
         ("seed", [1], "seed must be int, got [1]"),
         ("h0", "x", "h0 must be real, got 'x'"),
         ("kind", "IV", "unknown surrogate kind 'IV'"),
+        ("family", "foo", "unknown state-variable family 'foo'"),
+        # entries that disagree with the bundle or with the records
+        ("input_norm", {"minimum": [0.0, 0.0], "maximum": [1.0, 1.0],
+                        "degenerate_features": []},
+         "input_norm has 2 features, but the bundle's input has 3"),
+        # the bundle was fitted on the 8 gamma values of each step; the
+        # records hold 10 tau values
+        ("family", "tau", "family 'tau' reads 8 values per step, but the "
+                          "records under"),
         # a bundle file's whole text
         (None, "[1, 2]", "the top level must be a JSON object, got [1, 2]"),
         (None, "{", "not JSON (Expecting property name"),
@@ -493,6 +517,23 @@ class TestStagesReplaceTheirOutputs:
         assert err.startswith(f"error: cannot read {meta_file}: {named}")
         assert err.count("bundle.json") == 1
         assert "re-run `train`" in err
+
+
+    def test_eval_of_a_dataset_regenerated_at_another_width(
+            self, tmp_path, monkeypatch, capsys):
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        root = tmp_path / "root"
+        for stage in ("gen-paths", "gen-data", "pca-fit", "train"):
+            cli.run_stage(stage, cfg, root)
+        cfg["ensemble"]["d_gamma"] = 6
+        cli.run_stage("gen-data", cfg, root)
+        assert run_main("eval", root, cfg, tmp_path, monkeypatch) == 1
+        meta_file = root / "bundle" / sg.BUNDLE_FILE
+        records = root / "dataset" / "records"
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read {meta_file}: family 'gamma' reads 8 values "
+            f"per step, but the records under {records} hold 6; re-run `train`")
+        assert not (root / "eval").exists()
 
 
 class TestTrialStage:
@@ -717,6 +758,36 @@ class TestGenDataDeterminism:
         counts = [n["renormalized_steps"] for n in notes]
         assert counts[0] >= 2
         assert counts[0] == counts[1] == counts[2]
+
+
+class TestManifestInputs:
+    @pytest.mark.parametrize("kind", ["I", "III"])
+    def test_each_manifest_lists_what_its_stage_read(self, tmp_path, kind):
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        if kind == "I":
+            cfg["train"].update(kind="I", nnw_out=[4, 8])  # d_gamma = 8
+        cfg["trial"] = {"epoch_budget": 1, "max_trials": 1, "nnw_in": [3, 4],
+                        "nnw_out": [4]}
+        for stage in cli.STAGE_ORDER + ("trial",):
+            cli.run_stage(stage, cfg, tmp_path)
+        read = {
+            "paths": [],
+            "dataset": ["paths/paths.bin"],
+            "pca": ["dataset/records"],
+            # only a reduced bundle reads the PCA basis
+            "bundle": ["dataset/records"]
+                      + (["pca/pca_gamma.bin"] if kind == "III" else []),
+            "trial": ["dataset/records", "pca/pca_gamma.bin"],
+            "eval": ["bundle", "dataset/records"],
+        }
+        for stage_dir, names in read.items():
+            inputs = json.loads(
+                (tmp_path / stage_dir / "manifest.json").read_text())["inputs"]
+            assert sorted(inputs) == names, stage_dir
+            for name in names:
+                path = tmp_path / name
+                assert inputs[name] == (cli.hash_tree(path) if path.is_dir()
+                                        else cli.sha256_file(path)), name
 
 
 class TestResolvedConfig:

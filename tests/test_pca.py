@@ -217,15 +217,3 @@ class TestIO:
         assert back.mean.tobytes() == model.mean.tobytes()
         assert back.eigenvalues.tobytes() == model.eigenvalues.tobytes()
         assert back.components.tobytes() == model.components.tobytes()
-
-    def test_residual_curve_csv(self, tmp_path):
-        rng = np.random.default_rng(19)
-        model = pca.fit(random_snapshots(rng, d=6), p=3)
-        f = tmp_path / "residual.csv"
-        pca.residual_curve_csv(f, model)
-        lines = f.read_text().strip().splitlines()
-        assert lines[0] == "p,residual_fraction"
-        assert len(lines) == 8
-        values = [float(l.split(",")[1]) for l in lines[1:]]
-        assert values[0] == pytest.approx(1.0)
-        assert values[-1] == pytest.approx(0.0, abs=1e-12)

@@ -130,7 +130,7 @@ class TestTraining:
         cfg = quick_config(n_batches=50, learning_rate=1e200, n_epoch=2)
         hist = bundle.train(synthetic_packed, cfg)
         assert hist.aborted
-        assert hist.n_batches_run < 50
+        assert len(hist.losses) < 50
         out = bundle.predict_fields(np.zeros((5, 3))).fields
         assert np.all(np.isfinite(out))
 
@@ -164,7 +164,7 @@ class TestTraining:
         bundle = build()
         hist = bundle.train(synthetic_packed, quick_config(n_batches=10, n_epoch=2))
         assert hist.aborted == [(1, 6)]
-        assert hist.n_batches_run == 6
+        assert len(hist.losses) == 6
         assert np.array_equal(hist.losses, clean_hist.losses[:6])
         assert np.array_equal(hist.batch_lengths, clean_hist.batch_lengths[:6])
         # the other groups ran every batch
