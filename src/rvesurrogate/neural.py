@@ -73,7 +73,9 @@ outputs and final state are those of its own pass to the bit.  One stacked
 call replaces G calls' Python and numpy dispatch, which on one row is
 comparable to a group's products at paper width; it holds G times one
 group's arrays, so callers bound G by the rows of the pass
-(``surrogate._STACK_ROWS``).
+(``surrogate._STACK_ROWS``).  A prediction pass writes only arrays of its
+own, so two threads may run the models over two disjoint sets of groups
+at once, as ``surrogate``'s warm queries do.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ is built over row ``g``, which training, ``Adam``, the backup and
 groups as one stacked model over their rows of the block (see ``neural``'s
 module notes): each pass over ``batch x steps`` rows stacks
 ``max(1, _STACK_ROWS // (batch x steps))`` groups, all of them in an FE2
-query and one at a time in a long evaluation.
+query, as two half-stacks (below), and one at a time in a long evaluation.
 
 History reuse: in FE2 use every Gauss point queries ``predict_fields`` at
 each macro increment with its strain history so far, one row longer than
@@ -39,17 +39,39 @@ first), the groups' hidden states after the last row, as one
 ``(Q, 1, n_h)`` array, and the fields predicted so far.  A
 query whose history without its last row is byte-for-byte one of them
 resumes from it: only its new row is checked for finite entries, and it
-runs one recurrence step of every group in one stacked pass; any
-other query is checked whole and replays its whole history from ``h0``.
+runs one recurrence step of every group, as two half-stacks on two
+threads (below); any other query is checked whole and replays its whole
+history from ``h0``.
 Every prediction (these queries, ``evaluate``, the trial's scoring and the
 ``train`` stage's probe) runs ``RnnModel.forward`` without a workspace, so
 it keeps no training cache: what stays alive after a query is its answer
 and the kept states.  ``train`` and ``fit_normalization`` empty the map,
 and ``load`` builds a bundle with an empty one.
+
+Two threads: a pass of one row and two groups or more, which every warm
+query is, runs as two half-stacks at the same time, groups ``0..Q//2-1``
+on the calling thread and the others on one daemon helper thread per
+process, started on first use and again in a forked child.  Each group's
+outputs and final state are those of its own pass (``neural``'s stacking
+property), so the answer is the serial one to the byte.  Such a pass
+reads every group's weights once, 19 MB at Q=4 and paper width, and one
+core's memory bandwidth bounds it, so a second core is what makes it
+faster.  Only one-row passes split: splitting ``eval``'s 448-row passes as
+well made them faster, but the helper's large temporaries come from a
+malloc arena of its own, and the ``train`` benchmark's peak RSS rose from
+93-97 MB to 128 MB.  The caller builds both half-stack models and alone
+touches the history map, which changes only once both halves have run.
+The helper puts the exception it caught, or ``None``, into the job's own
+reply slot; the caller waits for it even when its own half raised, then
+re-raises.  A process that may use one CPU only (``_SPLIT``) runs every
+pass on the calling thread.
 """
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -92,9 +114,60 @@ _TRIAL_BATCH_SIZE = 8
 # per-group dispatch, which only shows on short passes, while a pass holds
 # its groups' gate pre-activations at once, 3 n_h floats per row and group:
 # under 2048 x 3 x 400 x 8 B = 19.7 MB at paper width, unless one group
-# alone holds more.  So an FE2 query (1 row) stacks every group and a
-# paper-scale evaluate (20 x 800 rows) runs one group at a time.
+# alone holds more.  So a paper-scale evaluate (20 x 800 rows) runs one
+# group at a time, and an FE2 query (1 row) stacks every group: in one pass
+# without _SPLIT, else in two half-stacks on two threads.
 _STACK_ROWS = 2048
+
+# whether a one-row pass of two groups or more runs as two half-stacks on
+# two threads: only where this process may use two CPUs or more
+_SPLIT = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1) > 1
+
+# this process's helper thread's job queue, made with the thread on first
+# use; a forked child forgets its parent's, whose thread it has not got
+_jobs: queue.SimpleQueue | None = None
+_jobs_lock = threading.Lock()
+
+
+def _forget_helper() -> None:
+    global _jobs, _jobs_lock
+    _jobs, _jobs_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    """The helper thread: runs each posted job and puts the exception it
+    raised, or ``None``, into the job's own reply slot."""
+    while True:
+        job, reply = jobs.get()
+        try:
+            job()
+        except BaseException as err:  # the caller re-raises it
+            reply.put(err)
+        else:
+            reply.put(None)
+        # hold no job's arrays while waiting for the next one
+        del job, reply
+
+
+def _post(job) -> queue.SimpleQueue:
+    """Runs ``job()`` on the helper thread, started on first use; returns
+    the reply slot that receives its exception or ``None``.  Each job has
+    its own slot, so callers on different threads never swap replies."""
+    global _jobs
+    with _jobs_lock:
+        if _jobs is None:
+            _jobs = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(_jobs,), daemon=True,
+                             name="surrogate-half-stack").start()
+        jobs = _jobs
+    reply = queue.SimpleQueue()
+    jobs.put((job, reply))
+    return reply
 
 
 @dataclass(frozen=True)
@@ -367,19 +440,39 @@ class SurrogateBundle:
 
         Also returns the groups' hidden states after the last step,
         (Q, batch, n_h); ``states`` of that shape resumes the groups from
-        those states instead of ``h0``.  The groups run in stacked
-        prediction passes of ``_STACK_ROWS`` rows or one group.
+        those states instead of ``h0``.  A pass of one row and two groups
+        or more runs groups ``0..Q//2-1`` here and the others at the same
+        time on the helper thread, when ``_SPLIT`` allows; any other pass
+        runs here, in stacked passes of ``_STACK_ROWS`` rows or one group.
         """
         n_b, n_t, _ = x_norm.shape
         out = np.empty((n_b, n_t, self.q, self.arch.output_dim))
         finals = np.empty((self.q, n_b, self.arch.n_h))
-        chunk = max(1, _STACK_ROWS // (n_b * n_t))
-        for lo in range(0, self.q, chunk):
-            hi = min(lo + chunk, self.q)
+
+        def run(model, lo, hi):
             # a prediction forward: no workspace, no training cache
-            y, finals[lo:hi] = self._stack(lo, hi).forward(
+            y, finals[lo:hi] = model.forward(
                 x_norm, h_init=None if states is None else states[lo:hi])
-            out[:, :, lo:hi] = np.moveaxis(y, 0, 2)
+            out[:, :, lo:hi] = y.transpose(1, 2, 0, 3)
+
+        if _SPLIT and n_b * n_t == 1 and self.q > 1:
+            mid = self.q // 2
+            # both models are built on this thread, which alone touches
+            # ``_stacks``; the halves write disjoint slices of the results
+            first, second = self._stack(0, mid), self._stack(mid, self.q)
+            reply = _post(lambda: run(second, mid, self.q))
+            try:
+                run(first, 0, mid)
+            finally:
+                # the helper's half is collected even when this one raised
+                error = reply.get()
+            if error is not None:
+                raise error
+        else:
+            chunk = max(1, _STACK_ROWS // (n_b * n_t))
+            for lo in range(0, self.q, chunk):
+                hi = min(lo + chunk, self.q)
+                run(self._stack(lo, hi), lo, hi)
         return out.reshape(n_b, n_t, self.output_dim), finals
 
     def _predict_normalized(self, x_norm: np.ndarray) -> np.ndarray:
@@ -427,13 +520,14 @@ class SurrogateBundle:
                 f"non-finite strain features at step "
                 f"{first + np.argmin(finite)} of the (steps, {n_in}) sequence"
             )
-        if kept is not None:
-            self._history.move_to_end(prefix_key)
         # a miss resumes from no history: no states, no fields so far
         states, fields = kept or (None, np.empty((0, self.field_dim)))
         out, states = self._run_groups(
             self.input_norm.normalize(x[first:])[None], states)
         fields = np.concatenate([fields, self._to_fields(out)[0]])
+        # the map changes only once the pass has succeeded
+        if kept is not None:
+            self._history.move_to_end(prefix_key)
         key = _history_key(x)
         self._history[key] = (states, fields)
         self._history.move_to_end(key)

@@ -1,4 +1,8 @@
 import hashlib
+import multiprocessing
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -572,8 +576,21 @@ def saved_bundle(request, tmp_path_factory, synthetic_packed, gamma_pca):
 
 
 @pytest.fixture
+def split(monkeypatch):
+    """One-row passes run as two half-stacks, whatever this host's CPUs."""
+    monkeypatch.setattr(sg, "_SPLIT", True)
+
+
+def one_row_passes(q):
+    """(groups, steps) of the passes of a one-row query with ``split``: the
+    two half-stacks of Q >= 2 groups, or the one group."""
+    return sorted([(q // 2, 1), (q - q // 2, 1)]) if q > 1 else [(1, 1)]
+
+
+@pytest.fixture
 def forward_steps(monkeypatch):
-    """(groups, steps) of every RnnModel.forward call, in call order."""
+    """(groups, steps) of every RnnModel.forward call, in call order; the
+    two halves of a split pass run on two threads, in either order."""
     steps = []
     original = nn.RnnModel.forward
 
@@ -601,26 +618,45 @@ def assert_matches_cold(warm_fields, cold_fields):
     assert np.max(np.abs(warm_fields - cold_fields)) <= 1e-12 * scale
 
 
+def fitted_history_bundle(kind, gamma_pca, synthetic_packed, q=None,
+                          seed=16):
+    """An untrained bundle of ``HISTORY_KINDS``' architecture, fitted to
+    the synthetic data; kind III in ``q`` groups of 2 coefficients."""
+    if q is None:
+        bundle = build_history_bundle(kind, gamma_pca, seed)
+    else:
+        arch = HISTORY_KINDS[kind][0]
+        bundle = sg.SurrogateBundle(kind, arch, q=q, p=2 * q, pca=gamma_pca,
+                                    seed=seed)
+    bundle.fit_normalization(synthetic_packed)
+    return bundle
+
+
+def history_bytes(bundle):
+    return [(key, states.tobytes(), fields.tobytes())
+            for key, (states, fields) in bundle._history.items()]
+
+
 class TestHistoryReuse:
     """Resumed (warm) queries against full replays on a fresh bundle (cold)."""
 
     def test_interleaved_stepwise_queries_match_full_sequence(
-            self, saved_bundle, synthetic_packed, forward_steps):
+            self, saved_bundle, synthetic_packed, split, forward_steps):
         histories = query_histories(synthetic_packed)
         warm = sg.SurrogateBundle.load(saved_bundle)
         kept = [np.empty((len(h), warm.field_dim)) for h in histories]
         for k in range(1, 21):
             for h, rows in zip(histories, kept):
                 rows[k - 1] = warm.predict_fields(h[:k]).fields[-1]
-        # every history's first query replays; every later one runs one step
-        # of every group in one stacked pass
-        assert forward_steps == [(warm.q, 1)] * 60
+        # every history's first query replays one row and every later one
+        # runs one step: each query's groups run as two half-stacks
+        assert sorted(forward_steps) == sorted(one_row_passes(warm.q) * 60)
         cold = sg.SurrogateBundle.load(saved_bundle)
         for h, rows in zip(histories, kept):
             assert_matches_cold(rows, cold.predict_fields(h).fields)
 
     def test_newton_iterates_resume_from_the_converged_history(
-            self, saved_bundle, synthetic_packed, forward_steps):
+            self, saved_bundle, synthetic_packed, split, forward_steps):
         prefix = query_histories(synthetic_packed)[2][:12]
         warm = sg.SurrogateBundle.load(saved_bundle)
         for k in range(1, 13):
@@ -630,7 +666,7 @@ class TestHistoryReuse:
             x = np.vstack([prefix, prefix[-1] + np.array(trial)])
             del forward_steps[:]
             fields = warm.predict_fields(x).fields
-            assert forward_steps == [(warm.q, 1)]
+            assert sorted(forward_steps) == one_row_passes(warm.q)
             assert_matches_cold(fields, cold.predict_fields(x).fields)
 
     def test_answers_unaffected_by_caller_mutation(self, saved_bundle,
@@ -693,9 +729,7 @@ class TestHistoryReuse:
 class TestMalformedQueries:
     @pytest.fixture(scope="class")
     def bundle(self, synthetic_packed, gamma_pca):
-        bundle = build_history_bundle("III", gamma_pca)
-        bundle.fit_normalization(synthetic_packed)
-        return bundle
+        return fitted_history_bundle("III", gamma_pca, synthetic_packed)
 
     @pytest.mark.parametrize("shape", [(0, 3), (5, 4), (5,), (1, 5, 3)])
     def test_wrong_shape_names_the_expected_one(self, bundle, shape):
@@ -711,7 +745,7 @@ class TestMalformedQueries:
             bundle.predict_fields(x)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_new_row_rejected_on_a_hit(self, bundle, value,
+    def test_non_finite_new_row_rejected_on_a_hit(self, bundle, value, split,
                                                   forward_steps):
         x = np.full((6, 3), 0.01)
         bundle.predict_fields(x[:5])
@@ -724,4 +758,144 @@ class TestMalformedQueries:
         assert forward_steps == []
         # the kept history still serves the next query with one step a group
         bundle.predict_fields(x)
-        assert forward_steps == [(bundle.q, 1)]
+        assert sorted(forward_steps) == one_row_passes(bundle.q)
+
+
+class TestSplitQueries:
+    """One-row passes run their two half-stacks on two threads."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_split_queries_give_the_serial_bytes(
+            self, q, synthetic_packed, gamma_pca, monkeypatch, forward_steps):
+        h = query_histories(synthetic_packed)[0]
+        answers = {}
+        for split in (False, True):
+            monkeypatch.setattr(sg, "_SPLIT", split)
+            bundle = fitted_history_bundle("III", gamma_pca, synthetic_packed,
+                                           q=q)
+            del forward_steps[:]
+            answers[split] = [bundle.predict_fields(h[:k]).fields.tobytes()
+                              for k in range(1, 21)]
+            answers[split].append(history_bytes(bundle))
+        assert answers[True] == answers[False]
+        assert sorted(forward_steps) == sorted(one_row_passes(q) * 20)
+        # a pass of more than one row runs on the calling thread alone
+        del forward_steps[:]
+        bundle.predict_fields(h[::-1])
+        assert forward_steps == [(q, 20)]
+
+    @pytest.mark.parametrize("kind", ["I", "II"])
+    def test_one_group_kinds_never_split(self, kind, synthetic_packed,
+                                         gamma_pca, split, forward_steps):
+        h = query_histories(synthetic_packed)[1]
+        bundle = fitted_history_bundle(kind, gamma_pca, synthetic_packed)
+        for k in range(1, 6):
+            bundle.predict_fields(h[:k])
+        assert forward_steps == [(1, 1)] * 5
+
+    @staticmethod
+    def failing_half(monkeypatch, on_helper, error):
+        """Make the forward of the helper's half (``on_helper``) or of the
+        caller's half raise ``error``; the other half sleeps, then runs.
+        Returns the event the other half sets once it has run."""
+        caller = threading.get_ident()
+        original = nn.RnnModel.forward
+        other_done = threading.Event()
+
+        def forward(model, inputs, h_init=None, workspace=None):
+            if (threading.get_ident() != caller) == on_helper:
+                raise error
+            time.sleep(0.05)
+            out = original(model, inputs, h_init=h_init, workspace=workspace)
+            other_done.set()
+            return out
+
+        monkeypatch.setattr(nn.RnnModel, "forward", forward)
+        return other_done
+
+    @pytest.mark.parametrize("on_helper", [True, False],
+                             ids=["helper", "caller"])
+    def test_an_error_in_either_half_reaches_the_caller(
+            self, on_helper, synthetic_packed, gamma_pca, split, monkeypatch):
+        h, other = query_histories(synthetic_packed)[2:0:-1]
+        bundle = fitted_history_bundle("III", gamma_pca, synthetic_packed)
+        for k in range(1, 6):
+            bundle.predict_fields(h[:k])
+        # the failing query resumes a history that is not the latest
+        bundle.predict_fields(other[:3])
+        before = history_bytes(bundle)
+        error = RuntimeError("a half-stack failed")
+        with monkeypatch.context() as patch:
+            other_done = self.failing_half(patch, on_helper, error)
+            with pytest.raises(RuntimeError) as raised:
+                bundle.predict_fields(h[:6])
+            # the other half had finished before the error was raised
+            assert other_done.is_set()
+        assert raised.value is error
+        assert history_bytes(bundle) == before
+        # the helper is not wedged: the same query now succeeds
+        cold = fitted_history_bundle("III", gamma_pca, synthetic_packed)
+        assert_matches_cold(bundle.predict_fields(h[:6]).fields,
+                            cold.predict_fields(h[:6]).fields)
+
+
+def test_callers_on_four_threads_get_their_own_answers(
+        synthetic_packed, gamma_pca, monkeypatch):
+    """Four threads query four bundles through the one helper at once."""
+    h = query_histories(synthetic_packed)[0]
+    specs = [(2, 20), (3, 21), (4, 22), (3, 23)]
+
+    def answers(q, seed):
+        bundle = fitted_history_bundle("III", gamma_pca, synthetic_packed,
+                                       q=q, seed=seed)
+        return [bundle.predict_fields(h[:k]).fields.tobytes()
+                for k in range(1, 21)]
+
+    monkeypatch.setattr(sg, "_SPLIT", False)
+    expected = [answers(*spec) for spec in specs]
+    monkeypatch.setattr(sg, "_SPLIT", True)
+    results = [None] * len(specs)
+
+    def work(i):
+        results[i] = answers(*specs[i])
+
+    threads = [threading.Thread(target=work, args=(i,))
+               for i in range(len(specs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == expected
+
+
+def predict_in_child(bundle, x, conn):
+    conn.send(bundle.predict_fields(x).fields.tobytes())
+    conn.close()
+
+
+def test_a_forked_child_starts_its_own_helper(synthetic_packed, gamma_pca,
+                                              split):
+    h = query_histories(synthetic_packed)[0]
+    bundle = fitted_history_bundle("III", gamma_pca, synthetic_packed)
+    for k in range(1, 6):
+        bundle.predict_fields(h[:k])
+    # the child's query resumes the parent's kept history: a split pass
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=predict_in_child,
+                            args=(bundle, h[:6], sender))
+    child.start()
+    try:
+        assert receiver.poll(timeout=60), "the forked child did not answer"
+        answer = receiver.recv()
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+    assert answer == bundle.predict_fields(h[:6]).fields.tobytes()
