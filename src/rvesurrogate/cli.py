@@ -13,6 +13,8 @@ finished pipeline is replayable and diffable; re-running a stage with
 identical config and inputs reproduces its artifacts byte-for-byte.  A
 stage replaces its previous outputs: after reading its inputs it empties
 its directory.  A stage exits 0 only after its postcondition checks pass.
+``trial`` picks the hidden size of the surrogate that ``train`` builds,
+with the ``train`` section's architecture, optimizer and seed.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ DEFAULT_ROOT = "pipeline_out"
 STAGE_ORDER = ("gen-paths", "gen-data", "pca-fit", "train", "eval")
 
 # seed-override offsets per stage stream
-_SEED_SLOTS = {"paths": 0, "ensemble": 1, "pca": 2, "train": 3, "trial": 4}
+_SEED_SLOTS = {"paths": 0, "ensemble": 1, "pca": 2, "train": 3}
 
 def _defaults_of(fn, **types) -> dict:
     """Table entries of keys that go straight to ``fn``, each of its JSON
@@ -78,12 +80,11 @@ _SECTIONS = {
         **_defaults_of(nn.TrainConfig, n_epoch="int", learning_rate="real",
                        weight_decay="real", clip_norm="real", seed="int"),
     },
-    # target_p stays null: hidden_size_trial resolves it from the basis
+    # the trial sizes the train section's surrogate; a null target_p is
+    # resolved from the basis by hidden_size_trial
     "trial": _defaults_of(
         sg.hidden_size_trial, target_p="int|null", start_n_h="int",
-        increment="int", epoch_budget="int", max_trials="int",
-        threshold="real", nnw_in="list of int", nnw_out="list of int",
-        learning_rate="real", seed="int"),
+        increment="int", epoch_budget="int", max_trials="int", threshold="real"),
     "eval": {"snapshot_steps": ("list of int", ()),
              "snapshot_sequences": ("list of int", (0,))},
 }
@@ -180,13 +181,15 @@ def validate_config(cfg: dict, source=None) -> dict:
         raise StageError("pca.p must be divisible by train.q for kind III")
     _from_config(sg.Architecture, cfg, _ARCH_FIELDS)
     _from_config(nn.TrainConfig, cfg, _TRAIN_FIELDS)
-    _check_trial(cfg)
-    for section in ("train", "trial"):
-        width = cfg[section]["nnw_in"][0]
-        if width != _STRAIN_FEATURES:
-            raise StageError(
-                f"{section}.nnw_in[0] must be {_STRAIN_FEATURES}, the width of "
-                f"the strain features (E_xx, E_yy, E_xy), got {width}")
+    if t["nnw_in"][0] != _STRAIN_FEATURES:
+        raise StageError(
+            f"train.nnw_in[0] must be {_STRAIN_FEATURES}, the width of the "
+            f"strain features (E_xx, E_yy, E_xy), got {t['nnw_in'][0]}")
+    trial = cfg["trial"]
+    for key in ("target_p", "start_n_h", "increment", "epoch_budget",
+                "max_trials"):
+        if trial[key] is not None and trial[key] < 1:
+            raise StageError(f"trial.{key} must be >= 1")
     return cfg
 
 
@@ -206,21 +209,6 @@ def _check_pca(cfg: dict) -> None:
                          f"the {family!r} family")
     if delta is not None and not 0.0 <= delta < 1.0:
         raise StageError("pca.delta must lie in [0, 1)")
-
-
-def _check_trial(cfg: dict) -> None:
-    t = cfg["trial"]
-    for key in ("target_p", "start_n_h", "increment", "epoch_budget",
-                "max_trials"):
-        if t[key] is not None and t[key] < 1:
-            raise StageError(f"trial.{key} must be >= 1")
-    if len(t["nnw_in"]) < 2:
-        raise StageError("trial.nnw_in must list the input width and at "
-                         "least one layer width")
-    for key in ("nnw_in", "nnw_out"):
-        if min(t[key], default=1) < 1:
-            raise StageError(f"trial.{key} layer widths must be >= 1")
-    _from_config(nn.TrainConfig, cfg, {"learning_rate": "trial"})
 
 
 def _from_config(cls, cfg: dict, fields: dict):
@@ -386,7 +374,7 @@ def stage_gen_paths(cfg: dict, root: Path) -> None:
 # ---------------------------------------------------------------------------
 # stage: gen-data
 
-# what every gen-data worker reads; filled before the pool forks
+# what every gen-data worker reads; filled before the pool forks, then emptied
 _WORKER = {}
 
 # paths per lockstep batch of gen-data: a constant, so the batches do not
@@ -427,11 +415,14 @@ def stage_gen_data(cfg: dict, root: Path, jobs: int = 1) -> None:
                for i in range(0, n, _LOCKSTEP_WIDTH)]
     workers = min(jobs, len(batches))
     _WORKER.update(ensemble=ensemble, paths=paths)
-    if workers > 1:
-        with get_context("fork").Pool(workers) as pool:
-            results = pool.map(_run_paths, batches, chunksize=1)
-    else:
-        results = [_run_paths(batch) for batch in batches]
+    try:
+        if workers > 1:
+            with get_context("fork").Pool(workers) as pool:
+                results = pool.map(_run_paths, batches, chunksize=1)
+        else:
+            results = [_run_paths(batch) for batch in batches]
+    finally:
+        _WORKER.clear()
     records = [rec for batch_records, _, _ in results for rec in batch_records]
 
     stage_dir = _fresh_stage_dir(root, "dataset")
@@ -573,7 +564,8 @@ def stage_train(cfg: dict, root: Path) -> None:
             f"train postcondition failed: loss diverged in {where}, each "
             "restored to before that batch; lower train.learning_rate"
         )
-    probe = bundle.predict_fields(np.zeros((4, 3))).fields
+    probe = bundle._to_fields(bundle._predict_normalized(
+        bundle.input_norm.normalize(np.zeros((1, 4, 3)))))
     if not np.all(np.isfinite(probe)):
         raise StageError("train postcondition failed: non-finite predictions")
 
@@ -614,14 +606,17 @@ def stage_trial(cfg: dict, root: Path) -> None:
             f"trial.target_p = {t['target_p']} exceeds the "
             f"{pca_model.retained_p} components that pca-fit retained"
         )
-    train_idx, val_idx = _split_paths(len(records), t["seed"])
+    config = _from_config(nn.TrainConfig, cfg, _TRAIN_FIELDS)
+    train_idx, val_idx = _split_paths(len(records), config.seed)
     train_set = _pack(cfg, [records[i] for i in train_idx],
                       "the trial's training side")
     val_set = _pack(cfg, [records[i] for i in val_idx],
                     "the trial's validation side")
-    # the config keys are hidden_size_trial's parameters
-    report = sg.hidden_size_trial(train_set, val_set, pca_model,
-                                  family=cfg["pca"]["family"], **t)
+    # the trial section's keys are hidden_size_trial's parameters
+    report = sg.hidden_size_trial(
+        train_set, val_set, pca_model,
+        _from_config(sg.Architecture, cfg, _ARCH_FIELDS), config,
+        family=cfg["pca"]["family"], **t)
     stage_dir = _fresh_stage_dir(root, "trial")
     ds.write_json(stage_dir / "trial_report.json", report)
     write_manifest(stage_dir, "trial", cfg, inputs.names)
@@ -683,12 +678,12 @@ def stage_eval(cfg: dict, root: Path) -> None:
     # a sequence is replayed only when it has steps to write
     for seq_idx in e["snapshot_sequences"] if e["snapshot_steps"] else ():
         rec = records[seq_idx]
-        pred = bundle.predict_fields(rec.inputs)
-        truth = rec.outputs(bundle.family)
+        pred = np.maximum(bundle._to_fields(bundle._predict_normalized(
+            bundle.input_norm.normalize(rec.inputs)[None]))[0], 0.0)
         for step in e["snapshot_steps"]:
             stem = stage_dir / f"snapshot_seq{seq_idx:03d}_step{step:04d}"
-            for tag, fld in (("pred", pred.clamped()[step]),
-                             ("true", truth[step])):
+            for tag, fld in (("pred", pred[step]),
+                             ("true", rec.outputs(bundle.family)[step])):
                 ds.write_csv(f"{stem}_{tag}.csv", ["point_index", "value"],
                              enumerate(fld))
 

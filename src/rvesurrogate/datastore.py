@@ -313,12 +313,17 @@ class BinaryReader:
         return struct.unpack_from(fmt, self._raw,
                                   self._take(struct.calcsize(fmt)))
 
-    def floats(self, *shape) -> np.ndarray:
+    def floats(self, *shape, steps_of: str = "") -> np.ndarray:
         """The next block, a read-only view of the file's bytes: a caller
-        copies what it keeps, once."""
+        copies what it keeps, once.  A block of ``steps_of``, one step a
+        row, must be finite."""
         count = int(np.prod(shape))
-        return np.frombuffer(self._raw, dtype="<f8", count=count,
-                             offset=self._take(8 * count)).reshape(shape)
+        block = np.frombuffer(self._raw, dtype="<f8", count=count,
+                              offset=self._take(8 * count)).reshape(shape)
+        bad = np.flatnonzero(~np.isfinite(block).all(axis=1)) if steps_of else ()
+        if len(bad):
+            raise self.error(f"non-finite value in {steps_of} at step {bad[0]}")
+        return block
 
     def finish(self) -> None:
         if self._at < len(self._raw):
@@ -334,10 +339,12 @@ def write_record(path, record: SequenceRecord) -> None:
 
 
 def read_record(path) -> SequenceRecord:
-    """One record; a malformed file raises ``ValueError`` naming it."""
+    """One record; a malformed file, a non-finite value too, raises a
+    ``ValueError`` naming it."""
     reader = BinaryReader(path, RECORD_MAGIC, FORMAT_VERSION)
     *widths, length, flags = reader.unpack("<IIIIB")
-    blocks = [reader.floats(length, d).copy() for d in widths]
+    blocks = [reader.floats(length, d, steps_of=f"the {name} block").copy()
+              for d, name in zip(widths, ("inputs", FAMILY_GAMMA, FAMILY_TAU))]
     reader.finish()
     return SequenceRecord(*blocks, truncated=bool(flags & FLAG_TRUNCATED))
 
@@ -376,16 +383,16 @@ def write_pathset(path, paths) -> None:
 def read_pathset(path) -> list[pg.LoadingPath]:
     """Load the ``pathgen.LoadingPath``s that ``write_pathset`` stored, with
     symmetric in-plane stretch blocks; a malformed file, one holding a path
-    that is no ``LoadingPath`` too, raises a ``ValueError`` naming it."""
+    that is no finite ``LoadingPath`` too, raises a ``ValueError`` naming it."""
     reader = BinaryReader(path, PATHSET_MAGIC, FORMAT_VERSION)
     (count,) = reader.unpack("<I")
     paths = []
-    for _ in range(count):
+    for i in range(count):
         length, flags = reader.unpack("<IB")
-        u = reader.floats(length, 3)[:, [0, 2, 2, 1]].reshape(length, 2, 2)
+        u = reader.floats(length, 3, steps_of=f"path {i}")[:, [0, 2, 2, 1]]
         kind = pg.KIND_CYCLIC if flags & FLAG_CYCLIC else pg.KIND_RANDOM_WALK
         try:
-            paths.append(pg.LoadingPath(u, kind))
+            paths.append(pg.LoadingPath(u.reshape(length, 2, 2), kind))
         except ValueError as err:
             raise reader.error(str(err)) from None
     reader.finish()

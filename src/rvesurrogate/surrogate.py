@@ -15,8 +15,9 @@ the groups one after another, each over every batch, updating each RNN
 with ``neural.train_step``.  The groups share nothing but the draws, so
 this sequential order gives the bytes of training every group on a batch
 before drawing the next, while only one optimizer state, one parameter
-backup and one step workspace are alive.  The hidden-size trial is a
-kind II bundle of one coefficient trained by the same loop.  Evaluation
+backup and one step workspace are alive; it projects each record once.
+The hidden-size trial trains one-coefficient kind II bundles of the
+surrogate's architecture, optimizer and seed by the same loop.  Evaluation
 always maps predictions back to the normalized full-dimensional field
 space, which makes the three kinds (and the PCA reconstruction floor from
 the same ``p`` coefficients) directly comparable.
@@ -73,7 +74,7 @@ import os
 import queue
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -105,9 +106,6 @@ _BUNDLE_TABLE = ds.required(
 # queried histories whose final hidden states a bundle keeps; at least the
 # Gauss points one bundle serves in turn, so that each resumes its own
 HISTORY_CACHE_ENTRIES = 64
-
-# mini-batch size of the hidden-size trial
-_TRIAL_BATCH_SIZE = 8
 
 # rows (batch x steps) up to which a prediction stacks groups: they run in
 # passes of max(1, _STACK_ROWS // rows) groups.  Stacking saves a pass's
@@ -207,12 +205,9 @@ def group_slices(p: int, q: int) -> list[tuple[int, int]]:
 
 @dataclass
 class FieldPrediction:
-    """Raw predicted fields plus the clamped rendering view."""
+    """Raw predicted fields of one strain history."""
 
     fields: np.ndarray  # (steps, d)
-
-    def clamped(self) -> np.ndarray:
-        return np.maximum(self.fields, 0.0)
 
 
 @dataclass
@@ -338,30 +333,39 @@ class SurrogateBundle:
 
     # -- data preparation ------------------------------------------------------
 
-    def fit_normalization(self, dataset: ds.PackedDataset) -> None:
-        """Fit input, output and reference-field normalizations on a dataset."""
+    def fit_normalization(self, dataset: ds.PackedDataset) -> dict:
+        """Fit input, output and field normalizations on a dataset; returns
+        a reduced bundle's coefficients per length group, for training."""
         records = list(dataset.all_records())
         if not records:
             raise ValueError("empty dataset")
         self._history.clear()
         self.input_norm = ds.fit_normalization([r.inputs for r in records])
-        fields = [r.outputs(self.family) for r in records]
-        self.field_norm = ds.fit_normalization(fields)
-        if self.reduced:
-            self.output_norm = ds.fit_normalization(
-                [pcalib.project(f, self.pca) for f in fields])
-        else:
+        self.field_norm = ds.fit_normalization(
+            [r.outputs(self.family) for r in records])
+        if not self.reduced:
             self.output_norm = self.field_norm
+            return {}
+        coefficients = {length: self._targets(dataset.groups[length])
+                        for length in dataset.lengths}
+        self.output_norm = ds.fit_normalization(
+            [c.reshape(-1, self.output_dim) for c in coefficients.values()])
+        return coefficients
 
-    def _group_arrays(self, dataset: ds.PackedDataset):
-        """Normalized input/target stacks per length group."""
+    def _targets(self, records) -> np.ndarray:
+        """Raw targets of records of one length: the fields, or a reduced
+        bundle's coefficients of them."""
+        fields = np.stack([r.outputs(self.family) for r in records])
+        return pcalib.project(fields, self.pca) if self.reduced else fields
+
+    def _group_arrays(self, dataset: ds.PackedDataset, fitted=None):
+        """Normalized input/target stacks per length group; ``fitted`` is
+        what ``fit_normalization`` returned on ``dataset``, if given."""
         groups = {}
         for length in dataset.lengths:
             records = dataset.groups[length]
             x = np.stack([self.input_norm.normalize(r.inputs) for r in records])
-            target = np.stack([r.outputs(self.family) for r in records])
-            if self.reduced:
-                target = pcalib.project(target, self.pca)
+            target = fitted[length] if fitted else self._targets(records)
             groups[length] = (x, self.output_norm.normalize(target))
         return groups
 
@@ -381,8 +385,7 @@ class SurrogateBundle:
         ``aborted``; the other groups train every batch.  ``losses`` stops
         at the first aborted batch.
         """
-        self.fit_normalization(dataset)
-        groups = self._group_arrays(dataset)
+        groups = self._group_arrays(dataset, self.fit_normalization(dataset))
         rng = make_rng([config.seed])
         draws = list(ds.draw_minibatches(
             {length: x.shape[0] for length, (x, _) in groups.items()},
@@ -671,6 +674,8 @@ def hidden_size_trial(
     train_set: ds.PackedDataset,
     val_set: ds.PackedDataset,
     pca_model: pcalib.PcaModel,
+    arch: Architecture,
+    config: nn.TrainConfig,
     target_p: int | None = None,
     start_n_h: int = 16,
     increment: int = 16,
@@ -678,21 +683,18 @@ def hidden_size_trial(
     max_trials: int = 3,
     threshold: float = 0.9,
     family: str = ds.FAMILY_GAMMA,
-    nnw_in=(3, 70),
-    nnw_out=(30,),
-    learning_rate: float = 1e-3,
-    seed: int = 0,
 ) -> dict:
-    """Hidden-size search on a single-coefficient RNN.
+    """Hidden-size search for the surrogate of ``arch`` trained by ``config``.
 
-    Each trial is a kind II bundle whose one output is the coefficient of
-    principal component ``target_p`` (1-indexed, spectral order; by default
-    the 10th, or the last retained if fewer), trained by
-    :meth:`SurrogateBundle.train` on ``train_set`` for ``epoch_budget``
-    mini-batches.  It is scored by the Pearson correlation of its normalized
-    predicted coefficient traces with the reference ones on ``val_set``,
-    which holds other paths, and the hidden size grows until the score
-    passes the threshold.  Returns the report ``trial`` writes.
+    Each trial is a kind II bundle of ``arch`` and ``config``'s seed, with
+    a hidden size of its own and one output: the coefficient of principal
+    component ``target_p`` (1-indexed, spectral order; by default the 10th,
+    or the last retained if fewer).  It trains on ``train_set`` by
+    ``config`` for ``epoch_budget`` mini-batches, and is scored by the
+    Pearson correlation of its normalized predicted coefficient traces with
+    the reference ones on ``val_set``, which holds other paths; the hidden
+    size grows until the score passes the threshold.  Returns the report
+    ``trial`` writes.
     """
     if target_p is None:
         target_p = min(pca_model.retained_p, 10)
@@ -700,21 +702,16 @@ def hidden_size_trial(
         raise ValueError(
             f"target_p={target_p} outside the retained range 1..{pca_model.retained_p}"
         )
-    col = target_p - 1
     coefficient = pcalib.PcaModel(pca_model.mean, pca_model.eigenvalues,
-                                  pca_model.components[:, col:col + 1])
-    config = nn.TrainConfig(learning_rate=learning_rate, n_epoch=1,
-                            n_batches=epoch_budget,
-                            batch_size=_TRIAL_BATCH_SIZE, seed=seed)
+                                  pca_model.components[:, target_p - 1:target_p])
     trials = []
     recommended = None
     for trial_index in range(max_trials):
         n_h = start_n_h + trial_index * increment
         bundle = SurrogateBundle(
-            KIND_REDUCED, Architecture(nnw_in, n_h, tuple(nnw_out) + (1,)),
-            pca=coefficient, family=family, seed=seed,
-        )
-        history = bundle.train(train_set, config)
+            KIND_REDUCED, Architecture(arch.nnw_in, n_h, arch.nnw_out[:-1] + (1,)),
+            pca=coefficient, family=family, seed=config.seed)
+        history = bundle.train(train_set, replace(config, n_batches=epoch_budget))
         groups = bundle._group_arrays(val_set).values()
         pred = np.concatenate([bundle._predict_normalized(x).ravel()
                                for x, _ in groups])

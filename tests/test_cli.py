@@ -206,16 +206,12 @@ class TestActionableErrors:
         ("trial", "increment", 0),
         ("trial", "epoch_budget", 0),
         ("trial", "max_trials", 0),
-        ("trial", "nnw_in", [3]),
         ("eval", "snapshot_steps", ["a"]),
         ("eval", "snapshot_sequences", [0.5]),
-        ("trial", "nnw_in", [3, "x"]),
         ("train", "nnw_out", [0, 2]),
         ("train", "learning_rate", 0),
-        ("trial", "learning_rate", -1),
         ("train", "weight_decay", -1),
         ("train", "clip_norm", -1),
-        ("trial", "nnw_out", [0]),
         # checked although n_cyclic = 0; the amplitude defaults to r_max
         ("paths", "cyclic_step_size", 0.3),
         ("paths", "cyclic_reversals_min", 0),
@@ -231,29 +227,36 @@ class TestActionableErrors:
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not root.exists()
 
-    def test_trained_group_count_is_an_unknown_train_key(
-            self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("section, key, value", [
         # every bundle trains all of its groups; training the first g of Q
         # groups of p coefficients is pca.p = g p / Q with train.q = g
+        ("train", "trained_group_count", 1),
+        # the trial sizes the surrogate of the train section, with its
+        # architecture, optimizer and seed
+        ("trial", "nnw_in", [3, 4]),
+        ("trial", "nnw_out", [4]),
+        ("trial", "learning_rate", 1e-3),
+        ("trial", "seed", 0),
+    ])
+    def test_dropped_key_is_unknown(self, tmp_path, monkeypatch, capsys,
+                                    section, key, value):
         cfg = tiny_config({"p": 4}, 2, (4, 2))
-        cfg["train"]["trained_group_count"] = 1
+        cfg.setdefault(section, {})[key] = value
         root = tmp_path / "root"
         assert run_main("all", root, cfg, tmp_path, monkeypatch) == 1
-        assert "unknown keys: train.trained_group_count" \
-            in capsys.readouterr().err
+        assert f"unknown keys: {section}.{key}" in capsys.readouterr().err
         assert not root.exists()
 
-    @pytest.mark.parametrize("section", ["train", "trial"])
     @pytest.mark.parametrize("nnw_in", [[4, 70], [2, 4]])
     def test_strain_feature_width_rejected_at_load(
-            self, tmp_path, monkeypatch, capsys, section, nnw_in):
+            self, tmp_path, monkeypatch, capsys, nnw_in):
         # the surrogates read the 3 strain features (E_xx, E_yy, E_xy)
         cfg = tiny_config({"p": 4}, 2, (4, 2))
-        cfg.setdefault(section, {})["nnw_in"] = nnw_in
+        cfg["train"]["nnw_in"] = nnw_in
         root = tmp_path / "root"
         assert run_main("all", root, cfg, tmp_path, monkeypatch) == 1
         err = capsys.readouterr().err
-        assert f"{section}.nnw_in[0] must be 3" in err
+        assert "train.nnw_in[0] must be 3" in err
         assert f"got {nnw_in[0]}" in err
         assert not root.exists()
 
@@ -346,6 +349,9 @@ class TestActionableErrors:
         ("bundle/rnn_00.bin", "append", "eval", "`train`"),
         ("bundle/rnn_01.bin", "delete", "eval", "`train`"),
         ("bundle/pca.bin", "delete", "eval", "`train`"),
+        ("paths/paths.bin", "nan", "gen-data", "`gen-paths`"),
+        ("dataset/records/record_000000.rveseq", "nan", "pca-fit",
+         "`gen-data`"),
     ])
     def test_malformed_artifact(self, dataset_root, tmp_path, monkeypatch,
                                 capsys, artifact, corrupt, command, rewriter):
@@ -364,6 +370,15 @@ class TestActionableErrors:
             data = b"XXXXXXX" + data[7:]
         elif corrupt == "append":
             data += bytes(8)
+        elif corrupt == "nan" and artifact.endswith(".rveseq"):
+            # step 2 of the gamma block, after the 28-byte header and the
+            # (steps, 3) strain block
+            rec = ds.read_record(path)
+            at = 28 + rec.inputs.nbytes + 2 * rec.outputs_gamma[0].nbytes
+            data = data[:at] + np.float64(np.nan).tobytes() + data[at + 8:]
+        elif corrupt == "nan":
+            # the last stretch component of the last path
+            data = data[:-8] + np.float64(np.nan).tobytes()
         else:
             # the first path's first stretch component, after the 7-byte
             # magic, the 8-byte header and the 5-byte path header
@@ -380,6 +395,9 @@ class TestActionableErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read")
         assert err.count(str(path)) == 1 and f"re-run {rewriter}" in err
+        if corrupt == "nan":
+            assert ("the gamma block at step 2" if artifact.endswith(".rveseq")
+                    else "non-finite value in path 2 at step") in err
 
     @pytest.mark.parametrize("text, message", [
         ("{", "config.json: not JSON (Expecting property name"),
@@ -544,8 +562,8 @@ class TestTrialStage:
         cli.run_stage("pca-fit", cfg, dataset_root)
         seen = {}
 
-        def keep_seed(*args, seed, **kw):
-            seen["seed"] = seed
+        def keep_seed(train_set, val_set, pca_model, arch, config, **kw):
+            seen["seed"] = config.seed
             return {}
 
         monkeypatch.setattr(sg, "hidden_size_trial", keep_seed)
@@ -554,10 +572,37 @@ class TestTrialStage:
         monkeypatch.setenv(cli.ROOT_ENV_VAR, str(dataset_root))
         assert cli.main(["trial", "--config", str(config_file),
                          "--seed-override", "10"]) == 0
-        assert seen["seed"] == 10 + cli._SEED_SLOTS["trial"]
+        assert seen["seed"] == 10 + cli._SEED_SLOTS["train"]
         manifest = json.loads(
             (dataset_root / "trial" / "manifest.json").read_text())
-        assert manifest["config"]["trial"]["seed"] == seen["seed"]
+        assert manifest["config"]["train"]["seed"] == seen["seed"]
+
+    def test_trial_sizes_the_surrogate_of_the_train_section(
+            self, dataset_root, monkeypatch):
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        cfg["dataset"]["batch_size"] = 3
+        cfg["train"].update(nnw_in=[3, 5], nnw_out=[6, 2], n_epoch=3,
+                            learning_rate=2e-3, clip_norm=0.5, seed=9)
+        # a threshold no score reaches, so that both trials run
+        cfg["trial"] = {"epoch_budget": 2, "max_trials": 2, "start_n_h": 4,
+                        "increment": 3, "threshold": 2.0}
+        cli.run_stage("pca-fit", cfg, dataset_root)
+        trained = []
+        real = sg.SurrogateBundle.train
+
+        def keep(bundle, dataset, config):
+            trained.append((bundle, config))
+            return real(bundle, dataset, config)
+
+        monkeypatch.setattr(sg.SurrogateBundle, "train", keep)
+        cli.run_stage("trial", cfg, dataset_root)
+        assert len(trained) == 2
+        for i, (bundle, config) in enumerate(trained):
+            assert (bundle.kind, bundle.p, bundle.seed) == ("II", 1, 9)
+            assert bundle.arch == sg.Architecture((3, 5), 4 + 3 * i, (6, 1))
+            assert config == nn.TrainConfig(
+                learning_rate=2e-3, clip_norm=0.5, n_epoch=3, n_batches=2,
+                batch_size=3, seed=9)
 
     def test_defaults_are_those_of_hidden_size_trial(self, dataset_root):
         cfg = tiny_config({"p": 4}, 2, (4, 2))
@@ -602,8 +647,7 @@ class TestTrialStage:
 
     def test_rerun_is_byte_identical(self, dataset_root):
         cfg = tiny_config({"p": 4}, 2, (4, 2))
-        cfg["trial"] = {"epoch_budget": 3, "max_trials": 2, "nnw_in": [3, 4],
-                        "nnw_out": [4]}
+        cfg["trial"] = {"epoch_budget": 3, "max_trials": 2}
         cli.run_stage("pca-fit", cfg, dataset_root)
         outputs = []
         for _ in range(2):
@@ -635,6 +679,14 @@ class TestTrialStage:
         err = capsys.readouterr().err
         assert "packs empty" in err
         assert "paths.n_random" in err and "dataset.gamma_crit" in err
+
+
+class TestGenDataReleasesItsWorkerState:
+    def test_worker_state_is_empty_after_gen_data(self, tmp_path):
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        for stage in ("gen-paths", "gen-data"):
+            cli.run_stage(stage, cfg, tmp_path)
+        assert cli._WORKER == {}
 
 
 class TestGenDataDeterminism:
@@ -766,8 +818,7 @@ class TestManifestInputs:
         cfg = tiny_config({"p": 4}, 2, (4, 2))
         if kind == "I":
             cfg["train"].update(kind="I", nnw_out=[4, 8])  # d_gamma = 8
-        cfg["trial"] = {"epoch_budget": 1, "max_trials": 1, "nnw_in": [3, 4],
-                        "nnw_out": [4]}
+        cfg["trial"] = {"epoch_budget": 1, "max_trials": 1}
         for stage in cli.STAGE_ORDER + ("trial",):
             cli.run_stage(stage, cfg, tmp_path)
         read = {
@@ -797,17 +848,25 @@ class TestResolvedConfig:
         cfg = tiny_config({"p": 4}, 2, (4, 2))
         for stage in ("pca-fit", "train"):
             cli.run_stage(stage, cfg, dataset_root)
-        calls = []
-        real = sg.SurrogateBundle.predict_fields
+        passes = []
+        real = sg.SurrogateBundle._predict_normalized
 
-        def counted(self, *args, **kw):
-            calls.append(None)
-            return real(self, *args, **kw)
+        def counted(self, x_norm):
+            passes.append(x_norm.shape)
+            return real(self, x_norm)
 
-        monkeypatch.setattr(sg.SurrogateBundle, "predict_fields", counted)
+        monkeypatch.setattr(sg.SurrogateBundle, "_predict_normalized", counted)
         cli.run_stage("eval", cfg, dataset_root)
-        assert calls == []
+        # evaluate's one pass per length group, and no other
+        groups = cli._pack(cfg, ds.read_dataset(dataset_root / "dataset")).groups
+        assert passes == [(len(recs), length, 3)
+                          for length, recs in sorted(groups.items())]
         assert not list((dataset_root / "eval").glob("snapshot_*"))
+        # a snapshot sequence is one more pass
+        cfg["eval"] = {"snapshot_steps": [1], "snapshot_sequences": [2]}
+        passes.clear()
+        cli.run_stage("eval", cfg, dataset_root)
+        assert len(passes) == len(groups) + 1 and passes[-1] == (1, 8, 3)
 
     def test_defaults_written_out_change_no_byte(self, tmp_path,
                                                  monkeypatch):
@@ -852,3 +911,21 @@ class TestEndToEnd:
         assert len(snapshots) == 8  # 2 sequences x 2 steps x pred/true
         assert run_main("all", root, cfg, tmp_path, monkeypatch) == 0
         assert outputs() == first
+
+    def test_snapshots_are_clamped_answers_of_predict_fields(self, tmp_path,
+                                                           monkeypatch):
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        cfg["eval"] = {"snapshot_steps": [0, 3, 7], "snapshot_sequences": [1]}
+        root = tmp_path / "root"
+        assert run_main("all", root, cfg, tmp_path, monkeypatch) == 0
+        bundle = sg.SurrogateBundle.load(root / "bundle")
+        records = list(cli._pack(cfg, ds.read_dataset(root / "dataset"))
+                       .all_records())
+        fields = np.maximum(bundle.predict_fields(records[1].inputs).fields,
+                            0.0)
+        for step in (0, 3, 7):
+            expected = tmp_path / "expected.csv"
+            ds.write_csv(expected, ["point_index", "value"],
+                         enumerate(fields[step]))
+            written = root / "eval" / f"snapshot_seq001_step{step:04d}_pred.csv"
+            assert written.read_bytes() == expected.read_bytes()

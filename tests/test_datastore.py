@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -280,3 +282,24 @@ class TestFileFormats:
         assert [lp.kind for lp in back] == [pg.KIND_RANDOM_WALK, pg.KIND_CYCLIC]
         for a, b in zip(paths, back):
             assert a.stretches.tobytes() == b.stretches.tobytes()
+
+    @pytest.mark.parametrize("block, name", [(0, "inputs"), (1, "gamma"),
+                                             (2, "tau")])
+    def test_non_finite_record_value_rejected(self, tmp_path, block, name):
+        rec = make_record(np.random.default_rng(20), n_steps=5)
+        (rec.inputs, rec.outputs_gamma, rec.outputs_tau)[block][3, 1] = np.nan
+        p = tmp_path / "r.rveseq"
+        ds.write_record(p, rec)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{p}: non-finite value in the {name} block at step 3")):
+            ds.read_record(p)
+
+    def test_non_finite_stretch_rejected(self, tmp_path):
+        paths = [pg.LoadingPath(np.broadcast_to(np.eye(2), (n, 2, 2)).copy(),
+                                pg.KIND_RANDOM_WALK) for n in (3, 4)]
+        paths[1].stretches[2, 0, 1] = np.inf
+        p = tmp_path / "paths.bin"
+        ds.write_pathset(p, paths)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{p}: non-finite value in path 1 at step 2")):
+            ds.read_pathset(p)

@@ -208,6 +208,39 @@ class TestTraining:
         assert np.all(hist.max_grad_norm > 0.0)
 
 
+class TestTargets:
+    def test_training_projects_each_length_group_once(
+            self, synthetic_packed, gamma_pca, monkeypatch):
+        arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8)
+        projected = []
+        real = pcalib.project
+
+        def counted(x, model):
+            projected.append(x.shape)
+            return real(x, model)
+
+        monkeypatch.setattr(pcalib, "project", counted)
+        bundle.train(synthetic_packed, quick_config(n_batches=2))
+        assert projected == [
+            (len(synthetic_packed.groups[n]), n, 16)
+            for n in synthetic_packed.lengths]
+
+    def test_stacked_targets_give_the_per_record_normalization(
+            self, synthetic_packed, gamma_pca):
+        arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8)
+        fitted = bundle.fit_normalization(synthetic_packed)
+        per_record = ds.fit_normalization(
+            [pcalib.project(r.outputs_gamma, gamma_pca)
+             for r in synthetic_packed.all_records()])
+        assert bundle.output_norm.to_dict() == per_record.to_dict()
+        for length, (_, target) in bundle._group_arrays(
+                synthetic_packed).items():
+            assert target.tobytes() == bundle.output_norm.normalize(
+                fitted[length]).tobytes()
+
+
 class TestTrainingAllocations:
     """Kind III at paper width, (3, 70) / 400 / (100, 2), on batches of 8
     sequences of 32 steps: one optimizer state, one backup and one step
@@ -326,7 +359,6 @@ class TestPrediction:
         pred = bundle.predict_fields(np.zeros((20, 3)))
         scale = max(abs(float(bundle.field_norm.maximum.max())), 1e-12)
         assert np.max(np.abs(pred.fields)) <= 0.25 * scale
-        assert np.all(pred.clamped() >= 0.0)
 
     def test_requires_training(self, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
@@ -413,12 +445,22 @@ def trial_sides():
                  for side in (records[:29], records[29:]))
 
 
+# the surrogate a trial sizes: its n_h and its output width do not matter
+TRIAL_ARCH = sg.Architecture((3, 8), 4, (8, 2))
+
+
+def trial_config(seed, learning_rate=1e-3):
+    """The training of the surrogate a trial sizes; ``n_batches`` does not
+    matter."""
+    return nn.TrainConfig(learning_rate=learning_rate, n_epoch=1,
+                          n_batches=1000, batch_size=8, seed=seed)
+
+
 class TestHiddenSizeTrial:
     def test_smoke_report(self, trial_sides, gamma_pca):
         report = sg.hidden_size_trial(
-            *trial_sides, gamma_pca, target_p=1,
+            *trial_sides, gamma_pca, TRIAL_ARCH, trial_config(3), target_p=1,
             start_n_h=8, increment=8, epoch_budget=120, max_trials=2,
-            nnw_in=(3, 8), nnw_out=(8,), seed=3,
         )
         assert 1 <= len(report["trials"]) <= 2
         assert report["trials"][0]["n_h"] == 8
@@ -428,25 +470,26 @@ class TestHiddenSizeTrial:
 
     def test_dominant_coefficient_is_capturable(self, trial_sides, gamma_pca):
         report = sg.hidden_size_trial(
-            *trial_sides, gamma_pca, target_p=1,
+            *trial_sides, gamma_pca, TRIAL_ARCH, trial_config(4), target_p=1,
             start_n_h=16, increment=16, epoch_budget=400, max_trials=2,
-            nnw_in=(3, 8), nnw_out=(8,), seed=4, threshold=0.9,
+            threshold=0.9,
         )
         assert max(t["score"] for t in report["trials"]) > 0.9
         assert report["recommended"] is not None
 
     def test_target_out_of_range(self, trial_sides, gamma_pca):
         with pytest.raises(ValueError, match="target_p"):
-            sg.hidden_size_trial(*trial_sides, gamma_pca, target_p=99)
+            sg.hidden_size_trial(*trial_sides, gamma_pca, TRIAL_ARCH,
+                                 trial_config(0), target_p=99)
 
     def test_trial_is_a_one_component_kind_two_bundle(self, trial_sides,
                                                      gamma_pca):
         # the same bundle, built, trained and scored by hand
         train_set, val_set = trial_sides
         report = sg.hidden_size_trial(
-            train_set, val_set, gamma_pca, target_p=2, start_n_h=8,
-            epoch_budget=30, max_trials=1, nnw_in=(3, 8), nnw_out=(8,),
-            learning_rate=2e-3, seed=5,
+            train_set, val_set, gamma_pca, TRIAL_ARCH,
+            trial_config(5, learning_rate=2e-3), target_p=2, start_n_h=8,
+            epoch_budget=30, max_trials=1,
         )
         second = pcalib.PcaModel(gamma_pca.mean, gamma_pca.eigenvalues,
                                  gamma_pca.components[:, 1:2])
