@@ -512,7 +512,7 @@ def stage_train(cfg: dict, root: Path) -> None:
     packed = _pack(cfg, inputs.read("dataset/records", _records, "gen-data"))
     t = cfg["train"]
     kind = t["kind"]
-    pca_model = p_retained = None
+    pca_model = None
     if kind != sg.KIND_DIRECT:
         pca_model = inputs.read(_pca_basis(cfg), pcalib.load, "pca-fit")
         # pca.p may be given as null next to pca.delta
@@ -532,8 +532,7 @@ def stage_train(cfg: dict, root: Path) -> None:
             )
     bundle = sg.SurrogateBundle(
         kind, _from_config(sg.Architecture, cfg, _ARCH_FIELDS), q=t["q"],
-        pca=pca_model, p=p_retained, family=cfg["pca"]["family"],
-        seed=t["seed"],
+        pca=pca_model, family=cfg["pca"]["family"], seed=t["seed"],
     )
     history = bundle.train(packed,
                            _from_config(nn.TrainConfig, cfg, _TRAIN_FIELDS))
@@ -564,8 +563,7 @@ def stage_train(cfg: dict, root: Path) -> None:
             f"train postcondition failed: loss diverged in {where}, each "
             "restored to before that batch; lower train.learning_rate"
         )
-    probe = bundle._to_fields(bundle._predict_normalized(
-        bundle.input_norm.normalize(np.zeros((1, 4, 3)))))
+    probe = bundle.predict(np.zeros((1, 4, _STRAIN_FEATURES)))
     if not np.all(np.isfinite(probe)):
         raise StageError("train postcondition failed: non-finite predictions")
 
@@ -678,8 +676,7 @@ def stage_eval(cfg: dict, root: Path) -> None:
     # a sequence is replayed only when it has steps to write
     for seq_idx in e["snapshot_sequences"] if e["snapshot_steps"] else ():
         rec = records[seq_idx]
-        pred = np.maximum(bundle._to_fields(bundle._predict_normalized(
-            bundle.input_norm.normalize(rec.inputs)[None]))[0], 0.0)
+        pred = np.maximum(bundle.predict(rec.inputs[None])[0], 0.0)
         for step in e["snapshot_steps"]:
             stem = stage_dir / f"snapshot_seq{seq_idx:03d}_step{step:04d}"
             for tag, fld in (("pred", pred[step]),

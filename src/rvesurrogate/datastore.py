@@ -313,16 +313,18 @@ class BinaryReader:
         return struct.unpack_from(fmt, self._raw,
                                   self._take(struct.calcsize(fmt)))
 
-    def floats(self, *shape, steps_of: str = "") -> np.ndarray:
+    def floats(self, where: str, *shape) -> np.ndarray:
         """The next block, a read-only view of the file's bytes: a caller
-        copies what it keeps, once.  A block of ``steps_of``, one step a
-        row, must be finite."""
+        copies what it keeps, once.  Every value must be finite; ``where``
+        names the block and, as ``{}``, an index of its first axis, for the
+        first one that holds a fault."""
         count = int(np.prod(shape))
         block = np.frombuffer(self._raw, dtype="<f8", count=count,
                               offset=self._take(8 * count)).reshape(shape)
-        bad = np.flatnonzero(~np.isfinite(block).all(axis=1)) if steps_of else ()
-        if len(bad):
-            raise self.error(f"non-finite value in {steps_of} at step {bad[0]}")
+        finite = np.isfinite(block).all(axis=tuple(range(1, block.ndim)))
+        if not finite.all():
+            raise self.error("non-finite value in "
+                             + where.format(np.argmin(finite)))
         return block
 
     def finish(self) -> None:
@@ -343,7 +345,7 @@ def read_record(path) -> SequenceRecord:
     ``ValueError`` naming it."""
     reader = BinaryReader(path, RECORD_MAGIC, FORMAT_VERSION)
     *widths, length, flags = reader.unpack("<IIIIB")
-    blocks = [reader.floats(length, d, steps_of=f"the {name} block").copy()
+    blocks = [reader.floats(f"the {name} block at step {{}}", length, d).copy()
               for d, name in zip(widths, ("inputs", FAMILY_GAMMA, FAMILY_TAU))]
     reader.finish()
     return SequenceRecord(*blocks, truncated=bool(flags & FLAG_TRUNCATED))
@@ -389,7 +391,7 @@ def read_pathset(path) -> list[pg.LoadingPath]:
     paths = []
     for i in range(count):
         length, flags = reader.unpack("<IB")
-        u = reader.floats(length, 3, steps_of=f"path {i}")[:, [0, 2, 2, 1]]
+        u = reader.floats(f"path {i} at step {{}}", length, 3)[:, [0, 2, 2, 1]]
         kind = pg.KIND_CYCLIC if flags & FLAG_CYCLIC else pg.KIND_RANDOM_WALK
         try:
             paths.append(pg.LoadingPath(u.reshape(length, 2, 2), kind))

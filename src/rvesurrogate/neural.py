@@ -19,9 +19,9 @@ which carries 3*n_h*(n_h + n_in + 2) learnable parameters: three input-side
 and three hidden-side matrices plus two bias vectors per gate path.  This
 algebra lives in :func:`gru_step` alone, the loop body of
 :meth:`RnnModel.forward`; the input-side terms ``x' Wx + bx`` are one matrix
-product over all steps before the loop.  ``forward`` starts from the constant
-``h0`` or from a given hidden state, so a sequence can be continued from the
-final state of an earlier pass over its beginning.
+product over all steps before the loop.  ``forward`` starts every hidden
+unit from the constant ``H0`` or from a given hidden state, so a sequence can
+be continued from the final state of an earlier pass over its beginning.
 
 :func:`train_step` is the one BPTT update (forward, MSE, backward, gradient
 clipping, Adam step); its one caller is ``SurrogateBundle.train``, the
@@ -31,7 +31,7 @@ Storage: :meth:`RnnModel.build` allocates one parameter vector ``params``;
 every weight and bias array is a reshaped view of a consecutive slice, in
 the seeded draw order: input net ``w, b`` per layer, GRU ``wx, bx, wh,
 bh``, output net ``w, b`` per layer.  Adam, the training loop's backup and
-the model file see only this vector, which the file holds after ``h0`` and
+the model file see only this vector, which the file holds after ``H0`` and
 the layer sizes, in ``datastore``'s one binary layout.  Its dtype, float64 so
 finite-difference gradient checks resolve, is the model's one storage
 decision.  A model holds no gradient: ``backward`` writes one over a
@@ -93,7 +93,8 @@ MODEL_MAGIC = b"RNNMDL1"
 MODEL_VERSION = 1
 
 LEAKY_SLOPE = 0.01
-DEFAULT_H0 = -1.0
+# the hidden state every sequence starts from, in every unit
+H0 = -1.0
 
 # Adam's moment decay rates and the guard of its denominator
 ADAM_BETA1 = 0.9
@@ -314,19 +315,16 @@ class RnnModel:
     """Input feed-forward net -> GRU -> output feed-forward net."""
 
     def __init__(self, nnw_in: FeedForwardNet, gru: GruCell,
-                 nnw_out: FeedForwardNet, params: np.ndarray,
-                 h0: float = DEFAULT_H0):
+                 nnw_out: FeedForwardNet, params: np.ndarray):
         self.nnw_in = nnw_in
         self.gru = gru
         self.nnw_out = nnw_out
         self.params = params
-        self.h0 = float(h0)
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def build(cls, nnw_in_sizes, n_h, nnw_out_sizes, h0=DEFAULT_H0, seed=0,
-              params=None):
+    def build(cls, nnw_in_sizes, n_h, nnw_out_sizes, seed=0, params=None):
         """Build from layer-size signatures.
 
         ``nnw_in_sizes`` includes the raw input width (e.g. ``(3, 70)``);
@@ -363,13 +361,12 @@ class RnnModel:
         nnw_in = FeedForwardNet.input_path(in_sizes, draw)
         gru = GruCell(in_sizes[-1], n_h, draw)
         nnw_out = FeedForwardNet.output_path(out_sizes, draw)
-        return cls(nnw_in, gru, nnw_out, params, h0=h0)
+        return cls(nnw_in, gru, nnw_out, params)
 
     def over(self, vector: np.ndarray) -> "RnnModel":
         """This model's layout over ``vector``, a parameter vector or block."""
         return RnnModel.build(self.nnw_in.sizes, self.gru.n_h,
-                              self.nnw_out.sizes[1:], h0=self.h0, seed=None,
-                              params=vector)
+                              self.nnw_out.sizes[1:], seed=None, params=vector)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -388,7 +385,7 @@ class RnnModel:
         for prediction without one.
 
         ``inputs`` has shape (batch, steps, n_x).  The recurrence starts from
-        ``h_init`` (batch, n_h) when given, else from the constant ``h0``, so
+        ``h_init`` (batch, n_h) when given, else from the constant ``H0``, so
         a sequence run in two parts, the second from the first's final
         state, gives the outputs of one run over the whole to roundoff.
         Returns the output block (batch, steps, n_y) and, with a
@@ -423,7 +420,7 @@ class RnnModel:
         gx += self.gru.bx[..., None, :]
 
         h = start = _take(arrays, "h_init", groups + (n_b, n))
-        start[...] = self.h0 if h_init is None else h_init
+        start[...] = H0 if h_init is None else h_init
         h_out = _take(arrays, "h_out", groups + (n_b, n_t, n))
         if training:
             gate_u, gate_r, cand, gh_cand = _take(arrays, "gates",
@@ -609,26 +606,27 @@ def train_step(model: RnnModel, optimizer: Adam, inputs, targets,
 
 
 def save_model(path, model: RnnModel) -> None:
-    """Write ``h0``, the layer-size lists and the parameter vector."""
+    """Write ``H0``, the layer-size lists and the parameter vector."""
     sizes = (model.nnw_in.sizes, (model.gru.n_h,), model.nnw_out.sizes)
-    ds.write_binary(path, MODEL_MAGIC, MODEL_VERSION, ("<d", model.h0),
+    ds.write_binary(path, MODEL_MAGIC, MODEL_VERSION, ("<d", H0),
                     *[(f"<I{len(s)}I", len(s), *s) for s in sizes],
                     model.params)
 
 
 def load_model(path, model: RnnModel) -> None:
     """Read into ``model`` the parameters of a file that ``save_model``
-    wrote for a model of its ``h0`` and layer sizes; any other file raises a
-    ``ValueError`` naming it and leaves ``model`` as it was."""
+    wrote for a model of its layer sizes, with ``H0``; any other file, a
+    non-finite parameter too, raises a ``ValueError`` naming it and leaves
+    ``model`` as it was."""
     reader = ds.BinaryReader(path, MODEL_MAGIC, MODEL_VERSION)
     (h0,) = reader.unpack("<d")
     # each size list is its length, then its sizes
     sizes = [reader.unpack(f"<{reader.unpack('<I')[0]}I") for _ in range(3)]
     want = [model.nnw_in.sizes, (model.gru.n_h,), model.nnw_out.sizes]
-    if (h0, sizes) != (model.h0, want):
+    if (h0, sizes) != (H0, want):
         raise reader.error(f"not a version-{MODEL_VERSION} model file with "
-                           f"h0 = {model.h0} and layer sizes {want}; it holds "
+                           f"h0 = {H0} and layer sizes {want}; it holds "
                            f"h0 = {h0} and layer sizes {sizes}")
-    params = reader.floats(model.params.size)
+    params = reader.floats("the parameters at entry {}", model.params.size)
     reader.finish()
     model.params[...] = params

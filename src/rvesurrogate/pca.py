@@ -157,10 +157,13 @@ def save(path, model: PcaModel) -> None:
 
 
 def load(path) -> PcaModel:
+    """The basis ``save`` wrote; a malformed file, a non-finite value too,
+    raises a ``ValueError`` naming it."""
     reader = ds.BinaryReader(path, PCA_MAGIC, PCA_VERSION)
     d, p = reader.unpack("<II")
-    model = PcaModel(reader.floats(d).copy(), reader.floats(d).copy(),
-                     reader.floats(d, p).copy())
+    model = PcaModel(reader.floats("the mean at entry {}", d).copy(),
+                     reader.floats("the eigenvalues at entry {}", d).copy(),
+                     reader.floats("the components at entry {}", d, p).copy())
     reader.finish()
     return model
 

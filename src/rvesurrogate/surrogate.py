@@ -23,7 +23,12 @@ space, which makes the three kinds (and the PCA reconstruction floor from
 the same ``p`` coefficients) directly comparable.
 
 Storage: a bundle trains and predicts every one of its Q groups, and a
-reduced bundle's PCA holds exactly the ``p`` components it predicts.  It
+reduced bundle's PCA holds exactly the ``p`` components it predicts.  Its
+kind, architecture, Q and basis fix the rest: ``p`` is Q times the output
+net's width, group ``g`` predicts coefficients ``g p/Q`` to ``(g+1) p/Q - 1``
+(its ``group_map`` entry), and every RNN starts from ``neural.H0``.  So
+``bundle.json`` holds the kind, family, architecture, Q and the three
+normalizations, and nothing that could disagree with them.  A bundle
 holds one ``(Q, n)`` parameter block and no gradients; group ``g``'s RNN
 is built over row ``g``, which training, ``Adam``, the backup and
 ``rnn_XX.bin`` see as the group's one vector.  Prediction runs consecutive
@@ -42,9 +47,10 @@ query whose history without its last row is byte-for-byte one of them
 resumes from it: only its new row is checked for finite entries, and it
 runs one recurrence step of every group, as two half-stacks on two
 threads (below); any other query is checked whole and replays its whole
-history from ``h0``.
-Every prediction (these queries, ``evaluate``, the trial's scoring and the
-``train`` stage's probe) runs ``RnnModel.forward`` without a workspace, so
+history from ``neural.H0``.
+Every prediction (these queries, the batch passes of ``predict``, which
+``evaluate``, ``eval``'s snapshots and the ``train`` stage's probe run, and
+the trial's scoring) runs ``RnnModel.forward`` without a workspace, so
 it keeps no training cache: what stays alive after a query is its answer
 and the kept states.  ``train`` and ``fit_normalization`` empty the map,
 and ``load`` builds a bundle with an empty one.
@@ -100,7 +106,7 @@ _NORM_TABLE = ds.required(minimum="list of real", maximum="list of real",
 _BUNDLE_TABLE = ds.required(
     kind="str", family="str",
     arch=ds.required(nnw_in="list of int", n_h="int", nnw_out="list of int"),
-    q="int", p="int|null", seed="int", h0="real", group_map="list of list",
+    q="int",
     input_norm=_NORM_TABLE, output_norm=_NORM_TABLE, field_norm=_NORM_TABLE)
 
 # queried histories whose final hidden states a bundle keeps; at least the
@@ -195,14 +201,6 @@ def _history_key(x: np.ndarray) -> tuple:
     return x.shape, x.tobytes()
 
 
-def group_slices(p: int, q: int) -> list[tuple[int, int]]:
-    """Q contiguous blocks of size p/Q covering 0..p in spectral order."""
-    if q < 1 or p % q != 0:
-        raise ValueError(f"output dimension {p} is not divisible into {q} groups")
-    k = p // q
-    return [(i * k, (i + 1) * k) for i in range(q)]
-
-
 @dataclass
 class FieldPrediction:
     """Raw predicted fields of one strain history."""
@@ -243,55 +241,48 @@ class SurrogateBundle:
     """Normalization specs, optional PCA and the RNN(s) of one surrogate."""
 
     def __init__(self, kind, arch: Architecture, q: int = 1,
-                 pca: pcalib.PcaModel | None = None, p: int | None = None,
-                 family: str = ds.FAMILY_GAMMA, seed: int = 0,
-                 h0: float = nn.DEFAULT_H0, *, _draw: bool = True):
-        # _draw=False leaves the RNN parameters zero for ``load`` to fill
+                 pca: pcalib.PcaModel | None = None,
+                 family: str = ds.FAMILY_GAMMA, seed: int | None = 0):
+        # seed=None draws nothing: the RNN parameters stay zero, for ``load``
+        # to fill
         if kind not in KINDS:
             raise ValueError(f"unknown surrogate kind {kind!r}")
         if family not in ds.FAMILIES:
             raise ValueError(f"unknown state-variable family {family!r}")
-        if kind == KIND_DIRECT:
-            if pca is not None or p is not None:
-                raise ValueError("kind I takes no PCA reduction")
+        if kind != KIND_BROKEN_DOWN:
             q = 1
-            out_total = arch.output_dim
-        else:
-            if pca is None:
-                raise ValueError(f"kind {kind} needs a fitted PCA model")
-            if p is None:
-                p = pca.retained_p
-            if p > pca.retained_p:
-                raise ValueError(
-                    f"requested p={p} exceeds the {pca.retained_p} retained components"
-                )
-            if kind == KIND_REDUCED:
-                q = 1
-            out_total = p
-            if arch.output_dim * q != out_total:
-                raise ValueError(
-                    f"output net ends in {arch.output_dim} but p/Q = {out_total}/{q}"
-                )
-            # the bundle predicts the first p coefficients, and only those
-            pca = pcalib.PcaModel(pca.mean, pca.eigenvalues,
-                                  pca.components[:, :p])
+        elif q < 1:
+            raise ValueError(f"kind III needs q >= 1 groups, got {q}")
         self.kind = kind
         self.family = family
         self.arch = arch
-        self.q = int(q)
-        self.p = p
+        self.q = q
+        if kind == KIND_DIRECT:
+            if pca is not None:
+                raise ValueError("kind I takes no PCA reduction")
+        else:
+            if pca is None:
+                raise ValueError(f"kind {kind} needs a fitted PCA model")
+            if self.p > pca.retained_p:
+                raise ValueError(
+                    f"an output net of {arch.output_dim} in {q} groups "
+                    f"predicts p = {self.p} coefficients, but the PCA retains "
+                    f"{pca.retained_p}")
+            # the bundle predicts the first p coefficients, and only those
+            pca = pcalib.PcaModel(pca.mean, pca.eigenvalues,
+                                  pca.components[:, :self.p])
         self.pca = pca
-        self.seed = int(seed)
-        self.h0 = float(h0)
-        self.group_map = group_slices(out_total, self.q)
+        # group g's output slice: Q contiguous blocks in spectral order
+        k = arch.output_dim
+        self.group_map = [(gi * k, (gi + 1) * k) for gi in range(q)]
         # one row per group; every model of the bundle is views of it
         size = nn.parameter_count(arch.nnw_in, arch.n_h, arch.nnw_out)
-        self.params = np.zeros((self.q, size))
+        self.params = np.zeros((q, size))
         self.models = [
-            nn.RnnModel.build(arch.nnw_in, arch.n_h, arch.nnw_out, h0=h0,
-                              seed=[self.seed, gi] if _draw else None,
+            nn.RnnModel.build(arch.nnw_in, arch.n_h, arch.nnw_out,
+                              seed=None if seed is None else [seed, gi],
                               params=self.params[gi])
-            for gi in range(self.q)
+            for gi in range(q)
         ]
         # (lo, hi) -> the model over the rows of groups lo..hi-1
         self._stacks = {}
@@ -310,7 +301,13 @@ class SurrogateBundle:
 
     @property
     def output_dim(self) -> int:
-        return self.group_map[-1][1]
+        return self.arch.output_dim * self.q
+
+    @property
+    def p(self) -> int | None:
+        """The PCA coefficients a reduced bundle predicts; ``None`` for
+        kind I."""
+        return self.output_dim if self.reduced else None
 
     @property
     def field_dim(self) -> int:
@@ -443,10 +440,11 @@ class SurrogateBundle:
 
         Also returns the groups' hidden states after the last step,
         (Q, batch, n_h); ``states`` of that shape resumes the groups from
-        those states instead of ``h0``.  A pass of one row and two groups
-        or more runs groups ``0..Q//2-1`` here and the others at the same
-        time on the helper thread, when ``_SPLIT`` allows; any other pass
-        runs here, in stacked passes of ``_STACK_ROWS`` rows or one group.
+        those states instead of ``neural.H0``.  A pass of one row and two
+        groups or more runs groups ``0..Q//2-1`` here and the others at the
+        same time on the helper thread, when ``_SPLIT`` allows; any other
+        pass runs here, in stacked passes of ``_STACK_ROWS`` rows or one
+        group.
         """
         n_b, n_t, _ = x_norm.shape
         out = np.empty((n_b, n_t, self.q, self.arch.output_dim))
@@ -478,10 +476,6 @@ class SurrogateBundle:
                 run(self._stack(lo, hi), lo, hi)
         return out.reshape(n_b, n_t, self.output_dim), finals
 
-    def _predict_normalized(self, x_norm: np.ndarray) -> np.ndarray:
-        """Stacked per-group RNN outputs, (batch, steps, output_dim)."""
-        return self._run_groups(x_norm)[0]
-
     def _to_fields(self, out_norm: np.ndarray) -> np.ndarray:
         """Map normalized RNN outputs back to raw state-variable fields."""
         out = self.output_norm.denormalize(out_norm)
@@ -496,7 +490,7 @@ class SurrogateBundle:
         one of the last ``HISTORY_CACHE_ENTRIES`` histories this bundle was
         queried with, only the last row is checked and runs, from the hidden
         states that history ended in; otherwise the whole sequence is
-        checked and runs from ``h0``.
+        checked and runs from ``neural.H0``.
         Either way the answer equals a full replay to roundoff, and this
         query's history is kept for the next one.  ``train`` and
         ``fit_normalization`` forget every kept history.  The returned
@@ -538,6 +532,14 @@ class SurrogateBundle:
             self._history.popitem(last=False)
         return FieldPrediction(fields=fields.copy())
 
+    def predict(self, strain_features) -> np.ndarray:
+        """Raw fields (batch, steps, d) of raw strain-feature sequences
+        (batch, steps, n_inputs), in one batch pass that keeps no history."""
+        if not self.fitted:
+            raise ValueError("surrogate has not been trained or loaded")
+        out, _ = self._run_groups(self.input_norm.normalize(strain_features))
+        return self._to_fields(out)
+
     def evaluate(self, dataset: ds.PackedDataset) -> EvaluationReport:
         """Normalized full-dimensional MSE against the dataset's fields.
 
@@ -546,10 +548,8 @@ class SurrogateBundle:
         are compared on the same reference.  Reduced kinds also report the
         PCA floor: the error of reconstructing the same data from its exact
         first ``p`` coefficients, the ones the surrogate predicts.  An
-        untrained bundle raises the ``ValueError`` of :meth:`predict_fields`.
+        untrained bundle raises the ``ValueError`` of :meth:`predict`.
         """
-        if not self.fitted:
-            raise ValueError("surrogate has not been trained or loaded")
         per_mse = []
         lengths = []
         max_pred = []
@@ -558,9 +558,8 @@ class SurrogateBundle:
         floor_steps = 0
         for length in dataset.lengths:
             records = dataset.groups[length]
-            x = np.stack([self.input_norm.normalize(r.inputs) for r in records])
+            pred = self.predict(np.stack([r.inputs for r in records]))
             truth = np.stack([r.outputs(self.family) for r in records])
-            pred = self._to_fields(self._predict_normalized(x))
             t_norm = self.field_norm.normalize(truth)
             p_norm = self.field_norm.normalize(pred)
             err = (p_norm - t_norm) ** 2
@@ -605,10 +604,6 @@ class SurrogateBundle:
                 "nnw_out": list(self.arch.nnw_out),
             },
             "q": self.q,
-            "p": self.p,
-            "seed": self.seed,
-            "h0": self.h0,
-            "group_map": [list(g) for g in self.group_map],
             "input_norm": self.input_norm.to_dict(),
             "output_norm": self.output_norm.to_dict(),
             "field_norm": self.field_norm.to_dict(),
@@ -625,11 +620,14 @@ class SurrogateBundle:
 
         ``_BUNDLE_TABLE`` checks every entry of its bundle file: the file
         must hold exactly the keys ``save`` writes, nested ones included,
-        each of its JSON type.  Its group map must be the one
-        ``group_slices`` gives, and each normalization as wide as what it
-        maps.  Any other fault, or a model or PCA file that disagrees with
-        the bundle or is missing, raises a ``ValueError`` naming the file.
-        A loaded bundle is trained, and every one of its groups predicts.
+        each of its JSON type.  Those are the kind, family, architecture, Q
+        and normalizations, from which the bundle's ``p``, group map and
+        start state follow; no seed is read, as nothing is drawn.  Each
+        normalization must be as wide as what it maps.  Any other fault, or
+        a model or PCA file that disagrees with the bundle, holds a
+        non-finite value or is missing, raises a ``ValueError`` naming the
+        file.  A loaded bundle is trained, and every one of its groups
+        predicts.
         """
         directory = Path(directory)
         meta_file = directory / BUNDLE_FILE
@@ -637,17 +635,8 @@ class SurrogateBundle:
         pca_model = (None if meta["kind"] == KIND_DIRECT
                      else pcalib.load(directory / PCA_FILE))
         try:
-            bundle = cls(
-                kind=meta["kind"],
-                family=meta["family"],
-                arch=Architecture(**meta["arch"]),
-                q=meta["q"],
-                pca=pca_model,
-                p=meta["p"],
-                seed=meta["seed"],
-                h0=meta["h0"],
-                _draw=False,
-            )
+            bundle = cls(meta["kind"], Architecture(**meta["arch"]), meta["q"],
+                         pca_model, meta["family"], seed=None)
             for name, width in (("input", bundle.arch.nnw_in[0]),
                                 ("output", bundle.output_dim),
                                 ("field", bundle.field_dim)):
@@ -659,12 +648,6 @@ class SurrogateBundle:
                 setattr(bundle, f"{name}_norm", norm)
         except ValueError as err:
             raise ValueError(f"{meta_file}: {err}") from None
-        if meta["group_map"] != [list(g) for g in bundle.group_map]:
-            raise ValueError(
-                f"{meta_file}: group_map is {meta['group_map']}, but its "
-                f"{bundle.output_dim} outputs in {bundle.q} groups are "
-                f"{[list(g) for g in bundle.group_map]}"
-            )
         for gi, model in enumerate(bundle.models):
             nn.load_model(directory / f"rnn_{gi:02d}.bin", model)
         return bundle
@@ -713,7 +696,7 @@ def hidden_size_trial(
             pca=coefficient, family=family, seed=config.seed)
         history = bundle.train(train_set, replace(config, n_batches=epoch_budget))
         groups = bundle._group_arrays(val_set).values()
-        pred = np.concatenate([bundle._predict_normalized(x).ravel()
+        pred = np.concatenate([bundle._run_groups(x)[0].ravel()
                                for x, _ in groups])
         true = np.concatenate([y.ravel() for _, y in groups])
         if pred.std() < 1e-12 or true.std() < 1e-12:

@@ -352,6 +352,10 @@ class TestActionableErrors:
         ("paths/paths.bin", "nan", "gen-data", "`gen-paths`"),
         ("dataset/records/record_000000.rveseq", "nan", "pca-fit",
          "`gen-data`"),
+        ("pca/pca_gamma.bin", "nan", "train", "`pca-fit`"),
+        ("pca/pca_gamma.bin", "nan", "trial", "`pca-fit`"),
+        ("bundle/pca.bin", "nan", "eval", "`train`"),
+        ("bundle/rnn_00.bin", "nan", "eval", "`train`"),
     ])
     def test_malformed_artifact(self, dataset_root, tmp_path, monkeypatch,
                                 capsys, artifact, corrupt, command, rewriter):
@@ -377,7 +381,9 @@ class TestActionableErrors:
             at = 28 + rec.inputs.nbytes + 2 * rec.outputs_gamma[0].nbytes
             data = data[:at] + np.float64(np.nan).tobytes() + data[at + 8:]
         elif corrupt == "nan":
-            # the last stretch component of the last path
+            # the last float of the file: the last stretch component of the
+            # last path, or the last entry of a basis's components or of a
+            # model's parameters
             data = data[:-8] + np.float64(np.nan).tobytes()
         else:
             # the first path's first stretch component, after the 7-byte
@@ -396,8 +402,18 @@ class TestActionableErrors:
         assert err.startswith("error: cannot read")
         assert err.count(str(path)) == 1 and f"re-run {rewriter}" in err
         if corrupt == "nan":
-            assert ("the gamma block at step 2" if artifact.endswith(".rveseq")
-                    else "non-finite value in path 2 at step") in err
+            # d_gamma = 8 rows of p = 4 components
+            assert {
+                "paths/paths.bin": "non-finite value in path 2 at step",
+                "dataset/records/record_000000.rveseq":
+                    "non-finite value in the gamma block at step 2",
+                "pca/pca_gamma.bin":
+                    "non-finite value in the components at entry 7",
+                "bundle/pca.bin":
+                    "non-finite value in the components at entry 7",
+                "bundle/rnn_00.bin": "non-finite value in the parameters at "
+                    f"entry {nn.parameter_count((3, 4), 4, (4, 2)) - 1}",
+            }[artifact] in err
 
     @pytest.mark.parametrize("text, message", [
         ("{", "config.json: not JSON (Expecting property name"),
@@ -488,7 +504,9 @@ class TestStagesReplaceTheirOutputs:
         # bundle files of versions that could leave groups untrained
         ("trained_groups", [0, 1], "unknown keys: trained_groups"),
         ("coeff_means", [0.0] * 4, "unknown keys: coeff_means"),
-        ("group_map", [[0, 1], [1, 4]], "group_map is [[0, 1], [1, 4]]"),
+        # bundle files of versions that stated p, the seed, h0 and the
+        # group map next to what fixes them
+        ("group_map", [[0, 1], [1, 4]], "unknown keys: group_map"),
         # a saved bundle is trained
         ("input_norm", None, "input_norm must be a JSON object, got None"),
         ("output_norm", None, "output_norm must be a JSON object, got None"),
@@ -500,9 +518,9 @@ class TestStagesReplaceTheirOutputs:
          "input_norm must be a JSON object, got [0.0, 1.0]"),
         # scalar entries of the wrong type or value
         ("q", None, "q must be int, got None"),
-        ("p", "x", "p must be int or null, got 'x'"),
-        ("seed", [1], "seed must be int, got [1]"),
-        ("h0", "x", "h0 must be real, got 'x'"),
+        ("p", "x", "unknown keys: p"),
+        ("seed", [1], "unknown keys: seed"),
+        ("h0", "x", "unknown keys: h0"),
         ("kind", "IV", "unknown surrogate kind 'IV'"),
         ("family", "foo", "unknown state-variable family 'foo'"),
         # entries that disagree with the bundle or with the records
@@ -536,6 +554,22 @@ class TestStagesReplaceTheirOutputs:
         assert err.count("bundle.json") == 1
         assert "re-run `train`" in err
 
+
+    def test_eval_of_a_bundle_file_of_the_11_key_layout(
+            self, dataset_root, tmp_path, monkeypatch, capsys):
+        # the layout that also stated p, the seed, h0 and the group map
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        for stage in ("pca-fit", "train"):
+            cli.run_stage(stage, cfg, dataset_root)
+        meta_file = dataset_root / "bundle" / sg.BUNDLE_FILE
+        meta = ds.read_json(meta_file)
+        assert len(meta) == 7
+        meta.update(p=4, seed=0, h0=-1.0, group_map=[[0, 2], [2, 4]])
+        ds.write_json(meta_file, meta)
+        assert run_main("eval", dataset_root, cfg, tmp_path, monkeypatch) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read {meta_file}: unknown keys: group_map, h0, p, "
+            "seed; re-run `train` to rewrite it\n")
 
     def test_eval_of_a_dataset_regenerated_at_another_width(
             self, tmp_path, monkeypatch, capsys):
@@ -591,14 +625,17 @@ class TestTrialStage:
         real = sg.SurrogateBundle.train
 
         def keep(bundle, dataset, config):
-            trained.append((bundle, config))
+            trained.append((bundle, config, bundle.params.copy()))
             return real(bundle, dataset, config)
 
         monkeypatch.setattr(sg.SurrogateBundle, "train", keep)
         cli.run_stage("trial", cfg, dataset_root)
         assert len(trained) == 2
-        for i, (bundle, config) in enumerate(trained):
-            assert (bundle.kind, bundle.p, bundle.seed) == ("II", 1, 9)
+        for i, (bundle, config, start) in enumerate(trained):
+            assert (bundle.kind, bundle.p) == ("II", 1)
+            # drawn from the train section's seed
+            assert start.tobytes() == sg.SurrogateBundle(
+                "II", bundle.arch, pca=bundle.pca, seed=9).params.tobytes()
             assert bundle.arch == sg.Architecture((3, 5), 4 + 3 * i, (6, 1))
             assert config == nn.TrainConfig(
                 learning_rate=2e-3, clip_norm=0.5, n_epoch=3, n_batches=2,
@@ -721,10 +758,11 @@ class TestGenDataDeterminism:
     }
     # the files that also describe the bundle's layout, re-pinned when
     # bundle.json lost trained_groups and coeff_means, and describe() lost
-    # trained_groups
+    # trained_groups; bundle.json again when it lost p, seed, h0 and
+    # group_map
     PINNED_DESCRIPTIONS = {
         "bundle/bundle.json":
-            "72dba15331b173b6620056cff8fe66941500a1fae3470a4448ce4fa41761450b",
+            "f1ddba7df365b8931068b94354a2467ed1b265b088d4bbb4604288f42e9f9d18",
         "eval/summary.json":
             "61f0c5086fc34212e71e03098dd0d733172041981067a0b2b00854b5e80527a4",
     }
@@ -849,13 +887,13 @@ class TestResolvedConfig:
         for stage in ("pca-fit", "train"):
             cli.run_stage(stage, cfg, dataset_root)
         passes = []
-        real = sg.SurrogateBundle._predict_normalized
+        real = sg.SurrogateBundle.predict
 
-        def counted(self, x_norm):
-            passes.append(x_norm.shape)
-            return real(self, x_norm)
+        def counted(self, strain_features):
+            passes.append(strain_features.shape)
+            return real(self, strain_features)
 
-        monkeypatch.setattr(sg.SurrogateBundle, "_predict_normalized", counted)
+        monkeypatch.setattr(sg.SurrogateBundle, "predict", counted)
         cli.run_stage("eval", cfg, dataset_root)
         # evaluate's one pass per length group, and no other
         groups = cli._pack(cfg, ds.read_dataset(dataset_root / "dataset")).groups

@@ -604,12 +604,12 @@ class TestParameterCount:
 
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
-        model = nn.RnnModel.build((3, 8), 6, (5, 4), h0=-1.0, seed=18)
+        model = nn.RnnModel.build((3, 8), 6, (5, 4), seed=18)
         f = tmp_path / "model.bin"
         nn.save_model(f, model)
         # the file ends in the parameter vector, in layout order
         assert f.read_bytes().endswith(model.params.tobytes())
-        back = nn.RnnModel.build((3, 8), 6, (5, 4), h0=-1.0, seed=99)
+        back = nn.RnnModel.build((3, 8), 6, (5, 4), seed=99)
         assert back.params.tobytes() != model.params.tobytes()
         nn.load_model(f, back)
         assert back.params.tobytes() == model.params.tobytes()
@@ -624,7 +624,6 @@ class TestSerialization:
         dict(nnw_in_sizes=(3, 8), n_h=7, nnw_out_sizes=(5, 4)),
         dict(nnw_in_sizes=(3, 8), n_h=6, nnw_out_sizes=(5, 3)),
         dict(nnw_in_sizes=(3, 9, 8), n_h=6, nnw_out_sizes=(5, 4)),
-        dict(nnw_in_sizes=(3, 8), n_h=6, nnw_out_sizes=(5, 4), h0=0.0),
     ])
     def test_mismatched_model_rejected(self, tmp_path, other):
         f = tmp_path / "model.bin"
@@ -634,6 +633,27 @@ class TestSerialization:
         with pytest.raises(ValueError, match="not a version-1 model file"):
             nn.load_model(f, target)
         assert target.params.tobytes() == before
+
+    def test_model_file_of_another_start_state_rejected(self, tmp_path):
+        # a file laid out as save_model lays it out, but with h0 = 0
+        f = tmp_path / "model.bin"
+        model = nn.RnnModel.build((3, 8), 6, (5, 4), seed=18)
+        sizes = (model.nnw_in.sizes, (model.gru.n_h,), model.nnw_out.sizes)
+        ds.write_binary(f, nn.MODEL_MAGIC, nn.MODEL_VERSION, ("<d", 0.0),
+                        *[(f"<I{len(s)}I", len(s), *s) for s in sizes],
+                        model.params)
+        target = nn.RnnModel.build((3, 8), 6, (5, 4), seed=0)
+        before = target.params.tobytes()
+        with pytest.raises(ValueError, match="not a version-1 model file "
+                                             r"with h0 = -1\.0 .* it holds "
+                                             r"h0 = 0\.0"):
+            nn.load_model(f, target)
+        assert target.params.tobytes() == before
+        # the same file with h0 = -1 is what save_model writes
+        nn.save_model(tmp_path / "saved.bin", model)
+        raw = f.read_bytes()
+        assert (raw[:11] + np.float64(-1.0).tobytes() + raw[19:]
+                == (tmp_path / "saved.bin").read_bytes())
 
     @pytest.mark.parametrize("change", [lambda raw: raw[:-8],
                                         lambda raw: raw + bytes(8)])

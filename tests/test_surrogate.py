@@ -30,30 +30,34 @@ def quick_config(n_batches=60, seed=7, **kw):
     return nn.TrainConfig(n_batches=n_batches, seed=seed, **defaults)
 
 
+def group_map(p, q):
+    """The group map of a kind III bundle of Q groups over p coefficients,
+    narrow nets over an identity basis."""
+    pca = pcalib.PcaModel(np.zeros(p), np.ones(p), np.eye(p))
+    arch = sg.Architecture(nnw_in=(3, 2), n_h=2, nnw_out=(p // q,))
+    return sg.SurrogateBundle("III", arch, q=q, pca=pca).group_map
+
+
 class TestSplitOutputs:
     def test_paper_scale_grouping(self):
-        slices = sg.group_slices(180, 18)
+        slices = group_map(180, 18)
         assert slices[0] == (0, 10)
         assert slices[-1] == (170, 180)
         assert len(slices) == 18
 
     def test_tau_grouping_covers_coefficients_21_to_40(self):
         # group index 1 (second group) of p=180, Q=9 owns coefficients 21..40
-        slices = sg.group_slices(180, 9)
+        slices = group_map(180, 9)
         assert slices[1] == (20, 40)
 
     def test_single_group_identity(self):
-        assert sg.group_slices(12, 1) == [(0, 12)]
+        assert group_map(12, 1) == [(0, 12)]
 
     def test_concatenation_restores_order(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((5, 12))
-        parts = [x[..., lo:hi] for lo, hi in sg.group_slices(12, 4)]
+        parts = [x[..., lo:hi] for lo, hi in group_map(12, 4)]
         assert np.array_equal(np.concatenate(parts, axis=-1), x)
-
-    def test_indivisible_raises(self):
-        with pytest.raises(ValueError, match="divisible"):
-            sg.group_slices(10, 3)
 
 
 class TestBuild:
@@ -61,7 +65,7 @@ class TestBuild:
         # 18 RNNs over p=180 in blocks of 10 (uses a wide fake PCA)
         fake = pcalib.PcaModel(np.zeros(1607), np.ones(1607), np.eye(1607)[:, :180])
         arch = sg.Architecture(nnw_in=(3, 70), n_h=400, nnw_out=(100, 10))
-        bundle = sg.SurrogateBundle("III", arch, q=18, pca=fake, p=180)
+        bundle = sg.SurrogateBundle("III", arch, q=18, pca=fake)
         assert len(bundle.models) == 18
         assert bundle.group_map[0] == (0, 10)
         assert bundle.group_map[-1] == (170, 180)
@@ -74,8 +78,9 @@ class TestBuild:
 
     def test_arch_mismatch_rejected(self, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 3))
-        with pytest.raises(ValueError, match="p/Q"):
-            sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8)
+        with pytest.raises(ValueError, match="p = 12 coefficients, but the "
+                                             "PCA retains 8"):
+            sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca)
 
     def test_kind_i_rejects_pca(self, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 16))
@@ -84,7 +89,7 @@ class TestBuild:
 
     def test_parameter_report(self, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8)
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca)
         desc = bundle.describe()
         per = bundle.models[0].params.size
         assert desc["parameters_per_rnn"] == per
@@ -111,7 +116,7 @@ class TestTraining:
 
     def test_loss_history_shape(self, synthetic_packed, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8, seed=2)
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, seed=2)
         hist = bundle.train(synthetic_packed, quick_config(n_batches=10))
         assert hist.losses.shape == (10, 4)
         assert not hist.aborted
@@ -119,8 +124,8 @@ class TestTraining:
 
     def test_reproducible_loss_history(self, synthetic_packed, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        a = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8, seed=2)
-        b = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8, seed=2)
+        a = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, seed=2)
+        b = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, seed=2)
         ha = a.train(synthetic_packed, quick_config(n_batches=15))
         hb = b.train(synthetic_packed, quick_config(n_batches=15))
         assert np.array_equal(ha.losses, hb.losses)
@@ -128,7 +133,7 @@ class TestTraining:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_divergence_aborts_with_checkpoint(self, synthetic_packed, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8, seed=4)
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, seed=4)
         # absurd learning rate overflows the loss inside the first batch's
         # second epoch, so the abort restores the pre-batch parameters
         cfg = quick_config(n_batches=50, learning_rate=1e200, n_epoch=2)
@@ -144,7 +149,7 @@ class TestTraining:
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
 
         def build():
-            return sg.SurrogateBundle("III", arch, q=3, pca=gamma_pca, p=6,
+            return sg.SurrogateBundle("III", arch, q=3, pca=gamma_pca,
                                       seed=4)
 
         clean_6, clean_10 = build(), build()
@@ -182,7 +187,7 @@ class TestTraining:
         # batch before drawing the next; the group-outer loop must give the
         # same bytes, which it does only if every group sees every batch
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.SurrogateBundle("III", arch, q=3, pca=gamma_pca, p=6, seed=5)
+        bundle = sg.SurrogateBundle("III", arch, q=3, pca=gamma_pca, seed=5)
         hist = bundle.train(synthetic_packed,
                             quick_config(n_batches=12, seed=9, n_epoch=2))
         digests = [hashlib.sha256(m.params.tobytes()).hexdigest()[:16]
@@ -199,7 +204,7 @@ class TestTraining:
         # 5 batches x 2 epochs: a cap below every norm clips each step, and
         # a zero cap clips none
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.SurrogateBundle("III", arch, q=3, pca=gamma_pca, p=6,
+        bundle = sg.SurrogateBundle("III", arch, q=3, pca=gamma_pca,
                                     seed=6)
         hist = bundle.train(synthetic_packed, quick_config(
             n_batches=5, n_epoch=2, clip_norm=clip_norm))
@@ -212,7 +217,7 @@ class TestTargets:
     def test_training_projects_each_length_group_once(
             self, synthetic_packed, gamma_pca, monkeypatch):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8)
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca)
         projected = []
         real = pcalib.project
 
@@ -229,7 +234,7 @@ class TestTargets:
     def test_stacked_targets_give_the_per_record_normalization(
             self, synthetic_packed, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8)
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca)
         fitted = bundle.fit_normalization(synthetic_packed)
         per_record = ds.fit_normalization(
             [pcalib.project(r.outputs_gamma, gamma_pca)
@@ -272,7 +277,7 @@ class TestTrainingAllocations:
             tracemalloc.start()
             try:
                 bundle = sg.SurrogateBundle("III", arch, q=q, pca=gamma_pca,
-                                            p=2 * q, seed=8)
+                                            seed=8)
                 built = tracemalloc.get_traced_memory()[0]
                 bundle.train(packed, cfg)
                 call_peaks.append(tracemalloc.get_traced_memory()[1])
@@ -314,7 +319,7 @@ class TestPredictionMemory:
         records = synthetic_records(seed=41, n_records=4, d_gamma=d)
         pca = pcalib.PcaModel(np.zeros(d), np.ones(d), np.eye(d))
         arch = sg.Architecture(nnw_in=(3, 8), n_h=16, nnw_out=(1,))
-        bundle = sg.SurrogateBundle("III", arch, q=d, pca=pca, p=d, seed=42)
+        bundle = sg.SurrogateBundle("III", arch, q=d, pca=pca, seed=42)
         bundle.fit_normalization(ds.pack_records(records, lengths=(24,)))
         # batch x steps = _STACK_ROWS rows: past the threshold under which a
         # pass stacks two groups or more
@@ -332,7 +337,7 @@ class TestPredictionMemory:
                 tracemalloc.stop()
 
         one_group = peak(lambda: bundle.models[0].forward(x))
-        every_group = peak(lambda: bundle._predict_normalized(x))
+        every_group = peak(lambda: bundle._run_groups(x))
         assert every_group < 2 * one_group
 
 
@@ -340,8 +345,8 @@ class TestKindEquivalence:
     def test_ii_equals_iii_with_single_group(self, synthetic_packed, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 8))
         cfg = quick_config(n_batches=30, seed=11)
-        b2 = sg.SurrogateBundle("II", arch, pca=gamma_pca, p=8, seed=6)
-        b3 = sg.SurrogateBundle("III", arch, q=1, pca=gamma_pca, p=8, seed=6)
+        b2 = sg.SurrogateBundle("II", arch, pca=gamma_pca, seed=6)
+        b3 = sg.SurrogateBundle("III", arch, q=1, pca=gamma_pca, seed=6)
         h2 = b2.train(synthetic_packed, cfg)
         h3 = b3.train(synthetic_packed, cfg)
         assert np.array_equal(h2.losses, h3.losses)
@@ -354,7 +359,7 @@ class TestKindEquivalence:
 class TestPrediction:
     def test_zero_strain_near_zero_fields(self, synthetic_packed, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8, seed=8)
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, seed=8)
         bundle.train(synthetic_packed, quick_config(n_batches=150))
         pred = bundle.predict_fields(np.zeros((20, 3)))
         scale = max(abs(float(bundle.field_norm.maximum.max())), 1e-12)
@@ -362,7 +367,7 @@ class TestPrediction:
 
     def test_requires_training(self, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8)
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca)
         with pytest.raises(ValueError, match="trained"):
             bundle.predict_fields(np.zeros((4, 3)))
 
@@ -374,14 +379,12 @@ class TestEvaluate:
                 arch = sg.Architecture(nnw_in=(3, 4), n_h=4, nnw_out=(4, 16))
                 super().__init__("I", arch)
                 self.fit_normalization(packed)
-                self._lookup = {
-                    self.input_norm.normalize(r.inputs).tobytes(): r.outputs_gamma
-                    for r in packed.all_records()
-                }
+                self._lookup = {r.inputs.tobytes(): r.outputs_gamma
+                                for r in packed.all_records()}
 
-            def _predict_normalized(self, x_norm):
-                fields = np.stack([self._lookup[x.tobytes()] for x in x_norm])
-                return self.output_norm.normalize(fields)
+            def predict(self, strain_features):
+                return np.stack([self._lookup[x.tobytes()]
+                                 for x in strain_features])
 
         oracle = Oracle(synthetic_packed)
         report = oracle.evaluate(synthetic_packed)
@@ -389,7 +392,7 @@ class TestEvaluate:
 
     def test_weighted_mean_identity(self, synthetic_packed, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8, seed=10)
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, seed=10)
         bundle.train(synthetic_packed, quick_config(n_batches=20))
         report = bundle.evaluate(synthetic_packed)
         manual = float(
@@ -400,7 +403,7 @@ class TestEvaluate:
     def test_reduced_kind_bounded_below_by_pca_floor(self, synthetic_packed,
                                                      gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8, seed=11)
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, seed=11)
         bundle.train(synthetic_packed, quick_config(n_batches=120))
         report = bundle.evaluate(synthetic_packed)
         assert report.pca_floor is not None
@@ -410,7 +413,7 @@ class TestEvaluate:
         # the bundle predicts 4 of the 8 retained coefficients, so its floor
         # is the 4-component reconstruction error, above the 8-component one
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 1))
-        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=4, seed=12)
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, seed=12)
         bundle.fit_normalization(synthetic_packed)
         report = bundle.evaluate(synthetic_packed)
 
@@ -428,7 +431,7 @@ class TestEvaluate:
 
     def test_max_traces_shapes(self, synthetic_packed, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8, seed=13)
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, seed=13)
         bundle.train(synthetic_packed, quick_config(n_batches=10))
         report = bundle.evaluate(synthetic_packed)
         assert len(report.max_pred) == len(list(synthetic_packed.all_records()))
@@ -499,7 +502,7 @@ class TestHiddenSizeTrial:
             learning_rate=2e-3, n_epoch=1, n_batches=30, batch_size=8,
             seed=5))
         groups = bundle._group_arrays(val_set).values()
-        pred = np.concatenate([bundle._predict_normalized(x).ravel()
+        pred = np.concatenate([bundle._run_groups(x)[0].ravel()
                                for x, _ in groups])
         true = np.concatenate([y.ravel() for _, y in groups])
         [trial] = report["trials"]
@@ -511,7 +514,7 @@ class TestSerialization:
     def test_round_trip_preserves_predictions(self, tmp_path, synthetic_packed,
                                               gamma_pca, monkeypatch):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.SurrogateBundle("III", arch, q=3, pca=gamma_pca, p=6,
+        bundle = sg.SurrogateBundle("III", arch, q=3, pca=gamma_pca,
                                     seed=14)
         bundle.train(synthetic_packed, quick_config(n_batches=25))
         bundle.save(tmp_path / "bundle")
@@ -551,7 +554,7 @@ class TestSerialization:
 
     def test_an_untrained_bundle_is_not_saved(self, tmp_path, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8)
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca)
         with pytest.raises(ValueError, match="has not been trained"):
             bundle.save(tmp_path)
         assert list(tmp_path.iterdir()) == []
@@ -559,7 +562,7 @@ class TestSerialization:
     def test_load_rejects_a_model_file_that_disagrees_with_the_bundle(
             self, tmp_path, synthetic_packed, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8)
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca)
         bundle.train(synthetic_packed, quick_config(n_batches=1))
         bundle.save(tmp_path)
         nn.save_model(tmp_path / "rnn_01.bin",
@@ -572,21 +575,21 @@ class TestSerialization:
         # bundle files of versions that could leave groups untrained
         ("trained_groups", [0, 1], r"unknown keys: trained_groups$"),
         ("coeff_means", [0.0] * 8, r"unknown keys: coeff_means$"),
-        ("h0", None, r"missing keys: h0$"),
-        ("group_map", [[0, 2], [2, 4], [4, 6], [6, 7]], "group_map is"),
-        ("group_map", [[0, 4], [4, 8]], "group_map is"),
+        # bundle files of versions that stated h0 and the group map next to
+        # what fixes them
+        ("h0", -1.0, r"unknown keys: h0$"),
+        ("group_map", [[0, 2], [2, 4], [4, 6], [6, 7]],
+         r"unknown keys: group_map$"),
+        ("group_map", [[0, 4], [4, 8]], r"unknown keys: group_map$"),
     ])
     def test_load_rejects_a_group_layout_training_cannot_write(
             self, tmp_path, synthetic_packed, gamma_pca, key, value, message):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
-        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, p=8)
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca)
         bundle.train(synthetic_packed, quick_config(n_batches=1))
         bundle.save(tmp_path)
         meta = ds.read_json(tmp_path / sg.BUNDLE_FILE)
-        if value is None:
-            del meta[key]
-        else:
-            meta[key] = value
+        meta[key] = value
         ds.write_json(tmp_path / sg.BUNDLE_FILE, meta)
         with pytest.raises(ValueError, match=r"bundle\.json: " + message):
             sg.SurrogateBundle.load(tmp_path)
@@ -597,9 +600,9 @@ class TestSerialization:
 # the fields come from a cut PCA
 HISTORY_KINDS = {
     "I": (sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(8, 16)), {}),
-    "II": (sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 8)), {"p": 8}),
+    "II": (sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 8)), {}),
     "III": (sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2)),
-            {"q": 3, "p": 6}),
+            {"q": 3}),
 }
 
 
@@ -669,7 +672,7 @@ def fitted_history_bundle(kind, gamma_pca, synthetic_packed, q=None,
         bundle = build_history_bundle(kind, gamma_pca, seed)
     else:
         arch = HISTORY_KINDS[kind][0]
-        bundle = sg.SurrogateBundle(kind, arch, q=q, p=2 * q, pca=gamma_pca,
+        bundle = sg.SurrogateBundle(kind, arch, q=q, pca=gamma_pca,
                                     seed=seed)
     bundle.fit_normalization(synthetic_packed)
     return bundle
