@@ -6,13 +6,15 @@ write their artifacts under the output root (env var ``RVESURROGATE_ROOT``,
 default ``./pipeline_out``).  The config is resolved before a stage runs:
 ``datastore.check_json`` checks it against one typed table, ``_SCHEMA``,
 and gives each key it leaves out its default there.  A stage reads each of
-its inputs once, through ``_Inputs.read``.  Its manifest carries the
-resolved config (the values in effect, seeds included), SHA-256 hashes of
-its outputs and, as ``inputs``, the hashes of exactly what it read, so a
-finished pipeline is replayable and diffable; re-running a stage with
-identical config and inputs reproduces its artifacts byte-for-byte.  A
-stage replaces its previous outputs: after reading its inputs it empties
-its directory.  A stage exits 0 only after its postcondition checks pass.
+its inputs once, through ``_Inputs.read``, which hashes each file once and
+rejects one whose hash differs from the one its producer's manifest lists.
+Its manifest carries the resolved config (the values in effect, seeds
+included), SHA-256 hashes of its outputs and, as ``inputs``, the hashes of
+exactly what it read, so a finished pipeline is replayable and diffable;
+re-running a stage with identical config and inputs reproduces its
+artifacts byte-for-byte.  A stage replaces its previous outputs: after
+reading its inputs it empties its directory.  A stage exits 0 only after
+its postcondition checks pass.
 ``trial`` picks the hidden size of the surrogate that ``train`` builds,
 with the ``train`` section's architecture, optimizer and seed.
 """
@@ -253,31 +255,43 @@ def sha256_file(path) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def hash_tree(directory) -> str:
-    """Order-independent digest over a directory's data files."""
+def _data_files(directory) -> list[Path]:
+    """The files below ``directory`` but its manifest, sorted."""
+    return [f for f in sorted(Path(directory).glob("**/*"))
+            if f.is_file() and f.name != "manifest.json"]
+
+
+def _tree_digest(file_digests: dict) -> str:
+    """``hash_tree``'s digest from the digests of the directory's data
+    files, keyed by path in ``_data_files`` order."""
     h = hashlib.sha256()
-    for f in sorted(Path(directory).glob("**/*")):
-        if f.is_file() and f.name != "manifest.json":
-            h.update(f.name.encode())
-            h.update(sha256_file(f).encode())
+    for f, digest in file_digests.items():
+        h.update(f.name.encode())
+        h.update(digest.encode())
     return "sha256:" + h.hexdigest()
 
 
-def write_manifest(stage_dir: Path, stage: str, cfg: dict, inputs,
+def hash_tree(directory) -> str:
+    """Order-independent digest over a directory's data files."""
+    return _tree_digest({f: sha256_file(f) for f in _data_files(directory)})
+
+
+def _digest(path: Path) -> str:
+    return hash_tree(path) if path.is_dir() else sha256_file(path)
+
+
+def write_manifest(stage_dir: Path, stage: str, cfg: dict, inputs: dict,
                    notes: dict | None = None) -> None:
     """``stage_dir/manifest.json``: the resolved ``cfg`` the stage ran with,
-    every default filled in, and the hashes of ``inputs``, the artifacts
-    it read named below the root, and of its outputs."""
-    def digest(path: Path) -> str:
-        return hash_tree(path) if path.is_dir() else sha256_file(path)
-
+    every default filled in, the ``inputs`` digests of the artifacts it
+    read, named below the root, and the hashes of its outputs."""
     manifest = {
         "stage": stage,
         "version": __version__,
         "rng": pg.RNG_ALGORITHM,
         "config": cfg,
-        "inputs": {name: digest(stage_dir.parent / name) for name in inputs},
-        "outputs": {f.name: digest(f) for f in sorted(stage_dir.glob("*"))
+        "inputs": inputs,
+        "outputs": {f.name: _digest(f) for f in sorted(stage_dir.glob("*"))
                     if f.name != "manifest.json"},
     }
     if notes:
@@ -296,22 +310,27 @@ def _fresh_stage_dir(root: Path, name: str) -> Path:
 
 @dataclass
 class _Inputs:
-    """The artifacts one stage reads below ``root``: ``names``, each read
-    once, are its manifest's ``inputs``."""
+    """The artifacts one stage reads below ``root``: ``digests`` holds the
+    digest of each, read once, as its manifest's ``inputs``."""
 
     root: Path
-    names: list = field(default_factory=list)
+    digests: dict = field(default_factory=dict)
 
     def read(self, name: str, reader, producer: str):
-        """``reader(root / name)``.  A missing artifact, or a file of it
-        that ``reader`` misses, is a ``StageError`` that asks to run
-        ``producer``; a malformed one, whose file the reader's
-        ``ValueError`` names, is one that asks to re-run it."""
+        """``reader(root / name)``, checked against the hashes its
+        producer's manifest lists.
+
+        A missing artifact, or a file of it that ``reader`` misses, is a
+        ``StageError`` that asks to run ``producer``; a malformed one, whose
+        file the reader's ``ValueError`` names, and then a file whose hash
+        differs from the one its producer's manifest lists, are ones that
+        ask to re-run it."""
         path = self.root / name
         try:
             if not path.exists():
                 raise FileNotFoundError
             value = reader(path)
+            self.digests[name] = _checked_digest(path)
         except FileNotFoundError as err:
             missing = Path(err.filename or path)
             raise StageError(f"no {missing.name} under {missing.parent}; "
@@ -319,8 +338,35 @@ class _Inputs:
         except ValueError as err:
             raise StageError(f"cannot read {err}; re-run `{producer}` to "
                              "rewrite it") from None
-        self.names.append(name)
         return value
+
+
+def _checked_digest(path: Path) -> str:
+    """``write_manifest``'s digest of the artifact ``path``.
+
+    The producer's manifest is the one in ``path``, a stage directory whose
+    files it lists one by one, or else the one beside ``path``.  A file
+    whose hash differs from the one listed raises a ``ValueError`` that
+    names it; an artifact that no manifest lists is not checked.
+    """
+    manifest = path / "manifest.json"
+    if manifest.exists():
+        files = {f: sha256_file(f) for f in _data_files(path)}
+        digest = _tree_digest(files)
+    else:
+        digest = _digest(path)
+        manifest, files = path.parent / "manifest.json", {path: digest}
+    if not manifest.exists():
+        return digest
+    listed = ds.read_json(manifest)
+    listed = listed.get("outputs") if isinstance(listed, dict) else None
+    if not isinstance(listed, dict):
+        raise ValueError(f"{manifest}: no outputs table")
+    for f, file_digest in files.items():
+        if listed.get(f.name, file_digest) != file_digest:
+            raise ValueError(f"{f}: its hash differs from the one {manifest} "
+                             "lists")
+    return digest
 
 
 def _records(path: Path) -> list[ds.SequenceRecord]:
@@ -355,7 +401,7 @@ def stage_gen_paths(cfg: dict, root: Path) -> None:
     stage_dir = _fresh_stage_dir(root, "paths")
     ds.write_pathset(stage_dir / "paths.bin", paths)
     write_manifest(
-        stage_dir, "gen-paths", cfg, inputs=(),
+        stage_dir, "gen-paths", cfg, inputs={},
         notes={
             "termination": "random walks stop once any stretch eigenvalue "
                            "deviates from 1 by more than r_max (deviation "
@@ -428,7 +474,7 @@ def stage_gen_data(cfg: dict, root: Path, jobs: int = 1) -> None:
     stage_dir = _fresh_stage_dir(root, "dataset")
     ds.write_dataset(stage_dir, records)
     write_manifest(
-        stage_dir, "gen-data", cfg, inputs.names,
+        stage_dir, "gen-data", cfg, inputs.digests,
         notes={
             "materials": {
                 "fiber_gpa": [ensemble.fiber.k, ensemble.fiber.mu],
@@ -494,7 +540,7 @@ def stage_pca_fit(cfg: dict, root: Path) -> None:
                  [(k, pcalib.residual_fraction(model, k))
                   for k in range(model.d + 1)], digits=16)
     write_manifest(
-        stage_dir, "pca-fit", cfg, inputs.names,
+        stage_dir, "pca-fit", cfg, inputs.digests,
         notes={"snapshots_used": int(snaps.shape[0]),
                "retained_p": model.retained_p},
     )
@@ -547,7 +593,7 @@ def stage_train(cfg: dict, root: Path) -> None:
                  ([b, length, *losses] for b, (length, losses) in
                   enumerate(zip(history.batch_lengths, history.losses))))
     write_manifest(
-        stage_dir, "train", cfg, inputs.names,
+        stage_dir, "train", cfg, inputs.digests,
         notes={"surrogate": bundle.describe(),
                "final_loss": history.final_loss(),
                "aborted": history.aborted,
@@ -617,7 +663,7 @@ def stage_trial(cfg: dict, root: Path) -> None:
         family=cfg["pca"]["family"], **t)
     stage_dir = _fresh_stage_dir(root, "trial")
     ds.write_json(stage_dir / "trial_report.json", report)
-    write_manifest(stage_dir, "trial", cfg, inputs.names)
+    write_manifest(stage_dir, "trial", cfg, inputs.digests)
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +737,7 @@ def stage_eval(cfg: dict, root: Path) -> None:
         "surrogate": bundle.describe(),
     }
     ds.write_json(stage_dir / "summary.json", summary)
-    write_manifest(stage_dir, "eval", cfg, inputs.names)
+    write_manifest(stage_dir, "eval", cfg, inputs.digests)
     if not np.isfinite(report.mse_full_dim):
         raise StageError("eval postcondition failed: non-finite error")
 

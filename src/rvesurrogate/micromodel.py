@@ -41,9 +41,13 @@ two rules:
 * the trial F of a macro step is ``f_prev + 1 * (f_target - f_prev)``, the
   expression the sub-steps are built with; it is not ``f_target`` in
   floating point and moves tau by about 1e-12;
-* the local deformations come from one ``concentrations @ v`` product per
-  path; one product over all paths' ``v`` at once sums in another order
-  and differs by about 1e-15.
+* the local deformations of a step come from one ``local_deformations``
+  call on the stacked macro blocks of all paths, a stack of
+  ``concentrations @ v`` products whose slices are the single-path
+  products to the bit, and ``_step_alone`` passes one block to the same
+  function; never from one product of the concentrations with all paths'
+  ``v`` as the columns of one matrix, which sums in another order and
+  differs by about 1e-15.
 
 Stresses are carried in MPa internally; moduli are declared in GPa and
 converted on access.
@@ -266,11 +270,13 @@ def matrix_update(f_in, f_out, state: PlasticState,
     updated plastic state, and where the updated ``det F^p`` drifted from 1
     by more than ``_DET_FP_DRIFT_TOL`` and ``F^p`` was scaled back to it.
     The trial elastic state is built from the frozen plastic deformation;
-    when the trial von Mises stress exceeds the current yield stress the
-    plastic multiplier solves the scalar consistency equation and the
-    plastic flow is integrated with the tensor exponential of the
-    trial-frame flow normal, which shares the trial eigenvectors and keeps
-    the update exactly isochoric.
+    at the points where the trial von Mises stress exceeds the current
+    yield stress the plastic multiplier solves the scalar consistency
+    equation and the plastic flow is integrated with the tensor exponential
+    of the trial-frame flow normal, which shares the trial eigenvectors and
+    keeps the update exactly isochoric.  The flow is computed for those
+    points only and written into a copy of ``state``, so every elastic
+    point keeps its ``F^p`` bit for bit.
     """
     _checked_det(f_in, f_out, "matrix_update")
 
@@ -284,26 +290,20 @@ def matrix_update(f_in, f_out, state: PlasticState,
     plastic = f_trial > 0.0
 
     dgamma = np.zeros_like(tau_tr)
-    any_plastic = plastic.any()
-    if any_plastic:
+    # elastic points keep their plastic state bit-identical
+    fp_in, fp_out = state.fp_in.copy(), state.fp_out.copy()
+    if plastic.any():
         dgamma[plastic] = _solve_return_scalar(
             tau_tr[plastic], state.gamma[plastic], params
         )
-
-    # 3 mu dgamma / tau_tr scales the deviatoric log strain back to the
-    # updated yield surface; zero wherever the step is elastic.
-    safe_tau = np.where(tau_tr > 0.0, tau_tr, 1.0)
-    shrink = np.where(plastic, 3.0 * mu * dgamma / safe_tau, 0.0)
-
-    if any_plastic:
+        # 3 mu dgamma / tau_tr scales the deviatoric log strain back to the
+        # updated yield surface
+        shrink = 3.0 * mu * dgamma[plastic] / tau_tr[plastic]
         flow_in, flow_out = _spectral_blocks(
-            np.exp(0.5 * shrink[..., None] * dev_log), vecs, order)
-        # elastic entries keep their plastic state bit-identical
-        fp_in = np.where(plastic[..., None, None], flow_in @ state.fp_in,
-                         state.fp_in)
-        fp_out = np.where(plastic, flow_out * state.fp_out, state.fp_out)
-    else:
-        fp_in, fp_out = state.fp_in.copy(), state.fp_out.copy()
+            np.exp(0.5 * shrink[:, None] * dev_log[plastic]), vecs[plastic],
+            order[plastic])
+        fp_in[plastic] = flow_in @ fp_in[plastic]
+        fp_out[plastic] = flow_out * fp_out[plastic]
     det_fp = tl.det(fp_in, fp_out)
     drift = np.abs(det_fp - 1.0)
     bad = drift > _DET_FP_DRIFT_TOL
@@ -344,13 +344,16 @@ class RveEnsemble:
         return self.n_points
 
     def local_deformations(self, f_macro) -> np.ndarray:
-        """Per-point in-plane deformation blocks, shape (n, 2, 2), for a
-        macro in-plane block; every out-of-plane entry is 1."""
+        """Per-point in-plane deformation blocks, shape ``(..., n, 2, 2)``,
+        for macro in-plane blocks of shape ``(..., 2, 2)``; every
+        out-of-plane entry is 1."""
         # F - I in row-major order is (xx, xy, yx, yy); so are the local
         # perturbations, stacked point by point as the rows of one
-        # (4 n, 4) product
-        local = self.concentrations.reshape(-1, 4) @ (f_macro - np.eye(2)).reshape(4)
-        return local.reshape(-1, 2, 2) + np.eye(2)
+        # (4 n, 4) matrix, which multiplies each macro block's column
+        batch = np.shape(f_macro)[:-2]
+        v = (f_macro - np.eye(2)).reshape(batch + (4, 1))
+        local = self.concentrations.reshape(-1, 4) @ v
+        return local.reshape(batch + (-1, 2, 2)) + np.eye(2)
 
 
 def build_ensemble(
@@ -486,9 +489,8 @@ def run_sequences(paths, ensemble: RveEnsemble) -> list[SequenceFields]:
     t = 0
     while active:
         f_target = np.stack([paths[i].stretches[t] for i in active])
-        f_macro = _interpolate(f_prev, f_target, 1.0)
-        # one concentrations @ v product per path
-        local = np.stack([ensemble.local_deformations(f) for f in f_macro])
+        local = ensemble.local_deformations(
+            _interpolate(f_prev, f_target, 1.0))
         failed = set()
         try:
             state, tau, renormalized_rows = _step_fields(ensemble, local,

@@ -9,6 +9,9 @@ random reversal amplitudes.
 
 Only 2D (plane-strain) loading is generated: increments act in the x-y plane
 and the out-of-plane stretch stays exactly 1, so it is not stored.
+
+The walks' stop check and ``increment_eigen_norms`` take their eigenvalues
+from ``tensorlab.inplane_eigvals``; this module computes none itself.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import tensorlab as tl
 
 RNG_ALGORITHM = "numpy.random.PCG64"
 
@@ -73,16 +78,6 @@ class LoadingPath:
         return np.stack([e[:, 0, 0], e[:, 1, 1], e[:, 0, 1]], axis=-1)
 
 
-def _inplane_eigenvalues(u) -> np.ndarray:
-    """Closed-form eigenvalues of symmetric 2x2 tensors, shape (..., 2)."""
-    a = u[..., 0, 0]
-    b = u[..., 1, 1]
-    c = u[..., 0, 1]
-    mean = 0.5 * (a + b)
-    radius = np.sqrt((0.5 * (a - b)) ** 2 + c * c)
-    return np.stack([mean + radius, mean - radius], axis=-1)
-
-
 def _inplane_direction(rng, eig_norm: float) -> np.ndarray:
     """Symmetric 2x2 tensor with eigenvalue vector of given norm.
 
@@ -122,7 +117,7 @@ def generate_random_path(cfg: RandomWalkConfig) -> LoadingPath:
     for _ in range(cfg.max_steps):
         u = u + random_increment(rng, cfg)
         steps.append(u)
-        if np.max(np.abs(_inplane_eigenvalues(u) - 1.0)) > cfg.r_max:
+        if np.max(np.abs(tl.inplane_eigvals(u) - 1.0)) > cfg.r_max:
             break
     return LoadingPath(np.array(steps), KIND_RANDOM_WALK)
 
@@ -168,5 +163,5 @@ def generate_cyclic_path(
 def increment_eigen_norms(path: LoadingPath) -> np.ndarray:
     """Eigenvalue-vector norms of the stretch increments, shape (n_steps-1,)."""
     du = np.diff(path.stretches, axis=0)
-    lams = _inplane_eigenvalues(du)
+    lams = tl.inplane_eigvals(du)
     return np.sqrt(np.sum(lams * lams, axis=-1))

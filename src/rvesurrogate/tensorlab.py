@@ -18,10 +18,15 @@ kernel uses only correctly rounded operations (``+ - * / sqrt``),
 selections and numpy's matmul, so a tensor decomposes bit-identically alone
 or inside a batch.
 
-Every routine performs exactly the floating-point operations of its general
-3x3 counterpart (cofactor expansion, adjugate inverse, cyclic Jacobi sweeps
-over the three index pairs, spectral sums in descending eigenvalue order),
-minus the terms that the zero couplings make exact no-ops.  Results are
+``inplane_eigvals`` is the eigenvalues-only path: the quadratic formula
+``m +- sqrt(((xx - yy)/2)^2 + xy^2)`` with ``m = (xx + yy)/2``, which agrees
+with ``sym_eig``'s in-plane values to roundoff but not to the bit.  Only
+``pathgen`` uses it; the micro-model's fields stay on ``sym_eig``.
+
+Every other routine performs exactly the floating-point operations of its
+general 3x3 counterpart (cofactor expansion, adjugate inverse, cyclic Jacobi
+sweeps over the three index pairs, spectral sums in descending eigenvalue
+order), minus the terms that the zero couplings make exact no-ops.  Results are
 therefore bit-identical to the general 3x3 algebra, and so are the
 micro-model fields built on them.  The package holds no 3x3 tensor: the 3x3
 form lives only in the tests' oracles, assembled by ``conftest.plane_strain``,
@@ -135,6 +140,14 @@ def sym_eig(in_plane, out_of_plane) -> SpectralDecomp:
     return SpectralDecomp(
         np.take_along_axis(vals, order, axis=-1).reshape(batch + (3,)),
         v.reshape(batch + (2, 2)), order.reshape(batch + (3,)))
+
+
+def inplane_eigvals(in_plane) -> np.ndarray:
+    """Eigenvalues of symmetric in-plane blocks, larger first, (..., 2)."""
+    a, b, c = in_plane[..., 0, 0], in_plane[..., 1, 1], in_plane[..., 0, 1]
+    mean = 0.5 * (a + b)
+    radius = np.sqrt((0.5 * (a - b)) ** 2 + c * c)
+    return np.stack([mean + radius, mean - radius], axis=-1)
 
 
 def reassemble(values, vectors) -> np.ndarray:

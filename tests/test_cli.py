@@ -879,6 +879,46 @@ class TestManifestInputs:
                                         else cli.sha256_file(path)), name
 
 
+    def test_input_that_differs_from_its_manifest(self, tmp_path,
+                                                  monkeypatch, capsys):
+        # one flipped byte inside a float of the basis still reads, but its
+        # hash is not the one pca-fit listed
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        root = tmp_path / "root"
+        for stage in cli.STAGE_ORDER[:3]:
+            cli.run_stage(stage, cfg, root)
+        basis = root / "pca" / "pca_gamma.bin"
+        data = bytearray(basis.read_bytes())
+        data[-8] ^= 0x01  # the lowest mantissa byte of the last float
+        basis.write_bytes(bytes(data))
+        pcalib.load(basis)
+        assert run_main("train", root, cfg, tmp_path, monkeypatch) == 1
+        err = capsys.readouterr().err
+        assert f"{basis}: its hash differs" in err and "`pca-fit`" in err
+        assert not (root / "bundle").exists()
+
+    @pytest.mark.parametrize("text", ["{", "[]", '{"outputs": 3}'])
+    def test_unreadable_producer_manifest(self, tmp_path, monkeypatch,
+                                          capsys, text):
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        root = tmp_path / "root"
+        for stage in cli.STAGE_ORDER[:2]:
+            cli.run_stage(stage, cfg, root)
+        manifest = root / "dataset" / "manifest.json"
+        manifest.write_text(text)
+        assert run_main("pca-fit", root, cfg, tmp_path, monkeypatch) == 1
+        err = capsys.readouterr().err
+        assert f"cannot read {manifest}" in err and "`gen-data`" in err
+
+    def test_artifact_without_a_manifest_is_not_checked(self, tmp_path,
+                                                        capsys):
+        # a dataset written outside gen-data has no manifest to check
+        ds.write_dataset(tmp_path, synthetic_records(0, n_records=3, d_gamma=4,
+                                                       d_tau=2))
+        assert cli.main(["dataset", "stats", str(tmp_path)]) == 0
+        assert "records:            3" in capsys.readouterr().out
+
+
 class TestResolvedConfig:
     def test_default_eval_replays_no_sequence(self, dataset_root,
                                               monkeypatch):

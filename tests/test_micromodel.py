@@ -347,6 +347,35 @@ class TestMatrixUpdate:
         assert abs(new.fp_out[0] - 1.0) <= 1e-15
         assert np.array_equal(new.fp_in[1], np.eye(2)) and new.fp_out[1] == 1.0
 
+    def test_flow_only_at_plastic_points(self):
+        # elastic, plastic and drifted (renormalized) points in one batch:
+        # the update equals the all-points formula, which computes the flow
+        # everywhere and keeps it where the step is plastic, and leaves
+        # each elastic point's F^p bit for bit
+        rng = np.random.default_rng(21)
+        n = 24
+        odd = np.arange(n) % 2 == 1
+        f = np.eye(2) + np.where(odd, 0.2, 0.002)[:, None, None] \
+            * rng.standard_normal((n, 2, 2))
+        fp = np.stack([random_plastic_fp(rng) if odd[i] else np.eye(3)
+                       for i in range(n)])
+        drift = np.where(np.arange(n) % 3 == 0, 1.001, 1.0)
+        state = mm.PlasticState(fp[:, :2, :2] * drift[:, None, None],
+                                fp[:, 2, 2] * drift, rng.uniform(0.0, 0.05, n))
+        tau, new, renormalized = mm.matrix_update(f, 1.0, state)
+        want_tau, want, want_renormalized = all_points_update(f, 1.0, state)
+        assert np.array_equal(tau, want_tau)
+        for got, expected in zip(new, want):
+            assert got.tobytes() == expected.tobytes()
+        assert np.array_equal(renormalized, want_renormalized)
+        elastic = new.gamma == state.gamma
+        for points in (elastic, ~elastic):
+            assert (points & renormalized).any()
+            assert (points & ~renormalized).any()
+        kept = elastic & ~renormalized
+        assert new.fp_in[kept].tobytes() == state.fp_in[kept].tobytes()
+        assert new.fp_out[kept].tobytes() == state.fp_out[kept].tobytes()
+
     def test_plane_strain_structure_preserved(self):
         # plane-strain loading keeps F^p in block form, and its out-of-plane
         # normal stretch evolves: the flow is isochoric in 3D, not in plane
@@ -361,6 +390,34 @@ class TestMatrixUpdate:
         assert state.gamma > 0.1
 
 
+def all_points_update(f_in, f_out, state, params=mm.MATRIX_DEFAULTS):
+    """``matrix_update`` by the formula that computes the plastic flow of
+    every point and merges it with the old ``F^p`` where the step is
+    plastic."""
+    mu = params.mu_mpa
+    fp_inv_in, fp_inv_out = tl.inv(state.fp_in, state.fp_out)
+    vecs, order, dev_log = mm._log_strain_deviator(f_in @ fp_inv_in,
+                                                   f_out * fp_inv_out)
+    tau_tr = np.sqrt(1.5) * mu * np.sqrt((dev_log * dev_log).sum(axis=-1))
+    plastic = tau_tr - params.tau_y0 - params.hardening(state.gamma) > 0.0
+    dgamma = np.zeros_like(tau_tr)
+    dgamma[plastic] = mm._solve_return_scalar(tau_tr[plastic],
+                                              state.gamma[plastic], params)
+    safe_tau = np.where(tau_tr > 0.0, tau_tr, 1.0)
+    shrink = np.where(plastic, 3.0 * mu * dgamma / safe_tau, 0.0)
+    flow_in, flow_out = mm._spectral_blocks(
+        np.exp(0.5 * shrink[..., None] * dev_log), vecs, order)
+    fp_in = np.where(plastic[..., None, None], flow_in @ state.fp_in,
+                     state.fp_in)
+    fp_out = np.where(plastic, flow_out * state.fp_out, state.fp_out)
+    det_fp = tl.det(fp_in, fp_out)
+    bad = np.abs(det_fp - 1.0) > mm._DET_FP_DRIFT_TOL
+    scale = np.where(bad, det_fp ** (-1.0 / 3.0), 1.0)
+    fp_in, fp_out = fp_in * scale[..., None, None], fp_out * scale
+    return (tau_tr - 3.0 * mu * dgamma,
+            mm.PlasticState(fp_in, fp_out, state.gamma + dgamma), bad)
+
+
 class TestEnsemble:
     def test_zero_perturbation_is_uniform(self):
         ens = mm.build_ensemble(10, 4, 0.0, seed=1)
@@ -368,6 +425,20 @@ class TestEnsemble:
         local = ens.local_deformations(f)
         assert local.shape == (14, 2, 2)
         assert np.allclose(local, f, atol=1e-15)
+
+    @pytest.mark.parametrize("n_points", [1, 7, 150, 1807])
+    def test_stacked_macro_blocks_equal_single_ones(self, n_points):
+        # one product for a stack of macro blocks, whose slices are the
+        # single-block products to the bit
+        ens = mm.build_ensemble(n_points, 0, 0.3, seed=n_points)
+        rng = np.random.default_rng(n_points)
+        for n_paths in (1, 2, 5, 16):
+            f = np.eye(2) + 0.05 * rng.standard_normal((n_paths, 2, 2))
+            stacked = ens.local_deformations(f)
+            assert stacked.shape == (n_paths, n_points, 2, 2)
+            for k in range(n_paths):
+                assert stacked[k].tobytes() \
+                    == ens.local_deformations(f[k]).tobytes()
 
     def test_mean_map_is_identity(self):
         ens = mm.build_ensemble(50, 20, 0.3, seed=2)

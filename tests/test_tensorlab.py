@@ -115,6 +115,24 @@ class TestSymEig:
         assert np.allclose(tl.reassemble(vals, vecs), s, atol=1e-12)
 
 
+class TestInplaneEigvals:
+    """The eigenvalues-only path agrees with ``sym_eig`` to roundoff."""
+
+    def test_matches_sym_eig(self):
+        rng = np.random.default_rng(11)
+        blocks = np.stack([plane_blocks(random_symmetric(
+            rng, scale=rng.uniform(0.1, 10.0)))[0] for _ in range(200)])
+        blocks[3] = 2.5 * np.eye(2)
+        blocks[4] = np.diag([-1.0, 4.0])
+        got = tl.inplane_eigvals(blocks)
+        # sym_eig's in-plane values, in descending order
+        decomp = tl.sym_eig(blocks, 0.0)
+        want = decomp.values[decomp.order < 2].reshape(-1, 2)
+        scale = np.abs(blocks).max(axis=(-2, -1), keepdims=True)[..., 0]
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+        assert np.all(got[..., 0] >= got[..., 1])
+
+
 class TestLogExp:
     """Tensor logarithm, exponential and square root built from sym_eig."""
 
