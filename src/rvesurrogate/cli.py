@@ -15,6 +15,10 @@ re-running a stage with identical config and inputs reproduces its
 artifacts byte-for-byte.  A stage replaces its previous outputs: after
 reading its inputs it empties its directory.  A stage exits 0 only after
 its postcondition checks pass.
+The surrogate's output width is stated once: kind I predicts the whole
+field of ``pca.family``, and kinds II and III predict
+``pca.p = train.nnw_out[-1] * train.q`` PCA coefficients, which a null
+``pca.p`` takes; ``validate_config`` checks the rule before any compute.
 ``trial`` picks the hidden size of the surrogate that ``train`` builds,
 with the ``train`` section's architecture, optimizer and seed.
 """
@@ -72,9 +76,11 @@ _SECTIONS = {
                             perturbation="real", seed="int"),
     "dataset": ds.required(lengths="list of int", gamma_crit="real",
                            batch_size="int"),
-    "pca": {"family": ("str", ds.FAMILY_GAMMA),
-            **_defaults_of(pcalib.fit, p="int|null", delta="real|null",
-                           subsample_fraction="real", seed="int")},
+    # a null p is the width the train section predicts, resolved by
+    # _check_width
+    "pca": {"family": ("str", ds.FAMILY_GAMMA), "p": ("int|null", None),
+            **_defaults_of(pcalib.fit, subsample_fraction="real",
+                           seed="int")},
     "train": {
         **ds.required(kind="str", nnw_in="list of int", n_h="int",
                       nnw_out="list of int", n_batches="int"),
@@ -126,7 +132,8 @@ def load_config(path) -> dict:
 
 def validate_config(cfg: dict, source=None) -> dict:
     """``cfg`` resolved by ``datastore.check_json``: every section of
-    ``_SCHEMA``, every missing key at its default.  Unknown keys and
+    ``_SCHEMA``, every missing key at its default, and a null ``pca.p`` at
+    the surrogate's width (``_check_width``).  Unknown keys and
     violated invariants are rejected before any compute; a fault of a key
     names ``source``, the config file, when given."""
     try:
@@ -170,7 +177,6 @@ def validate_config(cfg: dict, source=None) -> dict:
         raise StageError(f"pca.family must be one of {ds.FAMILIES}")
     if not 0.0 < cfg["pca"]["subsample_fraction"] <= 1.0:
         raise StageError("pca.subsample_fraction must lie in (0, 1]")
-    _check_pca(cfg)
     t = cfg["train"]
     if t["kind"] not in sg.KINDS:
         raise StageError(f"train.kind must be one of {sg.KINDS}")
@@ -179,14 +185,13 @@ def validate_config(cfg: dict, source=None) -> dict:
     # kinds I and II have one group whatever train.q says
     if t["kind"] != sg.KIND_BROKEN_DOWN:
         t["q"] = 1
-    if cfg["pca"]["p"] is not None and cfg["pca"]["p"] % t["q"] != 0:
-        raise StageError("pca.p must be divisible by train.q for kind III")
     _from_config(sg.Architecture, cfg, _ARCH_FIELDS)
     _from_config(nn.TrainConfig, cfg, _TRAIN_FIELDS)
     if t["nnw_in"][0] != _STRAIN_FEATURES:
         raise StageError(
             f"train.nnw_in[0] must be {_STRAIN_FEATURES}, the width of the "
             f"strain features (E_xx, E_yy, E_xy), got {t['nnw_in'][0]}")
+    _check_width(cfg)
     trial = cfg["trial"]
     for key in ("target_p", "start_n_h", "increment", "epoch_budget",
                 "max_trials"):
@@ -195,22 +200,37 @@ def validate_config(cfg: dict, source=None) -> dict:
     return cfg
 
 
-def _check_pca(cfg: dict) -> None:
-    """``pca.p`` and ``pca.delta``: at most one, each in range.
+def _check_width(cfg: dict) -> None:
+    """The surrogate's output width against the field and ``pca.p``; a
+    null ``pca.p`` is resolved to it.
 
-    Setting neither is left to ``pca-fit``; stages of kind I need no PCA.
+    Kind I predicts the whole field of ``pca.family``, so its
+    ``train.nnw_out[-1]`` is the field dimension d.  Kinds II and III
+    predict ``pca.p = train.nnw_out[-1] * train.q`` coefficients.  Kind I's
+    ``pca.p`` only sizes the basis that ``trial`` reads.
     """
-    p, delta = cfg["pca"]["p"], cfg["pca"]["delta"]
-    if p is not None and delta is not None:
-        raise StageError("give exactly one of pca.p and pca.delta, not both")
-    e = cfg["ensemble"]
-    family = cfg["pca"]["family"]
+    pca, t, e = cfg["pca"], cfg["train"], cfg["ensemble"]
+    family = pca["family"]
     d = e["d_gamma"] + (e["n_fiber"] if family == ds.FAMILY_TAU else 0)
-    if p is not None and not 1 <= p <= d:
+    width = t["nnw_out"][-1] * t["q"]
+    if t["kind"] == sg.KIND_DIRECT and width != d:
+        raise StageError(
+            f"kind I predicts the whole field: train.nnw_out[-1] must be "
+            f"d = {d}, the field dimension of the {family!r} family, got "
+            f"{width}")
+    if pca["p"] is not None and not 1 <= pca["p"] <= d:
         raise StageError(f"pca.p must lie in [1, {d}], the field dimension of "
-                         f"the {family!r} family")
-    if delta is not None and not 0.0 <= delta < 1.0:
-        raise StageError("pca.delta must lie in [0, 1)")
+                         f"the {family!r} family, got {pca['p']}")
+    predicts = (f"kind {t['kind']} predicts train.nnw_out[-1] * train.q = "
+                f"{t['nnw_out'][-1]} * {t['q']} = {width} PCA coefficients")
+    if t["kind"] != sg.KIND_DIRECT and pca["p"] not in (None, width):
+        raise StageError(f"{predicts}, but pca.p = {pca['p']}; leave pca.p "
+                         f"out or set it to {width}")
+    if width > d:
+        raise StageError(f"{predicts}, more than the field dimension d = {d} "
+                         f"of the {family!r} family")
+    if pca["p"] is None:
+        pca["p"] = width
 
 
 def _from_config(cls, cfg: dict, fields: dict):
@@ -514,25 +534,15 @@ def _pack(cfg: dict, records, what: str = "the dataset") -> ds.PackedDataset:
 
 def stage_pca_fit(cfg: dict, root: Path) -> None:
     p = cfg["pca"]
-    if p["p"] is None and p["delta"] is None:
-        raise StageError("pca-fit needs pca.p (the retained dimension) or "
-                         "pca.delta (the residual eigenvalue fraction)")
     inputs = _Inputs(root)
     packed = _pack(cfg, inputs.read("dataset/records", _records, "gen-data"))
     family = p["family"]
     snaps = np.concatenate(
         [r.outputs(family) for r in packed.all_records()], axis=0
     )
-    model = pcalib.fit(snaps, subsample_fraction=p["subsample_fraction"],
-                       p=p["p"], delta=p["delta"], seed=p["seed"])
-    if model.retained_p == 0:
-        raise StageError(
-            f"pca.p / pca.delta retained no principal component of the "
-            f"{family!r} family: its fields do not vary over the dataset "
-            "(for gamma: no matrix point slipped plastically); load further "
-            "with larger or longer paths (paths.delta_r, paths.r_max, "
-            "paths.max_steps)"
-        )
+    model = pcalib.fit(snaps, p["p"],
+                       subsample_fraction=p["subsample_fraction"],
+                       seed=p["seed"])
     stage_dir = _fresh_stage_dir(root, "pca")
     pcalib.save(root / _pca_basis(cfg), model)
     ds.write_csv(stage_dir / f"residual_{family}.csv",
@@ -561,20 +571,12 @@ def stage_train(cfg: dict, root: Path) -> None:
     pca_model = None
     if kind != sg.KIND_DIRECT:
         pca_model = inputs.read(_pca_basis(cfg), pcalib.load, "pca-fit")
-        # pca.p may be given as null next to pca.delta
-        p_retained = cfg["pca"]["p"] or pca_model.retained_p
-        if p_retained > pca_model.retained_p:
+        p = cfg["pca"]["p"]
+        if p > pca_model.retained_p:
             raise StageError(
-                f"pca.p = {p_retained} exceeds the {pca_model.retained_p} "
+                f"pca.p = {p} exceeds the {pca_model.retained_p} "
                 f"components stored in {root / _pca_basis(cfg)}; re-run "
                 "`pca-fit` after changing pca.p"
-            )
-        if t["nnw_out"][-1] * t["q"] != p_retained:
-            raise StageError(
-                f"kind {kind} needs train.nnw_out[-1] * train.q = p, but "
-                f"{t['nnw_out'][-1]} * {t['q']} != p = {p_retained} retained by "
-                "pca.p / pca.delta; choose pca.p divisible by train.q and "
-                "set train.nnw_out[-1] = pca.p / train.q"
             )
     bundle = sg.SurrogateBundle(
         kind, _from_config(sg.Architecture, cfg, _ARCH_FIELDS), q=t["q"],

@@ -2,9 +2,10 @@
 
 The covariance-style matrix ``M = A A^T`` is built from the column-centered
 data matrix ``A`` of (optionally subsampled) snapshots and decomposed with a
-dense symmetric eigensolver.  Components are retained either as a fixed
-count ``p`` or as the smallest ``p`` whose residual fractional eigenvalue
-``1 - sum_{i<=p} L_i / sum_k L_k`` drops below a tolerance.
+dense symmetric eigensolver, and the leading ``p`` components are retained.
+The model keeps the full spectrum, so :func:`residual_fraction` gives the
+residual fractional eigenvalue ``1 - sum_{i<=p} L_i / sum_k L_k`` of any
+``p``.
 
 Storage: :func:`save` writes ``d``, ``p``, the mean, the spectrum and the
 components in ``datastore``'s one binary layout (see its module notes).
@@ -52,16 +53,14 @@ class PcaModel:
 
 def fit(
     snapshots,
+    p: int,
     subsample_fraction: float = 1.0,
-    p: int | None = None,
-    delta: float | None = None,
     seed: int = 0,
 ) -> PcaModel:
     """Fit principal components on a (possibly subsampled) snapshot set.
 
-    ``snapshots`` is an (n, d) array or a list of length-d vectors.  Exactly
-    one of ``p`` (fixed retained dimension) or ``delta`` (residual
-    fractional-eigenvalue tolerance) selects the reduction.  Subsampling is
+    ``snapshots`` is an (n, d) array or a list of length-d vectors, and the
+    leading ``p`` components, ``0 <= p <= d``, are retained.  Subsampling is
     uniform without replacement and seeded.  A field dimension above
     ``DEFAULT_DIMENSION_CAP`` is rejected before the d x d matrix is built.
     """
@@ -77,8 +76,6 @@ def fit(
         )
     if not 0.0 < subsample_fraction <= 1.0:
         raise ValueError("subsample_fraction must be in (0, 1]")
-    if (p is None) == (delta is None):
-        raise ValueError("give exactly one of p or delta")
 
     if subsample_fraction < 1.0:
         keep = max(2, int(round(subsample_fraction * n)))
@@ -104,22 +101,9 @@ def fit(
     )[0] < 0.0
     vecs[:, flip] *= -1.0
 
-    if p is None:
-        p = retained_for_delta(vals, delta)
     if not 0 <= p <= d:
         raise ValueError(f"retained dimension p={p} outside [0, {d}]")
     return PcaModel(mean=mean, eigenvalues=vals, components=vecs[:, :p])
-
-
-def retained_for_delta(eigenvalues, delta: float) -> int:
-    """Smallest p with residual fractional eigenvalue <= delta."""
-    vals = np.asarray(eigenvalues, dtype=np.float64)
-    total = float(vals.sum())
-    if total <= 0.0 or delta >= 1.0:
-        return 0
-    residual = 1.0 - np.cumsum(vals) / total
-    hits = np.nonzero(residual <= delta + 1e-12)[0]
-    return int(hits[0]) + 1 if hits.size else vals.size
 
 
 def residual_fraction(model: PcaModel, p: int) -> float:

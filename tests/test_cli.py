@@ -50,31 +50,23 @@ class TestTrainHeadCoversPca:
     def test_head_narrower_than_p_over_q(self, dataset_root, tmp_path,
                                          monkeypatch, capsys):
         cfg = tiny_config({"p": 4}, 2, (4, 3))
-        cli.validate_config(cfg)
-        cli.run_stage("pca-fit", cfg, dataset_root)
+        with pytest.raises(cli.StageError):
+            cli.validate_config(cfg)
         assert run_main("train", dataset_root, cfg, tmp_path, monkeypatch) == 1
         err = capsys.readouterr().err
-        for name in ("pca.p", "pca.delta", "train.q", "train.nnw_out"):
+        for name in ("pca.p", "train.q", "train.nnw_out"):
             assert name in err
 
-    def test_delta_chosen_p_not_divisible_by_q(self, dataset_root):
-        cfg = tiny_config({"delta": 1e-2}, 1, (4, 1))
-        cli.run_stage("pca-fit", cfg, dataset_root)
-        p = pcalib.load(dataset_root / "pca" / "pca_gamma.bin").retained_p
-        assert p >= 2  # the fields vary, so delta keeps several components
-        cfg["train"]["q"] = p + 1
-        cli.validate_config(cfg)
-        with pytest.raises(cli.StageError, match="train.q"):
-            cli.run_stage("train", cfg, dataset_root)
-
-    def test_null_p_next_to_delta_trains(self, dataset_root):
-        cfg = tiny_config({"p": None, "delta": 1e-2}, 1, (4, 1))
-        cli.run_stage("pca-fit", cfg, dataset_root)
-        p = pcalib.load(dataset_root / "pca" / "pca_gamma.bin").retained_p
-        cfg["train"]["nnw_out"] = [4, p]
-        cli.validate_config(cfg)
-        cli.run_stage("train", cfg, dataset_root)
-        assert (dataset_root / "bundle" / "bundle.json").exists()
+    def test_null_p_is_the_width_of_the_head(self, dataset_root):
+        cfg = tiny_config({"p": None}, 1, (4, 3))
+        assert cli.validate_config(cfg)["pca"]["p"] == 3
+        for stage in ("pca-fit", "train"):
+            cli.run_stage(stage, cfg, dataset_root)
+        assert pcalib.load(dataset_root / "pca" / "pca_gamma.bin").retained_p \
+            == sg.SurrogateBundle.load(dataset_root / "bundle").p == 3
+        manifest = json.loads(
+            (dataset_root / "bundle" / "manifest.json").read_text())
+        assert manifest["config"]["pca"]["p"] == 3
 
     def test_matching_head_trains(self, dataset_root):
         cfg = tiny_config({"p": 4}, 2, (4, 2))
@@ -158,20 +150,6 @@ class TestTrainOutputs:
 
 
 class TestActionableErrors:
-    def test_pca_fit_rejects_empty_basis(self, tmp_path, monkeypatch, capsys):
-        # the package's default increments: three 40-step walks stay elastic
-        cfg = tiny_config({"delta": 1e-2}, 1, (4, 1))
-        cfg["paths"].update(delta_r=5e-3, delta_r_min=5e-4, r_max=0.1,
-                            max_steps=40)
-        root = tmp_path / "root"
-        for stage in ("gen-paths", "gen-data"):
-            cli.run_stage(stage, cfg, root)
-        assert run_main("pca-fit", root, cfg, tmp_path, monkeypatch) == 1
-        err = capsys.readouterr().err
-        for text in ("pca.p", "pca.delta", "'gamma'", "do not vary"):
-            assert text in err
-        assert not (root / "pca" / "pca_gamma.bin").exists()
-
     def test_missing_config_key(self, tmp_path, monkeypatch, capsys):
         cfg = tiny_config({"p": 4}, 2, (4, 2))
         del cfg["paths"]["r_max"]
@@ -200,7 +178,6 @@ class TestActionableErrors:
         ("pca", "p", 1000),
         ("pca", "p", -2),
         ("pca", "p", 10),  # > d_gamma = 8
-        ("pca", "delta", 0.1),  # next to pca.p
         ("trial", "target_p", 0),
         ("trial", "start_n_h", 0),
         ("trial", "increment", 0),
@@ -237,6 +214,11 @@ class TestActionableErrors:
         ("trial", "nnw_out", [4]),
         ("trial", "learning_rate", 1e-3),
         ("trial", "seed", 0),
+        # the retained dimension is pca.p, the width of the train section
+        # when null; pca/residual_<family>.csv lists the residual of each p
+        ("pca", "delta", 0.1),
+        ("pca", "delta", 1.5),
+        ("pca", "delta", -1.0),
     ])
     def test_dropped_key_is_unknown(self, tmp_path, monkeypatch, capsys,
                                     section, key, value):
@@ -261,8 +243,6 @@ class TestActionableErrors:
         assert not root.exists()
 
     @pytest.mark.parametrize("pca, key", [
-        ({"delta": 1.5}, "pca.delta"),
-        ({"delta": -1.0}, "pca.delta"),
         ({"p": 11, "family": "tau"}, "pca.p"),  # > d_gamma + n_fiber = 10
     ])
     def test_invalid_pca_value_rejected_at_load(
@@ -272,6 +252,30 @@ class TestActionableErrors:
         root = tmp_path / "root"
         assert run_main("all", root, cfg, tmp_path, monkeypatch) == 1
         assert key in capsys.readouterr().err
+        assert not root.exists()
+
+    @pytest.mark.parametrize("pca, train, names", [
+        # kind I predicts the whole field: d_gamma = 8 values, or
+        # d_gamma + n_fiber = 10 for tau
+        ({}, {"kind": "I", "nnw_out": [4, 5]}, ("train.nnw_out", "d = 8")),
+        ({}, {"kind": "I", "nnw_out": [4, 9]}, ("train.nnw_out", "d = 8")),
+        ({"family": "tau"}, {"kind": "I", "nnw_out": [4, 8]},
+         ("train.nnw_out", "d = 10")),
+        # kind III predicts pca.p = train.nnw_out[-1] * train.q coefficients
+        ({"p": 4}, {"q": 3, "nnw_out": [4, 2]},
+         ("pca.p = 4", "train.q", "train.nnw_out")),
+        ({"p": None}, {"q": 2, "nnw_out": [4, 5]},
+         ("d = 8", "train.q", "train.nnw_out")),
+    ])
+    def test_surrogate_width_rejected_at_load(
+            self, tmp_path, monkeypatch, capsys, pca, train, names):
+        cfg = tiny_config({}, 1, (4, 1))
+        cfg["pca"].update(pca)
+        cfg["train"].update(train)
+        root = tmp_path / "root"
+        assert run_main("all", root, cfg, tmp_path, monkeypatch) == 1
+        err = capsys.readouterr().err
+        assert all(name in err for name in names)
         assert not root.exists()
 
     @pytest.mark.parametrize("snapshots, message", [
@@ -289,16 +293,6 @@ class TestActionableErrors:
         assert run_main("all", root, cfg, tmp_path, monkeypatch) == 1
         assert message in capsys.readouterr().err
         assert (root / "bundle").exists() and not (root / "eval").exists()
-
-    def test_pca_fit_needs_p_or_delta(self, dataset_root, tmp_path,
-                                      monkeypatch, capsys):
-        # kind I stages run without either key, so only pca-fit rejects it
-        cfg = tiny_config({}, 1, (4, 1))
-        cli.validate_config(cfg)
-        assert run_main("pca-fit", dataset_root, cfg, tmp_path,
-                        monkeypatch) == 1
-        err = capsys.readouterr().err
-        assert "pca.p" in err and "pca.delta" in err
 
     def test_trial_target_beyond_retained_p(self, dataset_root, tmp_path,
                                             monkeypatch, capsys):
@@ -948,10 +942,12 @@ class TestResolvedConfig:
 
     def test_defaults_written_out_change_no_byte(self, tmp_path,
                                                  monkeypatch):
-        # the tiny config less every key that holds its default
+        # the tiny config less every key that holds its default, and less
+        # pca.p, the width that the train section predicts
         required = tiny_config({"p": 4}, 2, (4, 2))
         del required["paths"]["n_cyclic"], required["train"]["seed"]
         del required["pca"]["family"], required["pca"]["seed"]
+        del required["pca"]["p"]
         written_out = json.loads(json.dumps(cli.validate_config(required)))
         assert json.loads(json.dumps(cli.validate_config(written_out))) \
             == written_out
@@ -969,6 +965,16 @@ class TestResolvedConfig:
 
 
 class TestEndToEnd:
+    def test_kind_i_runs_without_pca_p(self, tmp_path, monkeypatch):
+        # a null pca.p is the width of the kind I head, the whole field
+        cfg = tiny_config({}, 1, (4, 8))
+        cfg["train"]["kind"] = "I"
+        root = tmp_path / "root"
+        assert run_main("all", root, cfg, tmp_path, monkeypatch) == 0
+        assert pcalib.load(root / "pca" / "pca_gamma.bin").retained_p == 8
+        summary = json.loads((root / "eval" / "summary.json").read_text())
+        assert summary["surrogate"]["kind"] == "I"
+
     def test_all_stages_succeed_and_rerun_byte_identically(self, tmp_path,
                                                           monkeypatch):
         cfg = tiny_config({"p": 4}, 2, (4, 2))

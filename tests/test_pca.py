@@ -38,18 +38,14 @@ def reconstruction_mse(model, x):
     return float(np.mean((x - pca.reconstruct(pca.project(x, model), model)) ** 2))
 
 
-def random_snapshots(rng, n=50, d=30, rank=None):
-    if rank is None:
-        return rng.standard_normal((n, d))
-    basis = rng.standard_normal((rank, d))
-    coeffs = rng.standard_normal((n, rank))
-    return coeffs @ basis + rng.standard_normal(d)
+def random_snapshots(rng, n=50, d=30):
+    return rng.standard_normal((n, d))
 
 
 class TestFit:
     def test_constant_snapshots(self):
         x = np.tile(np.arange(6.0), (5, 1))
-        model = pca.fit(x, delta=0.0)
+        model = pca.fit(x, p=0)
         assert model.retained_p == 0
         assert np.all(model.eigenvalues == 0.0)
         rec = pca.reconstruct(np.zeros(0), model)
@@ -60,7 +56,7 @@ class TestFit:
         direction = rng.standard_normal(12)
         coeffs = rng.standard_normal(40)
         x = np.outer(coeffs, direction) + 3.0
-        model = pca.fit(x, delta=1e-12)
+        model = pca.fit(x, p=1)
         assert model.retained_p == 1
         assert pca.residual_fraction(model, 1) <= 1e-12
         err = x - pca.reconstruct(pca.project(x, model), model)
@@ -105,19 +101,6 @@ class TestFit:
         x = np.zeros((2, pca.DEFAULT_DIMENSION_CAP + 1))
         with pytest.raises(ValueError, match="snapshot space"):
             pca.fit(x, p=2)
-
-    def test_requires_exactly_one_selector(self):
-        x = np.zeros((4, 3))
-        with pytest.raises(ValueError, match="exactly one"):
-            pca.fit(x)
-        with pytest.raises(ValueError, match="exactly one"):
-            pca.fit(x, p=2, delta=0.1)
-
-    def test_delta_selection(self):
-        rng = np.random.default_rng(6)
-        x = random_snapshots(rng, n=60, d=8, rank=3)
-        model = pca.fit(x, delta=1e-10)
-        assert model.retained_p == 3
 
 
 class TestProjectReconstruct:
