@@ -62,15 +62,12 @@ def _defaults_of(fn, **types) -> dict:
 
 
 # every allowed key, per section: the JSON types its value may take and its
-# default; a callable default is computed from the section's values
+# default
 _SECTIONS = {
     "paths": {
         **ds.required(n_random="int", delta_r="real", delta_r_min="real",
                       r_max="real", max_steps="int", seed="int"),
-        "n_cyclic": ("int", 0), "cyclic_reversals_min": ("int", 2),
-        "cyclic_reversals_max": ("int", 6),
-        "cyclic_amplitude_max": ("real", lambda p: p["r_max"]),
-        "cyclic_step_size": ("real", lambda p: p["delta_r"]),
+        "n_cyclic": ("int", 0),
     },
     "ensemble": ds.required(d_gamma="int", n_fiber="int",
                             perturbation="real", seed="int"),
@@ -86,7 +83,7 @@ _SECTIONS = {
                       nnw_out="list of int", n_batches="int"),
         **_defaults_of(sg.SurrogateBundle, q="int"),
         **_defaults_of(nn.TrainConfig, n_epoch="int", learning_rate="real",
-                       weight_decay="real", clip_norm="real", seed="int"),
+                       clip_norm="real", seed="int"),
     },
     # the trial sizes the train section's surrogate; a null target_p is
     # resolved from the basis by hidden_size_trial
@@ -106,8 +103,8 @@ _ARCH_FIELDS = dict.fromkeys(("nnw_in", "n_h", "nnw_out"), "train")
 # width of the surrogates' input, pg.LoadingPath.strain_features
 _STRAIN_FEATURES = 3
 _TRAIN_FIELDS = {
-    **dict.fromkeys(("learning_rate", "weight_decay", "clip_norm", "n_epoch",
-                     "n_batches", "seed"), "train"),
+    **dict.fromkeys(("learning_rate", "clip_norm", "n_epoch", "n_batches",
+                     "seed"), "train"),
     "batch_size": "dataset",
 }
 
@@ -140,23 +137,16 @@ def validate_config(cfg: dict, source=None) -> dict:
         cfg = ds.check_json(cfg, _SCHEMA, source)
     except ValueError as err:
         raise StageError(str(err)) from None
+    for section in _SEED_SLOTS:
+        if cfg[section]["seed"] < 0:
+            raise StageError(f"{section}.seed must be >= 0, got "
+                             f"{cfg[section]['seed']}")
     _from_config(pg.RandomWalkConfig, cfg, _WALK_FIELDS)
     p = cfg["paths"]
     if p["n_random"] < 1:
         raise StageError("paths.n_random must be >= 1")
     if p["n_cyclic"] < 0:
         raise StageError("paths.n_cyclic must be >= 0")
-    # checked whatever n_cyclic is, like every other key
-    if not 0.0 < p["cyclic_step_size"] < p["cyclic_amplitude_max"]:
-        raise StageError(
-            "paths.cyclic_step_size must lie in (0, paths.cyclic_amplitude_max"
-            f" = {p['cyclic_amplitude_max']}), got {p['cyclic_step_size']}")
-    if p["cyclic_reversals_min"] < 1:
-        raise StageError("paths.cyclic_reversals_min must be >= 1")
-    if p["cyclic_reversals_min"] > p["cyclic_reversals_max"]:
-        raise StageError(
-            f"paths.cyclic_reversals_min = {p['cyclic_reversals_min']} exceeds "
-            f"paths.cyclic_reversals_max = {p['cyclic_reversals_max']}")
     e = cfg["ensemble"]
     if not 0.0 <= e["perturbation"] < 1.0:
         raise StageError("ensemble.perturbation must lie in [0, 1)")
@@ -211,7 +201,13 @@ def _check_width(cfg: dict) -> None:
     """
     pca, t, e = cfg["pca"], cfg["train"], cfg["ensemble"]
     family = pca["family"]
-    d = e["d_gamma"] + (e["n_fiber"] if family == ds.FAMILY_TAU else 0)
+    tau = family == ds.FAMILY_TAU
+    d = e["d_gamma"] + (e["n_fiber"] if tau else 0)
+    if d > pcalib.DEFAULT_DIMENSION_CAP:
+        raise StageError(
+            f"the {family!r} family's field dimension d = ensemble.d_gamma"
+            f"{' + ensemble.n_fiber' if tau else ''} = {d} exceeds pca-fit's "
+            f"cap of {pcalib.DEFAULT_DIMENSION_CAP}")
     width = t["nnw_out"][-1] * t["q"]
     if t["kind"] == sg.KIND_DIRECT and width != d:
         raise StageError(
@@ -252,7 +248,9 @@ def _from_config(cls, cfg: dict, fields: dict):
 
 def apply_seed_override(cfg: dict, override: int) -> dict:
     """``cfg`` resolved, with every stage seed replaced by a stream derived
-    from one master seed."""
+    from one master seed, which must be >= 0."""
+    if override < 0:
+        raise StageError(f"--seed-override must be >= 0, got {override}")
     out = validate_config(cfg)
     for section, slot in _SEED_SLOTS.items():
         out[section]["seed"] = override + slot
@@ -402,6 +400,10 @@ def _pca_basis(cfg: dict) -> str:
 # ---------------------------------------------------------------------------
 # stage: gen-paths
 
+# fewest and most load reversals of a cyclic path, drawn uniformly; its
+# amplitudes stay within paths.r_max, in steps of paths.delta_r
+_CYCLIC_REVERSALS = (2, 6)
+
 
 def stage_gen_paths(cfg: dict, root: Path) -> None:
     p = cfg["paths"]
@@ -410,13 +412,11 @@ def stage_gen_paths(cfg: dict, root: Path) -> None:
              for i in range(p["n_random"])]
     for i in range(p["n_cyclic"]):
         rev_rng = pg.make_rng((p["seed"], i, 1))
-        n_rev = int(rev_rng.integers(p["cyclic_reversals_min"],
-                                     p["cyclic_reversals_max"] + 1))
+        n_rev = int(rev_rng.integers(_CYCLIC_REVERSALS[0],
+                                     _CYCLIC_REVERSALS[1] + 1))
         paths.append(pg.generate_cyclic_path(
             seed=(p["seed"], i, 2), n_reversals=n_rev,
-            amplitude_max=p["cyclic_amplitude_max"],
-            step_size=p["cyclic_step_size"],
-        ))
+            amplitude_max=p["r_max"], step_size=p["delta_r"]))
 
     stage_dir = _fresh_stage_dir(root, "paths")
     ds.write_pathset(stage_dir / "paths.bin", paths)
@@ -540,9 +540,15 @@ def stage_pca_fit(cfg: dict, root: Path) -> None:
     snaps = np.concatenate(
         [r.outputs(family) for r in packed.all_records()], axis=0
     )
-    model = pcalib.fit(snaps, p["p"],
-                       subsample_fraction=p["subsample_fraction"],
-                       seed=p["seed"])
+    try:
+        model = pcalib.fit(snaps, p["p"],
+                           subsample_fraction=p["subsample_fraction"],
+                           seed=p["seed"])
+    except ValueError as err:
+        raise StageError(
+            f"pca-fit: {err}; generate more paths (paths.n_random), pack "
+            "longer sequences (dataset.lengths) or raise "
+            "pca.subsample_fraction") from None
     stage_dir = _fresh_stage_dir(root, "pca")
     pcalib.save(root / _pca_basis(cfg), model)
     ds.write_csv(stage_dir / f"residual_{family}.csv",

@@ -458,10 +458,9 @@ def check_json(value, kind, source=None, key: str = ""):
     ``"real"``, ``"str"``, ``"list"``, ``"null"``) joined by ``|``, with a
     list's element type after `` of `` (``"real|null"``, ``"list of int"``).
     ``true`` and ``false`` are not numbers.  A key that :func:`required`
-    made has no default; a callable default is called with the object's
-    values resolved so far, every given one among them.  An unknown,
-    missing or mistyped key raises a ``ValueError`` that names ``source``,
-    when given, and the key, dotted below ``key``.
+    made has no default.  An unknown, missing or mistyped key raises a
+    ``ValueError`` that names ``source``, when given, and the key, dotted
+    below ``key``.
     """
     def fault(message: str) -> ValueError:
         return ValueError(f"{source}: {message}" if source else message)
@@ -490,6 +489,5 @@ def check_json(value, kind, source=None, key: str = ""):
            for name, v in value.items()}
     for name, (sub, default) in kind.items():
         if name not in out:
-            out[name] = check_json(default(out) if callable(default)
-                                   else default, sub, source, dotted(name))
+            out[name] = check_json(default, sub, source, dotted(name))
     return out

@@ -509,7 +509,6 @@ class TrainConfig:
     """First-order optimizer settings and the mini-batch schedule."""
 
     learning_rate: float = 1e-3
-    weight_decay: float = 0.0
     clip_norm: float = 1.0
     n_epoch: int = 2
     n_batches: int = 1000
@@ -519,8 +518,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be >= 0")
         if self.clip_norm < 0.0:
             raise ValueError("clip_norm must be >= 0 (0 disables clipping)")
         if not 1 <= self.n_epoch <= 10:
@@ -530,10 +527,9 @@ class TrainConfig:
 
 
 class Adam:
-    """Adaptive-moment estimation with bias correction.
+    """Adaptive-moment estimation with bias correction, without weight decay.
 
-    Optional weight decay is decoupled from the moment update.  The
-    parameter vector is updated in place and the instance owns the moment
+    The parameter vector is updated in place and the instance owns the moment
     vectors, so one optimizer must stay attached to one model.  ``step``
     walks the vectors in consecutive ``_ADAM_CHUNK``-element slices through
     two slice-sized scratch vectors, so it allocates nothing per call; the
@@ -556,7 +552,6 @@ class Adam:
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         lr = self.cfg.learning_rate
-        decay = lr * self.cfg.weight_decay
         eps = ADAM_EPSILON
         for lo in range(0, self.params.size, _ADAM_CHUNK):
             chunk = slice(lo, lo + _ADAM_CHUNK)
@@ -571,8 +566,6 @@ class Adam:
             np.divide(m, bias1, out=a)
             np.sqrt(np.divide(v, bias2, out=b), out=b)
             a /= np.add(b, eps, out=b)
-            if self.cfg.weight_decay > 0.0:
-                p -= np.multiply(p, decay, out=b)
             p -= np.multiply(a, lr, out=a)
 
 

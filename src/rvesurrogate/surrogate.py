@@ -47,7 +47,10 @@ query whose history without its last row is byte-for-byte one of them
 resumes from it: only its new row is checked for finite entries, and it
 runs one recurrence step of every group, as two half-stacks on two
 threads (below); any other query is checked whole and replays its whole
-history from ``neural.H0``.
+history from ``neural.H0``.  The resumed history stays kept beside the
+new one, for a Newton re-query of the same increment, so each Gauss point
+holds 2 entries and the map serves ``HISTORY_CACHE_ENTRIES // 2`` points
+stepping in turn.
 Every prediction (these queries, the batch passes of ``predict``, which
 ``evaluate``, ``eval``'s snapshots and the ``train`` stage's probe run, and
 the trial's scoring) runs ``RnnModel.forward`` without a workspace, so
@@ -109,8 +112,10 @@ _BUNDLE_TABLE = ds.required(
     q="int",
     input_norm=_NORM_TABLE, output_norm=_NORM_TABLE, field_norm=_NORM_TABLE)
 
-# queried histories whose final hidden states a bundle keeps; at least the
-# Gauss points one bundle serves in turn, so that each resumes its own
+# queried histories whose final hidden states a bundle keeps.  A hit keeps
+# the history it resumed, for Newton re-queries of the same increment, next
+# to the new one, so each Gauss point holds 2 entries: 64 serve 32 points
+# stepping in turn, each resuming its own
 HISTORY_CACHE_ENTRIES = 64
 
 # rows (batch x steps) up to which a prediction stacks groups: they run in

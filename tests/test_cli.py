@@ -187,13 +187,15 @@ class TestActionableErrors:
         ("eval", "snapshot_sequences", [0.5]),
         ("train", "nnw_out", [0, 2]),
         ("train", "learning_rate", 0),
-        ("train", "weight_decay", -1),
         ("train", "clip_norm", -1),
-        # checked although n_cyclic = 0; the amplitude defaults to r_max
-        ("paths", "cyclic_step_size", 0.3),
-        ("paths", "cyclic_reversals_min", 0),
-        ("paths", "cyclic_reversals_min", 7),  # > cyclic_reversals_max = 6
         ("dataset", "lengths", [8, 8]),
+        # each seed seeds a generator, which takes no negative integer
+        ("paths", "seed", -1),
+        ("ensemble", "seed", -1),
+        ("pca", "seed", -1),
+        ("train", "seed", -1),
+        # pca-fit's cap on the field dimension
+        ("ensemble", "d_gamma", 10_001),
     ])
     def test_invalid_config_value_rejected_at_load(
             self, tmp_path, monkeypatch, capsys, section, key, value):
@@ -219,6 +221,15 @@ class TestActionableErrors:
         ("pca", "delta", 0.1),
         ("pca", "delta", 1.5),
         ("pca", "delta", -1.0),
+        # Adam runs without weight decay
+        ("train", "weight_decay", -1),
+        # a cyclic path has 2 to 6 reversals, amplitudes within paths.r_max
+        # and steps of paths.delta_r
+        ("paths", "cyclic_step_size", 0.3),
+        ("paths", "cyclic_reversals_min", 0),
+        ("paths", "cyclic_reversals_min", 7),
+        ("paths", "cyclic_reversals_max", 6),
+        ("paths", "cyclic_amplitude_max", 0.3),
     ])
     def test_dropped_key_is_unknown(self, tmp_path, monkeypatch, capsys,
                                     section, key, value):
@@ -302,6 +313,20 @@ class TestActionableErrors:
         assert run_main("trial", dataset_root, cfg, tmp_path, monkeypatch) == 1
         assert "trial.target_p" in capsys.readouterr().err
 
+    def test_pca_fit_on_one_snapshot(self, tmp_path, monkeypatch, capsys):
+        # one path packed into one 1-step sequence
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        cfg["paths"]["n_random"] = 1
+        cfg["dataset"]["lengths"] = [1]
+        root = tmp_path / "root"
+        assert run_main("all", root, cfg, tmp_path, monkeypatch) == 1
+        err = capsys.readouterr().err
+        assert "need at least 2 snapshots" in err
+        for key in ("paths.n_random", "dataset.lengths",
+                    "pca.subsample_fraction"):
+            assert key in err
+        assert (root / "dataset").exists() and not (root / "pca").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_rejected(self, tmp_path, monkeypatch, capsys,
                                      jobs):
@@ -313,6 +338,18 @@ class TestActionableErrors:
         assert cli.main(["all", "--config", str(config_file),
                          "--jobs", jobs]) == 1
         assert "--jobs" in capsys.readouterr().err
+        assert not root.exists()
+
+    def test_negative_seed_override_rejected(self, tmp_path, monkeypatch,
+                                             capsys):
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(cfg))
+        root = tmp_path / "root"
+        monkeypatch.setenv(cli.ROOT_ENV_VAR, str(root))
+        assert cli.main(["all", "--config", str(config_file),
+                         "--seed-override", "-5"]) == 1
+        assert "--seed-override must be >= 0, got -5" in capsys.readouterr().err
         assert not root.exists()
 
     def test_dataset_command_without_records(self, tmp_path, capsys):

@@ -72,7 +72,7 @@ class TestCheckJson:
         table = {
             **ds.required(arch=ds.required(n_h="int", nnw_in="list of int")),
             "walk": ({**ds.required(r_max="real"),
-                      "amplitude": ("real", lambda walk: walk["r_max"])}, {}),
+                      "amplitude": ("real", 0.3)}, {}),
         }
         arch = {"n_h": 4, "nnw_in": [3, 8]}
         for value, message in [

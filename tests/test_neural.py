@@ -418,7 +418,7 @@ class TestWorkspace:
 class TestOptimizer:
     def test_zero_gradient_keeps_parameters(self):
         p = np.array([1.0, -2.0])
-        opt = nn.Adam(p, nn.TrainConfig(weight_decay=0.0))
+        opt = nn.Adam(p, nn.TrainConfig())
         opt.step(np.zeros(2))
         assert np.array_equal(p, [1.0, -2.0])
 
@@ -467,8 +467,6 @@ class TestOptimizer:
             nn.TrainConfig(n_batches=0)
         with pytest.raises(ValueError, match="learning_rate"):
             nn.TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValueError, match="weight_decay"):
-            nn.TrainConfig(weight_decay=-1e-3)
         with pytest.raises(ValueError, match="0 disables clipping"):
             nn.TrainConfig(clip_norm=-5.0)
 
@@ -488,8 +486,6 @@ def adam_per_array(arrays, grad_steps, cfg):
             v_i *= b2
             v_i += (1.0 - b2) * g * g
             update = (m_i / bias1) / (np.sqrt(v_i / bias2) + nn.ADAM_EPSILON)
-            if cfg.weight_decay > 0.0:
-                p -= lr * cfg.weight_decay * p
             p -= lr * update
 
 
@@ -523,7 +519,7 @@ class TestParameterVector:
         assert model.params.size % nn._ADAM_CHUNK != 0
         arrays = [p.copy() for p, _ in layout(model)]
         offsets = np.cumsum([p.size for p in arrays])[:-1]
-        cfg = nn.TrainConfig(learning_rate=1e-2, weight_decay=0.1)
+        cfg = nn.TrainConfig(learning_rate=1e-2)
         rng = np.random.default_rng(6)
         grad_steps = [rng.standard_normal(model.params.size) for _ in range(5)]
         opt = nn.Adam(model.params, cfg)
@@ -567,7 +563,7 @@ class TestTrainingStepAllocations:
 
     def test_adam_step_allocates_under_1_mb(self, paper_width):
         model = paper_width[0]
-        opt = nn.Adam(model.params.copy(), nn.TrainConfig(weight_decay=0.1))
+        opt = nn.Adam(model.params.copy(), nn.TrainConfig())
         g = np.random.default_rng(33).standard_normal(model.params.size)
         opt.step(g)
         assert traced_peak(lambda: opt.step(g)) < 1_000_000

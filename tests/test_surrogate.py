@@ -750,6 +750,22 @@ class TestHistoryReuse:
         # evicted: the warm bundle replayed all 11 steps, as the cold one did
         assert set(forward_steps) == {(warm.q, 11)}
 
+    def test_half_the_map_serves_gauss_points_stepping_in_turn(
+            self, synthetic_packed, gamma_pca, monkeypatch, forward_steps):
+        # a hit keeps the history it resumed, for Newton re-queries, next to
+        # the new one, so each point holds 2 entries
+        monkeypatch.setattr(sg, "_SPLIT", False)
+        bundle = fitted_history_bundle("III", gamma_pca, synthetic_packed)
+        n_points = sg.HISTORY_CACHE_ENTRIES // 2
+        paths = np.random.default_rng(18).uniform(-0.05, 0.05,
+                                                  size=(n_points, 6, 3))
+        for k in range(1, 7):
+            del forward_steps[:]
+            for path in paths:
+                bundle.predict_fields(path[:k])
+            # one step of every group per query, in one stacked pass
+            assert forward_steps == [(bundle.q, 1)] * n_points
+
     @pytest.mark.parametrize("refit", ["train", "fit_normalization"])
     def test_refit_bundle_answers_like_its_reloaded_copy(
             self, refit, tmp_path, synthetic_packed, gamma_pca):
