@@ -7,7 +7,9 @@ default ``./pipeline_out``).  The config is resolved before a stage runs:
 ``datastore.check_json`` checks it against one typed table, ``_SCHEMA``,
 and gives each key it leaves out its default there.  A stage reads each of
 its inputs once, through ``_Inputs.read``, which hashes each file once and
-rejects one whose hash differs from the one its producer's manifest lists.
+rejects one whose hash differs from the one its producer's manifest lists,
+or whose producer ran with other values of the config keys its outputs
+depend on.
 Its manifest carries the resolved config (the values in effect, seeds
 included), SHA-256 hashes of its outputs and, as ``inputs``, the hashes of
 exactly what it read, so a finished pipeline is replayable and diffable;
@@ -328,27 +330,31 @@ def _fresh_stage_dir(root: Path, name: str) -> Path:
 
 @dataclass
 class _Inputs:
-    """The artifacts one stage reads below ``root``: ``digests`` holds the
-    digest of each, read once, as its manifest's ``inputs``."""
+    """The artifacts one stage reads below ``root``, for a stage that runs
+    with the resolved config ``cfg``, or with none (``None``): ``digests``
+    holds the digest of each, read once, as its manifest's ``inputs``."""
 
     root: Path
+    cfg: dict | None
     digests: dict = field(default_factory=dict)
 
     def read(self, name: str, reader, producer: str):
-        """``reader(root / name)``, checked against the hashes its
-        producer's manifest lists.
+        """``reader(root / name)``, checked against the hashes and the
+        config its producer's manifest lists.
 
         A missing artifact, or a file of it that ``reader`` misses, is a
         ``StageError`` that asks to run ``producer``; a malformed one, whose
         file the reader's ``ValueError`` names, and then a file whose hash
         differs from the one its producer's manifest lists, are ones that
-        ask to re-run it."""
+        ask to re-run it.  So is an artifact that ``producer`` made with
+        other values of the config keys its outputs depend on
+        (``_check_config``)."""
         path = self.root / name
         try:
             if not path.exists():
                 raise FileNotFoundError
             value = reader(path)
-            self.digests[name] = _checked_digest(path)
+            self.digests[name] = _checked_digest(path, self.cfg, producer)
         except FileNotFoundError as err:
             missing = Path(err.filename or path)
             raise StageError(f"no {missing.name} under {missing.parent}; "
@@ -359,13 +365,15 @@ class _Inputs:
         return value
 
 
-def _checked_digest(path: Path) -> str:
+def _checked_digest(path: Path, cfg: dict | None, producer: str) -> str:
     """``write_manifest``'s digest of the artifact ``path``.
 
     The producer's manifest is the one in ``path``, a stage directory whose
     files it lists one by one, or else the one beside ``path``.  A file
     whose hash differs from the one listed raises a ``ValueError`` that
-    names it; an artifact that no manifest lists is not checked.
+    names it; an artifact that no manifest lists is not checked.  Given a
+    ``cfg``, the manifest's config must agree with it where the outputs of
+    ``producer`` depend on it (``_check_config``).
     """
     manifest = path / "manifest.json"
     if manifest.exists():
@@ -376,15 +384,58 @@ def _checked_digest(path: Path) -> str:
         manifest, files = path.parent / "manifest.json", {path: digest}
     if not manifest.exists():
         return digest
-    listed = ds.read_json(manifest)
-    listed = listed.get("outputs") if isinstance(listed, dict) else None
-    if not isinstance(listed, dict):
-        raise ValueError(f"{manifest}: no outputs table")
+    tables = ds.read_json(manifest)
+    listed, ran_with = ((tables.get("outputs"), tables.get("config"))
+                        if isinstance(tables, dict) else (None, None))
+    for key, table in (("outputs", listed), ("config", ran_with)):
+        if not isinstance(table, dict):
+            raise ValueError(f"{manifest}: no {key} table")
     for f, file_digest in files.items():
         if listed.get(f.name, file_digest) != file_digest:
             raise ValueError(f"{f}: its hash differs from the one {manifest} "
                              "lists")
+    if cfg is not None:
+        _check_config(cfg, ran_with, producer, path)
     return digest
+
+
+# the stage that first reads each config section, in stage order; a
+# stage's outputs depend on the sections of its own and of every stage
+# before it
+_SECTION_READER = {"paths": "gen-paths", "ensemble": "gen-data",
+                   "dataset": "pca-fit", "pca": "pca-fit", "train": "train"}
+
+
+def _check_config(cfg: dict, ran_with: dict, producer: str,
+                  path: Path) -> None:
+    """A ``StageError`` unless ``cfg`` and ``ran_with``, the config that
+    ``producer`` ran with when it wrote ``path``, hold the same JSON values
+    in every section that the producer's outputs depend on.  It names each
+    differing key with both values and the stages to re-run."""
+    stage = STAGE_ORDER.index
+    differ = []
+    for section, reader in _SECTION_READER.items():
+        if stage(reader) > stage(producer):
+            continue
+        # a section's values are scalars and lists, which JSON stores as
+        # lists when they are tuples
+        now = {key: list(value) if isinstance(value, tuple) else value
+               for key, value in cfg[section].items()}
+        then = ran_with.get(section)
+        then = then if isinstance(then, dict) else {}
+        for key in sorted(now.keys() | then.keys()):
+            # a key that one side lacks reads None there
+            a, b = now.get(key), then.get(key)
+            if a != b:
+                differ.append((reader, f"{section}.{key} = {a!r} in this "
+                                       f"config, {b!r} in that run"))
+    if differ:
+        first = differ[0][0]
+        rerun = f"`{first}`" + (f" through `{producer}`"
+                                if first != producer else "")
+        raise StageError(
+            f"{path} was made by `{producer}` under another config: "
+            f"{'; '.join(text for _, text in differ)}; re-run {rerun}")
 
 
 def _records(path: Path) -> list[ds.SequenceRecord]:
@@ -469,7 +520,7 @@ def _run_paths(indices) -> tuple[list[ds.SequenceRecord], int, int]:
 
 
 def stage_gen_data(cfg: dict, root: Path, jobs: int = 1) -> None:
-    inputs = _Inputs(root)
+    inputs = _Inputs(root, cfg)
     paths = inputs.read("paths/paths.bin", ds.read_pathset, "gen-paths")
     e = cfg["ensemble"]
     ensemble = mm.build_ensemble(
@@ -534,7 +585,7 @@ def _pack(cfg: dict, records, what: str = "the dataset") -> ds.PackedDataset:
 
 def stage_pca_fit(cfg: dict, root: Path) -> None:
     p = cfg["pca"]
-    inputs = _Inputs(root)
+    inputs = _Inputs(root, cfg)
     packed = _pack(cfg, inputs.read("dataset/records", _records, "gen-data"))
     family = p["family"]
     snaps = np.concatenate(
@@ -570,24 +621,23 @@ def stage_pca_fit(cfg: dict, root: Path) -> None:
 
 
 def stage_train(cfg: dict, root: Path) -> None:
-    inputs = _Inputs(root)
+    inputs = _Inputs(root, cfg)
     packed = _pack(cfg, inputs.read("dataset/records", _records, "gen-data"))
     t = cfg["train"]
     kind = t["kind"]
     pca_model = None
     if kind != sg.KIND_DIRECT:
         pca_model = inputs.read(_pca_basis(cfg), pcalib.load, "pca-fit")
-        p = cfg["pca"]["p"]
-        if p > pca_model.retained_p:
-            raise StageError(
-                f"pca.p = {p} exceeds the {pca_model.retained_p} "
-                f"components stored in {root / _pca_basis(cfg)}; re-run "
-                "`pca-fit` after changing pca.p"
-            )
-    bundle = sg.SurrogateBundle(
-        kind, _from_config(sg.Architecture, cfg, _ARCH_FIELDS), q=t["q"],
-        pca=pca_model, family=cfg["pca"]["family"], seed=t["seed"],
-    )
+    arch = _from_config(sg.Architecture, cfg, _ARCH_FIELDS)
+    try:
+        bundle = sg.SurrogateBundle(kind, arch, q=t["q"], pca=pca_model,
+                                    family=cfg["pca"]["family"],
+                                    seed=t["seed"])
+    except ValueError as err:
+        # the validated config leaves only a basis narrower than pca.p,
+        # which a basis without a manifest can be
+        raise StageError(f"{root / _pca_basis(cfg)}: {err}; re-run `pca-fit` "
+                         f"with pca.p = {cfg['pca']['p']}") from None
     history = bundle.train(packed,
                            _from_config(nn.TrainConfig, cfg, _TRAIN_FIELDS))
     stage_dir = _fresh_stage_dir(root, "bundle")
@@ -649,7 +699,7 @@ def _split_paths(n: int, seed: int) -> tuple[list[int], list[int]]:
 
 
 def stage_trial(cfg: dict, root: Path) -> None:
-    inputs = _Inputs(root)
+    inputs = _Inputs(root, cfg)
     records = inputs.read("dataset/records", _records, "gen-data")
     pca_model = inputs.read(_pca_basis(cfg), pcalib.load, "pca-fit")
     t = cfg["trial"]
@@ -679,7 +729,7 @@ def stage_trial(cfg: dict, root: Path) -> None:
 
 
 def stage_eval(cfg: dict, root: Path) -> None:
-    inputs = _Inputs(root)
+    inputs = _Inputs(root, cfg)
     packed = _pack(cfg, inputs.read("dataset/records", _records, "gen-data"))
     e = cfg["eval"]
     records = list(packed.all_records())
@@ -755,7 +805,9 @@ def stage_eval(cfg: dict, root: Path) -> None:
 
 
 def dataset_stats(directory) -> str:
-    records = _Inputs(Path(directory)).read("records", _records, "gen-data")
+    # no config: the records are not checked against one
+    records = _Inputs(Path(directory), None).read("records", _records,
+                                                  "gen-data")
     lengths = np.array([r.length for r in records])
     gmax = max(float(r.outputs_gamma.max()) for r in records)
     tmax = max(float(r.outputs_tau.max()) for r in records)

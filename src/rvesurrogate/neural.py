@@ -476,21 +476,15 @@ class RnnModel:
         self.nnw_in.backward(cache.in_cache, d_xp, g.nnw_in)
 
 
-def mse_loss(pred, target) -> float:
+def mse_loss(pred, target) -> tuple[float, np.ndarray]:
+    """Mean squared error of ``pred`` against ``target``, and its gradient
+    with respect to ``pred``."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
     diff = pred - target
-    return float(np.mean(diff * diff))
-
-
-def mse_loss_grad(pred, target):
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
-    return (pred - target) * (2.0 / pred.size)
+    return float(np.mean(diff * diff)), diff * (2.0 / pred.size)
 
 
 def clip_gradient_norm(grads: np.ndarray, max_norm: float,
@@ -583,11 +577,11 @@ def train_step(model: RnnModel, optimizer: Adam, inputs, targets,
     if workspace is None:
         workspace = {}
     outputs, cache = model.forward(inputs, workspace=workspace)
-    loss = mse_loss(outputs, targets)
+    loss, d_outputs = mse_loss(outputs, targets)
     norm = math.nan
     if np.isfinite(loss):
         grads = _take(workspace, "grads", model.params.shape)
-        model.backward(cache, mse_loss_grad(outputs, targets), grads)
+        model.backward(cache, d_outputs, grads)
         norm = clip_gradient_norm(grads, clip_norm,
                                   _take(workspace, "squares", grads.shape))
         optimizer.step(grads)

@@ -12,11 +12,11 @@ The symmetric eigendecomposition is closed form: the in-plane block is
 diagonalized by one symmetric Schur (Jacobi) rotation, whose tangent comes
 from the quadratic ``t^2 + 2 theta t - 1 = 0`` with
 ``theta = (yy - xx) / (2 xy)``; the out-of-plane entry is the third
-eigenvalue, with eigenvector ``e_3``.  A second rotation runs only where the
-first leaves an off-diagonal entry above 1e-15 of the Frobenius norm.  The
-kernel uses only correctly rounded operations (``+ - * / sqrt``),
-selections and numpy's matmul, so a tensor decomposes bit-identically alone
-or inside a batch.
+eigenvalue, with eigenvector ``e_3``.  A block whose off-diagonal entry is
+at most 1e-15 of the Frobenius norm rotates by exactly zero.  The kernel
+uses only correctly rounded operations (``+ - * / sqrt``), selections and
+numpy's matmul, so a tensor decomposes bit-identically alone or inside a
+batch.
 
 ``inplane_eigvals`` is the eigenvalues-only path: the quadratic formula
 ``m +- sqrt(((xx - yy)/2)^2 + xy^2)`` with ``m = (xx + yy)/2``, which agrees
@@ -24,11 +24,11 @@ with ``sym_eig``'s in-plane values to roundoff but not to the bit.  Only
 ``pathgen`` uses it; the micro-model's fields stay on ``sym_eig``.
 
 Every other routine performs exactly the floating-point operations of its
-general 3x3 counterpart (cofactor expansion, adjugate inverse, cyclic Jacobi
-sweeps over the three index pairs, spectral sums in descending eigenvalue
-order), minus the terms that the zero couplings make exact no-ops.  Results are
-therefore bit-identical to the general 3x3 algebra, and so are the
-micro-model fields built on them.  The package holds no 3x3 tensor: the 3x3
+general 3x3 counterpart (cofactor expansion, adjugate inverse, one
+rotation, the first of the 3x3 oracle's sweep, spectral sums in descending
+eigenvalue order), minus the terms that the zero couplings make exact
+no-ops.  Results are therefore bit-identical to the general 3x3 algebra,
+and so are the micro-model fields built on them.  The package holds no 3x3 tensor: the 3x3
 form lives only in the tests' oracles, assembled by ``conftest.plane_strain``,
 and ``tests/test_tensorlab.py`` and ``tests/test_micromodel.py`` check these
 routines and the fields against them.
@@ -41,7 +41,6 @@ from typing import NamedTuple
 import numpy as np
 
 _ROTATION_REL_TOL = 1e-15
-_MAX_ROTATIONS = 30
 
 
 class SpectralDecomp(NamedTuple):
@@ -105,32 +104,25 @@ def sym_eig(in_plane, out_of_plane) -> SpectralDecomp:
     norm = np.sqrt((((sq[:, 0, 0] + sq[:, 0, 1]) + sq[:, 1, 0]) + sq[:, 1, 1])
                    + z * z)
     tol = _ROTATION_REL_TOL * np.maximum(norm, np.finfo(np.float64).tiny)
-    v = None
-    for _ in range(_MAX_ROTATIONS):
-        apq = a[:, 0, 1]
-        if (np.sqrt(apq * apq) <= tol).all():
-            break
-        # entries already diagonal rotate by exactly zero, so a tensor's
-        # result does not depend on the rest of the batch
-        active = np.abs(apq) > tol
-        # the tangent of the rotation angle is the root of t^2 + 2 theta t - 1
-        # of smaller magnitude, t = 1 for theta = 0
-        theta = (a[:, 1, 1] - a[:, 0, 0]) / (2.0 * np.where(active, apq, 1.0))
-        tval = np.where(theta < 0.0, -1.0, 1.0) / (
-            np.abs(theta) + np.sqrt(theta * theta + 1.0))
-        c = 1.0 / np.sqrt(tval * tval + 1.0)
-        sn = np.where(active, tval * c, 0.0)
-        c = np.where(active, c, 1.0)
-        g = np.empty_like(a)
-        gt = np.empty_like(a)
-        g[:, 0, 0] = g[:, 1, 1] = gt[:, 0, 0] = gt[:, 1, 1] = c
-        g[:, 0, 1] = gt[:, 1, 0] = sn
-        g[:, 1, 0] = gt[:, 0, 1] = -sn
-        a = gt @ a @ g
-        # the first rotation of the identity is the rotation itself
-        v = g if v is None else v @ g
-    if v is None:
-        v = np.broadcast_to(np.eye(2), a.shape)
+    apq = a[:, 0, 1]
+    # entries already diagonal rotate by exactly zero, so a tensor's result
+    # does not depend on the rest of the batch
+    active = np.abs(apq) > tol
+    # the tangent of the rotation angle is the root of t^2 + 2 theta t - 1
+    # of smaller magnitude, t = 1 for theta = 0
+    theta = (a[:, 1, 1] - a[:, 0, 0]) / (2.0 * np.where(active, apq, 1.0))
+    tval = np.where(theta < 0.0, -1.0, 1.0) / (
+        np.abs(theta) + np.sqrt(theta * theta + 1.0))
+    c = 1.0 / np.sqrt(tval * tval + 1.0)
+    sn = np.where(active, tval * c, 0.0)
+    c = np.where(active, c, 1.0)
+    # the rotation, the eigenvectors, and its transpose
+    v = np.empty_like(a)
+    vt = np.empty_like(a)
+    v[:, 0, 0] = v[:, 1, 1] = vt[:, 0, 0] = vt[:, 1, 1] = c
+    v[:, 0, 1] = vt[:, 1, 0] = sn
+    v[:, 1, 0] = vt[:, 0, 1] = -sn
+    a = vt @ a @ v
 
     # descending, stable: ties keep the in-plane values first, so the
     # second in-plane value leads only when it is strictly larger

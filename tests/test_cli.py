@@ -620,11 +620,13 @@ class TestStagesReplaceTheirOutputs:
 
 
 class TestTrialStage:
-    def test_seed_override_reaches_the_trial(self, dataset_root, tmp_path,
-                                             monkeypatch):
-        # the config has no trial section
+    def test_seed_override_reaches_the_trial(self, tmp_path, monkeypatch):
+        # the config has no trial section; the trial's inputs are made
+        # under the same override, as the trial checks
         cfg = tiny_config({"p": 4}, 2, (4, 2))
-        cli.run_stage("pca-fit", cfg, dataset_root)
+        root = tmp_path / "root"
+        for stage in ("gen-paths", "gen-data", "pca-fit"):
+            cli.run_stage(stage, cli.apply_seed_override(cfg, 10), root)
         seen = {}
 
         def keep_seed(train_set, val_set, pca_model, arch, config, **kw):
@@ -634,12 +636,11 @@ class TestTrialStage:
         monkeypatch.setattr(sg, "hidden_size_trial", keep_seed)
         config_file = tmp_path / "config.json"
         config_file.write_text(json.dumps(cfg))
-        monkeypatch.setenv(cli.ROOT_ENV_VAR, str(dataset_root))
+        monkeypatch.setenv(cli.ROOT_ENV_VAR, str(root))
         assert cli.main(["trial", "--config", str(config_file),
                          "--seed-override", "10"]) == 0
         assert seen["seed"] == 10 + cli._SEED_SLOTS["train"]
-        manifest = json.loads(
-            (dataset_root / "trial" / "manifest.json").read_text())
+        manifest = json.loads((root / "trial" / "manifest.json").read_text())
         assert manifest["config"]["train"]["seed"] == seen["seed"]
 
     def test_trial_sizes_the_surrogate_of_the_train_section(
@@ -928,7 +929,8 @@ class TestManifestInputs:
         assert f"{basis}: its hash differs" in err and "`pca-fit`" in err
         assert not (root / "bundle").exists()
 
-    @pytest.mark.parametrize("text", ["{", "[]", '{"outputs": 3}'])
+    @pytest.mark.parametrize("text", ["{", "[]", '{"outputs": 3}',
+                                      '{"outputs": {}}'])
     def test_unreadable_producer_manifest(self, tmp_path, monkeypatch,
                                           capsys, text):
         cfg = tiny_config({"p": 4}, 2, (4, 2))
@@ -948,6 +950,105 @@ class TestManifestInputs:
                                                        d_tau=2))
         assert cli.main(["dataset", "stats", str(tmp_path)]) == 0
         assert "records:            3" in capsys.readouterr().out
+
+
+class TestManifestConfig:
+    """A stage reads only inputs made under the config it runs with, in
+    the sections their producers' outputs depend on."""
+
+    @staticmethod
+    def copy_dataset(dataset_root, root):
+        # the module's dataset, made at ensemble.d_gamma 8 without a seed
+        # override
+        for name in ("paths", "dataset"):
+            shutil.copytree(dataset_root / name, root / name)
+        return root
+
+    def test_dataset_of_another_width_fails_train(self, dataset_root,
+                                                  tmp_path, monkeypatch,
+                                                  capsys):
+        # kind I at d_gamma 6 used to end in a broadcasting ValueError
+        root = self.copy_dataset(dataset_root, tmp_path / "root")
+        cfg = tiny_config({"p": 4}, 1, (4, 6))
+        cfg["train"]["kind"] = "I"
+        cfg["ensemble"]["d_gamma"] = 6
+        assert run_main("train", root, cfg, tmp_path, monkeypatch) == 1
+        records = root / "dataset" / "records"
+        assert capsys.readouterr().err == (
+            f"error: {records} was made by `gen-data` under another config: "
+            "ensemble.d_gamma = 6 in this config, 8 in that run; re-run "
+            "`gen-data`\n")
+        assert not (root / "bundle").exists()
+
+    def test_narrower_width_writes_no_pca_basis(self, dataset_root,
+                                                tmp_path, monkeypatch,
+                                                capsys):
+        # kind III at d_gamma 3 used to run pca-fit, train and eval to exit
+        # 0, each manifest recording d_gamma 3 over fields 8 wide
+        root = self.copy_dataset(dataset_root, tmp_path / "root")
+        cfg = tiny_config({"p": 2}, 1, (4, 2))
+        cfg["ensemble"]["d_gamma"] = 3
+        assert run_main("pca-fit", root, cfg, tmp_path, monkeypatch) == 1
+        err = capsys.readouterr().err
+        assert "ensemble.d_gamma = 3 in this config, 8 in that run" in err
+        assert not (root / "pca").exists()
+
+    def test_seed_override_the_data_was_not_made_with(self, dataset_root,
+                                                      tmp_path, monkeypatch,
+                                                      capsys):
+        root = self.copy_dataset(dataset_root, tmp_path / "root")
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        cli.run_stage("pca-fit", cfg, root)
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(cfg))
+        monkeypatch.setenv(cli.ROOT_ENV_VAR, str(root))
+        assert cli.main(["trial", "--config", str(config_file),
+                         "--seed-override", "10"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {root / 'dataset' / 'records'} was made by `gen-data` "
+            "under another config: paths.seed = 10 in this config, 0 in that "
+            "run; ensemble.seed = 11 in this config, 0 in that run; re-run "
+            "`gen-paths` through `gen-data`\n")
+        assert not (root / "trial").exists()
+
+    def test_changed_batch_size_asks_for_pca_fit(self, dataset_root,
+                                                  tmp_path, monkeypatch,
+                                                  capsys):
+        # train reads the records (gen-data: paths, ensemble) and the basis
+        # (pca-fit: dataset and pca too); batch_size is a dataset key
+        root = self.copy_dataset(dataset_root, tmp_path / "root")
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        cli.run_stage("pca-fit", cfg, root)
+        cfg["dataset"]["batch_size"] = 3
+        assert run_main("train", root, cfg, tmp_path, monkeypatch) == 1
+        assert capsys.readouterr().err.endswith(
+            "dataset.batch_size = 3 in this config, 2 in that run; re-run "
+            "`pca-fit`\n")
+
+    def test_values_compare_as_json(self, dataset_root, tmp_path):
+        # a tuple in the config is the list its producer's manifest holds
+        root = self.copy_dataset(dataset_root, tmp_path / "root")
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        cli.run_stage("pca-fit", cfg, root)
+        cfg["dataset"]["lengths"] = tuple(cfg["dataset"]["lengths"])
+        cfg["train"]["nnw_in"] = tuple(cfg["train"]["nnw_in"])
+        cli.run_stage("train", cfg, root)
+        cli.run_stage("eval", cfg, root)
+
+    def test_basis_without_a_manifest_narrower_than_p(self, dataset_root,
+                                                      tmp_path, monkeypatch,
+                                                      capsys):
+        # no manifest states the basis's config, so the bundle's own rule
+        # on its width is the one that fires
+        root = self.copy_dataset(dataset_root, tmp_path / "root")
+        cli.run_stage("pca-fit", tiny_config({"p": 2}, 1, (4, 2)), root)
+        (root / "pca" / "manifest.json").unlink()
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        assert run_main("train", root, cfg, tmp_path, monkeypatch) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {root / 'pca' / 'pca_gamma.bin'}: ")
+        assert "retains 2" in err and "re-run `pca-fit` with pca.p = 4" in err
+        assert not (root / "bundle").exists()
 
 
 class TestResolvedConfig:

@@ -299,6 +299,28 @@ class TestMatrixUpdate:
             assert abs(f_resid) <= 1e-8 * params.tau_y0
             n_checked += 1
 
+    def test_newton_return_converges_on_a_wide_grid(self):
+        # overstresses from 1e-9 to 1e5 MPa over gamma0 in [0, 10]: Newton
+        # alone meets the tolerance, inside [0, tau_tr / 3 mu]
+        params = mm.MATRIX_DEFAULTS
+        over, gamma0 = np.meshgrid(np.logspace(-9, 5, 141),
+                                   np.linspace(0.0, 10.0, 41))
+        gamma0 = gamma0.ravel()
+        tau_tr = params.tau_y0 + params.hardening(gamma0) + over.ravel()
+        x = mm._solve_return_scalar(tau_tr, gamma0, params)
+        residual = (tau_tr - 3.0 * params.mu_mpa * x - params.tau_y0
+                    - params.hardening(gamma0 + x))
+        assert np.all(x >= 0.0)
+        assert np.all(x <= tau_tr / (3.0 * params.mu_mpa))
+        assert np.all(np.abs(residual) <= mm._NEWTON_TOL_FACTOR * params.tau_y0)
+
+    def test_unconverged_return_raises(self, monkeypatch):
+        params = mm.MATRIX_DEFAULTS
+        monkeypatch.setattr(mm, "_NEWTON_MAX_ITER", 0)
+        with pytest.raises(RuntimeError, match="failed to converge"):
+            mm._solve_return_scalar(np.array([params.tau_y0 + 1.0]),
+                                    np.zeros(1), params)
+
     def test_hardening_saturation_under_monotonic_shear(self):
         # far into the plastic regime the stress approaches
         # tau_y0 + y_hard = 120 MPa
@@ -658,6 +680,23 @@ class TestRunSequences:
         # some paths sub-step, others never need to
         needs = [i for i, f in enumerate(got) if f.substepped_steps]
         assert 0 < len(needs) < len(paths)
+
+    def test_unconverged_return_truncates_at_first_plastic_step(
+            self, monkeypatch):
+        # a return mapping that cannot converge fails every split of the
+        # first plastic step, so the path ends just before it
+        path = oracle_path(pg.KIND_CYCLIC)
+        ens = mm.build_ensemble(14, 6, 0.3, seed=10)
+        plain = mm.run_sequence(path, ens)
+        first_plastic = int(np.argmax(plain.gamma.max(axis=1) > 0.0))
+        assert first_plastic > 0
+        monkeypatch.setattr(mm, "_NEWTON_MAX_ITER", 0)
+        (fields,) = mm.run_sequences([path], ens)
+        assert fields.truncated
+        assert len(fields) == first_plastic
+        assert fields.substepped_steps == 0
+        assert np.array_equal(fields.gamma, plain.gamma[:first_plastic])
+        assert np.array_equal(fields.tau, plain.tau[:first_plastic])
 
     def test_empty_list(self):
         assert mm.run_sequences([], mm.build_ensemble(4, 2, 0.3, seed=0)) == []

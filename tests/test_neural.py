@@ -49,9 +49,9 @@ def finite_difference_grads(model, inputs, targets, h=1e-6):
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h
-        loss_p = nn.mse_loss(model.forward(inputs)[0], targets)
+        loss_p = nn.mse_loss(model.forward(inputs)[0], targets)[0]
         flat[i] = orig - h
-        loss_m = nn.mse_loss(model.forward(inputs)[0], targets)
+        loss_m = nn.mse_loss(model.forward(inputs)[0], targets)[0]
         flat[i] = orig
         g[i] = (loss_p - loss_m) / (2.0 * h)
     return g
@@ -268,11 +268,11 @@ class TestPredictionForward:
 class TestMseLoss:
     def test_exact_match(self):
         a = np.ones((3, 4))
-        assert nn.mse_loss(a, a) == 0.0
+        assert nn.mse_loss(a, a)[0] == 0.0
 
     def test_all_ones_error(self):
         a = np.zeros((2, 5))
-        assert nn.mse_loss(a + 1.0, a) == 1.0
+        assert nn.mse_loss(a + 1.0, a)[0] == 1.0
 
     def test_summation_oracle(self):
         rng = np.random.default_rng(9)
@@ -282,7 +282,11 @@ class TestMseLoss:
         for x, y in zip(p.ravel(), t.ravel()):
             manual += (x - y) ** 2
         manual /= p.size
-        assert abs(nn.mse_loss(p, t) - manual) <= 1e-14
+        loss, grad = nn.mse_loss(p, t)
+        assert abs(loss - manual) <= 1e-14
+        # the gradient of the mean with respect to each prediction
+        want = 2.0 * (p - t) / p.size
+        assert np.all(np.abs(grad - want) <= 1e-15 * np.abs(want))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -293,8 +297,9 @@ def bptt(model, inputs, targets):
     """Loss and fresh exact parameter gradients for one batch."""
     outputs, cache = model.forward(inputs, workspace={})
     grads = np.empty_like(model.params)
-    model.backward(cache, nn.mse_loss_grad(outputs, targets), grads)
-    return nn.mse_loss(outputs, targets), grads
+    loss, d_outputs = nn.mse_loss(outputs, targets)
+    model.backward(cache, d_outputs, grads)
+    return loss, grads
 
 
 class TestBptt:
@@ -323,7 +328,7 @@ class TestBptt:
         rng = np.random.default_rng(30)
         outputs, cache = model.forward(rng.standard_normal((2, 5, 2)),
                                        workspace={})
-        d_out = nn.mse_loss_grad(outputs, rng.standard_normal((2, 5, 3)))
+        d_out = nn.mse_loss(outputs, rng.standard_normal((2, 5, 3)))[1]
         grads = np.full_like(model.params, np.nan)  # must not survive
         model.backward(cache, d_out, grads)
         once = grads.copy()
@@ -391,13 +396,13 @@ class TestWorkspace:
             t = rng.standard_normal((n_b, n_t, 3))
             fresh_y, fresh_cache = model.forward(x, workspace={})
             fresh_grads = np.empty_like(model.params)
-            model.backward(fresh_cache, nn.mse_loss_grad(fresh_y, t),
+            model.backward(fresh_cache, nn.mse_loss(fresh_y, t)[1],
                            fresh_grads)
             y, cache = model.forward(x, workspace=workspace)
             assert y.tobytes() == fresh_y.tobytes()
             assert cache.h_init.tobytes() == fresh_cache.h_init.tobytes()
             assert cache.h_out.tobytes() == fresh_cache.h_out.tobytes()
-            model.backward(cache, nn.mse_loss_grad(y, t), grads)
+            model.backward(cache, nn.mse_loss(y, t)[1], grads)
             assert grads.tobytes() == fresh_grads.tobytes()
 
     def test_train_steps_match_fresh_buffers(self):
@@ -558,7 +563,7 @@ class TestTrainingStepAllocations:
         rng = np.random.default_rng(32)
         x = rng.standard_normal((8, 32, 3))
         outputs, cache = model.forward(x, workspace={})
-        d_out = nn.mse_loss_grad(outputs, rng.standard_normal((8, 32, 10)))
+        d_out = nn.mse_loss(outputs, rng.standard_normal((8, 32, 10)))[1]
         return model, cache, d_out, np.empty_like(model.params)
 
     def test_adam_step_allocates_under_1_mb(self, paper_width):

@@ -97,6 +97,49 @@ class TestSymEig:
             for got, want in zip(batched, single):
                 assert np.array_equal(got[i], want)
 
+    def test_adversarial_batch(self):
+        # one rotation diagonalizes every block to roundoff; a block whose
+        # off-diagonal is within the rotation tolerance keeps it, which is
+        # at most 1e-15 of the norm
+        rng = np.random.default_rng(17)
+        tol = tl._ROTATION_REL_TOL * np.sqrt(3.0)
+        blocks, outs = [], []
+        # equal diagonals, off-diagonals around the tolerance of norm sqrt(3)
+        for factor in (1.0 - 1e-6, 1.0 + 1e-6, 0.5, 2.0):
+            e = factor * tol
+            blocks.append([[1.0, e], [e, 1.0]])
+            outs.append(1.0)
+        for scale in (1e-150, 1e150):
+            for _ in range(4):
+                g = rng.standard_normal((2, 2)) * scale
+                blocks.append(0.5 * (g + g.T))
+                outs.append(rng.standard_normal() * scale)
+            blocks.append([[scale, 1e-3 * scale], [1e-3 * scale, scale]])
+            outs.append(scale)
+        # an out-of-plane entry that dominates the norm
+        for out in (1e8, -1e15, 1e20):
+            for _ in range(3):
+                g = rng.standard_normal((2, 2))
+                blocks.append(0.5 * (g + g.T))
+                outs.append(out)
+            blocks.append([[1.0, 0.5], [0.5, 1.0]])
+            outs.append(out)
+        blocks, outs = np.array(blocks), np.array(outs)
+        decomp = tl.sym_eig(blocks, outs)
+
+        s = plane_strain(blocks, outs)
+        bound = 8 * np.finfo(np.float64).eps * np.linalg.norm(s, axis=(-2, -1))
+        ref = np.sort(np.linalg.eigvalsh(s), axis=-1)
+        assert np.all(np.abs(np.sort(decomp.values, axis=-1) - ref).max(axis=-1)
+                      <= bound)
+        vecs = eigenvectors_3x3(decomp)
+        rebuilt = tl.reassemble(decomp.values, vecs)
+        assert np.all(np.abs(rebuilt - s).max(axis=(-2, -1)) <= bound)
+        for i in range(len(outs)):
+            single = tl.sym_eig(blocks[i], outs[i])
+            for got, want in zip(decomp, single):
+                assert np.array_equal(got[i], want)
+
     def test_rejects_nonfinite(self):
         for entry in ((0, 0), (2, 2)):
             s = np.eye(3)
