@@ -224,30 +224,27 @@ def _solve_return_scalar(tau_tr, gamma0, params: MatrixParams):
     and decreasing, and ``r(0)``, the trial yield function, is positive at
     every plastic point: each Newton iterate then stays left of the root,
     inside ``[0, tau_tr / 3 mu]``, and the iteration converges monotonically.
-    An entry still off its tolerance after ``_NEWTON_MAX_ITER`` steps, which
-    roundoff alone brings about (at trial overstresses from about 1e6 MPa),
-    raises ``RuntimeError``; ``run_sequences`` then splits the step.
+    The residual is evaluated once per iterate, ``_NEWTON_MAX_ITER + 1``
+    times at most, and the last evaluation decides convergence.  An entry
+    still off its tolerance after ``_NEWTON_MAX_ITER`` steps, which roundoff
+    alone brings about (at trial overstresses from about 1e6 MPa), raises
+    ``RuntimeError``; ``run_sequences`` then splits the step.
     """
     mu3 = 3.0 * params.mu_mpa
     tol = _NEWTON_TOL_FACTOR * params.tau_y0
-
-    def residual(x):
-        return tau_tr - mu3 * x - params.tau_y0 - params.hardening(gamma0 + x)
-
     hi = tau_tr / mu3
     x = np.zeros_like(tau_tr)
-    for _ in range(_NEWTON_MAX_ITER):
-        res = residual(x)
+    for iteration in range(_NEWTON_MAX_ITER + 1):
+        res = tau_tr - mu3 * x - params.tau_y0 - params.hardening(gamma0 + x)
         converged = np.abs(res) <= tol
         if np.all(converged):
-            break
+            return x
+        if iteration == _NEWTON_MAX_ITER:
+            raise RuntimeError("plastic return mapping failed to converge")
         slope = -mu3 - params.hardening_slope(gamma0 + x)
         x_new = x - res / slope
         x_new = np.clip(x_new, 0.0, hi)
         x = np.where(converged, x, x_new)
-    if not np.all(np.abs(residual(x)) <= tol):
-        raise RuntimeError("plastic return mapping failed to converge")
-    return x
 
 
 def matrix_update(f_in, f_out, state: PlasticState,

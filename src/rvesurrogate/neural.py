@@ -30,9 +30,9 @@ package's one training loop.
 Storage: :meth:`RnnModel.build` allocates one parameter vector ``params``;
 every weight and bias array is a reshaped view of a consecutive slice, in
 the seeded draw order: input net ``w, b`` per layer, GRU ``wx, bx, wh,
-bh``, output net ``w, b`` per layer.  Adam, the training loop's backup and
-the model file see only this vector, which the file holds after ``H0`` and
-the layer sizes, in ``datastore``'s one binary layout.  Its dtype, float64 so
+bh``, output net ``w, b`` per layer.  Adam, gradient clipping and the
+model file see only this vector, which the file holds after ``H0`` and the
+layer sizes, in ``datastore``'s one binary layout.  Its dtype, float64 so
 finite-difference gradient checks resolve, is the model's one storage
 decision.  A model holds no gradient: ``backward`` writes one over a
 vector that its caller passes, laid out like ``params``, through the
@@ -56,14 +56,17 @@ batch 8, 32 steps, leaves allocated only its outputs and final state,
 0.05 MB, where a training pass keeps a 7.0 MB cache alive.  ``backward``
 takes ``d_h`` and ``d_g`` from its cache's workspace (``d_g`` in ``gx``'s
 buffer and the previous states in ``d_h``'s, once their first user is done),
-and ``train_step`` takes the gradient vector that ``backward`` fills and the
-squares that clipping sums.  ``backward`` writes every gradient entry, so an
-uninitialized buffer is safe.  A buffer grows to the largest request and
-never shrinks.  The training loop passes one workspace to every step, so
-once the longest batch has run a step allocates only the dense nets'
-activations, the loss gradient and the per-step rows of the recurrence
-(under 1 MB at paper width, batch 8, 32 steps), and no heap pages are handed
-back to the system between steps.  A later forward through a workspace
+and ``train_step`` takes the gradient vector that ``backward`` fills.
+``backward`` writes every gradient entry, so an uninitialized buffer is
+safe.  A buffer grows to the largest request and never shrinks.  The
+training loop passes one workspace to every step, so once the longest batch
+has run a step allocates only the dense nets' activations, the loss
+gradient, the per-step rows of the recurrence and clipping's one-chunk
+scratch (under 1 MB at paper width, batch 8, 32 steps), and no heap pages
+are handed back to the system between steps.  Clipping sums the squares
+chunk by chunk in numpy's own pairwise order, so a training step keeps
+three parameter-sized vectors alive besides the parameters: Adam's two
+moments and the gradient.  A later forward through a workspace
 overwrites an earlier forward's cache.
 
 A model over a block of G groups predicts them all in one pass over a
@@ -487,12 +490,27 @@ def mse_loss(pred, target) -> tuple[float, np.ndarray]:
     return float(np.mean(diff * diff)), diff * (2.0 / pred.size)
 
 
-def clip_gradient_norm(grads: np.ndarray, max_norm: float,
-                       squares: np.ndarray | None = None) -> float:
+def _sum_of_squares(g: np.ndarray, scratch: np.ndarray) -> float:
+    """``np.sum(g * g)`` to the bit, through ``scratch``, a vector shorter
+    than ``g`` may be: ``g`` is halved where numpy's pairwise summation
+    halves it, at a multiple of 8, until a half's squares fit, and the
+    halves' sums are added as numpy adds them."""
+    n = g.size
+    if n <= scratch.size:
+        return float(np.sum(np.multiply(g, g, out=scratch[:n])))
+    half = n // 2
+    half -= half % 8
+    return (_sum_of_squares(g[:half], scratch)
+            + _sum_of_squares(g[half:], scratch))
+
+
+def clip_gradient_norm(grads: np.ndarray, max_norm: float) -> float:
     """Scale a gradient vector in place to a norm cap; returns the norm
-    before scaling.  The squares it sums go to ``squares`` when given, an
-    array of the shape of ``grads``."""
-    total = np.sqrt(float(np.sum(np.multiply(grads, grads, out=squares))))
+    before scaling, ``np.sqrt(np.sum(grads * grads))`` to the bit.  The
+    squares pass through one ``_ADAM_CHUNK`` scratch, so a vector of any
+    size allocates 128 KB at most."""
+    scratch = np.empty(min(_ADAM_CHUNK, grads.size))
+    total = np.sqrt(_sum_of_squares(grads, scratch))
     if max_norm > 0.0 and total > max_norm:
         grads *= max_norm / total
     return total
@@ -582,8 +600,7 @@ def train_step(model: RnnModel, optimizer: Adam, inputs, targets,
     if np.isfinite(loss):
         grads = _take(workspace, "grads", model.params.shape)
         model.backward(cache, d_outputs, grads)
-        norm = clip_gradient_norm(grads, clip_norm,
-                                  _take(workspace, "squares", grads.shape))
+        norm = clip_gradient_norm(grads, clip_norm)
         optimizer.step(grads)
     return loss, norm
 

@@ -14,8 +14,8 @@ mini-batch list once with ``datastore.draw_minibatches`` and then trains
 the groups one after another, each over every batch, updating each RNN
 with ``neural.train_step``.  The groups share nothing but the draws, so
 this sequential order gives the bytes of training every group on a batch
-before drawing the next, while only one optimizer state, one parameter
-backup and one step workspace are alive; it projects each record once.
+before drawing the next, while only one optimizer state and one step
+workspace are alive; it projects each record once.
 The hidden-size trial trains one-coefficient kind II bundles of the
 surrogate's architecture, optimizer and seed by the same loop.  Evaluation
 always maps predictions back to the normalized full-dimensional field
@@ -30,12 +30,12 @@ net's width, group ``g`` predicts coefficients ``g p/Q`` to ``(g+1) p/Q - 1``
 ``bundle.json`` holds the kind, family, architecture, Q and the three
 normalizations, and nothing that could disagree with them.  A bundle
 holds one ``(Q, n)`` parameter block and no gradients; group ``g``'s RNN
-is built over row ``g``, which training, ``Adam``, the backup and
-``rnn_XX.bin`` see as the group's one vector.  Prediction runs consecutive
+is built over row ``g``, which training, ``Adam`` and ``rnn_XX.bin`` see
+as the group's one vector.  Prediction runs consecutive
 groups as one stacked model over their rows of the block (see ``neural``'s
 module notes): each pass over ``batch x steps`` rows stacks
 ``max(1, _STACK_ROWS // (batch x steps))`` groups, all of them in an FE2
-query, as two half-stacks (below), and one at a time in a long evaluation.
+query, as two half-stacks (below), and one at a time in an evaluation.
 
 History reuse: in FE2 use every Gauss point queries ``predict_fields`` at
 each macro increment with its strain history so far, one row longer than
@@ -120,13 +120,15 @@ HISTORY_CACHE_ENTRIES = 64
 
 # rows (batch x steps) up to which a prediction stacks groups: they run in
 # passes of max(1, _STACK_ROWS // rows) groups.  Stacking saves a pass's
-# per-group dispatch, which only shows on short passes, while a pass holds
-# its groups' gate pre-activations at once, 3 n_h floats per row and group:
-# under 2048 x 3 x 400 x 8 B = 19.7 MB at paper width, unless one group
-# alone holds more.  So a paper-scale evaluate (20 x 800 rows) runs one
-# group at a time, and an FE2 query (1 row) stacks every group: in one pass
-# without _SPLIT, else in two half-stacks on two threads.
-_STACK_ROWS = 2048
+# per-group dispatch, which is comparable to a group's products only on a
+# pass of a few rows, while a pass holds its groups' gate pre-activations at
+# once, 3 n_h floats per row and group: under 256 x 3 x 400 x 8 B = 2.5 MB
+# at paper width, unless one group alone holds more.  So an FE2 query (1
+# row), the train stage's probe (4 rows) and any pass of up to 64 rows stack
+# every group of Q = 4, and eval's passes (14 x 32 rows) run one group at a
+# time, as fast as stacked and with a quarter of the memory.  An FE2 query
+# runs in one pass without _SPLIT, else in two half-stacks on two threads.
+_STACK_ROWS = 256
 
 # whether a one-row pass of two groups or more runs as two half-stacks on
 # two threads: only where this process may use two CPUs or more
@@ -262,6 +264,8 @@ class SurrogateBundle:
         self.family = family
         self.arch = arch
         self.q = q
+        # what ``train`` redraws a group's parameters from
+        self._seed = seed
         if kind == KIND_DIRECT:
             if pca is not None:
                 raise ValueError("kind I takes no PCA reduction")
@@ -383,10 +387,23 @@ class SurrogateBundle:
         all steps share one workspace.  The groups share nothing but the
         draws, so the result is that of drawing each batch and training
         every group on it.  A non-finite loss stops only its own group,
-        with its parameters restored to before that batch, and is listed in
-        ``aborted``; the other groups train every batch.  ``losses`` stops
-        at the first aborted batch.
+        with its parameters as they were before that batch, and is listed
+        in ``aborted``; the other groups train every batch.  ``losses``
+        stops at the first aborted batch.
+
+        No copy of the parameters is kept to restore them from.  A batch
+        whose first epoch diverges has not moved them, as ``train_step``
+        then skips the update.  A later epoch's divergence redraws the
+        group's parameters from the bundle's seed and replays the batches
+        before this one with a fresh optimizer, which gives their bytes
+        before the batch; the replay counts toward neither
+        ``clipped_steps`` nor ``max_grad_norm``.  So a bundle built with
+        ``seed=None``, as ``load`` builds one, cannot train: it raises a
+        ``ValueError``.
         """
+        if self._seed is None:
+            raise ValueError("a bundle built with seed=None cannot train: "
+                             "its parameters cannot be redrawn")
         groups = self._group_arrays(dataset, self.fit_normalization(dataset))
         rng = make_rng([config.seed])
         draws = list(ds.draw_minibatches(
@@ -397,28 +414,42 @@ class SurrogateBundle:
         clipped = np.zeros(self.q, dtype=int)
         max_norm = np.zeros(self.q)
         aborted = []
-        # the current group's parameters before the current batch
-        backup = np.empty_like(self.models[0].params)
         workspace = {}
         for gi, (model, (lo, hi)) in enumerate(zip(self.models, self.group_map)):
-            optimizer = nn.Adam(model.params, config)
-            for b, (length, idx) in enumerate(draws):
+
+            def batch(b):
+                """Inputs and this group's targets of batch ``b``."""
+                length, idx = draws[b]
                 x_all, y_all = groups[length]
-                xb = x_all[idx]
-                target = y_all[idx, :, lo:hi]
-                np.copyto(backup, model.params)
-                for _ in range(config.n_epoch):
+                return x_all[idx], y_all[idx, :, lo:hi]
+
+            optimizer = nn.Adam(model.params, config)
+            for b in range(len(draws)):
+                xb, target = batch(b)
+                for epoch in range(config.n_epoch):
                     loss, norm = nn.train_step(model, optimizer, xb, target,
                                                config.clip_norm, workspace)
                     if not np.isfinite(loss):
                         break
                     clipped[gi] += 0.0 < config.clip_norm < norm
                     max_norm[gi] = max(max_norm[gi], norm)
-                if not np.isfinite(loss):
-                    model.params[...] = backup
-                    aborted.append((gi, b))
-                    break
-                losses[b, gi] = loss
+                if np.isfinite(loss):
+                    losses[b, gi] = loss
+                    continue
+                if epoch:
+                    # this batch's earlier epochs moved the parameters:
+                    # draw them again and replay the batches before it
+                    nn.RnnModel.build(self.arch.nnw_in, self.arch.n_h,
+                                      self.arch.nnw_out, seed=[self._seed, gi],
+                                      params=model.params)
+                    optimizer = nn.Adam(model.params, config)
+                    for r in range(b):
+                        xr, target_r = batch(r)
+                        for _ in range(config.n_epoch):
+                            nn.train_step(model, optimizer, xr, target_r,
+                                          config.clip_norm, workspace)
+                aborted.append((gi, b))
+                break
             # released before the next group's is built
             del optimizer
         n_run = min((b for _, b in aborted), default=config.n_batches)
@@ -658,6 +689,19 @@ class SurrogateBundle:
         return bundle
 
 
+def _trial_score(bundle: SurrogateBundle, val_set: ds.PackedDataset) -> float:
+    """Pearson correlation of a one-coefficient bundle's normalized
+    predicted traces with the reference ones on ``val_set``; 0 when either
+    is constant."""
+    groups = bundle._group_arrays(val_set).values()
+    pred = np.concatenate([bundle._run_groups(x)[0].ravel()
+                           for x, _ in groups])
+    true = np.concatenate([y.ravel() for _, y in groups])
+    if pred.std() < 1e-12 or true.std() < 1e-12:
+        return 0.0
+    return float(np.corrcoef(pred, true)[0, 1])
+
+
 def hidden_size_trial(
     train_set: ds.PackedDataset,
     val_set: ds.PackedDataset,
@@ -681,8 +725,10 @@ def hidden_size_trial(
     ``config`` for ``epoch_budget`` mini-batches, and is scored by the
     Pearson correlation of its normalized predicted coefficient traces with
     the reference ones on ``val_set``, which holds other paths; the hidden
-    size grows until the score passes the threshold.  Returns the report
-    ``trial`` writes.
+    size grows until the score passes the threshold.  A trial whose
+    training aborted lists its ``[group, batch]`` pairs in ``aborted`` and
+    has no score, since ``train`` at that size diverges too, so it is never
+    recommended.  Returns the report ``trial`` writes.
     """
     if target_p is None:
         target_p = min(pca_model.retained_p, 10)
@@ -700,17 +746,11 @@ def hidden_size_trial(
             KIND_REDUCED, Architecture(arch.nnw_in, n_h, arch.nnw_out[:-1] + (1,)),
             pca=coefficient, family=family, seed=config.seed)
         history = bundle.train(train_set, replace(config, n_batches=epoch_budget))
-        groups = bundle._group_arrays(val_set).values()
-        pred = np.concatenate([bundle._run_groups(x)[0].ravel()
-                               for x, _ in groups])
-        true = np.concatenate([y.ravel() for _, y in groups])
-        if pred.std() < 1e-12 or true.std() < 1e-12:
-            score = 0.0
-        else:
-            score = float(np.corrcoef(pred, true)[0, 1])
+        score = None if history.aborted else _trial_score(bundle, val_set)
         trials.append({"n_h": n_h, "score": score,
-                       "final_loss": history.final_loss()})
-        if score >= threshold:
+                       "final_loss": history.final_loss(),
+                       "aborted": history.aborted})
+        if score is not None and score >= threshold:
             recommended = n_h
             break
     return {"target_p": target_p, "threshold": threshold,

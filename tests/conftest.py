@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,16 @@ def synthetic_records(seed, n_records=30, d_gamma=16, d_tau=20,
         tau = np.abs(x @ mix_t) + 0.01 * np.cumsum(np.abs(x @ mix_t), axis=0)
         records.append(ds.SequenceRecord(x, gamma, tau))
     return records
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that ``call()`` holds allocated at once, per tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def plane_blocks(t):

@@ -314,6 +314,26 @@ class TestMatrixUpdate:
         assert np.all(x <= tau_tr / (3.0 * params.mu_mpa))
         assert np.all(np.abs(residual) <= mm._NEWTON_TOL_FACTOR * params.tau_y0)
 
+    def test_newton_evaluates_the_residual_once_per_iterate(self):
+        # the residual reads the hardening, each Newton update its slope;
+        # the last residual evaluated decides convergence
+        calls = []
+
+        class Counted(mm.MatrixParams):
+            def hardening(self, gamma):
+                calls.append("residual")
+                return super().hardening(gamma)
+
+            def hardening_slope(self, gamma):
+                calls.append("slope")
+                return super().hardening_slope(gamma)
+
+        params = Counted()
+        tau_tr = params.tau_y0 + np.array([1e-3, 1.0, 50.0, 1e3])
+        mm._solve_return_scalar(tau_tr, np.zeros(4), params)
+        assert calls.count("slope") > 0
+        assert calls.count("residual") == calls.count("slope") + 1
+
     def test_unconverged_return_raises(self, monkeypatch):
         params = mm.MATRIX_DEFAULTS
         monkeypatch.setattr(mm, "_NEWTON_MAX_ITER", 0)

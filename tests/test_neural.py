@@ -7,6 +7,8 @@ import pytest
 from rvesurrogate import datastore as ds
 from rvesurrogate import neural as nn
 
+from conftest import traced_peak
+
 
 def small_model(seed=0):
     return nn.RnnModel.build((2, 4), 4, (4, 3), seed=seed)
@@ -465,6 +467,18 @@ class TestOptimizer:
         rtol = grads.size * np.finfo(np.float64).eps
         assert norm == pytest.approx(per_array, rel=rtol, abs=0.0)
 
+    @pytest.mark.parametrize("size", [1, 7, 8, 127, 128, 129, 16_384,
+                                      16_385, 607_790])
+    def test_clip_norm_is_numpys_sum_to_the_bit(self, size):
+        # magnitudes from e^-20 to e^5, so that the order of the additions
+        # shows in the last bits; 607,790 is a paper-width group's vector
+        rng = np.random.default_rng(size)
+        for _ in range(5):
+            g = np.exp(rng.uniform(-20.0, 5.0, size)) \
+                * rng.choice([-1.0, 1.0], size)
+            expected = np.sqrt(np.sum(g * g))
+            assert nn.clip_gradient_norm(g.copy(), 0.0) == expected
+
     def test_train_config_validation(self):
         with pytest.raises(ValueError):
             nn.TrainConfig(n_epoch=11)
@@ -543,19 +557,9 @@ class TestParameterVector:
             == model.params.tobytes()
 
 
-def traced_peak(call) -> int:
-    """Peak bytes that ``call()`` holds allocated at once, per tracemalloc."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestTrainingStepAllocations:
     """At paper width (kind III groups of the benchmark), a training step
-    allocates no temporary the size of the parameter vector but clipping's."""
+    allocates no temporary the size of the parameter vector."""
 
     @pytest.fixture(scope="class")
     def paper_width(self):
@@ -578,6 +582,12 @@ class TestTrainingStepAllocations:
         model.backward(cache, d_out, grads)
         assert traced_peak(lambda: model.backward(cache, d_out, grads)) \
             < model.params.nbytes
+
+    def test_clipping_allocates_under_1_mb(self, paper_width):
+        grads = np.random.default_rng(34).standard_normal(
+            paper_width[0].params.size)
+        assert traced_peak(lambda: nn.clip_gradient_norm(grads, 1.0)) \
+            < 1_000_000
 
 
 class TestParameterCount:

@@ -13,7 +13,7 @@ from rvesurrogate import neural as nn
 from rvesurrogate import pca as pcalib
 from rvesurrogate import surrogate as sg
 
-from conftest import synthetic_records
+from conftest import synthetic_records, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -176,11 +176,48 @@ class TestTraining:
         assert len(hist.losses) == 6
         assert np.array_equal(hist.losses, clean_hist.losses[:6])
         assert np.array_equal(hist.batch_lengths, clean_hist.batch_lengths[:6])
-        # the other groups ran every batch
-        assert len(calls) == (10 + 7 + 10) * 2
+        # the other groups ran every batch; the second group's 6 batches
+        # before the failed one ran again, from its redrawn parameters
+        assert len(calls) == (10 + 7 + 6 + 10) * 2
         for gi, clean in enumerate((clean_10, clean_6, clean_10)):
             assert bundle.models[gi].params.tobytes() \
                 == clean.models[gi].params.tobytes()
+
+    def test_first_epoch_abort_keeps_the_parameters_untouched(
+            self, synthetic_packed, gamma_pca, monkeypatch):
+        # a NaN in a batch's first epoch comes before any update of that
+        # batch, so nothing is redrawn or replayed
+        arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
+        clean = sg.SurrogateBundle("II", arch, pca=gamma_pca, seed=4)
+        clean.train(synthetic_packed, quick_config(n_batches=3, n_epoch=2))
+        real_step = nn.train_step
+        calls = []
+
+        def diverging_step(*args):
+            # batch 4's first epoch diverges, and like a real diverged
+            # step it updates nothing
+            calls.append(args)
+            if len(calls) == 3 * 2 + 1:
+                return np.nan, np.nan
+            return real_step(*args)
+
+        monkeypatch.setattr(nn, "train_step", diverging_step)
+        bundle = sg.SurrogateBundle("II", arch, pca=gamma_pca, seed=4)
+        hist = bundle.train(synthetic_packed,
+                            quick_config(n_batches=5, n_epoch=2))
+        assert hist.aborted == [(0, 3)]
+        assert len(calls) == 3 * 2 + 1
+        assert bundle.params.tobytes() == clean.params.tobytes()
+
+    def test_a_loaded_bundle_cannot_train(self, tmp_path, synthetic_packed,
+                                          gamma_pca):
+        arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
+        bundle = sg.SurrogateBundle("II", arch, pca=gamma_pca, seed=4)
+        bundle.train(synthetic_packed, quick_config(n_batches=1))
+        bundle.save(tmp_path)
+        loaded = sg.SurrogateBundle.load(tmp_path)
+        with pytest.raises(ValueError, match="seed=None"):
+            loaded.train(synthetic_packed, quick_config(n_batches=1))
 
     def test_kind_iii_training_is_pinned(self, synthetic_packed, gamma_pca):
         # computed with the batch-outer loop that trained every group on a
@@ -248,9 +285,9 @@ class TestTargets:
 
 class TestTrainingAllocations:
     """Kind III at paper width, (3, 70) / 400 / (100, 2), on batches of 8
-    sequences of 32 steps: one optimizer state, one backup and one step
-    workspace are alive at a time, whatever the group count, and a bundle
-    holds its parameters and no gradients."""
+    sequences of 32 steps: one optimizer state, one gradient vector and one
+    step workspace are alive at a time, whatever the group count, and a
+    bundle holds its parameters and no gradients or parameter backup."""
 
     @pytest.fixture(scope="class")
     def traced(self, gamma_pca):
@@ -291,9 +328,10 @@ class TestTrainingAllocations:
                         bundle.models[0].params.nbytes, max(call_peaks))
         return peaks
 
-    def test_train_peak_under_7_parameter_vectors(self, traced):
+    def test_train_peak_under_5_parameter_vectors(self, traced):
+        # Adam's two moments and the gradient, plus the step workspace
         peak, _, nbytes, _ = traced[4]
-        assert peak < 7 * nbytes
+        assert peak < 5 * nbytes
 
     def test_train_peak_does_not_grow_with_the_group_count(self, traced):
         assert traced[4][0] == pytest.approx(traced[2][0], rel=0.1)
@@ -326,19 +364,47 @@ class TestPredictionMemory:
         n_b = 32
         x = np.random.default_rng(43).uniform(
             -1.0, 1.0, (n_b, sg._STACK_ROWS // n_b, 3))
-
-        def peak(call):
-            call()
-            tracemalloc.start()
-            try:
-                call()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        one_group = peak(lambda: bundle.models[0].forward(x))
-        every_group = peak(lambda: bundle._run_groups(x))
+        # the first pass builds the stacked models
+        bundle._run_groups(x)
+        one_group = traced_peak(lambda: bundle.models[0].forward(x))
+        every_group = traced_peak(lambda: bundle._run_groups(x))
         assert every_group < 2 * one_group
+
+    @pytest.fixture(scope="class")
+    def paper_width(self):
+        """A fitted 4-group bundle at the benchmark's paper width, and a
+        dataset of 14 sequences of 32 steps, as eval passes it."""
+        d = 40
+        records = synthetic_records(seed=44, n_records=14, d_gamma=d,
+                                    min_steps=32, max_steps=40)
+        packed = ds.pack_records(records, lengths=(32,))
+        pca = pcalib.PcaModel(np.zeros(d), np.ones(d), np.eye(d))
+        arch = sg.Architecture(nnw_in=(3, 70), n_h=400, nnw_out=(100, 10))
+        bundle = sg.SurrogateBundle("III", arch, q=4, pca=pca, seed=45)
+        bundle.fit_normalization(packed)
+        return bundle, packed
+
+    def test_eval_passes_run_one_group_at_a_time(self, paper_width):
+        bundle, packed = paper_width
+        x = np.stack([r.inputs for r in packed.groups[32]])
+        assert x.shape == (14, 32, 3)
+        bundle._run_groups(x)
+        one_group = traced_peak(lambda: bundle.models[0].forward(x))
+        every_group = traced_peak(lambda: bundle._run_groups(x))
+        assert every_group < 1.5 * one_group
+
+    def test_evaluate_bytes_do_not_depend_on_the_stacking(self, paper_width,
+                                                          monkeypatch):
+        bundle, packed = paper_width
+        reports = [bundle.evaluate(packed)]
+        monkeypatch.setattr(sg, "_STACK_ROWS", 2048)
+        reports.append(bundle.evaluate(packed))
+        for report in reports:
+            assert report.mse_full_dim == reports[0].mse_full_dim
+            assert report.per_sequence_mse.tobytes() \
+                == reports[0].per_sequence_mse.tobytes()
+            assert np.array(report.max_pred).tobytes() \
+                == np.array(reports[0].max_pred).tobytes()
 
 
 class TestKindEquivalence:
@@ -479,6 +545,32 @@ class TestHiddenSizeTrial:
         )
         assert max(t["score"] for t in report["trials"]) > 0.9
         assert report["recommended"] is not None
+
+    def test_an_aborted_size_is_never_recommended(self, trial_sides,
+                                                  gamma_pca, monkeypatch):
+        # the first size's second step, its first batch's second epoch,
+        # diverges; any score passes the threshold
+        real_step = nn.train_step
+        calls = []
+
+        def diverging_step(*args):
+            loss, norm = real_step(*args)
+            calls.append(loss)
+            return (np.nan, norm) if len(calls) == 2 else (loss, norm)
+
+        monkeypatch.setattr(nn, "train_step", diverging_step)
+        config = nn.TrainConfig(learning_rate=1e-3, n_epoch=2,
+                                n_batches=1000, batch_size=8, seed=6)
+        report = sg.hidden_size_trial(
+            *trial_sides, gamma_pca, TRIAL_ARCH, config, target_p=1,
+            start_n_h=8, increment=8, epoch_budget=5, max_trials=3,
+            threshold=-1.0)
+        first, second = report["trials"]
+        assert first["aborted"] == [(0, 0)]
+        assert first["score"] is None
+        assert second["aborted"] == []
+        assert np.isfinite(second["score"])
+        assert report["recommended"] == 16
 
     def test_target_out_of_range(self, trial_sides, gamma_pca):
         with pytest.raises(ValueError, match="target_p"):
