@@ -664,8 +664,8 @@ def stage_train(cfg: dict, root: Path) -> None:
     if history.aborted:
         where = ", ".join(f"group {gi} at batch {b}" for gi, b in history.aborted)
         raise StageError(
-            f"train postcondition failed: loss diverged in {where}, each "
-            "restored to before that batch; lower train.learning_rate"
+            f"train postcondition failed: loss diverged in {where}; "
+            "lower train.learning_rate"
         )
     probe = bundle.predict(np.zeros((1, 4, _STRAIN_FEATURES)))
     if not np.all(np.isfinite(probe)):

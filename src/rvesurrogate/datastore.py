@@ -80,9 +80,9 @@ class NormalizationSpec:
     """Per-feature affine map onto [-1, 1] from stored min/max bounds.
 
     Degenerate (constant) features keep a unit half-range so normalization
-    reduces to a pure shift; they are flagged for audit.  Values outside the
-    fitted range pass through the affine map without clamping.  The map's
-    center and half-range are computed once, from the bounds as given.
+    reduces to a pure shift.  Values outside the fitted range pass through
+    the affine map without clamping.  The map's center and half-range are
+    computed once, from the bounds as given.
     """
 
     minimum: np.ndarray
@@ -101,10 +101,6 @@ class NormalizationSpec:
         hr = 0.5 * (self.maximum - self.minimum)
         object.__setattr__(self, "half_range", np.where(hr > 0.0, hr, 1.0))
 
-    @property
-    def degenerate(self) -> np.ndarray:
-        return self.maximum == self.minimum
-
     def normalize(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         return (x - self.center) / self.half_range
@@ -117,7 +113,6 @@ class NormalizationSpec:
         return {
             "minimum": self.minimum.tolist(),
             "maximum": self.maximum.tolist(),
-            "degenerate_features": np.flatnonzero(self.degenerate).tolist(),
         }
 
     @classmethod

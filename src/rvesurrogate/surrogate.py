@@ -15,7 +15,9 @@ the groups one after another, each over every batch, updating each RNN
 with ``neural.train_step``.  The groups share nothing but the draws, so
 this sequential order gives the bytes of training every group on a batch
 before drawing the next, while only one optimizer state and one step
-workspace are alive; it projects each record once.
+workspace are alive; it projects each record once.  A group whose loss turns
+non-finite stops there, and the bundle is left unfitted, so that it cannot
+predict or be saved; nothing is kept to restore it from.
 The hidden-size trial trains one-coefficient kind II bundles of the
 surrogate's architecture, optimizer and seed by the same loop.  Evaluation
 always maps predictions back to the normalized full-dimensional field
@@ -102,8 +104,7 @@ BUNDLE_FILE = "bundle.json"
 PCA_FILE = "pca.bin"
 # a normalization entry of a bundle file, as ``NormalizationSpec.to_dict``
 # writes it
-_NORM_TABLE = ds.required(minimum="list of real", maximum="list of real",
-                          degenerate_features="list of int")
+_NORM_TABLE = ds.required(minimum="list of real", maximum="list of real")
 # the keys of every bundle file and their JSON types, as
 # ``SurrogateBundle.save`` writes them
 _BUNDLE_TABLE = ds.required(
@@ -223,7 +224,8 @@ class TrainingHistory:
     # largest norm before clipping
     clipped_steps: np.ndarray
     max_grad_norm: np.ndarray
-    # (group, batch) of each group stopped by a non-finite loss, in group order
+    # (group, batch) of each group stopped by a non-finite loss, in group
+    # order; a bundle with any is left unfitted
     aborted: list = field(default_factory=list)
 
     def final_loss(self) -> float | None:
@@ -264,8 +266,6 @@ class SurrogateBundle:
         self.family = family
         self.arch = arch
         self.q = q
-        # what ``train`` redraws a group's parameters from
-        self._seed = seed
         if kind == KIND_DIRECT:
             if pca is not None:
                 raise ValueError("kind I takes no PCA reduction")
@@ -387,23 +387,16 @@ class SurrogateBundle:
         all steps share one workspace.  The groups share nothing but the
         draws, so the result is that of drawing each batch and training
         every group on it.  A non-finite loss stops only its own group,
-        with its parameters as they were before that batch, and is listed
-        in ``aborted``; the other groups train every batch.  ``losses``
-        stops at the first aborted batch.
+        which runs no further step and is listed in ``aborted``; the other
+        groups train every batch.  ``losses`` stops at the first aborted
+        batch.
 
-        No copy of the parameters is kept to restore them from.  A batch
-        whose first epoch diverges has not moved them, as ``train_step``
-        then skips the update.  A later epoch's divergence redraws the
-        group's parameters from the bundle's seed and replays the batches
-        before this one with a fresh optimizer, which gives their bytes
-        before the batch; the replay counts toward neither
-        ``clipped_steps`` nor ``max_grad_norm``.  So a bundle built with
-        ``seed=None``, as ``load`` builds one, cannot train: it raises a
-        ``ValueError``.
+        A bundle whose training aborted is left unfitted, its
+        normalizations unset, so ``predict``, ``predict_fields`` and
+        ``save`` raise the untrained-bundle ``ValueError`` rather than use
+        the parameters its last finite step left.  A loaded bundle trains
+        on from its loaded parameters.
         """
-        if self._seed is None:
-            raise ValueError("a bundle built with seed=None cannot train: "
-                             "its parameters cannot be redrawn")
         groups = self._group_arrays(dataset, self.fit_normalization(dataset))
         rng = make_rng([config.seed])
         draws = list(ds.draw_minibatches(
@@ -416,42 +409,25 @@ class SurrogateBundle:
         aborted = []
         workspace = {}
         for gi, (model, (lo, hi)) in enumerate(zip(self.models, self.group_map)):
-
-            def batch(b):
-                """Inputs and this group's targets of batch ``b``."""
-                length, idx = draws[b]
-                x_all, y_all = groups[length]
-                return x_all[idx], y_all[idx, :, lo:hi]
-
             optimizer = nn.Adam(model.params, config)
-            for b in range(len(draws)):
-                xb, target = batch(b)
-                for epoch in range(config.n_epoch):
+            for b, (length, idx) in enumerate(draws):
+                x_all, y_all = groups[length]
+                xb, target = x_all[idx], y_all[idx, :, lo:hi]
+                for _ in range(config.n_epoch):
                     loss, norm = nn.train_step(model, optimizer, xb, target,
                                                config.clip_norm, workspace)
                     if not np.isfinite(loss):
                         break
                     clipped[gi] += 0.0 < config.clip_norm < norm
                     max_norm[gi] = max(max_norm[gi], norm)
-                if np.isfinite(loss):
-                    losses[b, gi] = loss
-                    continue
-                if epoch:
-                    # this batch's earlier epochs moved the parameters:
-                    # draw them again and replay the batches before it
-                    nn.RnnModel.build(self.arch.nnw_in, self.arch.n_h,
-                                      self.arch.nnw_out, seed=[self._seed, gi],
-                                      params=model.params)
-                    optimizer = nn.Adam(model.params, config)
-                    for r in range(b):
-                        xr, target_r = batch(r)
-                        for _ in range(config.n_epoch):
-                            nn.train_step(model, optimizer, xr, target_r,
-                                          config.clip_norm, workspace)
-                aborted.append((gi, b))
-                break
+                if not np.isfinite(loss):
+                    aborted.append((gi, b))
+                    break
+                losses[b, gi] = loss
             # released before the next group's is built
             del optimizer
+        if aborted:
+            self.input_norm = self.output_norm = self.field_norm = None
         n_run = min((b for _, b in aborted), default=config.n_batches)
         return TrainingHistory(
             losses=losses[:n_run],
@@ -663,7 +639,7 @@ class SurrogateBundle:
         a model or PCA file that disagrees with the bundle, holds a
         non-finite value or is missing, raises a ``ValueError`` naming the
         file.  A loaded bundle is trained, and every one of its groups
-        predicts.
+        predicts; ``train`` trains it on from its loaded parameters.
         """
         directory = Path(directory)
         meta_file = directory / BUNDLE_FILE

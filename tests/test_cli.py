@@ -206,6 +206,40 @@ class TestActionableErrors:
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not root.exists()
 
+    @pytest.mark.parametrize("edit, named", [
+        ({"paths": {"n_random": 0}}, "paths.n_random must be >= 1"),
+        ({"ensemble": {"perturbation": 1.0}},
+         "ensemble.perturbation must lie in [0, 1)"),
+        ({"ensemble": {"d_gamma": 0}}, "ensemble.d_gamma must be >= 1"),
+        ({"ensemble": {"n_fiber": -1}}, "ensemble.n_fiber must be >= 0"),
+        ({"dataset": {"gamma_crit": 0}}, "dataset.gamma_crit must be positive"),
+        ({"train": {"kind": "IV"}}, "train.kind must be one of"),
+        ("no config file", "config file not found: "),
+        # the parser offers known stages only, so `all` over a stage order
+        # that names another one reaches run_stage's own check
+        ("unknown stage", "unknown stage 'fit'"),
+    ])
+    def test_rejected_through_main_before_any_compute(
+            self, tmp_path, monkeypatch, capsys, edit, named):
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        config_file = tmp_path / "config.json"
+        command = "gen-paths"
+        if isinstance(edit, dict):
+            for section, values in edit.items():
+                cfg[section].update(values)
+        elif edit == "unknown stage":
+            monkeypatch.setattr(cli, "STAGE_ORDER", ("fit",))
+            command = "all"
+        if edit != "no config file":
+            config_file.write_text(json.dumps(cfg))
+        root = tmp_path / "root"
+        monkeypatch.setenv(cli.ROOT_ENV_VAR, str(root))
+        assert cli.main([command, "--config", str(config_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert "Traceback" not in err
+        assert not root.exists()
+
     @pytest.mark.parametrize("section, key, value", [
         # every bundle trains all of its groups; training the first g of Q
         # groups of p coefficients is pca.p = g p / Q with train.q = g
@@ -358,6 +392,25 @@ class TestActionableErrors:
         assert cli.main(["dataset", "stats", str(src)]) == 1
         err = capsys.readouterr().err
         assert "no records under" in err and "gen-data" in err
+
+    @pytest.mark.parametrize("command, copied, missing, producer", [
+        ("gen-data", (), "paths/paths.bin", "gen-paths"),
+        # kind III reads the basis that pca-fit writes
+        ("train", ("paths", "dataset"), "pca/pca_gamma.bin", "pca-fit"),
+    ])
+    def test_missing_input_artifact(self, dataset_root, tmp_path, monkeypatch,
+                                    capsys, command, copied, missing,
+                                    producer):
+        cfg = tiny_config({"p": 4}, 2, (4, 2))
+        root = tmp_path / "root"
+        root.mkdir()
+        for name in copied:
+            shutil.copytree(dataset_root / name, root / name)
+        assert run_main(command, root, cfg, tmp_path, monkeypatch) == 1
+        missing = root / missing
+        assert capsys.readouterr().err == (
+            f"error: no {missing.name} under {missing.parent}; run the "
+            f"`{producer}` stage first\n")
 
     @pytest.mark.parametrize("artifact, corrupt, command, rewriter", [
         ("paths/paths.bin", "truncate", "gen-data", "`gen-paths`"),
@@ -538,6 +591,10 @@ class TestStagesReplaceTheirOutputs:
         # bundle files of versions that stated p, the seed, h0 and the
         # group map next to what fixes them
         ("group_map", [[0, 1], [1, 4]], "unknown keys: group_map"),
+        # bundle files of versions that restated each equal bound's index
+        ("input_norm", {"minimum": [0.0] * 3, "maximum": [1.0] * 3,
+                        "degenerate_features": []},
+         "unknown keys: input_norm.degenerate_features"),
         # a saved bundle is trained
         ("input_norm", None, "input_norm must be a JSON object, got None"),
         ("output_norm", None, "output_norm must be a JSON object, got None"),
@@ -555,8 +612,7 @@ class TestStagesReplaceTheirOutputs:
         ("kind", "IV", "unknown surrogate kind 'IV'"),
         ("family", "foo", "unknown state-variable family 'foo'"),
         # entries that disagree with the bundle or with the records
-        ("input_norm", {"minimum": [0.0, 0.0], "maximum": [1.0, 1.0],
-                        "degenerate_features": []},
+        ("input_norm", {"minimum": [0.0, 0.0], "maximum": [1.0, 1.0]},
          "input_norm has 2 features, but the bundle's input has 3"),
         # the bundle was fitted on the 8 gamma values of each step; the
         # records hold 10 tau values
@@ -791,10 +847,10 @@ class TestGenDataDeterminism:
     # the files that also describe the bundle's layout, re-pinned when
     # bundle.json lost trained_groups and coeff_means, and describe() lost
     # trained_groups; bundle.json again when it lost p, seed, h0 and
-    # group_map
+    # group_map, and when its normalizations lost degenerate_features
     PINNED_DESCRIPTIONS = {
         "bundle/bundle.json":
-            "f1ddba7df365b8931068b94354a2467ed1b265b088d4bbb4604288f42e9f9d18",
+            "4f8a329c4151552212193892d3339464d1636eb298391a9f64b8db4e41cf61b2",
         "eval/summary.json":
             "61f0c5086fc34212e71e03098dd0d733172041981067a0b2b00854b5e80527a4",
     }

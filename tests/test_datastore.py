@@ -50,10 +50,9 @@ class TestNormalization:
             assert np.all(n >= -1.0 - 1e-12)
             assert np.all(n <= 1.0 + 1e-12)
 
-    def test_degenerate_feature_flagged(self):
+    def test_degenerate_feature_shifts_only(self):
         blocks = [np.column_stack([np.full(10, 3.0), np.arange(10.0)])]
         spec = ds.fit_normalization(blocks)
-        assert spec.degenerate.tolist() == [True, False]
         assert np.all(spec.half_range == [1.0, 4.5])
         # pure shift on the constant feature
         assert spec.normalize([[3.0, 9.0]])[0, 0] == 0.0

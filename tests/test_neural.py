@@ -314,11 +314,23 @@ class TestBptt:
         assert loss == 0.0
         assert np.all(grads == 0.0)
 
-    def test_gradients_match_finite_differences(self):
-        model = small_model(seed=12)
+    @pytest.mark.parametrize("nnw_in", [(2, 4), (2, 5, 4)])
+    def test_gradients_match_finite_differences(self, nnw_in, monkeypatch):
+        # a two-layer input net ends in a leaky layer, whose backward
+        # scales the gradient it is given
+        model = nn.RnnModel.build(nnw_in, 4, (4, 3), seed=12)
         rng = np.random.default_rng(13)
         x = rng.standard_normal((2, 3, 2))
         t = rng.standard_normal((2, 3, 3))
+        real_backward = nn.FeedForwardNet.backward
+
+        def backward_reading_d_out(net, cache, d_out, grads, out=None):
+            given = d_out.copy()
+            real_backward(net, cache, d_out, grads, out)
+            assert d_out.tobytes() == given.tobytes()
+
+        monkeypatch.setattr(nn.FeedForwardNet, "backward",
+                            backward_reading_d_out)
         _, grads = bptt(model, x, t)
         fd = finite_difference_grads(model, x, t)
         err = np.abs(grads - fd)

@@ -135,16 +135,16 @@ class TestTraining:
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
         bundle = sg.SurrogateBundle("III", arch, q=4, pca=gamma_pca, seed=4)
         # absurd learning rate overflows the loss inside the first batch's
-        # second epoch, so the abort restores the pre-batch parameters
+        # second epoch, so the bundle is left unfitted
         cfg = quick_config(n_batches=50, learning_rate=1e200, n_epoch=2)
         hist = bundle.train(synthetic_packed, cfg)
         assert hist.aborted
         assert len(hist.losses) < 50
-        out = bundle.predict_fields(np.zeros((5, 3))).fields
-        assert np.all(np.isfinite(out))
+        with pytest.raises(ValueError, match="has not been trained"):
+            bundle.predict_fields(np.zeros((5, 3)))
 
-    def test_nan_abort_restores_the_parameter_bytes(self, synthetic_packed,
-                                                    gamma_pca, monkeypatch):
+    def test_nan_abort_stops_only_its_own_group(self, synthetic_packed,
+                                                gamma_pca, monkeypatch):
         # groups train one after another, so a NaN stops only its own group
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
 
@@ -152,8 +152,7 @@ class TestTraining:
             return sg.SurrogateBundle("III", arch, q=3, pca=gamma_pca,
                                       seed=4)
 
-        clean_6, clean_10 = build(), build()
-        clean_6.train(synthetic_packed, quick_config(n_batches=6, n_epoch=2))
+        clean_10 = build()
         clean_hist = clean_10.train(synthetic_packed,
                                     quick_config(n_batches=10, n_epoch=2))
         real_step = nn.train_step
@@ -176,12 +175,38 @@ class TestTraining:
         assert len(hist.losses) == 6
         assert np.array_equal(hist.losses, clean_hist.losses[:6])
         assert np.array_equal(hist.batch_lengths, clean_hist.batch_lengths[:6])
-        # the other groups ran every batch; the second group's 6 batches
-        # before the failed one ran again, from its redrawn parameters
-        assert len(calls) == (10 + 7 + 6 + 10) * 2
-        for gi, clean in enumerate((clean_10, clean_6, clean_10)):
+        # the other groups ran every batch; the second group ran no step
+        # after the one that diverged
+        assert len(calls) == (10 + 7 + 10) * 2
+        for gi in (0, 2):
             assert bundle.models[gi].params.tobytes() \
-                == clean.models[gi].params.tobytes()
+                == clean_10.models[gi].params.tobytes()
+
+    def test_an_aborted_bundle_refuses_to_predict_or_save(
+            self, tmp_path, synthetic_packed, gamma_pca, monkeypatch):
+        arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
+        bundle = sg.SurrogateBundle("III", arch, q=2, pca=gamma_pca, seed=4)
+        real_step = nn.train_step
+        calls = []
+
+        def diverging_step(*args):
+            # the second group's second batch diverges in its second epoch
+            loss, norm = real_step(*args)
+            calls.append(loss)
+            return (np.nan, norm) if len(calls) == 3 * 2 + 4 else (loss, norm)
+
+        monkeypatch.setattr(nn, "train_step", diverging_step)
+        hist = bundle.train(synthetic_packed,
+                            quick_config(n_batches=3, n_epoch=2))
+        assert hist.aborted == [(1, 1)]
+        untrained = "surrogate has not been trained"
+        with pytest.raises(ValueError, match=untrained):
+            bundle.predict(np.zeros((1, 5, 3)))
+        with pytest.raises(ValueError, match=untrained):
+            bundle.predict_fields(np.zeros((5, 3)))
+        with pytest.raises(ValueError, match=untrained):
+            bundle.save(tmp_path)
+        assert not any(tmp_path.iterdir())
 
     def test_first_epoch_abort_keeps_the_parameters_untouched(
             self, synthetic_packed, gamma_pca, monkeypatch):
@@ -209,15 +234,16 @@ class TestTraining:
         assert len(calls) == 3 * 2 + 1
         assert bundle.params.tobytes() == clean.params.tobytes()
 
-    def test_a_loaded_bundle_cannot_train(self, tmp_path, synthetic_packed,
-                                          gamma_pca):
+    def test_a_loaded_bundle_trains_on_from_its_parameters(
+            self, tmp_path, synthetic_packed, gamma_pca):
         arch = sg.Architecture(nnw_in=(3, 8), n_h=8, nnw_out=(4, 2))
         bundle = sg.SurrogateBundle("II", arch, pca=gamma_pca, seed=4)
         bundle.train(synthetic_packed, quick_config(n_batches=1))
         bundle.save(tmp_path)
         loaded = sg.SurrogateBundle.load(tmp_path)
-        with pytest.raises(ValueError, match="seed=None"):
-            loaded.train(synthetic_packed, quick_config(n_batches=1))
+        for b in (bundle, loaded):
+            b.train(synthetic_packed, quick_config(n_batches=2, seed=1))
+        assert loaded.params.tobytes() == bundle.params.tobytes()
 
     def test_kind_iii_training_is_pinned(self, synthetic_packed, gamma_pca):
         # computed with the batch-outer loop that trained every group on a
